@@ -19,7 +19,6 @@ from .channel import (
     transfer_time,
 )
 from .compute import (
-    CloudState,
     EdgeAccepted,
     EdgeState,
     Task,

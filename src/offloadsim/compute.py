@@ -36,13 +36,6 @@ def elaboration_time(workload_mi: float, capacity_mips: float) -> float:
     return workload_mi / capacity_mips
 
 
-@dataclass(frozen=True)
-class CloudState:
-    """Unlimited parallel servers: tasks never wait."""
-
-    capacity: float  # MIPS applied to each task
-
-
 def cloud_fixed_roundtrip(cfg: ChannelConfig) -> float:
     """Wired round trip to the cloud and back: both CN legs plus both Internet legs."""
     links = cfg.links

@@ -142,12 +142,13 @@ def _scan(text: str) -> dict[str, tuple[str, int]]:
 
 def _float(key: str, raw: str, line: int) -> float:
     try:
-        if "/" in raw:
-            num, _, den = raw.partition("/")
-            return float(num) / float(den)
-        return float(raw)
-    except (ValueError, ZeroDivisionError):
+        num, _, den = raw.partition("/")
+        value = float(num) / float(den) if den else float(raw)
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ConfigError(f"line {line}: {key} expects a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line}: {key} must be finite, got {raw!r}")
+    return value
 
 
 def _int(key: str, raw: str, line: int) -> int:

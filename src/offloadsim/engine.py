@@ -32,6 +32,7 @@ from .controller import (
     CLOUD,
     EC_FIRST,
     EDGE,
+    Beacons,
     Registry,
     STRATEGIES,
     VCC_FIRST,
@@ -42,6 +43,7 @@ from .controller import (
 from .scenario import (
     ScenarioGeometry,
     build_scenario,
+    edge_distance,
     in_coverage,
     position_at,
     total_coverage,
@@ -91,6 +93,8 @@ class RunConfig:
     registry_timeout: float = 0.5
 
     def validate(self) -> None:
+        if not all(math.isfinite(v) for v in vars(self).values() if isinstance(v, (int, float))):
+            raise ValueError("numeric parameters must be finite")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.n_users < 0 or self.n_vehicles < 0:
@@ -185,7 +189,7 @@ def generate_arrivals(cfg: RunConfig, rng: random.Random) -> list[tuple[float, i
 
 
 # Event kinds, dispatched in the run loop.
-_ARRIVAL, _AT_GNB, _AT_VEHICLE, _VEHICLE_DONE, _RESULT_AT_GNB, _DELIVERED, _BEACON = range(7)
+_ARRIVAL, _AT_GNB, _AT_VEHICLE, _VEHICLE_DONE, _RESULT_AT_GNB, _DELIVERED = range(6)
 
 
 def run(cfg: RunConfig) -> list[OffloadRecord]:
@@ -200,7 +204,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
         geom, cfg.n_vehicles, cfg.vehicle_speed, cfg.vehicle_capacity, cfg.seed
     )
     vmap = {v.id: v for v in vehicles}
-    registry = Registry(timeout=cfg.registry_timeout, beacon_period=cfg.beacon_period)
+    registry = Registry(timeout=cfg.registry_timeout)
     edge = EdgeState(capacity=cfg.edge_mips, max_queue=cfg.edge_max_queue)
 
     cn_up = chan.links[LinkClass.CN_UP].base_latency
@@ -225,12 +229,16 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
     for t, _, task in arrivals:
         push(t, _ARRIVAL, task.id)
 
+    def coverage(vid: int, t: float) -> tuple[bool, float]:
+        v = vmap[vid]
+        p = position_at(v, t, geom)
+        return in_coverage(p, geom), (t + edge_distance(p, geom) / v.speed if v.speed else math.inf)
+
     # Periodic beacons matter only when vehicles can be selected. Each vehicle
-    # keeps its own phase; bumping its epoch cancels whatever beacon is pending.
-    beacon_epoch = {v.id: 0 for v in vehicles}
+    # keeps its own phase; beacons are replayed lazily, not queued as events.
     if vccfirst:
-        for v in vehicles:
-            push(rng.random() * cfg.beacon_period, _BEACON, v.id, 0)
+        phases = {v.id: rng.random() * cfg.beacon_period for v in vehicles}
+        beacons = Beacons(registry, cfg.beacon_period, phases, coverage, cfg.duration)
 
     # Active transfer end-times per radio link class, for processor sharing.
     active: dict[LinkClass, list[float]] = {link: [] for link in LinkClass}
@@ -287,11 +295,13 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
             task = tasks[a]
             rec = records[a]
             if vccfirst:
+                beacons.advance(t)
                 dispatch = select_vccfirst(registry, rng, t)
                 if dispatch.destination == CLOUD:
                     to_cloud(t, rec, task)
                 else:
                     vid = dispatch.vehicle_id
+                    beacons.picked(vid, t)
                     v = vmap[vid]
                     rec.destination = VEHICLE
                     rec.vehicle_id = vid
@@ -327,7 +337,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
                 fail(rec, REJECTION)
             else:
                 rec.t_elab = elaboration_time(task.workload_mi, v.capacity)
-                beacon_epoch[b] += 1  # busy vehicles stop beaconing
+                beacons.stop(b, t)  # busy vehicles stop beaconing
                 push(done_at, _VEHICLE_DONE, a, b)
 
         elif kind == _VEHICLE_DONE:
@@ -335,10 +345,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
             rec = records[a]
             v = vmap[b]
             covered = in_coverage(position_at(v, t, geom), geom)
-            if covered:
-                registry.on_beacon(b, t)  # idle again: beacon immediately
-            beacon_epoch[b] += 1
-            push(t + cfg.beacon_period, _BEACON, b, beacon_epoch[b])
+            beacons.restart(b, t, covered)  # idle again: beacon immediately
             out = attempt_radio(
                 t, LinkClass.VUE_UP, task.result_bytes, v.speed, src_cov=covered
             )
@@ -362,16 +369,6 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
             rec = records[a]
             rec.outcome = SUCCESS
             rec.total = rec.leg_sum()
-
-        elif kind == _BEACON:
-            if b != beacon_epoch.get(a):
-                continue  # superseded schedule
-            v = vmap[a]
-            if v.busy_until > t:
-                continue
-            if in_coverage(position_at(v, t, geom), geom):
-                registry.on_beacon(a, t)
-            push(t + cfg.beacon_period, _BEACON, a, b)
 
     return [records[tid] for tid in sorted(records)]
 

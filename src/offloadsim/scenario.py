@@ -122,3 +122,10 @@ def in_coverage(p: tuple[float, float], geometry: ScenarioGeometry) -> bool:
     dy = p[1] - by
     dz = geometry.ue_height - bz
     return dx * dx + dy * dy + dz * dz <= geometry.coverage_radius**2
+
+
+def edge_distance(p: tuple[float, float], geometry: ScenarioGeometry) -> float:
+    """How far from ``p`` coverage cannot change, less 1 um; inf if it never can."""
+    bx, by, bz = geometry.bs_position
+    reach2 = geometry.coverage_radius**2 - (geometry.ue_height - bz) ** 2
+    return math.inf if reach2 < 0.0 else abs(math.hypot(p[0] - bx, p[1] - by) - math.sqrt(reach2)) - 1e-6

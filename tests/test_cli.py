@@ -177,6 +177,18 @@ def test_config_errors_exit_nonzero_with_a_message(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["duration = inf", "request_rate = nan"])
+def test_non_finite_run_parameters_exit_nonzero(tmp_path, capsys, line):
+    # `duration = inf` used to generate arrivals forever, and
+    # `request_rate = nan` to write an empty run with exit code 0
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"strategy = ECFirst\n{line}\n")
+    assert main(["run", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2" in captured.err and "finite" in captured.err
+
+
 def test_float_cells_use_repr_for_exactness(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(RUN_CFG)

@@ -70,6 +70,21 @@ def test_fraction_values():
         parse_run_config("strategy = ECFirst\ntask.workload_mi = 1/0\n")
 
 
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "infinity", "1e309", "1/0.0e0", "1e308/1e-308"])
+def test_non_finite_numbers_name_the_line(raw):
+    with pytest.raises(ConfigError, match="line 2"):
+        parse_run_config(f"strategy = ECFirst\nduration = {raw}\n")
+    with pytest.raises(ConfigError, match="line 2"):
+        parse_sweep_spec(f"strategy = VCCFirst\nsweep.values = 1, {raw}\nsweep.axis = speed\n")
+
+
+def test_unbounded_still_spells_infinity():
+    cfg = parse_run_config("strategy = ECFirst\nscenario.coverage_radius = unbounded\n")
+    assert math.isinf(cfg.geometry.coverage_radius)
+    with pytest.raises(ConfigError, match="line 2"):
+        parse_run_config("strategy = ECFirst\nscenario.coverage_radius = inf\n")
+
+
 def test_speed_keys_are_exclusive():
     cfg = parse_run_config("strategy = ECFirst\nvehicles.speed_kmh = 36\n")
     assert cfg.vehicle_speed == pytest.approx(10.0, rel=1e-15)

@@ -27,8 +27,6 @@ def test_strategy_names():
 def test_registry_validation():
     with pytest.raises(ValueError):
         Registry(timeout=0.0)
-    with pytest.raises(ValueError):
-        Registry(beacon_period=-0.1)
 
 
 def test_beacon_refresh_and_strict_expiry():

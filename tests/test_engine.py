@@ -259,6 +259,15 @@ def test_run_config_validation():
         run(RunConfig(beacon_period=0.0))
 
 
+@pytest.mark.parametrize(
+    "field", ["duration", "request_rate", "vehicle_speed", "registry_timeout", "workload_mi"]
+)
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_run_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        run(RunConfig(**{field: value}))
+
+
 def test_in_flight_tasks_have_no_total():
     # a tight horizon strands the tail of the arrival stream mid-lifecycle
     cfg = RunConfig(strategy=VCC_FIRST, duration=1.003, seed=2)

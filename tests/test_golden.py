@@ -4,7 +4,8 @@ Each case runs through ``main`` and pins the SHA-256 of the aggregates CSV and
 of the ``--records`` CSV. The cases cover both strategies, both presets, fast,
 slow and parked vehicles, and beacon periods below, equal to and above the
 registry timeout. A change that moves any digest changes simulated behaviour
-and must say so; re-pin with ``python tests/test_golden.py``.
+and must say so; ``PYTHONPATH=src python tests/test_golden.py`` prints the
+new digests.
 """
 
 import hashlib
@@ -63,7 +64,7 @@ def digests(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_digest(tmp_path, name, capsys):
+def test_golden_digest(tmp_path, name):
     assert digests(tmp_path, name) == GOLDEN[name]
 
 

@@ -1,0 +1,179 @@
+"""Seeded property tests for the registry index and the lazy beacon replay.
+
+The registry keeps its present ids sorted and expires entries from a heap;
+both must agree with a plain dict scanned and sorted on every operation. The
+lazy ``Beacons`` must leave the registry exactly as one event per beacon
+would, at every dispatch.
+"""
+
+import math
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from offloadsim.controller import CLOUD, Beacons, Dispatch, Registry, VEHICLE, select_vccfirst
+from offloadsim.engine import KMH
+from offloadsim.scenario import (
+    build_scenario,
+    edge_distance,
+    in_coverage,
+    partial_coverage,
+    position_at,
+    total_coverage,
+)
+
+_TIME = st.floats(0.0, 1.0)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("beacon"), st.integers(0, 12), _TIME | st.just(math.inf)),
+        st.tuples(st.just("select"), st.integers(0, 2**32)),
+        st.tuples(st.just("expire"), st.floats(-1.0, 1.0)),
+        st.tuples(st.just("advance"), _TIME),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(timeout=st.sampled_from((0.1, 0.5, 1.0)) | st.floats(0.01, 2.0), ops=_OPS)
+def test_index_and_expiry_match_a_sorted_scan(timeout, ops):
+    reg = Registry(timeout=timeout)
+    model: dict[int, float] = {}
+    now = 0.0
+
+    def expire(t):
+        return {vid: last for vid, last in model.items() if not last < t - timeout}
+
+    for op in ops:
+        if op[0] == "beacon":
+            # beacons may carry times up to a second old, or inf (never expires)
+            t = op[2] if math.isinf(op[2]) else now - op[2]
+            reg.on_beacon(op[1], t)
+            model[op[1]] = t
+        elif op[0] == "select":
+            model = expire(now)
+            expected = sorted(model)
+            d = select_vccfirst(reg, random.Random(op[1]), now)
+            if expected:
+                pick = expected[random.Random(op[1]).randrange(len(expected))]
+                assert d == Dispatch(VEHICLE, vehicle_id=pick, decided_at=now)
+                del model[pick]
+            else:
+                assert d.destination == CLOUD
+        elif op[0] == "expire":
+            reg.expire_stale(now + op[1])
+            model = expire(now + op[1])
+        else:
+            now += op[1]
+        assert reg.ids == sorted(reg.entries)
+        assert reg.entries == model
+
+
+class EagerBeacons:
+    """Reference: every beacon of every idle vehicle applied in time order."""
+
+    def __init__(self, registry, period, phases, covered):
+        self.registry, self.period, self.covered = registry, period, covered
+        self.next = dict(phases)
+
+    def _apply(self, vid, t):
+        x = self.next[vid]
+        while x <= t:
+            if self.covered(vid, x):
+                self.registry.on_beacon(vid, x)
+            x = x + self.period
+        self.next[vid] = x
+
+    def advance(self, t):
+        for vid in self.next:
+            self._apply(vid, t)
+
+    def picked(self, vid, t):
+        pass
+
+    def stop(self, vid, t):
+        if vid in self.next:
+            self._apply(vid, t)
+            del self.next[vid]
+
+    def restart(self, vid, t, covered):
+        if covered:
+            self.registry.on_beacon(vid, t)
+        self.next[vid] = t + self.period
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10_000),
+    partial=st.booleans(),
+    speed_kmh=st.sampled_from((0.0, 13.1, 90.0, 300.0)),
+    period=st.sampled_from((0.01, 0.1, 0.4, 0.5, 0.7)),
+    timeout=st.sampled_from((0.1, 0.5, 1.0)),
+)
+def test_lazy_beacons_leave_the_registry_as_eager_ones(seed, partial, speed_kmh, period, timeout):
+    geom = partial_coverage() if partial else total_coverage()
+    fleet = build_scenario(geom, 12, speed_kmh * KMH, 1.0, seed)
+    rng = random.Random(seed)
+    phases = {v.id: rng.random() * period for v in fleet}
+
+    def covered(vid, t):
+        return in_coverage(position_at(fleet[vid], t, geom), geom)
+
+    def coverage(vid, t):
+        p, v = position_at(fleet[vid], t, geom), fleet[vid]
+        until = t + edge_distance(p, geom) / v.speed if v.speed > 0.0 else math.inf
+        return in_coverage(p, geom), until
+
+    lazy_reg, eager_reg = Registry(timeout=timeout), Registry(timeout=timeout)
+    lazy = Beacons(lazy_reg, period, phases, coverage, horizon=60.0)
+    eager = EagerBeacons(eager_reg, period, phases, covered)
+    busy: dict[int, float] = {}  # vid -> task finish time
+    t = 0.0
+    for _ in range(300):
+        t += rng.expovariate(8.0)
+        for vid in [vid for vid, done in busy.items() if done <= t]:
+            del busy[vid]
+            for beacons in (lazy, eager):
+                beacons.restart(vid, t, covered(vid, t))
+        draw = rng.random()
+        picks = []
+        for beacons, reg in ((lazy, lazy_reg), (eager, eager_reg)):
+            beacons.advance(t)
+            d = select_vccfirst(reg, random.Random(draw), t)
+            if d.vehicle_id is not None:
+                beacons.picked(d.vehicle_id, t)
+            picks.append(d.vehicle_id)
+        assert picks[0] == picks[1]
+        assert lazy_reg.ids == eager_reg.ids
+        vid = picks[0]
+        if vid is not None and vid not in busy and draw < 0.7:
+            busy[vid] = t + rng.uniform(0.0, 1.5)
+            for beacons in (lazy, eager):
+                beacons.stop(vid, t)
+
+
+def test_beacons_at_a_dispatch_instant_count_before_it():
+    """Tie rule: a beacon at exactly t takes effect before a pick or stop at t."""
+    reg = Registry(timeout=0.5)
+    beacons = Beacons(reg, 0.25, {7: 0.0}, lambda vid, t: (True, math.inf), horizon=10.0)
+    rng = random.Random(0)
+
+    def dispatch(t):
+        beacons.advance(t)
+        d = select_vccfirst(reg, rng, t)
+        if d.vehicle_id is not None:
+            beacons.picked(d.vehicle_id, t)
+        return d.vehicle_id
+
+    beacons.advance(0.1)  # heard at 0.0; its later beacons need no replay
+    assert dispatch(0.5) == 7
+    assert dispatch(0.5) is None  # the beacon at 0.5 was spent on the first pick
+    beacons.stop(7, 0.75)  # its beacon at 0.75 still lands
+    assert reg.entries == {7: 0.75}
+    assert dispatch(1.25) == 7  # exactly timeout old: still listed
+    beacons.restart(7, 1.5, covered=True)
+    beacons.stop(7, 1.6)
+    assert dispatch(2.0) == 7
+    beacons.restart(7, 2.0, covered=False)
+    assert dispatch(2.25) == 7  # first periodic beacon after the restart
