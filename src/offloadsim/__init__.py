@@ -46,7 +46,6 @@ from .controller import (
     VCC_FIRST,
     VEHICLE,
     beacon_times,
-    select_ecfirst,
     select_vccfirst,
 )
 from .costmodel import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Union
 
 
@@ -105,6 +106,52 @@ def lena_calibrated() -> ChannelConfig:
     )
 
 
+class Link:
+    """One link class resolved for a run: its parameters read once, plus the
+    end times of its transfers still on the air (a heap) for processor sharing.
+
+    The transfer-time and loss formulas are defined here; the module-level
+    functions below apply them to a ``ChannelConfig`` entry.
+    """
+
+    __slots__ = ("base_latency", "rate", "shared", "p_base", "k_speed", "ends")
+
+    def __init__(self, params: LinkParams) -> None:
+        self.base_latency, self.rate = params.base_latency, params.rate
+        self.shared = params.sharing == PROCESSOR_SHARING
+        self.p_base, self.k_speed = params.p_base, params.k_speed
+        self.ends: list[float] = []
+
+    def transfer_time(self, size_bytes: float, concurrent: int) -> float:
+        rate = self.rate
+        if rate is None:
+            return self.base_latency
+        return self.base_latency + size_bytes * 8.0 / (rate / concurrent if self.shared else rate)
+
+    def loss_probability(self, speed: float) -> float:
+        return min(1.0, max(0.0, self.p_base + self.k_speed * speed))
+
+    def lost(self, rng, speed: float, covered: bool) -> str | None:
+        """Why a radio leg is lost, or None. An uncovered endpoint loses it
+        without a draw; a covered leg takes exactly one draw from ``rng``."""
+        if not covered:
+            return OUT_OF_COVERAGE
+        return CHANNEL_ERROR if rng.random() < self.loss_probability(speed) else None
+
+    def send(self, rng, t: float, size_bytes: float, speed: float, covered: bool = True) -> float | None:
+        """One radio leg started at ``t``: its latency, or None when it is lost.
+
+        The transfer shares the rate with those still on the air at ``t`` and
+        occupies its airtime even if lost.
+        """
+        ends = self.ends
+        while ends and ends[0] <= t:
+            heappop(ends)
+        latency = self.transfer_time(size_bytes, len(ends) + 1)
+        heappush(ends, t + latency)
+        return None if self.lost(rng, speed, covered) else latency
+
+
 def transfer_time(
     size_bytes: float, link: LinkClass, concurrent: int, cfg: ChannelConfig
 ) -> float:
@@ -119,20 +166,12 @@ def transfer_time(
         raise ValueError("size must be nonnegative")
     if concurrent < 1:
         raise ValueError("concurrent count includes this transfer, so it is >= 1")
-    params = cfg.links[link]
-    if params.rate is None:
-        return params.base_latency
-    if params.sharing == PROCESSOR_SHARING:
-        effective_rate = params.rate / concurrent
-    else:
-        effective_rate = params.rate
-    return params.base_latency + size_bytes * 8.0 / effective_rate
+    return Link(cfg.links[link]).transfer_time(size_bytes, concurrent)
 
 
 def loss_probability(cfg: ChannelConfig, link: LinkClass, speed: float) -> float:
     """Per-leg loss probability at the given endpoint speed, clamped to [0, 1]."""
-    params = cfg.links[link]
-    return min(1.0, max(0.0, params.p_base + params.k_speed * speed))
+    return Link(cfg.links[link]).loss_probability(speed)
 
 
 @dataclass(frozen=True)
@@ -166,8 +205,7 @@ def leg_outcome(
     transfer_time latency.
     """
     if link in RADIO_LINKS:
-        if not (src_covered and dst_covered):
-            return Lost(OUT_OF_COVERAGE)
-        if rng.random() < loss_probability(cfg, link, speed):
-            return Lost(CHANNEL_ERROR)
+        reason = Link(cfg.links[link]).lost(rng, speed, src_covered and dst_covered)
+        if reason:
+            return Lost(reason)
     return Delivered(transfer_time(size_bytes, link, concurrent, cfg))

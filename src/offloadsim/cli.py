@@ -11,12 +11,14 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .config import (
     ConfigError,
     SweepSpec,
+    _float,
     apply_axis,
     bonus_in_ec_requests,
     parse_cost_params,
@@ -28,28 +30,10 @@ from .costmodel import CostParams, cost_breakdown, savings
 from .engine import Aggregates, RECORD_FIELDS, run, summarize
 from .stats import anova_oneway
 
-AGGREGATE_COLUMNS = (
-    "n_requests",
-    "n_dispatched",
-    "n_success",
-    "n_failed",
-    "n_in_flight",
-    "mean_total_s",
-    "p90_s",
-    "p95_s",
-    "p99_s",
-    "cc_share_pct",
-    "uplink_share_pct",
-    "elab_share_pct",
-    "downlink_share_pct",
-    "fail_user_gnb_pct",
-    "fail_gnb_vcc_pct",
-    "fail_rejection_pct",
-    "fail_vcc_gnb_pct",
-    "fail_gnb_user_pct",
-    "fail_total_pct",
-    "vehicles_used",
-)
+# Aggregates fields in order, as CSV columns: latencies carry their unit.
+_AGGREGATE_FIELDS = tuple(f.name for f in fields(Aggregates))
+_UNITS = {"mean_total": "mean_total_s", "p90": "p90_s", "p95": "p95_s", "p99": "p99_s"}
+AGGREGATE_COLUMNS = tuple(_UNITS.get(name, name) for name in _AGGREGATE_FIELDS)
 
 COST_COLUMNS = (
     "request_scale",
@@ -67,50 +51,24 @@ COST_COLUMNS = (
 ANOVA_COLUMNS = ("source", "sum_sq", "df", "F", "PR(>F)")
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: str | None, header, rows) -> None:
-    """Write rows to the path or stdout with minimal quoting and \\n endings."""
+    """Write rows to the path or stdout with minimal quoting and \\n endings.
+
+    The csv module writes floats with repr, None as an empty cell and ints
+    with str, so identical values give identical bytes.
+    """
     out = open(path, "w", newline="") if path else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
     finally:
         if path:
             out.close()
 
 
 def _aggregate_values(agg: Aggregates) -> list:
-    return [
-        agg.n_requests,
-        agg.n_dispatched,
-        agg.n_success,
-        agg.n_failed,
-        agg.n_in_flight,
-        agg.mean_total,
-        agg.p90,
-        agg.p95,
-        agg.p99,
-        agg.cc_share_pct,
-        agg.uplink_share_pct,
-        agg.elab_share_pct,
-        agg.downlink_share_pct,
-        agg.fail_user_gnb_pct,
-        agg.fail_gnb_vcc_pct,
-        agg.fail_rejection_pct,
-        agg.fail_vcc_gnb_pct,
-        agg.fail_gnb_user_pct,
-        agg.fail_total_pct,
-        agg.vehicles_used,
-    ]
+    return [getattr(agg, name) for name in _AGGREGATE_FIELDS]
 
 
 def _read_config(path: str) -> str:
@@ -129,7 +87,7 @@ def _cmd_run(args) -> int:
         _write_csv(
             args.records,
             RECORD_FIELDS,
-            [[getattr(r, f) for f in RECORD_FIELDS] for r in records],
+            map(attrgetter(*RECORD_FIELDS), records),
         )
     if args.output:
         ms = agg.mean_total * 1e3
@@ -201,17 +159,7 @@ def _parse_float_list(raw: str, what: str) -> list[float]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"{what} must list at least one number")
-    out = []
-    for p in parts:
-        try:
-            if "/" in p:
-                num, _, den = p.partition("/")
-                out.append(float(num) / float(den))
-            else:
-                out.append(float(p))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{what} must be comma-separated numbers, got {p!r}") from None
-    return out
+    return [_float(what, p) for p in parts]
 
 
 def _cmd_cost(args) -> int:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .channel import ChannelConfig, LinkClass
 from .scenario import VehicleState
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(NamedTuple):
     """One offloading request."""
 
     id: int
@@ -47,8 +47,7 @@ def cloud_fixed_roundtrip(cfg: ChannelConfig) -> float:
     )
 
 
-@dataclass(frozen=True)
-class EdgeAccepted:
+class EdgeAccepted(NamedTuple):
     service_start: float
     completion: float
     queue_wait: float  # service_start minus payload arrival
@@ -70,28 +69,32 @@ class EdgeState:
     completed: int = 0
     _jobs: deque = field(default_factory=deque)  # (service_start, completion)
 
-    def occupancy(self, now: float) -> tuple[int, int, int]:
-        """(waiting, in_service, completed) counts at time ``now``."""
+    def waiting_count(self, now: float) -> int:
+        """Tasks admitted but not yet in service at ``now``; drops finished ones."""
         jobs = self._jobs
         while jobs and jobs[0][1] <= now:
             jobs.popleft()
             self.completed += 1
-        in_service = 1 if jobs and jobs[0][0] <= now else 0
-        return len(jobs) - in_service, in_service, self.completed
+        return len(jobs) - (1 if jobs and jobs[0][0] <= now else 0)
 
-    def waiting_count(self, now: float) -> int:
-        return self.occupancy(now)[0]
+    def occupancy(self, now: float) -> tuple[int, int, int]:
+        """(waiting, in_service, completed) counts at time ``now``."""
+        waiting = self.waiting_count(now)
+        return waiting, len(self._jobs) - waiting, self.completed
 
     def offer(
         self, workload_mi: float, now: float, data_at: float | None = None
-    ) -> EdgeAccepted | None:
-        """Admit a task at ``now`` or return None on queue overflow.
+    ) -> tuple[int, EdgeAccepted | None]:
+        """Admit a task at ``now`` unless ``max_queue`` tasks already wait.
 
-        ``data_at`` is when the payload reaches the server (defaults to ``now``);
-        service cannot start before it, and queue wait is measured from it.
+        Returns the waiting count at ``now`` before this task, and the
+        admission or None on overflow. ``data_at`` is when the payload reaches
+        the server (defaults to ``now``); service cannot start before it, and
+        queue wait is measured from it.
         """
-        if self.waiting_count(now) >= self.max_queue:
-            return None
+        waiting = self.waiting_count(now)
+        if waiting >= self.max_queue:
+            return waiting, None
         if data_at is None:
             data_at = now
         service_start = max(self.next_free, data_at)
@@ -99,7 +102,7 @@ class EdgeState:
         self.next_free = completion
         self._jobs.append((service_start, completion))
         self.accepted += 1
-        return EdgeAccepted(service_start, completion, service_start - data_at)
+        return waiting, EdgeAccepted(service_start, completion, service_start - data_at)
 
 
 def vehicle_offer(v: VehicleState, workload_mi: float, now: float) -> float | None:

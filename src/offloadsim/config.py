@@ -140,14 +140,16 @@ def _scan(text: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-def _float(key: str, raw: str, line: int) -> float:
+def _float(key: str, raw: str, line: int | None = None) -> float:
+    """A finite number or fraction ``a/b``; ``line`` is omitted for flags."""
+    where = f"line {line}: " if line is not None else ""
     try:
         num, _, den = raw.partition("/")
         value = float(num) / float(den) if den else float(raw)
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigError(f"line {line}: {key} expects a number, got {raw!r}") from None
+        raise ConfigError(f"{where}{key} expects a number, got {raw!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"line {line}: {key} must be finite, got {raw!r}")
+        raise ConfigError(f"{where}{key} must be finite, got {raw!r}")
     return value
 
 
@@ -425,7 +427,13 @@ def parse_sweep_spec(text: str) -> SweepSpec:
 
     if axis == "beta":
         return SweepSpec(axis, values, seeds, base_run=None, base_cost=_build_cost(r))
-    return SweepSpec(axis, values, seeds, base_run=_build_run(r), base_cost=None)
+    base = _build_run(r)
+    for v in values:  # every point must be a valid run before any is simulated
+        try:
+            apply_axis(base, axis, v, seeds[0]).validate()
+        except ValueError as exc:
+            raise ConfigError(f"line {line}: sweep.values {v!r}: {exc}") from None
+    return SweepSpec(axis, values, seeds, base_run=base, base_cost=None)
 
 
 def parse_config(text: str):

@@ -1,4 +1,7 @@
-"""Beacon-driven availability registry and the two dispatch strategies.
+"""Beacon-driven availability registry and the VCCFirst dispatch strategy.
+
+ECFirst needs no registry: its rule, the edge unless the waiting line is
+full, is applied by ``compute.EdgeState.offer``.
 
 The controller at the gNB keeps a registry of vehicles heard from recently.
 Idle vehicles in coverage beacon every ``beacon_period`` seconds (plus once
@@ -14,8 +17,6 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
-
-from .compute import EdgeState
 
 CLOUD = "CLOUD"
 EDGE = "EDGE"
@@ -161,13 +162,6 @@ class Beacons:
         x, (covered, until) = self.next[vid], self.cov[vid]
         w = x if x > until or (covered and self.registry.entries.get(vid) != math.inf) else until
         heapq.heappush(self.wakes, (w, vid))  # an infinite wake-up never comes
-
-
-def select_ecfirst(edge: EdgeState, now: float) -> Dispatch:
-    """Send to the edge unless its waiting line is full, else to the cloud."""
-    if edge.waiting_count(now) >= edge.max_queue:
-        return Dispatch(CLOUD, decided_at=now)
-    return Dispatch(EDGE, decided_at=now)
 
 
 def beacon_times(idle_since: float, period: float, until: float) -> Iterator[float]:

@@ -2,7 +2,14 @@
 
 One run owns a single seeded RNG and a single event heap ordered by
 (time, insertion sequence), so identical configurations and seeds replay the
-exact same event interleaving and produce identical records.
+exact same event interleaving and produce identical records. The heap starts
+as the arrival list itself: arrivals are generated sorted by (time, task id)
+and use their task id as sequence number, and a sorted list is a valid heap.
+
+Each radio leg goes through the run's ``channel.Link`` for its link class,
+which holds the link's parameters and the airtime still in use. A leg returns
+its latency, or None when lost; it draws once from the RNG only when both
+endpoints are in coverage, and a lost leg still occupies its airtime.
 
 Task lifecycle: a user uploads over the access network to the gNB; the
 controller picks a destination (cloud, edge or a beaconing vehicle); the task
@@ -15,18 +22,12 @@ count as in flight.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, fields
 
-from .channel import (
-    ChannelConfig,
-    Delivered,
-    LinkClass,
-    lena_calibrated,
-    leg_outcome,
-    transfer_time,
-)
+from .channel import ChannelConfig, Link, LinkClass, lena_calibrated
 from .compute import EdgeState, Task, elaboration_time, vehicle_offer
 from .controller import (
     CLOUD,
@@ -37,7 +38,6 @@ from .controller import (
     STRATEGIES,
     VCC_FIRST,
     VEHICLE,
-    select_ecfirst,
     select_vccfirst,
 )
 from .scenario import (
@@ -65,6 +65,8 @@ IN_FLIGHT = "in_flight"
 REPLICATION_SEEDS = (0, 1, 2, 3, 4, 6, 7, 8, 9)
 
 KMH = 1.0 / 3.6  # km/h in m/s
+
+MAX_ARRIVALS = 10_000_000  # per run, checked before any arrival is generated
 
 
 @dataclass
@@ -103,6 +105,9 @@ class RunConfig:
             raise ValueError("request rate must be positive")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
+        per_user = self.duration * self.request_rate
+        if self.n_users and (per_user > MAX_ARRIVALS or self.n_users * math.ceil(per_user) > MAX_ARRIVALS):
+            raise ValueError(f"users x ceil(duration x request_rate) must not exceed {MAX_ARRIVALS} arrivals")
         if self.workload_mi < 0.0 or self.task_size_bytes < 0.0 or self.result_size_bytes < 0.0:
             raise ValueError("task template values must be nonnegative")
         if self.vehicle_speed < 0.0:
@@ -115,7 +120,7 @@ class RunConfig:
             raise ValueError("beacon period and registry timeout must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class OffloadRecord:
     """Per-task accounting: destination, each leg's duration, and the outcome.
 
@@ -177,7 +182,7 @@ def generate_arrivals(cfg: RunConfig, rng: random.Random) -> list[tuple[float, i
             raw.append((t, user))
             k += 1
             t = phase + k * interval
-    raw.sort(key=lambda item: (item[0], item[1]))
+    raw.sort()
     return [
         (
             t,
@@ -199,11 +204,11 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
     geom = cfg.geometry
     chan = cfg.channel
     vccfirst = cfg.strategy == VCC_FIRST
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     vehicles = build_scenario(
         geom, cfg.n_vehicles, cfg.vehicle_speed, cfg.vehicle_capacity, cfg.seed
-    )
-    vmap = {v.id: v for v in vehicles}
+    )  # vehicle ids are list indexes
     registry = Registry(timeout=cfg.registry_timeout)
     edge = EdgeState(capacity=cfg.edge_mips, max_queue=cfg.edge_max_queue)
 
@@ -211,26 +216,25 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
     cn_down = chan.links[LinkClass.CN_DOWN].base_latency
     inet_up = chan.links[LinkClass.INTERNET_UP].base_latency
     inet_down = chan.links[LinkClass.INTERNET_DOWN].base_latency
+    pue_up, pue_down, vue_up, vue_down = (
+        Link(chan.links[link])
+        for link in (LinkClass.PUE_UP, LinkClass.PUE_DOWN, LinkClass.VUE_UP, LinkClass.VUE_DOWN)
+    )
 
-    heap: list[tuple[float, int, int, int, int]] = []
-    seq = 0
-
-    def push(t: float, kind: int, a: int = 0, b: int = 0) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, a, b))
-        seq += 1
-
+    # Tasks and records are indexed by task id. Arrivals come sorted by (time,
+    # id) and take their id as insertion sequence, so their list is already a
+    # heap; later events are numbered on from there.
     arrivals = generate_arrivals(cfg, rng)
-    tasks = {task.id: task for _, _, task in arrivals}
-    records = {
-        task.id: OffloadRecord(task.id, task.origin_user, task.created_at)
-        for _, _, task in arrivals
-    }
-    for t, _, task in arrivals:
-        push(t, _ARRIVAL, task.id)
+    tasks = [task for _, _, task in arrivals]
+    records = [OffloadRecord(task.id, task.origin_user, task.created_at) for task in tasks]
+    heap = [(t, task.id, _ARRIVAL, task.id, 0) for t, _, task in arrivals]
+    seq = itertools.count(len(heap))
+
+    def push(t: float, kind: int, a: int, b: int = 0) -> None:
+        heappush(heap, (t, next(seq), kind, a, b))
 
     def coverage(vid: int, t: float) -> tuple[bool, float]:
-        v = vmap[vid]
+        v = vehicles[vid]
         p = position_at(v, t, geom)
         return in_coverage(p, geom), (t + edge_distance(p, geom) / v.speed if v.speed else math.inf)
 
@@ -239,24 +243,6 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
     if vccfirst:
         phases = {v.id: rng.random() * cfg.beacon_period for v in vehicles}
         beacons = Beacons(registry, cfg.beacon_period, phases, coverage, cfg.duration)
-
-    # Active transfer end-times per radio link class, for processor sharing.
-    active: dict[LinkClass, list[float]] = {link: [] for link in LinkClass}
-
-    def attempt_radio(t, link, size, speed, src_cov=True, dst_cov=True):
-        """Run one radio leg; the transmission occupies airtime even if lost."""
-        ends = active[link]
-        while ends and ends[0] <= t:
-            heapq.heappop(ends)
-        concurrent = len(ends) + 1
-        out = leg_outcome(rng, link, size, speed, src_cov, dst_cov, chan, concurrent)
-        airtime = (
-            out.latency
-            if isinstance(out, Delivered)
-            else transfer_time(size, link, concurrent, chan)
-        )
-        heapq.heappush(ends, t + airtime)
-        return out
 
     def fail(rec: OffloadRecord, leg: str) -> None:
         rec.outcome = FAILED
@@ -277,19 +263,17 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
 
     horizon = cfg.duration
     while heap:
-        t, _, kind, a, b = heapq.heappop(heap)
+        t, _, kind, a, b = heappop(heap)
         if t > horizon:
             break
 
         if kind == _ARRIVAL:
-            task = tasks[a]
-            rec = records[a]
-            out = attempt_radio(t, LinkClass.PUE_UP, task.size_bytes, 0.0)
-            if isinstance(out, Delivered):
-                rec.t_up_access = out.latency
-                push(t + out.latency, _AT_GNB, a)
+            latency = pue_up.send(rng, t, tasks[a].size_bytes, 0.0)
+            if latency is None:
+                fail(records[a], USER_TO_GNB)
             else:
-                fail(rec, USER_TO_GNB)
+                records[a].t_up_access = latency
+                push(t + latency, _AT_GNB, a)
 
         elif kind == _AT_GNB:
             task = tasks[a]
@@ -302,26 +286,23 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
                 else:
                     vid = dispatch.vehicle_id
                     beacons.picked(vid, t)
-                    v = vmap[vid]
+                    v = vehicles[vid]
                     rec.destination = VEHICLE
                     rec.vehicle_id = vid
                     covered = in_coverage(position_at(v, t, geom), geom)
-                    out = attempt_radio(
-                        t, LinkClass.VUE_DOWN, task.size_bytes, v.speed, dst_cov=covered
-                    )
-                    if isinstance(out, Delivered):
-                        rec.t_gnb_to_vue = out.latency
-                        push(t + out.latency, _AT_VEHICLE, a, vid)
-                    else:
+                    latency = vue_down.send(rng, t, task.size_bytes, v.speed, covered)
+                    if latency is None:
                         fail(rec, GNB_TO_VCC)
+                    else:
+                        rec.t_gnb_to_vue = latency
+                        push(t + latency, _AT_VEHICLE, a, vid)
             else:
-                dispatch = select_ecfirst(edge, t)
-                rec.edge_queue_at_decision = edge.waiting_count(t)
-                if dispatch.destination == CLOUD:
+                waiting, accepted = edge.offer(task.workload_mi, t, t + cn_up)
+                rec.edge_queue_at_decision = waiting
+                if accepted is None:
                     to_cloud(t, rec, task)
                 else:
                     rec.destination = EDGE
-                    accepted = edge.offer(task.workload_mi, now=t, data_at=t + cn_up)
                     rec.t_up_cn = cn_up
                     rec.t_queue = accepted.queue_wait
                     rec.t_elab = elaboration_time(task.workload_mi, cfg.edge_mips)
@@ -330,47 +311,40 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
 
         elif kind == _AT_VEHICLE:
             task = tasks[a]
-            rec = records[a]
-            v = vmap[b]
+            v = vehicles[b]
             done_at = vehicle_offer(v, task.workload_mi, t)
             if done_at is None:
-                fail(rec, REJECTION)
+                fail(records[a], REJECTION)
             else:
-                rec.t_elab = elaboration_time(task.workload_mi, v.capacity)
+                records[a].t_elab = elaboration_time(task.workload_mi, v.capacity)
                 beacons.stop(b, t)  # busy vehicles stop beaconing
                 push(done_at, _VEHICLE_DONE, a, b)
 
         elif kind == _VEHICLE_DONE:
-            task = tasks[a]
-            rec = records[a]
-            v = vmap[b]
+            v = vehicles[b]
             covered = in_coverage(position_at(v, t, geom), geom)
             beacons.restart(b, t, covered)  # idle again: beacon immediately
-            out = attempt_radio(
-                t, LinkClass.VUE_UP, task.result_bytes, v.speed, src_cov=covered
-            )
-            if isinstance(out, Delivered):
-                rec.t_vue_to_gnb = out.latency
-                push(t + out.latency, _RESULT_AT_GNB, a)
+            latency = vue_up.send(rng, t, tasks[a].result_bytes, v.speed, covered)
+            if latency is None:
+                fail(records[a], VCC_TO_GNB)
             else:
-                fail(rec, VCC_TO_GNB)
+                records[a].t_vue_to_gnb = latency
+                push(t + latency, _RESULT_AT_GNB, a)
 
         elif kind == _RESULT_AT_GNB:
-            task = tasks[a]
-            rec = records[a]
-            out = attempt_radio(t, LinkClass.PUE_DOWN, task.result_bytes, 0.0)
-            if isinstance(out, Delivered):
-                rec.t_down_access = out.latency
-                push(t + out.latency, _DELIVERED, a)
+            latency = pue_down.send(rng, t, tasks[a].result_bytes, 0.0)
+            if latency is None:
+                fail(records[a], GNB_TO_USER)
             else:
-                fail(rec, GNB_TO_USER)
+                records[a].t_down_access = latency
+                push(t + latency, _DELIVERED, a)
 
         elif kind == _DELIVERED:
             rec = records[a]
             rec.outcome = SUCCESS
             rec.total = rec.leg_sum()
 
-    return [records[tid] for tid in sorted(records)]
+    return records
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offloadsim.channel import (
     CHANNEL_ERROR,
+    NO_SHARING,
+    PROCESSOR_SHARING,
     ChannelConfig,
     Delivered,
+    Link,
     LinkClass,
     LinkParams,
     Lost,
@@ -186,3 +191,46 @@ def test_loss_frequency_matches_probability():
         )
     )
     assert lost / n == pytest.approx(p, abs=2e-3)
+
+
+_RADIO = sorted(RADIO_LINKS, key=lambda link: link.value)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    link=st.sampled_from(_RADIO),
+    params=st.builds(
+        LinkParams,
+        base_latency=st.floats(0.0, 0.1),
+        rate=st.none() | st.floats(1e3, 1e9),
+        p_base=st.floats(0.0, 1.0),
+        k_speed=st.floats(0.0, 1e-2),
+        sharing=st.sampled_from((PROCESSOR_SHARING, NO_SHARING)),
+    ),
+    size=st.floats(0.0, 1e7),
+    speed=st.floats(0.0, 300.0),
+    src=st.booleans(),
+    dst=st.booleans(),
+    busy=st.integers(0, 6),
+    seed=st.integers(0, 2**32),
+)
+def test_link_send_matches_the_public_leg_functions(link, params, size, speed, src, dst, busy, seed):
+    """The engine's per-run Link gives what leg_outcome and transfer_time give:
+    the same delivered-or-lost result, latency, airtime and RNG state."""
+    cfg = ChannelConfig({**lena_calibrated().links, link: params})
+    t = 2.0
+    on_air = [t + 0.5 + i for i in range(busy)]
+    fast = Link(cfg.links[link])
+    fast.ends = [t - 0.1, t] + on_air  # sorted, so a heap; both first ones have ended
+    rng_fast, rng_ref = random.Random(seed), random.Random(seed)
+
+    latency = fast.send(rng_fast, t, size, speed, src and dst)
+    ref = leg_outcome(rng_ref, link, size, speed, src, dst, cfg, busy + 1)
+    airtime = transfer_time(size, link, busy + 1, cfg)
+
+    assert rng_fast.getstate() == rng_ref.getstate()
+    if isinstance(ref, Delivered):
+        assert latency == ref.latency == airtime
+    else:
+        assert latency is None
+    assert sorted(fast.ends) == sorted(on_air + [t + airtime])

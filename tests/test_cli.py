@@ -198,3 +198,16 @@ def test_float_cells_use_repr_for_exactness(tmp_path):
     mean_cell = text.splitlines()[1].split(",")[6]
     assert float(mean_cell) == float(repr(float(mean_cell)))
     assert "." in mean_cell or "nan" in mean_cell
+
+
+@pytest.mark.parametrize(
+    "flag, value, why",
+    [("--betas", "nan", "must be finite"), ("--years", "inf", "must be finite"), ("--scales", "1/0", "expects a number")],
+)
+def test_cost_flags_reject_non_finite_numbers(capsys, flag, value, why):
+    # `--betas nan` used to write a table of nan with exit code 0, and
+    # `--years inf` to die with an OverflowError traceback
+    assert main(["cost", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} {why}" in captured.err and repr(value) in captured.err

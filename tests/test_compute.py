@@ -38,9 +38,9 @@ def _edge(capacity=1000.0, max_queue=100):
 def test_edge_serves_fifo_with_cumulative_waits():
     edge = _edge(capacity=1000.0)  # 100 MI -> 0.1 s service
     e = 100.0 / 1000.0
-    first = edge.offer(100.0, now=0.0)
-    second = edge.offer(100.0, now=0.0)
-    third = edge.offer(100.0, now=0.0)
+    _, first = edge.offer(100.0, now=0.0)
+    _, second = edge.offer(100.0, now=0.0)
+    _, third = edge.offer(100.0, now=0.0)
     assert (first.queue_wait, second.queue_wait, third.queue_wait) == (0.0, e, 2 * e)
     assert first.completion == e
     assert second.completion == 2 * e
@@ -61,24 +61,36 @@ def test_edge_occupancy_transitions():
 
 def test_edge_overflow_rejects_beyond_queue_bound():
     edge = _edge(capacity=1000.0, max_queue=2)
-    assert edge.offer(100.0, now=0.0) is not None  # in service
-    assert edge.offer(100.0, now=0.0) is not None  # waiting 1
-    assert edge.offer(100.0, now=0.0) is not None  # waiting 2
+    assert edge.offer(100.0, now=0.0)[1] is not None  # in service
+    assert edge.offer(100.0, now=0.0)[1] is not None  # waiting 1
+    assert edge.offer(100.0, now=0.0)[1] is not None  # waiting 2
     assert edge.waiting_count(0.0) == 2
-    assert edge.offer(100.0, now=0.0) is None
+    assert edge.offer(100.0, now=0.0) == (2, None)
     assert edge.accepted == 3
     # once the head finishes there is room again
-    assert edge.offer(100.0, now=0.1) is not None
+    assert edge.offer(100.0, now=0.1)[1] is not None
+
+
+def test_edge_offer_reports_the_waiting_count_it_decided_on():
+    """The ECFirst rule: the edge until its waiting line is full, then the cloud."""
+    edge = _edge(capacity=1000.0, max_queue=2)
+    assert edge.offer(100.0, now=0.0)[0] == 0  # straight into service
+    assert edge.offer(100.0, now=0.0)[0] == 0
+    assert edge.offer(100.0, now=0.0)[0] == 1  # 1 in service + 2 waiting: full
+    assert edge.offer(100.0, now=0.0) == (2, None)
+    # service drains one slot and the edge is attractive again
+    waiting, accepted = edge.offer(100.0, now=0.1)
+    assert waiting == 1 and accepted.service_start == pytest.approx(0.3)
 
 
 def test_edge_respects_payload_arrival_time():
     edge = _edge(capacity=1000.0)
-    a = edge.offer(100.0, now=0.0, data_at=0.002)
+    _, a = edge.offer(100.0, now=0.0, data_at=0.002)
     assert a.service_start == 0.002
     assert a.queue_wait == 0.0
     assert a.completion == 0.002 + 0.1
     # a back-to-back offer waits for the first to finish
-    b = edge.offer(100.0, now=0.0, data_at=0.002)
+    _, b = edge.offer(100.0, now=0.0, data_at=0.002)
     assert b.service_start == a.completion
     assert b.queue_wait == a.completion - 0.002
 
@@ -86,7 +98,7 @@ def test_edge_respects_payload_arrival_time():
 def test_edge_idle_gap_resets_waiting():
     edge = _edge(capacity=1000.0)
     edge.offer(100.0, now=0.0)
-    a = edge.offer(100.0, now=5.0)
+    _, a = edge.offer(100.0, now=5.0)
     assert a.service_start == 5.0
     assert a.queue_wait == 0.0
 

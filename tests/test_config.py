@@ -78,6 +78,17 @@ def test_non_finite_numbers_name_the_line(raw):
         parse_sweep_spec(f"strategy = VCCFirst\nsweep.values = 1, {raw}\nsweep.axis = speed\n")
 
 
+@pytest.mark.parametrize("line", ["users = 1000000000", "request_rate = 1e6\nduration = 1e6"])
+def test_oversized_arrival_counts_are_rejected_at_parse_time(line):
+    with pytest.raises(ConfigError, match="arrivals"):
+        parse_run_config(f"strategy = ECFirst\n{line}\n")
+
+
+def test_oversized_sweep_points_name_the_values_line():
+    with pytest.raises(ConfigError, match="line 3: sweep.values 1000000000.0: .*arrivals"):
+        parse_sweep_spec("strategy = ECFirst\nsweep.axis = users\nsweep.values = 1, 1e9\n")
+
+
 def test_unbounded_still_spells_infinity():
     cfg = parse_run_config("strategy = ECFirst\nscenario.coverage_radius = unbounded\n")
     assert math.isinf(cfg.geometry.coverage_radius)

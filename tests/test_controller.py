@@ -1,21 +1,18 @@
-"""Registry expiry, beacon cadence, and the two dispatch policies."""
+"""Registry expiry, beacon cadence, and the VCCFirst dispatch policy."""
 
 import random
 
 import pytest
 
-from offloadsim.compute import EdgeState
 from offloadsim.controller import (
     CLOUD,
     Dispatch,
-    EDGE,
     EC_FIRST,
     Registry,
     STRATEGIES,
     VCC_FIRST,
     VEHICLE,
     beacon_times,
-    select_ecfirst,
     select_vccfirst,
 )
 
@@ -80,17 +77,6 @@ def test_select_vccfirst_is_uniform_over_candidates():
         counts[d.vehicle_id] += 1
     for vid, c in counts.items():
         assert c / n == pytest.approx(0.1, abs=0.005), vid
-
-
-def test_select_ecfirst_prefers_edge_until_queue_full():
-    edge = EdgeState(capacity=1000.0, max_queue=2)
-    assert select_ecfirst(edge, now=0.0).destination == EDGE
-    edge.offer(100.0, now=0.0)
-    edge.offer(100.0, now=0.0)
-    edge.offer(100.0, now=0.0)  # 1 in service + 2 waiting: full
-    assert select_ecfirst(edge, now=0.0).destination == CLOUD
-    # service drains one slot and the edge is attractive again
-    assert select_ecfirst(edge, now=0.1).destination == EDGE
 
 
 def test_beacon_times_cadence():

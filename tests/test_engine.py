@@ -14,6 +14,7 @@ from offloadsim.engine import (
     GNB_TO_VCC,
     IN_FLIGHT,
     KMH,
+    MAX_ARRIVALS,
     REPLICATION_SEEDS,
     REJECTION,
     RECORD_FIELDS,
@@ -276,3 +277,24 @@ def test_in_flight_tasks_have_no_total():
     assert stranded
     for r in stranded:
         assert r.total == 0.0 and r.failed_leg is None
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_users": 10**9},
+        {"n_users": 1, "request_rate": 1.0, "duration": MAX_ARRIVALS + 0.5},
+        {"n_users": 3, "request_rate": 1.0, "duration": MAX_ARRIVALS / 3},
+        {"request_rate": 1e200, "duration": 1e200},
+    ],
+)
+def test_run_config_bounds_the_arrival_count(kwargs):
+    # checked by validate only: these configs must never reach generate_arrivals
+    with pytest.raises(ValueError, match="arrivals"):
+        RunConfig(**kwargs).validate()
+
+
+def test_arrival_bound_is_users_times_ceil_of_arrivals_per_user():
+    RunConfig(n_users=1, request_rate=1.0, duration=float(MAX_ARRIVALS)).validate()
+    RunConfig(n_users=2, request_rate=0.5, duration=float(MAX_ARRIVALS)).validate()
+    RunConfig(n_users=0, request_rate=1e200, duration=1e200).validate()  # no users, no arrivals
