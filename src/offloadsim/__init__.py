@@ -21,7 +21,6 @@ from .channel import (
 from .compute import (
     EdgeAccepted,
     EdgeState,
-    Task,
     cloud_fixed_roundtrip,
     elaboration_time,
     vehicle_offer,

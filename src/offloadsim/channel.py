@@ -107,38 +107,37 @@ def lena_calibrated() -> ChannelConfig:
 
 
 class Link:
-    """One link class resolved for a run: its parameters read once, plus the
-    end times of its transfers still on the air (a heap) for processor sharing.
+    """One link class resolved for a run: its parameters, the payload size and
+    the mobile endpoint's speed read once, plus the end times of its transfers
+    still on the air (a heap) for processor sharing.
 
     The transfer-time and loss formulas are defined here; the module-level
     functions below apply them to a ``ChannelConfig`` entry.
     """
 
-    __slots__ = ("base_latency", "rate", "shared", "p_base", "k_speed", "ends")
+    __slots__ = ("base_latency", "rate", "shared", "bits", "p_loss", "ends")
 
-    def __init__(self, params: LinkParams) -> None:
+    def __init__(self, params: LinkParams, size_bytes: float = 0.0, speed: float = 0.0) -> None:
         self.base_latency, self.rate = params.base_latency, params.rate
         self.shared = params.sharing == PROCESSOR_SHARING
-        self.p_base, self.k_speed = params.p_base, params.k_speed
+        self.bits = size_bytes * 8.0
+        self.p_loss = min(1.0, max(0.0, params.p_base + params.k_speed * speed))
         self.ends: list[float] = []
 
-    def transfer_time(self, size_bytes: float, concurrent: int) -> float:
+    def transfer_time(self, concurrent: int) -> float:
         rate = self.rate
         if rate is None:
             return self.base_latency
-        return self.base_latency + size_bytes * 8.0 / (rate / concurrent if self.shared else rate)
+        return self.base_latency + self.bits / (rate / concurrent if self.shared else rate)
 
-    def loss_probability(self, speed: float) -> float:
-        return min(1.0, max(0.0, self.p_base + self.k_speed * speed))
-
-    def lost(self, rng, speed: float, covered: bool) -> str | None:
+    def lost(self, rng, covered: bool) -> str | None:
         """Why a radio leg is lost, or None. An uncovered endpoint loses it
         without a draw; a covered leg takes exactly one draw from ``rng``."""
         if not covered:
             return OUT_OF_COVERAGE
-        return CHANNEL_ERROR if rng.random() < self.loss_probability(speed) else None
+        return CHANNEL_ERROR if rng.random() < self.p_loss else None
 
-    def send(self, rng, t: float, size_bytes: float, speed: float, covered: bool = True) -> float | None:
+    def send(self, rng, t: float, covered: bool = True) -> float | None:
         """One radio leg started at ``t``: its latency, or None when it is lost.
 
         The transfer shares the rate with those still on the air at ``t`` and
@@ -147,9 +146,9 @@ class Link:
         ends = self.ends
         while ends and ends[0] <= t:
             heappop(ends)
-        latency = self.transfer_time(size_bytes, len(ends) + 1)
+        latency = self.transfer_time(len(ends) + 1)
         heappush(ends, t + latency)
-        return None if self.lost(rng, speed, covered) else latency
+        return None if self.lost(rng, covered) else latency
 
 
 def transfer_time(
@@ -166,12 +165,12 @@ def transfer_time(
         raise ValueError("size must be nonnegative")
     if concurrent < 1:
         raise ValueError("concurrent count includes this transfer, so it is >= 1")
-    return Link(cfg.links[link]).transfer_time(size_bytes, concurrent)
+    return Link(cfg.links[link], size_bytes).transfer_time(concurrent)
 
 
 def loss_probability(cfg: ChannelConfig, link: LinkClass, speed: float) -> float:
     """Per-leg loss probability at the given endpoint speed, clamped to [0, 1]."""
-    return Link(cfg.links[link]).loss_probability(speed)
+    return Link(cfg.links[link], speed=speed).p_loss
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def leg_outcome(
     transfer_time latency.
     """
     if link in RADIO_LINKS:
-        reason = Link(cfg.links[link]).lost(rng, speed, src_covered and dst_covered)
+        reason = Link(cfg.links[link], speed=speed).lost(rng, src_covered and dst_covered)
         if reason:
             return Lost(reason)
     return Delivered(transfer_time(size_bytes, link, concurrent, cfg))

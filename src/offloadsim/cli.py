@@ -122,7 +122,11 @@ def _cost_rows(base: CostParams, betas, years, scales, bonus_flag: bool):
         for year in years:
             for beta in betas:
                 p = replace(base, years=year, beta=beta, c_vcc_req=None)
-                row = cost_breakdown(p, [beta], scale, bonus_flag)[0]
+                try:
+                    row = cost_breakdown(p, [beta], scale, bonus_flag)[0]
+                    saved = savings(p, scale)
+                except ValueError as exc:
+                    raise ConfigError(f"cost at scale {scale!r}, years {year!r}, beta {beta!r}: {exc}") from None
                 rows.append(
                     [
                         scale,
@@ -134,7 +138,7 @@ def _cost_rows(base: CostParams, betas, years, scales, bonus_flag: bool):
                         row.vcc_req_pct,
                         row.ec_total,
                         row.vcc_total,
-                        savings(p, scale),
+                        saved,
                     ]
                 )
     return rows

@@ -16,17 +16,6 @@ from .channel import ChannelConfig, LinkClass
 from .scenario import VehicleState
 
 
-class Task(NamedTuple):
-    """One offloading request."""
-
-    id: int
-    workload_mi: float  # millions of instructions
-    size_bytes: float  # uplink payload
-    result_bytes: float  # downlink payload
-    created_at: float
-    origin_user: int
-
-
 def elaboration_time(workload_mi: float, capacity_mips: float) -> float:
     """Service time in seconds for a workload on a processor of given capacity."""
     if workload_mi < 0.0:

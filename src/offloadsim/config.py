@@ -18,7 +18,7 @@ from .channel import ChannelConfig, LinkClass, LinkParams, NO_SHARING, PROCESSOR
 from .channel import lena_calibrated
 from .controller import STRATEGIES
 from .costmodel import CostParams
-from .engine import KMH, REPLICATION_SEEDS, RunConfig
+from .engine import KMH, MAX_VEHICLES, REPLICATION_SEEDS, RunConfig
 from .scenario import ScenarioGeometry, partial_coverage, total_coverage
 
 SWEEP_AXES = (
@@ -222,13 +222,15 @@ class _Reader:
         raw, line = self.raw(key)
         return _float(key, raw, line)
 
-    def int_nonneg(self, key: str, default: int) -> int:
+    def int_nonneg(self, key: str, default: int, maximum: int | None = None) -> int:
         if key not in self.entries:
             return default
         raw, line = self.raw(key)
         value = _int(key, raw, line)
         if value < 0:
             raise ConfigError(f"line {line}: {key} must be nonnegative, got {value}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"line {line}: {key} must not exceed {maximum}, got {value}")
         return value
 
     def int_any(self, key: str, default: int) -> int:
@@ -330,7 +332,7 @@ def _build_run(r: _Reader, require_strategy: bool = True) -> RunConfig:
         task_size_bytes=r.float_nonneg("task.size_bytes", 4000.0),
         result_size_bytes=r.float_nonneg("task.result_bytes", 4000.0),
         geometry=_build_geometry(r),
-        n_vehicles=r.int_nonneg("vehicles.count", 40),
+        n_vehicles=r.int_nonneg("vehicles.count", 40, MAX_VEHICLES),
         vehicle_speed=speed,
         vehicle_capacity=r.float_pos("vehicles.capacity_mips", 71120.0),
         channel=_build_channel(r),

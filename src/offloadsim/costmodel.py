@@ -10,7 +10,7 @@ points happens only at presentation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 SECONDS_ACTIVE_PER_YEAR = 15 * 3600 * 365  # 15 h/day of offloading activity
 
@@ -37,6 +37,10 @@ class CostParams:
     capex_overhead: float = 1.0  # multiplier on the capital outlay
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.l_ec_cpu <= 0.0:
             raise ValueError("CPU lifetime must be positive")
         if self.years <= 0.0:
@@ -59,9 +63,16 @@ class CostParams:
         return self.request_rate * self.users * request_scale * self.years * self.alpha
 
 
+def _finite(what: str, value: float) -> float:
+    """``value``, or a ValueError if finite inputs overflowed it to inf or nan."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not finite ({value!r}): the inputs overflow a float")
+    return value
+
+
 def capex_ec(p: CostParams) -> float:
     """Capital outlay: one CPU purchase per replacement cycle over the horizon."""
-    return p.c_ec_cpu * math.ceil(p.years / p.l_ec_cpu) * p.capex_overhead
+    return p.c_ec_cpu * math.ceil(_finite("replacement cycles", p.years / p.l_ec_cpu)) * p.capex_overhead
 
 
 def opex_ec(p: CostParams, request_scale: float = 1.0, bonus_in_requests: bool = False) -> float:
@@ -88,7 +99,7 @@ def savings(p: CostParams, request_scale: float = 1.0) -> float:
     per-request fees are equal.
     """
     request_term = (p.c_ec_req - p.vcc_req) * p.requests(request_scale)
-    return capex_ec(p) + request_term + p.c_ec_main * p.years
+    return _finite("savings", capex_ec(p) + request_term + p.c_ec_main * p.years)
 
 
 def vcc_bonus(p: CostParams) -> float:
@@ -98,8 +109,7 @@ def vcc_bonus(p: CostParams) -> float:
     horizons that are integer multiples of the CPU lifetime the ceil cancels
     and the bonus is independent of the horizon length.
     """
-    yearly_capex = p.c_ec_cpu * math.ceil(p.years / p.l_ec_cpu) * p.capex_overhead / p.years
-    return (yearly_capex + p.c_ec_main) / (p.request_rate * p.users * p.alpha)
+    return (capex_ec(p) / p.years + p.c_ec_main) / (p.request_rate * p.users * p.alpha)
 
 
 @dataclass(frozen=True)
@@ -132,8 +142,8 @@ def cost_breakdown(
         capex = capex_ec(q)
         main = q.c_ec_main * q.years
         req = opex_ec(q, request_scale, bonus_in_requests) - main
-        ec_total = capex + main + req
-        vcc_total = opex_vcc(q, request_scale)
+        ec_total = _finite("edge total", capex + main + req)
+        vcc_total = _finite("vehicular total", opex_vcc(q, request_scale))
         rows.append(
             BreakdownRow(
                 beta=beta,
@@ -160,6 +170,6 @@ def total_costs(
     for beta in betas:
         for y in years:
             q = replace(p, beta=beta, years=y, c_vcc_req=None)
-            ec_total = capex_ec(q) + opex_ec(q, request_scale, bonus_in_requests)
-            out.append((beta, y, ec_total, opex_vcc(q, request_scale)))
+            ec_total = _finite("edge total", capex_ec(q) + opex_ec(q, request_scale, bonus_in_requests))
+            out.append((beta, y, ec_total, _finite("vehicular total", opex_vcc(q, request_scale))))
     return out

@@ -1,10 +1,11 @@
 """Deterministic discrete-event simulation of task offloading.
 
-One run owns a single seeded RNG and a single event heap ordered by
-(time, insertion sequence), so identical configurations and seeds replay the
-exact same event interleaving and produce identical records. The heap starts
-as the arrival list itself: arrivals are generated sorted by (time, task id)
-and use their task id as sequence number, and a sorted list is a valid heap.
+One run owns a single seeded RNG and orders its events by (time, sequence
+number), so identical configurations and seeds replay the exact same event
+interleaving and produce identical records. Arrivals are generated sorted by
+(time, task id) and stay in that list, read by a cursor beside a heap of the
+in-flight events: arrival i counts as sequence number i and every pushed event
+numbers on from the arrival count, so at equal times an arrival goes first.
 
 Each radio leg goes through the run's ``channel.Link`` for its link class,
 which holds the link's parameters and the airtime still in use. A leg returns
@@ -15,8 +16,9 @@ Task lifecycle: a user uploads over the access network to the gNB; the
 controller picks a destination (cloud, edge or a beaconing vehicle); the task
 travels the remaining legs, is elaborated, and the result returns to the user.
 Any lost radio leg, a rejection by a busy vehicle, or a dispatch to a vehicle
-that left coverage ends the task as a failure; tasks unresolved at the horizon
-count as in flight.
+that left coverage ends the task as a failure. The result is delivered when
+the last leg ends at or before the horizon (``t + latency <= duration``, decided
+when that leg starts); tasks unresolved at the horizon count as in flight.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import random
 from dataclasses import dataclass, field, fields
 
 from .channel import ChannelConfig, Link, LinkClass, lena_calibrated
-from .compute import EdgeState, Task, elaboration_time, vehicle_offer
+from .compute import EdgeState, elaboration_time, vehicle_offer
 from .controller import (
     CLOUD,
     EC_FIRST,
@@ -67,6 +69,7 @@ REPLICATION_SEEDS = (0, 1, 2, 3, 4, 6, 7, 8, 9)
 KMH = 1.0 / 3.6  # km/h in m/s
 
 MAX_ARRIVALS = 10_000_000  # per run, checked before any arrival is generated
+MAX_VEHICLES = 1_000_000  # per run, checked before the fleet is built
 
 
 @dataclass
@@ -101,6 +104,8 @@ class RunConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.n_users < 0 or self.n_vehicles < 0:
             raise ValueError("population counts must be nonnegative")
+        if self.n_vehicles > MAX_VEHICLES:
+            raise ValueError(f"vehicle count must not exceed {MAX_VEHICLES}")
         if self.request_rate <= 0.0:
             raise ValueError("request rate must be positive")
         if self.duration <= 0.0:
@@ -166,35 +171,28 @@ class OffloadRecord:
 RECORD_FIELDS = tuple(f.name for f in fields(OffloadRecord))
 
 
-def generate_arrivals(cfg: RunConfig, rng: random.Random) -> list[tuple[float, int, Task]]:
+def generate_arrivals(cfg: RunConfig, rng: random.Random) -> list[tuple[float, int]]:
     """Periodic arrivals per user with a seeded uniform phase in [0, 1/rate).
 
-    The merged stream is sorted by time, ties broken by user id, and task ids
-    number the stream in that order.
+    Returns the merged (time, user) stream, sorted by time with ties broken by
+    user id; a task's id is its index in this list.
     """
     interval = 1.0 / cfg.request_rate
-    raw: list[tuple[float, int]] = []
+    arrivals: list[tuple[float, int]] = []
     for user in range(cfg.n_users):
         phase = rng.random() * interval
         k = 0
         t = phase
         while t < cfg.duration:
-            raw.append((t, user))
+            arrivals.append((t, user))
             k += 1
             t = phase + k * interval
-    raw.sort()
-    return [
-        (
-            t,
-            user,
-            Task(tid, cfg.workload_mi, cfg.task_size_bytes, cfg.result_size_bytes, t, user),
-        )
-        for tid, (t, user) in enumerate(raw)
-    ]
+    arrivals.sort()
+    return arrivals
 
 
-# Event kinds, dispatched in the run loop.
-_ARRIVAL, _AT_GNB, _AT_VEHICLE, _VEHICLE_DONE, _RESULT_AT_GNB, _DELIVERED = range(6)
+# Kinds of the in-flight events on the heap; arrivals are not heap events.
+_AT_GNB, _AT_VEHICLE, _VEHICLE_DONE, _RESULT_AT_GNB = range(4)
 
 
 def run(cfg: RunConfig) -> list[OffloadRecord]:
@@ -202,147 +200,145 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
     cfg.validate()
     rng = random.Random(cfg.seed)
     geom = cfg.geometry
-    chan = cfg.channel
-    vccfirst = cfg.strategy == VCC_FIRST
+    links = cfg.channel.links
+    horizon = cfg.duration
     heappop, heappush = heapq.heappop, heapq.heappush
 
-    vehicles = build_scenario(
-        geom, cfg.n_vehicles, cfg.vehicle_speed, cfg.vehicle_capacity, cfg.seed
-    )  # vehicle ids are list indexes
-    registry = Registry(timeout=cfg.registry_timeout)
-    edge = EdgeState(capacity=cfg.edge_mips, max_queue=cfg.edge_max_queue)
+    # Per-run constants: every task has the same template, and every vehicle
+    # the same speed and capacity.
+    workload = cfg.workload_mi
+    cloud_elab = elaboration_time(workload, cfg.cloud_mips)
+    edge_elab = elaboration_time(workload, cfg.edge_mips)
+    vehicle_elab = elaboration_time(workload, cfg.vehicle_capacity)
+    cn_up = links[LinkClass.CN_UP].base_latency
+    cn_down = links[LinkClass.CN_DOWN].base_latency
+    inet_up = links[LinkClass.INTERNET_UP].base_latency
+    inet_down = links[LinkClass.INTERNET_DOWN].base_latency
+    pue_up = Link(links[LinkClass.PUE_UP], cfg.task_size_bytes)
+    pue_down = Link(links[LinkClass.PUE_DOWN], cfg.result_size_bytes)
+    vue_down = Link(links[LinkClass.VUE_DOWN], cfg.task_size_bytes, cfg.vehicle_speed)
+    vue_up = Link(links[LinkClass.VUE_UP], cfg.result_size_bytes, cfg.vehicle_speed)
 
-    cn_up = chan.links[LinkClass.CN_UP].base_latency
-    cn_down = chan.links[LinkClass.CN_DOWN].base_latency
-    inet_up = chan.links[LinkClass.INTERNET_UP].base_latency
-    inet_down = chan.links[LinkClass.INTERNET_DOWN].base_latency
-    pue_up, pue_down, vue_up, vue_down = (
-        Link(chan.links[link])
-        for link in (LinkClass.PUE_UP, LinkClass.PUE_DOWN, LinkClass.VUE_UP, LinkClass.VUE_DOWN)
-    )
-
-    # Tasks and records are indexed by task id. Arrivals come sorted by (time,
-    # id) and take their id as insertion sequence, so their list is already a
-    # heap; later events are numbered on from there.
+    # Records are indexed by task id. Arrival i carries sequence number i, so
+    # it precedes every pushed event at its time; pushed events number on
+    # from len(arrivals). The inf sentinel ends the arrival stream.
     arrivals = generate_arrivals(cfg, rng)
-    tasks = [task for _, _, task in arrivals]
-    records = [OffloadRecord(task.id, task.origin_user, task.created_at) for task in tasks]
-    heap = [(t, task.id, _ARRIVAL, task.id, 0) for t, _, task in arrivals]
-    seq = itertools.count(len(heap))
+    records = [OffloadRecord(tid, user, t) for tid, (t, user) in enumerate(arrivals)]
+    arrival_times = [t for t, _ in arrivals] + [math.inf]
+    del arrivals
+    next_seq = itertools.count(len(records)).__next__
+    heap: list[tuple[float, int, int, int, int]] = []  # (t, seq, kind, task, vehicle)
 
-    def push(t: float, kind: int, a: int, b: int = 0) -> None:
-        heappush(heap, (t, next(seq), kind, a, b))
+    if cfg.strategy == VCC_FIRST:
+        # Vehicle ids are list indexes. ECFirst never reads the fleet, so it has none.
+        vehicles = build_scenario(geom, cfg.n_vehicles, cfg.vehicle_speed, cfg.vehicle_capacity, cfg.seed)
+        registry = Registry(timeout=cfg.registry_timeout)
 
-    def coverage(vid: int, t: float) -> tuple[bool, float]:
-        v = vehicles[vid]
-        p = position_at(v, t, geom)
-        return in_coverage(p, geom), (t + edge_distance(p, geom) / v.speed if v.speed else math.inf)
+        def coverage(vid: int, t: float) -> tuple[bool, float]:
+            v = vehicles[vid]
+            p = position_at(v, t, geom)
+            return in_coverage(p, geom), (t + edge_distance(p, geom) / v.speed if v.speed else math.inf)
 
-    # Periodic beacons matter only when vehicles can be selected. Each vehicle
-    # keeps its own phase; beacons are replayed lazily, not queued as events.
-    if vccfirst:
+        # Each vehicle keeps its own beacon phase; beacons are replayed lazily,
+        # not queued as events.
         phases = {v.id: rng.random() * cfg.beacon_period for v in vehicles}
-        beacons = Beacons(registry, cfg.beacon_period, phases, coverage, cfg.duration)
+        beacons = Beacons(registry, cfg.beacon_period, phases, coverage, horizon)
+        edge = None
+    else:
+        edge = EdgeState(capacity=cfg.edge_mips, max_queue=cfg.edge_max_queue)
 
     def fail(rec: OffloadRecord, leg: str) -> None:
         rec.outcome = FAILED
         rec.failed_leg = leg
 
-    def to_cloud(t: float, rec: OffloadRecord, task: Task) -> None:
+    def to_cloud(t: float, rec: OffloadRecord, a: int) -> None:
         rec.destination = CLOUD
         rec.t_up_cn = cn_up
         rec.t_up_internet = inet_up
-        rec.t_elab = elaboration_time(task.workload_mi, cfg.cloud_mips)
+        rec.t_elab = cloud_elab
         rec.t_down_internet = inet_down
         rec.t_down_cn = cn_down
-        push(
-            t + cn_up + inet_up + rec.t_elab + inet_down + cn_down,
-            _RESULT_AT_GNB,
-            task.id,
-        )
+        result_at = t + cn_up + inet_up + cloud_elab + inet_down + cn_down
+        heappush(heap, (result_at, next_seq(), _RESULT_AT_GNB, a, 0))
 
-    horizon = cfg.duration
-    while heap:
-        t, _, kind, a, b = heappop(heap)
-        if t > horizon:
-            break
-
-        if kind == _ARRIVAL:
-            latency = pue_up.send(rng, t, tasks[a].size_bytes, 0.0)
+    i = 0
+    next_arrival = arrival_times[0]
+    while heap or next_arrival < math.inf:
+        if heap and heap[0][0] < next_arrival:
+            t, _, kind, a, b = heappop(heap)
+            if t > horizon:
+                break
+        else:  # arrivals all lie inside the horizon
+            latency = pue_up.send(rng, next_arrival)
             if latency is None:
-                fail(records[a], USER_TO_GNB)
+                fail(records[i], USER_TO_GNB)
             else:
-                records[a].t_up_access = latency
-                push(t + latency, _AT_GNB, a)
+                records[i].t_up_access = latency
+                heappush(heap, (next_arrival + latency, next_seq(), _AT_GNB, i, 0))
+            i += 1
+            next_arrival = arrival_times[i]
+            continue
 
-        elif kind == _AT_GNB:
-            task = tasks[a]
+        if kind == _AT_GNB:
             rec = records[a]
-            if vccfirst:
-                beacons.advance(t)
-                dispatch = select_vccfirst(registry, rng, t)
-                if dispatch.destination == CLOUD:
-                    to_cloud(t, rec, task)
-                else:
-                    vid = dispatch.vehicle_id
-                    beacons.picked(vid, t)
-                    v = vehicles[vid]
-                    rec.destination = VEHICLE
-                    rec.vehicle_id = vid
-                    covered = in_coverage(position_at(v, t, geom), geom)
-                    latency = vue_down.send(rng, t, task.size_bytes, v.speed, covered)
-                    if latency is None:
-                        fail(rec, GNB_TO_VCC)
-                    else:
-                        rec.t_gnb_to_vue = latency
-                        push(t + latency, _AT_VEHICLE, a, vid)
-            else:
-                waiting, accepted = edge.offer(task.workload_mi, t, t + cn_up)
+            if edge is not None:
+                waiting, accepted = edge.offer(workload, t, t + cn_up)
                 rec.edge_queue_at_decision = waiting
                 if accepted is None:
-                    to_cloud(t, rec, task)
+                    to_cloud(t, rec, a)
                 else:
                     rec.destination = EDGE
                     rec.t_up_cn = cn_up
                     rec.t_queue = accepted.queue_wait
-                    rec.t_elab = elaboration_time(task.workload_mi, cfg.edge_mips)
+                    rec.t_elab = edge_elab
                     rec.t_down_cn = cn_down
-                    push(accepted.completion + cn_down, _RESULT_AT_GNB, a)
+                    heappush(heap, (accepted.completion + cn_down, next_seq(), _RESULT_AT_GNB, a, 0))
+                continue
+            beacons.advance(t)
+            dispatch = select_vccfirst(registry, rng, t)
+            if dispatch.destination == CLOUD:
+                to_cloud(t, rec, a)
+                continue
+            vid = dispatch.vehicle_id
+            beacons.picked(vid, t)
+            rec.destination = VEHICLE
+            rec.vehicle_id = vid
+            latency = vue_down.send(rng, t, in_coverage(position_at(vehicles[vid], t, geom), geom))
+            if latency is None:
+                fail(rec, GNB_TO_VCC)
+            else:
+                rec.t_gnb_to_vue = latency
+                heappush(heap, (t + latency, next_seq(), _AT_VEHICLE, a, vid))
 
         elif kind == _AT_VEHICLE:
-            task = tasks[a]
-            v = vehicles[b]
-            done_at = vehicle_offer(v, task.workload_mi, t)
+            done_at = vehicle_offer(vehicles[b], workload, t)
             if done_at is None:
                 fail(records[a], REJECTION)
             else:
-                records[a].t_elab = elaboration_time(task.workload_mi, v.capacity)
+                records[a].t_elab = vehicle_elab
                 beacons.stop(b, t)  # busy vehicles stop beaconing
-                push(done_at, _VEHICLE_DONE, a, b)
+                heappush(heap, (done_at, next_seq(), _VEHICLE_DONE, a, b))
 
         elif kind == _VEHICLE_DONE:
-            v = vehicles[b]
-            covered = in_coverage(position_at(v, t, geom), geom)
+            covered = in_coverage(position_at(vehicles[b], t, geom), geom)
             beacons.restart(b, t, covered)  # idle again: beacon immediately
-            latency = vue_up.send(rng, t, tasks[a].result_bytes, v.speed, covered)
+            latency = vue_up.send(rng, t, covered)
             if latency is None:
                 fail(records[a], VCC_TO_GNB)
             else:
                 records[a].t_vue_to_gnb = latency
-                push(t + latency, _RESULT_AT_GNB, a)
+                heappush(heap, (t + latency, next_seq(), _RESULT_AT_GNB, a, 0))
 
-        elif kind == _RESULT_AT_GNB:
-            latency = pue_down.send(rng, t, tasks[a].result_bytes, 0.0)
-            if latency is None:
-                fail(records[a], GNB_TO_USER)
-            else:
-                records[a].t_down_access = latency
-                push(t + latency, _DELIVERED, a)
-
-        elif kind == _DELIVERED:
+        else:  # _RESULT_AT_GNB: the last leg decides the outcome at once
             rec = records[a]
-            rec.outcome = SUCCESS
-            rec.total = rec.leg_sum()
+            latency = pue_down.send(rng, t)
+            if latency is None:
+                fail(rec, GNB_TO_USER)
+            else:
+                rec.t_down_access = latency
+                if t + latency <= horizon:
+                    rec.outcome = SUCCESS
+                    rec.total = rec.leg_sum()
 
     return records
 

@@ -220,11 +220,11 @@ def test_link_send_matches_the_public_leg_functions(link, params, size, speed, s
     cfg = ChannelConfig({**lena_calibrated().links, link: params})
     t = 2.0
     on_air = [t + 0.5 + i for i in range(busy)]
-    fast = Link(cfg.links[link])
+    fast = Link(cfg.links[link], size, speed)
     fast.ends = [t - 0.1, t] + on_air  # sorted, so a heap; both first ones have ended
     rng_fast, rng_ref = random.Random(seed), random.Random(seed)
 
-    latency = fast.send(rng_fast, t, size, speed, src and dst)
+    latency = fast.send(rng_fast, t, src and dst)
     ref = leg_outcome(rng_ref, link, size, speed, src, dst, cfg, busy + 1)
     airtime = transfer_time(size, link, busy + 1, cfg)
 

@@ -211,3 +211,11 @@ def test_cost_flags_reject_non_finite_numbers(capsys, flag, value, why):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{flag} {why}" in captured.err and repr(value) in captured.err
+
+
+def test_cost_totals_that_overflow_exit_nonzero(capsys):
+    # used to exit 0 and print nan,nan,nan,100.0,nan,inf,nan
+    assert main(["cost", "--years", "1e308", "--scales", "1", "--betas", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "years 1e+308" in captured.err and "is not finite" in captured.err

@@ -89,6 +89,14 @@ def test_oversized_sweep_points_name_the_values_line():
         parse_sweep_spec("strategy = ECFirst\nsweep.axis = users\nsweep.values = 1, 1e9\n")
 
 
+def test_oversized_fleets_are_rejected_at_parse_time():
+    with pytest.raises(ConfigError, match="line 2: vehicles.count must not exceed 1000000"):
+        parse_run_config("strategy = ECFirst\nvehicles.count = 1000000000\n")
+    assert parse_run_config("strategy = ECFirst\nvehicles.count = 1000000\n").n_vehicles == 10**6
+    with pytest.raises(ConfigError, match="line 3: sweep.values 1000001.0: vehicle count"):
+        parse_sweep_spec("strategy = VCCFirst\nsweep.axis = vehicles\nsweep.values = 40, 1000001\n")
+
+
 def test_unbounded_still_spells_infinity():
     cfg = parse_run_config("strategy = ECFirst\nscenario.coverage_radius = unbounded\n")
     assert math.isinf(cfg.geometry.coverage_radius)

@@ -1,5 +1,6 @@
 """Capital, operating, and break-even arithmetic of the cost comparison."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -136,3 +137,23 @@ def test_cost_params_validation():
         CostParams(users=0.0)
     with pytest.raises(ValueError):
         CostParams(capex_overhead=0.0)
+
+
+@pytest.mark.parametrize("field", ["years", "c_ec_cpu", "beta", "alpha", "c_vcc_req", "capex_overhead"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_cost_params_reject_non_finite_fields(field, value):
+    # CostParams(years=nan) used to pass and savings() then died in capex_ec
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        CostParams(**{field: value})
+
+
+def test_overflowing_totals_raise_instead_of_returning_nan():
+    p = CostParams(years=1e308)
+    with pytest.raises(ValueError, match="edge total is not finite"):
+        cost_breakdown(p, [0.0])
+    with pytest.raises(ValueError, match="savings is not finite"):
+        savings(p)
+    with pytest.raises(ValueError, match="not finite"):
+        total_costs(CostParams(), [0.0], [1e308])
+    with pytest.raises(ValueError, match="replacement cycles is not finite"):
+        capex_ec(CostParams(years=1e308, l_ec_cpu=1e-308))

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from offloadsim.channel import lena_calibrated
+from offloadsim import engine
+from offloadsim.channel import ChannelConfig, LinkClass, LinkParams, lena_calibrated, transfer_time
+from offloadsim.compute import elaboration_time
 from offloadsim.controller import CLOUD, EC_FIRST, EDGE, VCC_FIRST, VEHICLE
 from offloadsim.engine import (
     FAILED,
@@ -15,6 +17,7 @@ from offloadsim.engine import (
     IN_FLIGHT,
     KMH,
     MAX_ARRIVALS,
+    MAX_VEHICLES,
     REPLICATION_SEEDS,
     REJECTION,
     RECORD_FIELDS,
@@ -60,11 +63,7 @@ def test_arrivals_are_periodic_per_user_with_seeded_phase():
     expected = sorted(
         (phases[u] + k * 0.2, u) for u in range(3) for k in range(10)
     )
-    assert [(t, u) for t, u, _ in arrivals] == expected
-    assert [task.id for _, _, task in arrivals] == list(range(30))
-    for t, u, task in arrivals:
-        assert task.created_at == t and task.origin_user == u
-        assert task.workload_mi == cfg.workload_mi
+    assert arrivals == expected
 
 
 def test_default_run_generates_4800_tasks():
@@ -298,3 +297,97 @@ def test_arrival_bound_is_users_times_ceil_of_arrivals_per_user():
     RunConfig(n_users=1, request_rate=1.0, duration=float(MAX_ARRIVALS)).validate()
     RunConfig(n_users=2, request_rate=0.5, duration=float(MAX_ARRIVALS)).validate()
     RunConfig(n_users=0, request_rate=1e200, duration=1e200).validate()  # no users, no arrivals
+
+
+def _zero_latency_links(**radio):
+    """Every leg takes exactly 0 s; radio legs lose with the given p_base."""
+    return ChannelConfig(
+        {link: LinkParams(0.0, None, p_base=radio.get(link.value, 0.0)) for link in LinkClass}
+    )
+
+
+def test_an_arrival_goes_before_an_event_pushed_for_the_same_instant():
+    """Task 0's result reaches the gNB exactly when task 1 arrives. The arrival
+    is handled first, so after the phase and task 0's uplink, task 1's uplink
+    takes the next draw and task 0's downlink the one after, which decides
+    whether it is lost."""
+    discriminating = 0
+    for seed in range(20):
+        # 4 req/s and 250 MI on a 1000 MIPS cloud: elaboration equals the
+        # 0.25 s interval exactly, and every leg takes 0 s
+        cfg = RunConfig(
+            strategy=EC_FIRST, n_users=1, request_rate=4.0, duration=0.5, seed=seed,
+            workload_mi=250.0, cloud_mips=1000.0, edge_max_queue=0,
+            channel=_zero_latency_links(pue_down=0.5),
+        )
+        ref = random.Random(seed)
+        phase = ref.random() * 0.25
+        _, uplink_1, downlink_0 = ref.random(), ref.random(), ref.random()
+        t0, t1 = generate_arrivals(cfg, random.Random(seed))
+        assert t0 == (phase, 0) and t1 == (phase + 0.25, 0)
+        assert phase + 0.0 + 0.0 + 0.0 + 0.25 + 0.0 + 0.0 == t1[0]  # the engine's float additions
+
+        first, second = run(cfg)
+        assert first.destination == CLOUD
+        assert (first.failed_leg == GNB_TO_USER) == (downlink_0 < 0.5)
+        assert (first.outcome == SUCCESS) == (downlink_0 >= 0.5)
+        assert second.outcome == IN_FLIGHT
+        discriminating += (uplink_1 < 0.5) != (downlink_0 < 0.5)
+    assert discriminating >= 5  # the opposite order would give other outcomes
+
+
+@pytest.mark.parametrize("strategy", [EC_FIRST, VCC_FIRST])
+def test_a_delivery_exactly_at_the_horizon_succeeds(strategy):
+    """The result that lands exactly at ``duration`` counts; one ulp later it
+    is in flight. Both strategies send the single task to the cloud."""
+    links = lena_calibrated().lossless()
+    seed = 3
+    phase = random.Random(seed).random() * 1.0
+    chan = links.links
+    up = transfer_time(4000.0, LinkClass.PUE_UP, 1, links)
+    down = transfer_time(4000.0, LinkClass.PUE_DOWN, 1, links)
+    elab = elaboration_time(500.0, 2356230.0)
+    at_gnb = phase + up
+    result_at_gnb = (
+        at_gnb
+        + chan[LinkClass.CN_UP].base_latency
+        + chan[LinkClass.INTERNET_UP].base_latency
+        + elab
+        + chan[LinkClass.INTERNET_DOWN].base_latency
+        + chan[LinkClass.CN_DOWN].base_latency
+    )
+    delivered = result_at_gnb + down
+
+    def single(duration):
+        (rec,) = run(
+            RunConfig(
+                strategy=strategy, n_users=1, request_rate=1.0, duration=duration, seed=seed,
+                n_vehicles=0, edge_max_queue=0, channel=links,
+            )
+        )
+        assert rec.created_at == phase and rec.destination == CLOUD
+        return rec
+
+    on_time = single(delivered)
+    assert on_time.outcome == SUCCESS
+    assert on_time.total == on_time.leg_sum() > 0.0
+    late = single(math.nextafter(delivered, 0.0))
+    assert late.outcome == IN_FLIGHT
+    assert late.total == 0.0 and late.t_down_access == down  # the last leg started in time
+
+
+def test_run_config_bounds_the_fleet():
+    RunConfig(n_vehicles=MAX_VEHICLES).validate()
+    with pytest.raises(ValueError, match="vehicle count"):
+        RunConfig(n_vehicles=MAX_VEHICLES + 1).validate()
+
+
+def test_ecfirst_runs_build_no_fleet(monkeypatch):
+    def no_fleet(*args):
+        raise AssertionError("ECFirst never reads the fleet")
+
+    monkeypatch.setattr(engine, "build_scenario", no_fleet)
+    cfg = RunConfig(strategy=EC_FIRST, n_vehicles=MAX_VEHICLES, duration=2.0, seed=1)
+    assert len(run(cfg)) == 80
+    with pytest.raises(AssertionError, match="fleet"):
+        run(RunConfig(strategy=VCC_FIRST, duration=2.0, seed=1))

@@ -3,17 +3,19 @@
 The registry keeps its present ids sorted and expires entries from a heap;
 both must agree with a plain dict scanned and sorted on every operation. The
 lazy ``Beacons`` must leave the registry exactly as one event per beacon
-would, at every dispatch.
+would, at every dispatch, and no whole run may dispatch from a stale entry.
 """
 
 import math
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offloadsim.controller import CLOUD, Beacons, Dispatch, Registry, VEHICLE, select_vccfirst
-from offloadsim.engine import KMH
+from offloadsim import engine
+from offloadsim.engine import KMH, RunConfig
 from offloadsim.scenario import (
     build_scenario,
     edge_distance,
@@ -177,3 +179,60 @@ def test_beacons_at_a_dispatch_instant_count_before_it():
     assert dispatch(2.0) == 7
     beacons.restart(7, 2.0, covered=False)
     assert dispatch(2.25) == 7  # first periodic beacon after the restart
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10_000),
+    partial=st.booleans(),
+    users=st.integers(1, 8),
+    n_vehicles=st.integers(0, 30),
+    speed_kmh=st.sampled_from((0.0, 13.1, 50.0, 150.0)),
+    capacity_scale=st.sampled_from((1.0, 1 / 64)),
+    period=st.sampled_from((0.05, 0.1, 0.4, 0.5, 0.7)),
+    timeout=st.sampled_from((0.1, 0.25, 0.5)) | st.floats(0.05, 1.0),
+)
+def test_every_dispatch_sees_only_fresh_or_steady_entries(
+    seed, partial, users, n_vehicles, speed_kmh, capacity_scale, period, timeout
+):
+    """At each VCCFirst dispatch of a run, every registry entry the pick can
+    see is math.inf (an idle vehicle still beaconing) or at most
+    ``registry_timeout`` old."""
+    cfg = RunConfig(
+        strategy="VCCFirst",
+        n_users=users,
+        duration=3.0,
+        seed=seed,
+        geometry=partial_coverage() if partial else total_coverage(),
+        n_vehicles=n_vehicles,
+        vehicle_speed=speed_kmh * KMH,
+        vehicle_capacity=71120.0 * capacity_scale,
+        beacon_period=period,
+        registry_timeout=timeout,
+    )
+    fleets = []
+    dispatches = []
+
+    def record_fleet(*args):
+        fleets.append(build_scenario(*args))
+        return fleets[-1]
+
+    def checked(registry, rng, now):
+        before = dict(registry.entries)
+        d = select_vccfirst(registry, rng, now)
+        seen = dict(registry.entries)
+        if d.vehicle_id is not None:
+            seen[d.vehicle_id] = before[d.vehicle_id]
+        for vid, last in seen.items():
+            if last == math.inf:
+                assert fleets[0][vid].busy_until <= now, "a serving vehicle is listed as beaconing"
+            else:
+                assert last <= now and last >= now - registry.timeout, (vid, last, now)
+        dispatches.append(len(seen))
+        return d
+
+    with mock.patch.object(engine, "build_scenario", record_fleet), mock.patch.object(
+        engine, "select_vccfirst", checked
+    ):
+        engine.run(cfg)
+    assert dispatches  # every run dispatches at least once
