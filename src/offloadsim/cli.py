@@ -1,7 +1,11 @@
 """Command-line front end: run, sweep, cost, anova.
 
-Every subcommand emits RFC-4180-style CSV, to --output or to standard output.
-Floats are written with repr so identical runs produce byte-identical files.
+Every subcommand emits RFC-4180-style CSV, to --output or to standard output,
+in the bytes ``csv.writer(lineterminator="\\n")`` would write: floats with repr,
+ints with str, None as an empty cell, and other values (strings) quoted by the
+csv module itself, so identical runs produce byte-identical files. Rows are
+formatted in blocks of ``_BLOCK_ROWS``, column by column, and a value repeated
+within a block column is formatted once.
 When writing to a file, a short human-readable summary goes to stdout instead.
 """
 
@@ -12,6 +16,7 @@ import csv
 import math
 import sys
 from dataclasses import fields, replace
+from itertools import islice, repeat
 from operator import attrgetter
 from pathlib import Path
 
@@ -51,17 +56,83 @@ COST_COLUMNS = (
 ANOVA_COLUMNS = ("source", "sum_sq", "df", "F", "PR(>F)")
 
 
-def _write_csv(path: str | None, header, rows) -> None:
-    """Write rows to the path or stdout with minimal quoting and \\n endings.
+# Rows formatted per write: enough to share each repeated cell's text, few
+# enough that a long table never sits in memory whole.
+_BLOCK_ROWS = 512
 
-    The csv module writes floats with repr, None as an empty cell and ints
-    with str, so identical values give identical bytes.
+
+class _Echo:
+    """A file whose write returns the line, so a csv writer's writerow returns it."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+def _csv_line(row) -> str:
+    """The line the csv module writes for one row."""
+    return csv.writer(_Echo, lineterminator="\n").writerow(row)
+
+
+# The csv module quotes a row's only cell when it is empty, so the line is not blank.
+_LONE_EMPTY = _csv_line(("",))[:-1]
+_PLAIN = {float: repr, int: str}
+_MEMO_KINDS = ({float}, {int}, {str})
+
+
+def _cell(value) -> str:
+    """One cell as the csv module writes it beside others; it quotes strings."""
+    if value is None:
+        return ""
+    plain = _PLAIN.get(type(value))
+    return plain(value) if plain else _csv_line((value, None))[:-2]
+
+
+def _column_cells(values: tuple):
+    """The cells of one block column, formatting each value repeated in it once.
+
+    Only a column of one type (besides None) gets a memo, since equal values of
+    different types can print differently (1 and 1.0). So can 0.0 and -0.0, so
+    a float column holding a zero gets a memo only when it holds no None and
+    all its values share one sign.
+    """
+    kinds = set(map(type, values))
+    if kinds - {type(None)} in _MEMO_KINDS:
+        distinct = set(values)
+        if 2 * len(distinct) <= len(values) and (
+            float not in kinds
+            or 0.0 not in distinct
+            or (kinds == {float} and len(set(map(math.copysign, repeat(1.0), values))) == 1)
+        ):
+            memo = {value: _cell(value) for value in distinct}
+            return map(memo.__getitem__, values)
+    plain = _PLAIN.get(next(iter(kinds))) if len(kinds) == 1 else None
+    return map(plain or _cell, values)
+
+
+def _csv_block(rows: list) -> str:
+    """The CSV text of equal-length rows, each line ending in \\n."""
+    width = len(rows[0])
+    if set(map(len, rows)) != {width}:
+        raise ValueError("CSV rows must all have the same length")
+    columns = [_column_cells(values) for values in zip(*rows)]
+    if width == 1:
+        columns = [[_LONE_EMPTY if cell == "" else cell for cell in columns[0]]]
+    lines = map(",".join, zip(*columns)) if width else repeat("", len(rows))
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(path: str | None, header, rows) -> None:
+    """Write the header and rows (any iterable of sequences) to the path or stdout.
+
+    Rows are taken ``_BLOCK_ROWS`` at a time, so memory stays flat.
     """
     out = open(path, "w", newline="") if path else sys.stdout
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        out.write(_csv_block([header]))
+        rows = iter(rows)
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            out.write(_csv_block(block))
     finally:
         if path:
             out.close()

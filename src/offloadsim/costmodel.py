@@ -134,7 +134,8 @@ def cost_breakdown(
     """Component percentages of the edge and vehicular totals per bonus level.
 
     The vehicular side has a single per-request component, so its column is
-    always 100%. Percentages are full precision; round at presentation.
+    always 100%. The edge percentages are nan when the edge total is 0.
+    Percentages are full precision; round at presentation.
     """
     rows = []
     for beta in betas:
@@ -144,17 +145,11 @@ def cost_breakdown(
         req = opex_ec(q, request_scale, bonus_in_requests) - main
         ec_total = _finite("edge total", capex + main + req)
         vcc_total = _finite("vehicular total", opex_vcc(q, request_scale))
-        rows.append(
-            BreakdownRow(
-                beta=beta,
-                capex_ec_pct=100.0 * capex / ec_total,
-                ec_main_pct=100.0 * main / ec_total,
-                ec_req_pct=100.0 * req / ec_total,
-                vcc_req_pct=100.0,
-                ec_total=ec_total,
-                vcc_total=vcc_total,
-            )
-        )
+        if ec_total:
+            pcts = (100.0 * capex / ec_total, 100.0 * main / ec_total, 100.0 * req / ec_total)
+        else:  # an edge that costs nothing has no composition
+            pcts = (math.nan,) * 3
+        rows.append(BreakdownRow(beta, *pcts, vcc_req_pct=100.0, ec_total=ec_total, vcc_total=vcc_total))
     return rows
 
 

@@ -70,6 +70,10 @@ KMH = 1.0 / 3.6  # km/h in m/s
 
 MAX_ARRIVALS = 10_000_000  # per run, checked before any arrival is generated
 MAX_VEHICLES = 1_000_000  # per run, checked before the fleet is built
+# Beacons of a VCCFirst fleet over a run. Each beacon time is x = x + period,
+# replayed one by one, so a period below the float spacing of the horizon would
+# never get past it.
+MAX_BEACONS = 1_000_000_000
 
 
 @dataclass
@@ -123,6 +127,8 @@ class RunConfig:
             raise ValueError("edge queue bound must be nonnegative")
         if self.beacon_period <= 0.0 or self.registry_timeout <= 0.0:
             raise ValueError("beacon period and registry timeout must be positive")
+        if self.strategy == VCC_FIRST and self.n_vehicles * (self.duration / self.beacon_period) > MAX_BEACONS:
+            raise ValueError(f"vehicles x duration / beacon period must not exceed {MAX_BEACONS} beacons")
 
 
 @dataclass(slots=True)
@@ -376,7 +382,8 @@ def summarize(records: list[OffloadRecord]) -> Aggregates:
     CLOUD-destined over dispatched (tasks that reached the controller).
     Component shares split the vehicular successes' time into uplink
     (access + gNB-to-vehicle), elaboration, and downlink (vehicle-to-gNB +
-    access); they sum to 100. Failure percentages are per lifecycle leg over
+    access); they sum to 100, and are nan when those successes took no time
+    at all (or there are none). Failure percentages are per lifecycle leg over
     all generated requests.
     """
     n = len(records)
@@ -388,6 +395,7 @@ def summarize(records: list[OffloadRecord]) -> Aggregates:
     totals = [r.total for r in successes]
     if totals:
         mean_total = sum(totals) / len(totals)
+        totals.sort()  # after the sum, whose float depends on the order
         p90 = percentile(totals, 90.0)
         p95 = percentile(totals, 95.0)
         p99 = percentile(totals, 99.0)
@@ -401,15 +409,15 @@ def summarize(records: list[OffloadRecord]) -> Aggregates:
         cc_share = math.nan
 
     vcc_success = [r for r in successes if r.destination == VEHICLE]
-    if vcc_success:
-        up = sum(r.t_up_access + r.t_gnb_to_vue for r in vcc_success)
-        elab = sum(r.t_elab for r in vcc_success)
-        down = sum(r.t_vue_to_gnb + r.t_down_access for r in vcc_success)
-        span = up + elab + down
+    up = sum(r.t_up_access + r.t_gnb_to_vue for r in vcc_success)
+    elab = sum(r.t_elab for r in vcc_success)
+    down = sum(r.t_vue_to_gnb + r.t_down_access for r in vcc_success)
+    span = up + elab + down
+    if span > 0.0:
         up_pct = 100.0 * up / span
         elab_pct = 100.0 * elab / span
         down_pct = 100.0 * down / span
-    else:
+    else:  # no vehicular success, or only ones that took no time
         up_pct = elab_pct = down_pct = math.nan
 
     def fail_pct(leg: str) -> float:

@@ -10,26 +10,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
-
-import numpy as np
 
 
 def percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile: the ceil(q/100 * n)-th smallest value.
 
     ``q`` must lie in (0, 100]. The multiplication is done before the division
-    so exact integer ranks are not perturbed by binary rounding.
+    so exact integer ranks are not perturbed by binary rounding. A nan has no
+    rank, so values holding one are rejected. Sorting an already sorted list
+    takes linear time, so callers asking for several percentiles sort once.
     """
     n = len(values)
     if n == 0:
         raise ValueError("percentile of an empty sequence")
     if not 0.0 < q <= 100.0:
         raise ValueError("q must lie in (0, 100]")
+    # the sum is nan only if a value is nan or both infinities occur
+    if math.isnan(sum(values)) and any(map(math.isnan, values)):
+        raise ValueError("percentile of a sample holding nan")
     rank = math.ceil(q * n / 100.0)
     rank = min(max(rank, 1), n)
-    arr = np.asarray(values, dtype=float)
-    return float(np.partition(arr, rank - 1)[rank - 1])
+    return float(sorted(values)[rank - 1])
 
 
 @dataclass(frozen=True)
@@ -46,16 +49,17 @@ def anova_oneway(groups: Sequence[Sequence[float]]) -> AnovaResult:
     """One-way fixed-effects ANOVA over two or more groups of observations."""
     if len(groups) < 2:
         raise ValueError("ANOVA needs at least two groups")
-    arrays = [np.asarray(g, dtype=float) for g in groups]
-    if any(a.size == 0 for a in arrays):
+    groups = [list(map(float, g)) for g in groups]
+    if not all(groups):
         raise ValueError("every group must be non-empty")
-    k = len(arrays)
-    n = sum(a.size for a in arrays)
+    k = len(groups)
+    n = sum(map(len, groups))
     if n <= k:
         raise ValueError("need more observations than groups")
-    grand = sum(float(a.sum()) for a in arrays) / n
-    ss_between = sum(a.size * (float(a.mean()) - grand) ** 2 for a in arrays)
-    ss_within = sum(float(((a - a.mean()) ** 2).sum()) for a in arrays)
+    grand = math.fsum(chain.from_iterable(groups)) / n
+    means = [math.fsum(g) / len(g) for g in groups]
+    ss_between = math.fsum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
+    ss_within = math.fsum((v - m) ** 2 for g, m in zip(groups, means) for v in g)
     df_between = k - 1
     df_within = n - k
     if ss_within == 0.0:

@@ -2,6 +2,9 @@
 
 import csv
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +115,19 @@ def test_cost_defaults_produce_the_breakdown_grid(tmp_path):
     )
 
 
+def test_cost_with_a_free_edge_writes_nan_edge_percentages(tmp_path):
+    # used to end in a ZeroDivisionError traceback
+    cfg = tmp_path / "free.cfg"
+    cfg.write_text("cost.c_ec_cpu = 0\ncost.c_ec_main = 0\ncost.c_ec_req = 0\n")
+    out = tmp_path / "cost.csv"
+    assert main(["cost", str(cfg), "--betas", "0", "-o", str(out)]) == 0
+    rows = _rows(out)
+    assert len(rows) == 2
+    for row in rows:
+        assert (row["capex_ec_pct"], row["ec_main_pct"], row["ec_req_pct"]) == ("nan", "nan", "nan")
+        assert (row["vcc_req_pct"], row["ec_total_usd"], row["savings_usd"]) == ("100.0", "0.0", "0.0")
+
+
 def test_cost_beta_sweep_via_config(tmp_path):
     cfg = tmp_path / "beta.cfg"
     cfg.write_text("sweep.axis = beta\nsweep.values = 0, 1e-6, 2e-6\n")
@@ -219,3 +235,12 @@ def test_cost_totals_that_overflow_exit_nonzero(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "years 1e+308" in captured.err and "is not finite" in captured.err
+
+
+def test_the_cli_imports_without_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, offloadsim.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout == "False\n"

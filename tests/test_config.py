@@ -1,9 +1,13 @@
 """Config file parsing, presets, overrides, and exact serialization."""
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from offloadsim import config
 from offloadsim.channel import LinkClass, lena_calibrated
 from offloadsim.config import (
     ConfigError,
@@ -20,7 +24,7 @@ from offloadsim.config import (
     serialize_run_config,
 )
 from offloadsim.costmodel import CostParams
-from offloadsim.engine import KMH, REPLICATION_SEEDS, RunConfig
+from offloadsim.engine import KMH, REPLICATION_SEEDS, RunConfig, run, summarize
 
 
 def test_minimal_run_config_uses_defaults():
@@ -95,6 +99,11 @@ def test_oversized_fleets_are_rejected_at_parse_time():
     assert parse_run_config("strategy = ECFirst\nvehicles.count = 1000000\n").n_vehicles == 10**6
     with pytest.raises(ConfigError, match="line 3: sweep.values 1000001.0: vehicle count"):
         parse_sweep_spec("strategy = VCCFirst\nsweep.axis = vehicles\nsweep.values = 40, 1000001\n")
+
+
+def test_beacon_periods_too_short_for_the_horizon_are_rejected_at_parse_time():
+    with pytest.raises(ConfigError, match="beacons"):
+        parse_run_config("strategy = VCCFirst\ncontroller.beacon_period = 1e-300\n")
 
 
 def test_unbounded_still_spells_infinity():
@@ -287,3 +296,59 @@ def test_parse_seed_list():
         parse_seed_list("")
     with pytest.raises(ConfigError):
         parse_seed_list("1, x")
+
+
+_KEYS = (
+    config._RUN_KEYS
+    + tuple(f"channel.{link}.{name}" for link in config._LINKS for name in config._LINK_FIELDS)
+    + config._SWEEP_KEYS[:1]
+    + config._COST_KEYS[:2]
+)
+_SMALL = st.sampled_from(("0", "1", "2", "3", "0.5", "1/4", "7", "40", "1e-3", "90", "-1"))
+# Small numbers three times over, so that most values are ones their key accepts.
+_VALUES = st.one_of(
+    _SMALL,
+    _SMALL,
+    _SMALL,
+    st.sampled_from(
+        ("ECFirst", "VCCFirst", "partial_coverage", "total_coverage", "lena_calibrated", "unbounded", "none", "true")
+    ),
+    st.integers(-(2**40), 2**40).map(str),
+    st.floats().map(repr),
+    st.tuples(st.integers(-9, 9), st.integers(-2, 9)).map("{0[0]}/{0[1]}".format),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8),
+)
+_JUNK = st.one_of(st.sampled_from(("", "# note", "  = 1", "users")), st.text(max_size=12))
+# A strategy and a short horizon up front, so that many texts parse and run.
+_TEXTS = st.tuples(
+    st.sampled_from(("strategy = VCCFirst", "strategy = ECFirst") * 3 + ("",)),
+    st.sampled_from(("duration = 1", "duration = 1/8", "duration = 2") * 2 + ("",)),
+    st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=5),
+    st.one_of(st.just(()), st.just(()), st.lists(_JUNK, min_size=1, max_size=2)),
+).map(lambda t: "\n".join((t[0], t[1], *(f"{k} = {v}" for k, v in t[2].items()), *t[3])))
+
+
+def test_config_text_either_fails_to_parse_or_runs_to_the_end():
+    """Arbitrary text from known keys, arbitrary values and junk lines: parsing
+    raises ConfigError or gives a config whose run finishes. Runs are kept
+    small (at most 2,000 arrivals, 200 vehicles and 10^5 beacons)."""
+    outcomes = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(text=_TEXTS)
+    def check(text):
+        try:
+            cfg = parse_run_config(text)
+        except ConfigError:
+            outcomes["rejected"] += 1
+            return
+        arrivals = cfg.n_users * math.ceil(cfg.duration * cfg.request_rate)
+        beacons = cfg.n_vehicles * cfg.duration / cfg.beacon_period if cfg.strategy == "VCCFirst" else 0
+        assume(arrivals <= 2000 and cfg.n_vehicles <= 200 and beacons <= 1e5)
+        records = run(cfg)
+        assert len(records) <= arrivals
+        summarize(records)
+        outcomes["ran"] += 1
+
+    check()
+    assert outcomes["ran"] >= 50 and outcomes["rejected"] >= 50, outcomes

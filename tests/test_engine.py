@@ -17,6 +17,7 @@ from offloadsim.engine import (
     IN_FLIGHT,
     KMH,
     MAX_ARRIVALS,
+    MAX_BEACONS,
     MAX_VEHICLES,
     REPLICATION_SEEDS,
     REJECTION,
@@ -241,6 +242,17 @@ def test_summarize_handles_an_all_cloud_run():
     assert math.isnan(agg.elab_share_pct)  # no vehicular successes to split
 
 
+def test_summarize_gives_nan_shares_when_vehicular_successes_took_no_time():
+    # used to divide by the zero total span of the vehicular successes
+    lossless = ChannelConfig({link: LinkParams(0.0, None) for link in LinkClass})
+    records = run(RunConfig(strategy="VCCFirst", n_users=1, duration=1.0, workload_mi=0.0, channel=lossless))
+    assert any(r.destination == VEHICLE and r.outcome == SUCCESS for r in records)
+    agg = summarize(records)
+    assert math.isnan(agg.uplink_share_pct)
+    assert math.isnan(agg.elab_share_pct)
+    assert math.isnan(agg.downlink_share_pct)
+
+
 def test_record_field_order_starts_with_identity():
     assert RECORD_FIELDS[:3] == ("task_id", "origin_user", "created_at")
     assert set(LEG_FIELDS) < set(RECORD_FIELDS)
@@ -391,3 +403,17 @@ def test_ecfirst_runs_build_no_fleet(monkeypatch):
     assert len(run(cfg)) == 80
     with pytest.raises(AssertionError, match="fleet"):
         run(RunConfig(strategy=VCC_FIRST, duration=2.0, seed=1))
+
+
+def test_run_config_bounds_the_beacons_of_a_vcc_fleet():
+    # a beacon period below the float spacing of the horizon used to hang the
+    # run: x + period == x, so the beacon replay never got past x
+    for period in (1e-300, 1e-10):
+        with pytest.raises(ValueError, match="beacons"):
+            RunConfig(strategy=VCC_FIRST, n_vehicles=1, duration=1.0, beacon_period=period).validate()
+    RunConfig(strategy=VCC_FIRST, n_vehicles=10, duration=1.0, beacon_period=10 / MAX_BEACONS).validate()
+    with pytest.raises(ValueError, match="beacons"):
+        RunConfig(strategy=VCC_FIRST, n_vehicles=11, duration=1.0, beacon_period=10 / MAX_BEACONS).validate()
+    # ECFirst runs and fleets of none replay no beacons
+    RunConfig(strategy=EC_FIRST, duration=1.0, beacon_period=1e-300).validate()
+    RunConfig(strategy=VCC_FIRST, n_vehicles=0, duration=1.0, beacon_period=1e-300).validate()

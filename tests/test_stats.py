@@ -42,6 +42,26 @@ def test_percentile_validation():
         percentile([1.0], 100.5)
 
 
+def test_percentile_rejects_nan_and_ranks_infinities():
+    for values in ([1.0, math.nan, 2.0], [math.inf, math.nan], [math.inf, -math.inf, math.nan]):
+        with pytest.raises(ValueError, match="nan"):
+            percentile(values, 50.0)
+    assert percentile([math.inf, -math.inf, 1.0], 50.0) == 1.0
+    assert percentile([math.inf, -math.inf, 1.0], 100.0) == math.inf
+
+
+def test_percentile_matches_numpy_partition_on_random_samples():
+    # numpy's partition, the implementation before the package dropped numpy
+    np = pytest.importorskip("numpy")
+    rng = random.Random(77)
+    for _ in range(200):
+        values = [rng.choice((rng.random(), float(rng.randrange(5)))) for _ in range(rng.randrange(1, 60))]
+        q = rng.choice((rng.uniform(0.001, 100.0), 90.0, 95.0, 99.0, 100.0))
+        rank = min(max(math.ceil(q * len(values) / 100.0), 1), len(values))
+        assert percentile(values, q) == float(np.partition(np.asarray(values), rank - 1)[rank - 1])
+        assert percentile(sorted(values), q) == percentile(values, q)
+
+
 def test_percentile_does_not_reorder_its_input():
     values = [3.0, 1.0, 2.0]
     percentile(values, 50.0)
