@@ -38,13 +38,11 @@ from .config import (
 )
 from .controller import (
     CLOUD,
-    Dispatch,
     EC_FIRST,
     EDGE,
     Registry,
     VCC_FIRST,
     VEHICLE,
-    beacon_times,
     select_vccfirst,
 )
 from .costmodel import (

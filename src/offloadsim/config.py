@@ -233,12 +233,6 @@ class _Reader:
             raise ConfigError(f"line {line}: {key} must not exceed {maximum}, got {value}")
         return value
 
-    def int_any(self, key: str, default: int) -> int:
-        if key not in self.entries:
-            return default
-        raw, line = self.raw(key)
-        return _int(key, raw, line)
-
     def boolean(self, key: str, default: bool) -> bool:
         if key not in self.entries:
             return default
@@ -327,7 +321,7 @@ def _build_run(r: _Reader, require_strategy: bool = True) -> RunConfig:
         n_users=r.int_nonneg("users", 8),
         request_rate=r.float_pos("request_rate", 5.0),
         duration=r.float_pos("duration", 120.0),
-        seed=r.int_any("seed", 0),
+        seed=r.int_nonneg("seed", 0),
         workload_mi=r.float_nonneg("task.workload_mi", 500.0),
         task_size_bytes=r.float_nonneg("task.size_bytes", 4000.0),
         result_size_bytes=r.float_nonneg("task.result_bytes", 4000.0),
@@ -541,6 +535,9 @@ def parse_seed_list(raw: str) -> tuple[int, ...]:
     if not parts:
         raise ConfigError("seed list must contain at least one integer")
     try:
-        return tuple(int(p) for p in parts)
+        seeds = tuple(int(p) for p in parts)
     except ValueError:
         raise ConfigError(f"seed list must be comma-separated integers, got {raw!r}") from None
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be nonnegative, got {raw!r}")
+    return seeds

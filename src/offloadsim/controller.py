@@ -8,6 +8,13 @@ Idle vehicles in coverage beacon every ``beacon_period`` seconds (plus once
 immediately on finishing a task); entries not refreshed within ``timeout``
 expire. The registry is a snapshot, not ground truth: a listed vehicle may
 already be busy or out of coverage, and dispatching to it simply fails.
+
+``Beacons`` replays a vehicle's beacons only when its registry membership could
+change, and no heap holds an infinite time. With a beacon period clearly below
+the timeout, a VCCFirst run costs one replay per vehicle at its first beacon,
+work per task and per coverage crossing, and, per pick, one float addition per
+period since the picked vehicle was last replayed. Otherwise every beacon of a
+listed vehicle is replayed, to keep its age exact.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 CLOUD = "CLOUD"
 EDGE = "EDGE"
@@ -29,18 +35,11 @@ STRATEGIES = (EC_FIRST, VCC_FIRST)
 DEFAULT_TIMEOUT = 0.5  # s
 
 
-@dataclass(frozen=True)
-class Dispatch:
-    destination: str  # CLOUD, EDGE or VEHICLE
-    vehicle_id: int | None = None
-    decided_at: float = 0.0
-
-
 @dataclass
 class Registry:
     """vehicle id -> last beacon time (``math.inf``: still beaconing), with
     timeout expiry. ``ids`` is the sorted index of present ids; ``_ages`` is a
-    heap of (time, id) per entry change, so expiry pops only stale items."""
+    heap of (time, id) per change to a finite entry, so expiry pops only stale items."""
 
     timeout: float = DEFAULT_TIMEOUT
     entries: dict[int, float] = field(default_factory=dict)
@@ -55,7 +54,7 @@ class Registry:
         last = self.entries.get(vehicle_id)
         if last is None:
             bisect.insort(self.ids, vehicle_id)
-        if last != t:
+        if last != t and t < math.inf:
             heapq.heappush(self._ages, (t, vehicle_id))
         self.entries[vehicle_id] = t
 
@@ -72,8 +71,8 @@ class Registry:
                 self.remove(vid)
 
 
-def select_vccfirst(registry: Registry, rng, now: float) -> Dispatch:
-    """Pick a vehicle uniformly at random, or fall back to the cloud.
+def select_vccfirst(registry: Registry, rng, now: float) -> int | None:
+    """Pick a vehicle uniformly at random and return its id, or None for the cloud.
 
     The chosen vehicle is removed from the registry and reappears only once a
     later beacon of its is processed. Candidates are ordered by id so the
@@ -82,51 +81,64 @@ def select_vccfirst(registry: Registry, rng, now: float) -> Dispatch:
     registry.expire_stale(now)
     ids = registry.ids
     if not ids:
-        return Dispatch(CLOUD, decided_at=now)
+        return None
     chosen = ids[rng.randrange(len(ids))]
     registry.remove(chosen)
-    return Dispatch(VEHICLE, vehicle_id=chosen, decided_at=now)
+    return chosen
 
 
 class Beacons:
     """A fleet's periodic beacons, replayed into a registry only when needed.
 
-    An idle vehicle beacons from its seeded phase, or at once on finishing a
-    task, then at ``x = x + period`` as an event per beacon would. It is
-    replayed, from a heap of wake-ups, only when its membership could change.
-    ``coverage(vid, t)`` gives its coverage at t and a time before which that
-    cannot change. A vehicle sure to beacon in coverage within the timeout is
-    listed as ``math.inf``. Beacons at time <= t act before engine events at t."""
+    Vehicle ids index flat per-vehicle lists. An idle vehicle beacons from its
+    seeded phase, or at once on finishing a task, then at ``x = x + period`` as
+    an event per beacon would. It is replayed, from a heap of finite wake-ups,
+    only when its membership could change. ``coverage(vid, t)`` gives its
+    coverage at t and a time before which that cannot change. A vehicle sure to
+    beacon in coverage within the timeout is listed as ``math.inf`` and has no
+    wake-up. Beacons at time <= t act before engine events at t."""
 
-    def __init__(self, registry: Registry, period: float, phases: dict[int, float], coverage, horizon: float):
+    def __init__(self, registry: Registry, period: float, phases: list[float], coverage, horizon: float):
         self.registry, self.period, self.coverage = registry, period, coverage
         self.steady = registry.timeout - period > 1e-12 * max(1.0, horizon)
-        self.next = dict(phases)  # vid -> next beacon time; absent while serving
-        self.heard: dict[int, float] = {}  # vid -> last beacon in coverage
-        self.cov = {vid: (False, -math.inf) for vid in phases}  # vid -> (covered, until)
-        self.wakes = sorted((x, vid) for vid, x in phases.items())
+        n = len(phases)
+        self.next = list(phases)  # next beacon time; math.inf while serving
+        self.heard = [-math.inf] * n  # last beacon in coverage
+        self.cov = [(False, -math.inf)] * n  # (covered, until) from the last coverage test
+        self.wakes = list(zip(phases, range(n)))
+        heapq.heapify(self.wakes)
 
     def advance(self, t: float) -> None:
         """Apply every beacon at time <= t that can change the registry."""
         while self.wakes and self.wakes[0][0] <= t:
             self._replay(heapq.heappop(self.wakes)[1], t)
 
-    def picked(self, vid: int, t: float) -> None:
-        """vid was just removed by a pick at t: skip past its beacons <= t."""
-        x = self.next.get(vid)
-        if x is not None:
+    def dispatch(self, rng, t: float) -> int | None:
+        """VCCFirst at t: apply the beacons <= t, pick with ``select_vccfirst``,
+        and move the picked vehicle's cursor past its beacons <= t."""
+        self.advance(t)
+        vid = select_vccfirst(self.registry, rng, t)
+        if vid is not None:
+            x = self.next[vid]
             while x <= t:
                 x += self.period
             self.next[vid] = x
             self._book(vid)
+        return vid
+
+    def covered(self, vid: int, t: float) -> bool:
+        """vid's coverage at t. Coverage windows start at or before the current
+        time, so one that has not ended at t still holds."""
+        covered, until = self.cov[vid]
+        return covered if t <= until else self.coverage(vid, t)[0]
 
     def stop(self, vid: int, t: float) -> None:
         """vid starts serving at t and beacons no more until it finishes."""
-        if vid in self.next:
+        if self.next[vid] < math.inf:
             self._replay(vid, t)
             if self.registry.entries.get(vid) == math.inf:
                 self.registry.on_beacon(vid, self.heard[vid])
-            del self.next[vid]
+            self.next[vid] = math.inf
 
     def restart(self, vid: int, t: float, covered: bool) -> None:
         """vid finished a task at t: it beacons at once, then every period."""
@@ -138,7 +150,7 @@ class Beacons:
 
     def _replay(self, vid: int, t: float) -> None:
         """Apply vid's beacons up to t; a wake-up that finds none is stale."""
-        x = self.next.get(vid, math.inf)
+        x = self.next[vid]
         if x > t:
             return
         covered, until = self.cov[vid]
@@ -158,18 +170,9 @@ class Beacons:
         self._book(vid)
 
     def _book(self, vid: int) -> None:
-        """Wake vid at its next beacon if that can matter, else when its window ends."""
+        """Wake vid at its next beacon if that can matter, else when its window
+        ends; never, if both are infinite."""
         x, (covered, until) = self.next[vid], self.cov[vid]
         w = x if x > until or (covered and self.registry.entries.get(vid) != math.inf) else until
-        heapq.heappush(self.wakes, (w, vid))  # an infinite wake-up never comes
-
-
-def beacon_times(idle_since: float, period: float, until: float) -> Iterator[float]:
-    """Beacon instants for a vehicle idle from ``idle_since``: one immediately,
-    then every ``period`` seconds while it stays idle, up to ``until``."""
-    if period <= 0.0:
-        raise ValueError("beacon period must be positive")
-    t = idle_since
-    while t <= until:
-        yield t
-        t += period
+        if w < math.inf:
+            heapq.heappush(self.wakes, (w, vid))

@@ -40,7 +40,6 @@ from .controller import (
     STRATEGIES,
     VCC_FIRST,
     VEHICLE,
-    select_vccfirst,
 )
 from .scenario import (
     ScenarioGeometry,
@@ -106,6 +105,8 @@ class RunConfig:
             raise ValueError("numeric parameters must be finite")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.seed < 0:  # random.Random(-s) would replay the stream of s
+            raise ValueError("seed must be nonnegative")
         if self.n_users < 0 or self.n_vehicles < 0:
             raise ValueError("population counts must be nonnegative")
         if self.n_vehicles > MAX_VEHICLES:
@@ -238,17 +239,19 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
     if cfg.strategy == VCC_FIRST:
         # Vehicle ids are list indexes. ECFirst never reads the fleet, so it has none.
         vehicles = build_scenario(geom, cfg.n_vehicles, cfg.vehicle_speed, cfg.vehicle_capacity, cfg.seed)
-        registry = Registry(timeout=cfg.registry_timeout)
+        unbounded = math.isinf(geom.coverage_radius)
 
         def coverage(vid: int, t: float) -> tuple[bool, float]:
+            if unbounded:
+                return True, math.inf
             v = vehicles[vid]
             p = position_at(v, t, geom)
             return in_coverage(p, geom), (t + edge_distance(p, geom) / v.speed if v.speed else math.inf)
 
         # Each vehicle keeps its own beacon phase; beacons are replayed lazily,
         # not queued as events.
-        phases = {v.id: rng.random() * cfg.beacon_period for v in vehicles}
-        beacons = Beacons(registry, cfg.beacon_period, phases, coverage, horizon)
+        phases = [rng.random() * cfg.beacon_period for _ in range(cfg.n_vehicles)]
+        beacons = Beacons(Registry(timeout=cfg.registry_timeout), cfg.beacon_period, phases, coverage, horizon)
         edge = None
     else:
         edge = EdgeState(capacity=cfg.edge_mips, max_queue=cfg.edge_max_queue)
@@ -300,16 +303,13 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
                     rec.t_down_cn = cn_down
                     heappush(heap, (accepted.completion + cn_down, next_seq(), _RESULT_AT_GNB, a, 0))
                 continue
-            beacons.advance(t)
-            dispatch = select_vccfirst(registry, rng, t)
-            if dispatch.destination == CLOUD:
+            vid = beacons.dispatch(rng, t)
+            if vid is None:
                 to_cloud(t, rec, a)
                 continue
-            vid = dispatch.vehicle_id
-            beacons.picked(vid, t)
             rec.destination = VEHICLE
             rec.vehicle_id = vid
-            latency = vue_down.send(rng, t, in_coverage(position_at(vehicles[vid], t, geom), geom))
+            latency = vue_down.send(rng, t, beacons.covered(vid, t))
             if latency is None:
                 fail(rec, GNB_TO_VCC)
             else:
@@ -326,7 +326,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
                 heappush(heap, (done_at, next_seq(), _VEHICLE_DONE, a, b))
 
         elif kind == _VEHICLE_DONE:
-            covered = in_coverage(position_at(vehicles[b], t, geom), geom)
+            covered = beacons.covered(b, t)
             beacons.restart(b, t, covered)  # idle again: beacon immediately
             latency = vue_up.send(rng, t, covered)
             if latency is None:

@@ -5,7 +5,8 @@ Every arrival, every beacon of every idle vehicle and every delivery is its own
 heap event, and every radio leg goes through ``channel.leg_outcome`` and
 ``channel.transfer_time``. It is slow and simple on purpose. A few shims adapt
 it to today's public names: a local ``Task``, a three-line ``select_ecfirst``,
-and ``EdgeState.offer``'s (waiting, admission) pair. ``run`` must return the
+``EdgeState.offer``'s (waiting, admission) pair, and the vehicle id or None
+that ``select_vccfirst`` returns. ``run`` must return the
 same records as ``offloadsim.engine.run`` for every valid config.
 """
 
@@ -140,11 +141,10 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
             task = tasks[a]
             rec = records[a]
             if vccfirst:
-                dispatch = select_vccfirst(registry, rng, t)
-                if dispatch.destination == CLOUD:
+                vid = select_vccfirst(registry, rng, t)
+                if vid is None:
                     to_cloud(t, rec, task)
                 else:
-                    vid = dispatch.vehicle_id
                     v = vmap[vid]
                     rec.destination = VEHICLE
                     rec.vehicle_id = vid

@@ -242,11 +242,11 @@ def test_criterion_08_registry_trace_properties():
                 reg.on_beacon(vid, now)
                 awaiting_beacon.discard(vid)
             elif op < 0.8:
-                d = select_vccfirst(reg, rng, now)
-                if d.destination == VEHICLE:
+                vid = select_vccfirst(reg, rng, now)
+                if vid is not None:
                     # removal on assignment
-                    assert d.vehicle_id not in reg.entries
-                    awaiting_beacon.add(d.vehicle_id)
+                    assert vid not in reg.entries
+                    awaiting_beacon.add(vid)
                 # staleness bound: nothing older than the timeout survives
                 for last in reg.entries.values():
                     assert last >= now - timeout

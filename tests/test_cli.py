@@ -99,6 +99,15 @@ def test_sweep_seed_list_override(tmp_path):
     assert [r["seed"] for r in rows] == ["5", "9", "mean"]
 
 
+def test_negative_seed_list_exits_nonzero(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("strategy = ECFirst\nduration = 5\nsweep.axis = users\nsweep.values = 1\n")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", str(cfg), "-o", str(out), "--seed-list", "1,-5"]) == 1
+    assert "nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cost_defaults_produce_the_breakdown_grid(tmp_path):
     out = tmp_path / "cost.csv"
     assert main(["cost", "-o", str(out)]) == 0

@@ -298,6 +298,15 @@ def test_parse_seed_list():
         parse_seed_list("1, x")
 
 
+def test_negative_seeds_are_rejected():
+    # random.Random(-5) seeds the same stream as random.Random(5)
+    with pytest.raises(ConfigError, match="line 2: seed must be nonnegative, got -5"):
+        parse_run_config("strategy = ECFirst\nseed = -5\n")
+    assert parse_run_config("strategy = ECFirst\nseed = 0\n").seed == 0
+    with pytest.raises(ConfigError, match="nonnegative"):
+        parse_seed_list("1,-5")
+
+
 _KEYS = (
     config._RUN_KEYS
     + tuple(f"channel.{link}.{name}" for link in config._LINKS for name in config._LINK_FIELDS)

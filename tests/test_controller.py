@@ -1,20 +1,10 @@
-"""Registry expiry, beacon cadence, and the VCCFirst dispatch policy."""
+"""Registry expiry and the VCCFirst dispatch policy."""
 
 import random
 
 import pytest
 
-from offloadsim.controller import (
-    CLOUD,
-    Dispatch,
-    EC_FIRST,
-    Registry,
-    STRATEGIES,
-    VCC_FIRST,
-    VEHICLE,
-    beacon_times,
-    select_vccfirst,
-)
+from offloadsim.controller import EC_FIRST, Registry, STRATEGIES, VCC_FIRST, select_vccfirst
 
 
 def test_strategy_names():
@@ -41,27 +31,20 @@ def test_beacon_refresh_and_strict_expiry():
 
 
 def test_select_vccfirst_falls_back_to_cloud_when_empty():
-    reg = Registry()
-    d = select_vccfirst(reg, random.Random(0), now=1.0)
-    assert d.destination == CLOUD
-    assert d.vehicle_id is None
-    assert d.decided_at == 1.0
+    assert select_vccfirst(Registry(), random.Random(0), now=1.0) is None
 
 
 def test_select_vccfirst_expires_then_picks_and_removes():
     reg = Registry(timeout=0.5)
     reg.on_beacon(1, 0.0)   # stale by now = 1.0
     reg.on_beacon(2, 0.9)
-    d = select_vccfirst(reg, random.Random(0), now=1.0)
-    assert d == Dispatch(VEHICLE, vehicle_id=2, decided_at=1.0)
+    assert select_vccfirst(reg, random.Random(0), now=1.0) == 2
     # the stale entry was dropped and the chosen one removed
     assert reg.entries == {}
     # the vehicle reappears only after a fresh beacon
-    d2 = select_vccfirst(reg, random.Random(0), now=1.0)
-    assert d2.destination == CLOUD
+    assert select_vccfirst(reg, random.Random(0), now=1.0) is None
     reg.on_beacon(2, 1.1)
-    d3 = select_vccfirst(reg, random.Random(0), now=1.2)
-    assert d3.destination == VEHICLE and d3.vehicle_id == 2
+    assert select_vccfirst(reg, random.Random(0), now=1.2) == 2
 
 
 def test_select_vccfirst_is_uniform_over_candidates():
@@ -73,14 +56,6 @@ def test_select_vccfirst_is_uniform_over_candidates():
     for _ in range(n):
         for vid in counts:
             reg.on_beacon(vid, 0.0)
-        d = select_vccfirst(reg, rng, now=0.0)
-        counts[d.vehicle_id] += 1
+        counts[select_vccfirst(reg, rng, now=0.0)] += 1
     for vid, c in counts.items():
         assert c / n == pytest.approx(0.1, abs=0.005), vid
-
-
-def test_beacon_times_cadence():
-    assert list(beacon_times(2.0, 0.1, 2.35)) == [2.0, 2.1, 2.2, pytest.approx(2.3)]
-    assert list(beacon_times(5.0, 0.5, 4.9)) == []
-    with pytest.raises(ValueError):
-        list(beacon_times(0.0, 0.0, 1.0))

@@ -30,6 +30,7 @@ from offloadsim.engine import (
     run,
     summarize,
 )
+from offloadsim.scenario import partial_coverage
 
 LEG_FIELDS = (
     "t_up_access",
@@ -269,6 +270,8 @@ def test_run_config_validation():
         run(RunConfig(vehicle_capacity=0.0))
     with pytest.raises(ValueError):
         run(RunConfig(beacon_period=0.0))
+    with pytest.raises(ValueError, match="seed"):
+        RunConfig(seed=-1).validate()
 
 
 @pytest.mark.parametrize(
@@ -403,6 +406,17 @@ def test_ecfirst_runs_build_no_fleet(monkeypatch):
     assert len(run(cfg)) == 80
     with pytest.raises(AssertionError, match="fleet"):
         run(RunConfig(strategy=VCC_FIRST, duration=2.0, seed=1))
+
+
+def test_vccfirst_on_an_unbounded_cell_computes_no_position(monkeypatch):
+    def no_position(*args):
+        raise AssertionError("a vehicle position was computed")
+
+    monkeypatch.setattr(engine, "position_at", no_position)
+    records = run(RunConfig(strategy=VCC_FIRST, duration=10.0, seed=2))
+    assert sum(r.destination == VEHICLE for r in records) > 300
+    with pytest.raises(AssertionError, match="position"):
+        run(RunConfig(strategy=VCC_FIRST, geometry=partial_coverage(), duration=2.0, seed=2))
 
 
 def test_run_config_bounds_the_beacons_of_a_vcc_fleet():

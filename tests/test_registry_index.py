@@ -13,8 +13,8 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offloadsim.controller import CLOUD, Beacons, Dispatch, Registry, VEHICLE, select_vccfirst
-from offloadsim import engine
+from offloadsim.controller import Beacons, Registry, select_vccfirst
+from offloadsim import controller, engine
 from offloadsim.engine import KMH, RunConfig
 from offloadsim.scenario import (
     build_scenario,
@@ -56,13 +56,13 @@ def test_index_and_expiry_match_a_sorted_scan(timeout, ops):
         elif op[0] == "select":
             model = expire(now)
             expected = sorted(model)
-            d = select_vccfirst(reg, random.Random(op[1]), now)
+            vid = select_vccfirst(reg, random.Random(op[1]), now)
             if expected:
                 pick = expected[random.Random(op[1]).randrange(len(expected))]
-                assert d == Dispatch(VEHICLE, vehicle_id=pick, decided_at=now)
+                assert vid == pick
                 del model[pick]
             else:
-                assert d.destination == CLOUD
+                assert vid is None
         elif op[0] == "expire":
             reg.expire_stale(now + op[1])
             model = expire(now + op[1])
@@ -77,7 +77,7 @@ class EagerBeacons:
 
     def __init__(self, registry, period, phases, covered):
         self.registry, self.period, self.covered = registry, period, covered
-        self.next = dict(phases)
+        self.next = dict(enumerate(phases))
 
     def _apply(self, vid, t):
         x = self.next[vid]
@@ -91,8 +91,9 @@ class EagerBeacons:
         for vid in self.next:
             self._apply(vid, t)
 
-    def picked(self, vid, t):
-        pass
+    def dispatch(self, rng, t):
+        self.advance(t)
+        return select_vccfirst(self.registry, rng, t)
 
     def stop(self, vid, t):
         if vid in self.next:
@@ -117,7 +118,7 @@ def test_lazy_beacons_leave_the_registry_as_eager_ones(seed, partial, speed_kmh,
     geom = partial_coverage() if partial else total_coverage()
     fleet = build_scenario(geom, 12, speed_kmh * KMH, 1.0, seed)
     rng = random.Random(seed)
-    phases = {v.id: rng.random() * period for v in fleet}
+    phases = [rng.random() * period for _ in fleet]
 
     def covered(vid, t):
         return in_coverage(position_at(fleet[vid], t, geom), geom)
@@ -139,13 +140,7 @@ def test_lazy_beacons_leave_the_registry_as_eager_ones(seed, partial, speed_kmh,
             for beacons in (lazy, eager):
                 beacons.restart(vid, t, covered(vid, t))
         draw = rng.random()
-        picks = []
-        for beacons, reg in ((lazy, lazy_reg), (eager, eager_reg)):
-            beacons.advance(t)
-            d = select_vccfirst(reg, random.Random(draw), t)
-            if d.vehicle_id is not None:
-                beacons.picked(d.vehicle_id, t)
-            picks.append(d.vehicle_id)
+        picks = [beacons.dispatch(random.Random(draw), t) for beacons in (lazy, eager)]
         assert picks[0] == picks[1]
         assert lazy_reg.ids == eager_reg.ids
         vid = picks[0]
@@ -158,27 +153,20 @@ def test_lazy_beacons_leave_the_registry_as_eager_ones(seed, partial, speed_kmh,
 def test_beacons_at_a_dispatch_instant_count_before_it():
     """Tie rule: a beacon at exactly t takes effect before a pick or stop at t."""
     reg = Registry(timeout=0.5)
-    beacons = Beacons(reg, 0.25, {7: 0.0}, lambda vid, t: (True, math.inf), horizon=10.0)
+    beacons = Beacons(reg, 0.25, [0.0], lambda vid, t: (True, math.inf), horizon=10.0)
     rng = random.Random(0)
 
-    def dispatch(t):
-        beacons.advance(t)
-        d = select_vccfirst(reg, rng, t)
-        if d.vehicle_id is not None:
-            beacons.picked(d.vehicle_id, t)
-        return d.vehicle_id
-
     beacons.advance(0.1)  # heard at 0.0; its later beacons need no replay
-    assert dispatch(0.5) == 7
-    assert dispatch(0.5) is None  # the beacon at 0.5 was spent on the first pick
-    beacons.stop(7, 0.75)  # its beacon at 0.75 still lands
-    assert reg.entries == {7: 0.75}
-    assert dispatch(1.25) == 7  # exactly timeout old: still listed
-    beacons.restart(7, 1.5, covered=True)
-    beacons.stop(7, 1.6)
-    assert dispatch(2.0) == 7
-    beacons.restart(7, 2.0, covered=False)
-    assert dispatch(2.25) == 7  # first periodic beacon after the restart
+    assert beacons.dispatch(rng, 0.5) == 0
+    assert beacons.dispatch(rng, 0.5) is None  # the beacon at 0.5 was spent on the first pick
+    beacons.stop(0, 0.75)  # its beacon at 0.75 still lands
+    assert reg.entries == {0: 0.75}
+    assert beacons.dispatch(rng, 1.25) == 0  # exactly timeout old: still listed
+    beacons.restart(0, 1.5, covered=True)
+    beacons.stop(0, 1.6)
+    assert beacons.dispatch(rng, 2.0) == 0
+    beacons.restart(0, 2.0, covered=False)
+    assert beacons.dispatch(rng, 2.25) == 0  # first periodic beacon after the restart
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -219,20 +207,47 @@ def test_every_dispatch_sees_only_fresh_or_steady_entries(
 
     def checked(registry, rng, now):
         before = dict(registry.entries)
-        d = select_vccfirst(registry, rng, now)
+        pick = select_vccfirst(registry, rng, now)
         seen = dict(registry.entries)
-        if d.vehicle_id is not None:
-            seen[d.vehicle_id] = before[d.vehicle_id]
+        if pick is not None:
+            seen[pick] = before[pick]
         for vid, last in seen.items():
             if last == math.inf:
                 assert fleets[0][vid].busy_until <= now, "a serving vehicle is listed as beaconing"
             else:
                 assert last <= now and last >= now - registry.timeout, (vid, last, now)
         dispatches.append(len(seen))
-        return d
+        return pick
 
     with mock.patch.object(engine, "build_scenario", record_fleet), mock.patch.object(
-        engine, "select_vccfirst", checked
+        controller, "select_vccfirst", checked
     ):
         engine.run(cfg)
     assert dispatches  # every run dispatches at least once
+
+
+def test_steady_coverage_books_only_finite_times():
+    """On an unbounded cell with the period well below the timeout, a listed
+    vehicle holds math.inf and needs no wake-up. Over a long history of picks,
+    tasks and restarts neither heap takes an infinite time, and the wake-ups
+    never outnumber the fleet."""
+    fleet = 12
+    rng = random.Random(6)
+    reg = Registry(timeout=0.5)
+    phases = [rng.random() * 0.1 for _ in range(fleet)]
+    beacons = Beacons(reg, 0.1, phases, lambda vid, t: (True, math.inf), horizon=1000.0)
+    busy: dict[int, float] = {}  # vid -> task finish time
+    t = 0.0
+    for _ in range(5000):
+        t += rng.expovariate(8.0)
+        for vid in [vid for vid, done in busy.items() if done <= t]:
+            del busy[vid]
+            beacons.restart(vid, t, covered=True)
+        vid = beacons.dispatch(rng, t)
+        if vid is not None and vid not in busy:
+            busy[vid] = t + rng.uniform(0.0, 1.5)
+            beacons.stop(vid, t)
+        assert all(w < math.inf for w, _ in beacons.wakes)
+        assert all(last < math.inf for last, _ in reg._ages)
+        assert len(beacons.wakes) <= fleet
+    assert t > 500.0 and math.inf in reg.entries.values()
