@@ -95,8 +95,8 @@ class Beacons:
     an event per beacon would. It is replayed, from a heap of finite wake-ups,
     only when its membership could change. ``coverage(vid, t)`` gives its
     coverage at t and a time before which that cannot change. A vehicle sure to
-    beacon in coverage within the timeout is listed as ``math.inf`` and has no
-    wake-up. Beacons at time <= t act before engine events at t."""
+    beacon in coverage within the timeout is listed as ``math.inf`` and woken
+    only when that window ends. Beacons at time <= t act before engine events at t."""
 
     def __init__(self, registry: Registry, period: float, phases: list[float], coverage, horizon: float):
         self.registry, self.period, self.coverage = registry, period, coverage
