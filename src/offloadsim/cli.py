@@ -278,6 +278,8 @@ def _cmd_anova(args) -> int:
                     raise ConfigError(
                         f"{args.csv} line {row_no}: {args.value_col} is not a number"
                     ) from None
+                if not math.isfinite(value):
+                    raise ConfigError(f"{args.csv} line {row_no}: {args.value_col} is not finite")
                 groups.setdefault(row[args.group_col], []).append(value)
     except OSError as exc:
         raise ConfigError(f"cannot read {args.csv}: {exc}") from None

@@ -404,7 +404,9 @@ def parse_sweep_spec(text: str) -> SweepSpec:
     if not parts:
         raise ConfigError(f"line {line}: sweep.values must list at least one value")
     values = tuple(_float("sweep.values", p, line) for p in parts)
-    for v in values:
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"line {line}: sweep.values lists {v!r} more than once")
         if v < 0.0:
             raise ConfigError(f"line {line}: sweep.values must be nonnegative, got {v!r}")
         if axis in ("users", "vehicles") and v != int(v):

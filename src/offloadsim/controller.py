@@ -13,8 +13,10 @@ already be busy or out of coverage, and dispatching to it simply fails.
 change, and no heap holds an infinite time. With a beacon period clearly below
 the timeout, a VCCFirst run costs one replay per vehicle at its first beacon,
 work per task and per coverage crossing, and, per pick, one float addition per
-period since the picked vehicle was last replayed. Otherwise every beacon of a
-listed vehicle is replayed, to keep its age exact.
+period since the picked vehicle was last replayed. A vehicular task pushes at
+most the wake-ups that can act before it stops its vehicle, and a vehicle that
+finishes a task well inside its coverage window is listed steady at once.
+Otherwise every beacon of a listed vehicle is replayed, to keep its age exact.
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ class Beacons:
 
     def dispatch(self, rng, t: float) -> int | None:
         """VCCFirst at t: apply the beacons <= t, pick with ``select_vccfirst``,
-        and move the picked vehicle's cursor past its beacons <= t."""
+        and move the picked vehicle's cursor past its beacons <= t. The caller
+        then books the picked vehicle's wake-up with ``book``."""
         self.advance(t)
         vid = select_vccfirst(self.registry, rng, t)
         if vid is not None:
@@ -123,7 +126,6 @@ class Beacons:
             while x <= t:
                 x += self.period
             self.next[vid] = x
-            self._book(vid)
         return vid
 
     def covered(self, vid: int, t: float) -> bool:
@@ -141,12 +143,16 @@ class Beacons:
             self.next[vid] = math.inf
 
     def restart(self, vid: int, t: float, covered: bool) -> None:
-        """vid finished a task at t: it beacons at once, then every period."""
+        """vid finished a task at t: it beacons at once, then every period. In a
+        steady run, if its next beacon still falls in its cached coverage window,
+        it is listed as ``math.inf`` at once, as replaying that beacon would."""
+        x = self.next[vid] = t + self.period
         if covered:
-            self.registry.on_beacon(vid, t)
+            in_window, until = self.cov[vid]
+            steady = self.steady and in_window and x <= until
+            self.registry.on_beacon(vid, math.inf if steady else t)
             self.heard[vid] = t
-        self.next[vid] = t + self.period
-        self._book(vid)
+        self.book(vid)
 
     def _replay(self, vid: int, t: float) -> None:
         """Apply vid's beacons up to t; a wake-up that finds none is stale."""
@@ -167,12 +173,15 @@ class Beacons:
             self.registry.on_beacon(vid, math.inf if self.steady and covered else heard)
         elif self.registry.entries.get(vid) == math.inf:
             self.registry.on_beacon(vid, self.heard[vid])  # left coverage: start aging
-        self._book(vid)
+        self.book(vid)
 
-    def _book(self, vid: int) -> None:
+    def book(self, vid: int, before: float = math.inf) -> None:
         """Wake vid at its next beacon if that can matter, else when its window
-        ends; never, if both are infinite."""
+        ends; never, if that is after ``before`` or infinite. A picked vehicle
+        is booked with ``before`` set to when its task reaches it, since a
+        later wake-up would find it serving; beacons at that time still act
+        first. A lost forward leg books it with no limit."""
         x, (covered, until) = self.next[vid], self.cov[vid]
         w = x if x > until or (covered and self.registry.entries.get(vid) != math.inf) else until
-        if w < math.inf:
+        if w <= before and w < math.inf:
             heapq.heappush(self.wakes, (w, vid))

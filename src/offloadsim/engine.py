@@ -312,14 +312,17 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
             latency = vue_down.send(rng, t, beacons.covered(vid, t))
             if latency is None:
                 fail(rec, GNB_TO_VCC)
+                beacons.book(vid)
             else:
                 rec.t_gnb_to_vue = latency
+                beacons.book(vid, t + latency)
                 heappush(heap, (t + latency, next_seq(), _AT_VEHICLE, a, vid))
 
         elif kind == _AT_VEHICLE:
             done_at = vehicle_offer(vehicles[b], workload, t)
             if done_at is None:
                 fail(records[a], REJECTION)
+                beacons.book(b)  # this task did not stop b: wake b if it still beacons
             else:
                 records[a].t_elab = vehicle_elab
                 beacons.stop(b, t)  # busy vehicles stop beaconing

@@ -52,6 +52,8 @@ def anova_oneway(groups: Sequence[Sequence[float]]) -> AnovaResult:
     groups = [list(map(float, g)) for g in groups]
     if not all(groups):
         raise ValueError("every group must be non-empty")
+    if not all(map(math.isfinite, chain.from_iterable(groups))):
+        raise ValueError("observations must be finite")
     k = len(groups)
     n = sum(map(len, groups))
     if n <= k:

@@ -10,11 +10,22 @@ import time
 from collections import defaultdict
 
 import pytest
+from hypothesis import settings
 
 from offloadsim.controller import EC_FIRST, VCC_FIRST
 from offloadsim.engine import REPLICATION_SEEDS, RunConfig, run
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
+
+# ``pytest --hypothesis-profile=deep`` runs the property tests that take their
+# counts from ``examples`` with 1,000 examples each, still derandomized.
+settings.register_profile("deep", max_examples=1000, derandomize=True, deadline=None)
+
+
+def examples(tier1: int) -> int:
+    """A property test's example count: ``tier1`` unless the deep profile is loaded."""
+    return settings().max_examples if settings.get_current_profile_name() == "deep" else tier1
+
 
 # criterion number -> list of (outcome, was_xfail) for its test functions
 _outcomes = defaultdict(list)

@@ -192,6 +192,15 @@ def test_anova_custom_columns_and_missing_column_error(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+def test_anova_rejects_a_non_finite_value_naming_its_line(tmp_path, capsys, raw):
+    data = tmp_path / "groups.csv"
+    data.write_text(f"group,value\na,1\na,{raw}\nb,4\nb,5\n")
+    assert main(["anova", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert "line 3: value is not finite" in err and "[0, 1]" not in err
+
+
 def test_config_errors_exit_nonzero_with_a_message(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("strategy = ECFirst\nbogus = 1\n")

@@ -206,6 +206,13 @@ def test_sweep_validation():
         )
 
 
+def test_duplicate_sweep_values_are_rejected_naming_the_line():
+    with pytest.raises(ConfigError, match="line 3: sweep.values lists 10.0 more than once"):
+        parse_sweep_spec("strategy = VCCFirst\nsweep.axis = speed\nsweep.values = 10, 10\n")
+    with pytest.raises(ConfigError, match="line 2: sweep.values lists 0.5 more than once"):
+        parse_sweep_spec("sweep.axis = beta\nsweep.values = 1/2, 1, 0.5\n")
+
+
 def test_sweep_keys_rejected_outside_sweeps():
     with pytest.raises(ConfigError, match="sweep subcommand"):
         parse_run_config("strategy = ECFirst\nsweep.axis = users\n")

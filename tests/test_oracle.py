@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_engine
+from conftest import examples
 from offloadsim.channel import ChannelConfig, LinkClass, LinkParams, lena_calibrated
 from offloadsim.engine import KMH, RECORD_FIELDS, RunConfig, run
 from offloadsim.scenario import partial_coverage, total_coverage
@@ -21,7 +22,7 @@ def _rows(records):
     return [tuple(repr(getattr(r, f)) for f in RECORD_FIELDS) for r in records]
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=examples(120), deadline=None, derandomize=True)
 @given(
     strategy=st.sampled_from(("ECFirst", "VCCFirst")),
     partial=st.booleans(),

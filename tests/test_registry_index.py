@@ -6,6 +6,7 @@ lazy ``Beacons`` must leave the registry exactly as one event per beacon
 would, at every dispatch, and no whole run may dispatch from a stale entry.
 """
 
+import heapq
 import math
 import random
 from unittest import mock
@@ -13,6 +14,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from offloadsim.controller import Beacons, Registry, select_vccfirst
 from offloadsim import controller, engine
 from offloadsim.engine import KMH, RunConfig
@@ -37,7 +39,7 @@ _OPS = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=examples(300), deadline=None, derandomize=True)
 @given(timeout=st.sampled_from((0.1, 0.5, 1.0)) | st.floats(0.01, 2.0), ops=_OPS)
 def test_index_and_expiry_match_a_sorted_scan(timeout, ops):
     reg = Registry(timeout=timeout)
@@ -70,6 +72,9 @@ def test_index_and_expiry_match_a_sorted_scan(timeout, ops):
             now += op[1]
         assert reg.ids == sorted(reg.entries)
         assert reg.entries == model
+
+
+_DONE, _REACHED = range(2)
 
 
 class EagerBeacons:
@@ -106,7 +111,7 @@ class EagerBeacons:
         self.next[vid] = t + self.period
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=examples(60), deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 10_000),
     partial=st.booleans(),
@@ -131,23 +136,37 @@ def test_lazy_beacons_leave_the_registry_as_eager_ones(seed, partial, speed_kmh,
     lazy_reg, eager_reg = Registry(timeout=timeout), Registry(timeout=timeout)
     lazy = Beacons(lazy_reg, period, phases, coverage, horizon=60.0)
     eager = EagerBeacons(eager_reg, period, phases, covered)
-    busy: dict[int, float] = {}  # vid -> task finish time
+    busy: set[int] = set()
+    events: list[tuple[float, int, int]] = []  # (time, _DONE or _REACHED, vid)
     t = 0.0
     for _ in range(300):
         t += rng.expovariate(8.0)
-        for vid in [vid for vid, done in busy.items() if done <= t]:
-            del busy[vid]
-            for beacons in (lazy, eager):
-                beacons.restart(vid, t, covered(vid, t))
+        while events and events[0][0] <= t:
+            at, kind, vid = heapq.heappop(events)
+            if kind == _DONE:
+                busy.discard(vid)
+                for beacons in (lazy, eager):
+                    beacons.restart(vid, at, covered(vid, at))
+            elif vid in busy:  # rejected
+                lazy.book(vid)
+            else:
+                busy.add(vid)
+                heapq.heappush(events, (at + rng.uniform(0.0, 1.5), _DONE, vid))
+                for beacons in (lazy, eager):
+                    beacons.stop(vid, at)
         draw = rng.random()
         picks = [beacons.dispatch(random.Random(draw), t) for beacons in (lazy, eager)]
         assert picks[0] == picks[1]
         assert lazy_reg.ids == eager_reg.ids
         vid = picks[0]
-        if vid is not None and vid not in busy and draw < 0.7:
-            busy[vid] = t + rng.uniform(0.0, 1.5)
-            for beacons in (lazy, eager):
-                beacons.stop(vid, t)
+        if vid is None:
+            continue
+        if draw < 0.7:  # the task reaches vid at once or after up to three periods
+            reached = t + rng.choice((0.0, rng.uniform(0.0, 3 * period)))
+            lazy.book(vid, reached)
+            heapq.heappush(events, (reached, _REACHED, vid))
+        else:  # its forward leg is lost
+            lazy.book(vid)
 
 
 def test_beacons_at_a_dispatch_instant_count_before_it():
@@ -158,6 +177,7 @@ def test_beacons_at_a_dispatch_instant_count_before_it():
 
     beacons.advance(0.1)  # heard at 0.0; its later beacons need no replay
     assert beacons.dispatch(rng, 0.5) == 0
+    beacons.book(0, 0.75)
     assert beacons.dispatch(rng, 0.5) is None  # the beacon at 0.5 was spent on the first pick
     beacons.stop(0, 0.75)  # its beacon at 0.75 still lands
     assert reg.entries == {0: 0.75}
@@ -169,7 +189,57 @@ def test_beacons_at_a_dispatch_instant_count_before_it():
     assert beacons.dispatch(rng, 2.25) == 0  # first periodic beacon after the restart
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+def _one_listed_vehicle(coverage):
+    """Vehicle 0, beaconing at 0, 0.25, ... and picked at 0.3: its cursor is
+    at 0.5 and it is not listed."""
+    beacons = Beacons(Registry(timeout=0.5), 0.25, [0.0], coverage, horizon=10.0)
+    assert beacons.dispatch(random.Random(0), 0.3) == 0
+    assert beacons.next == [0.5] and beacons.registry.entries == {}
+    return beacons
+
+
+def test_a_pick_whose_task_arrives_first_books_no_wake_up():
+    for until in (math.inf, 4.0):  # unbounded cell, or a window ending at 4 s
+        beacons = _one_listed_vehicle(lambda vid, t: (True, until))
+        before = list(beacons.wakes)
+        beacons.book(0, 0.45)  # the task stops the vehicle before its beacon at 0.5
+        assert beacons.wakes == before
+        beacons.stop(0, 0.45)
+        assert beacons.dispatch(random.Random(0), 1.0) is None
+
+
+def test_a_pick_books_its_wake_up_when_the_beacon_comes_first_or_the_leg_is_lost():
+    for stop_at in (0.5, math.inf):  # a tie goes to the beacon
+        beacons = _one_listed_vehicle(lambda vid, t: (True, math.inf))
+        beacons.book(0, stop_at)
+        assert beacons.wakes == [(0.5, 0)]
+        assert beacons.dispatch(random.Random(0), 0.5) == 0  # listed again by its beacon at 0.5
+
+
+def test_a_steady_restart_inside_a_lasting_window_is_listed_at_once():
+    beacons = _one_listed_vehicle(lambda vid, t: (True, 2.0))  # in coverage until 2 s
+    reg = beacons.registry
+    beacons.book(0, 0.3)
+    beacons.stop(0, 0.3)
+    beacons.restart(0, 1.0, covered=True)  # next beacon 1.25, inside the window
+    assert reg.entries == {0: math.inf} and reg._ages == []  # no finite age pushed
+    assert beacons.dispatch(random.Random(0), 1.1) == 0
+    beacons.book(0, 1.1)
+    beacons.stop(0, 1.1)
+    beacons.restart(0, 1.9, covered=True)  # next beacon 2.15, past the window
+    assert reg.entries == {0: 1.9} and (1.9, 0) in reg._ages
+
+
+def test_a_restart_lists_its_time_when_the_period_is_not_below_the_timeout():
+    beacons = Beacons(Registry(timeout=0.25), 0.25, [0.0], lambda vid, t: (True, math.inf), horizon=10.0)
+    assert beacons.dispatch(random.Random(0), 0.1) == 0
+    beacons.book(0, 0.1)
+    beacons.stop(0, 0.1)
+    beacons.restart(0, 1.0, covered=True)
+    assert beacons.registry.entries == {0: 1.0}
+
+
+@settings(max_examples=examples(150), deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 10_000),
     partial=st.booleans(),
@@ -245,8 +315,11 @@ def test_steady_coverage_books_only_finite_times():
             beacons.restart(vid, t, covered=True)
         vid = beacons.dispatch(rng, t)
         if vid is not None and vid not in busy:
+            beacons.book(vid, t)
             busy[vid] = t + rng.uniform(0.0, 1.5)
             beacons.stop(vid, t)
+        elif vid is not None:  # rejected by a serving vehicle
+            beacons.book(vid)
         assert all(w < math.inf for w, _ in beacons.wakes)
         assert all(last < math.inf for last, _ in reg._ages)
         assert len(beacons.wakes) <= fleet

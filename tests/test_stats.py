@@ -103,6 +103,12 @@ def test_anova_validation():
         anova_oneway([[2.0, 2.0], [2.0, 2.0]])  # zero variance everywhere
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_anova_rejects_non_finite_observations(bad):
+    with pytest.raises(ValueError, match="observations must be finite"):
+        anova_oneway([[1.0, 2.0], [3.0, bad]])
+
+
 def test_anova_separated_constant_groups():
     r = anova_oneway([[1.0, 1.0], [2.0, 2.0]])
     assert math.isinf(r.f_stat)
