@@ -29,7 +29,6 @@ from .config import (
     ConfigError,
     SweepSpec,
     apply_axis,
-    parse_config,
     parse_cost_params,
     parse_run_config,
     parse_sweep_spec,

@@ -23,10 +23,10 @@ from pathlib import Path
 from .config import (
     ConfigError,
     SweepSpec,
-    _float,
     apply_axis,
     bonus_in_ec_requests,
     parse_cost_params,
+    parse_list,
     parse_run_config,
     parse_seed_list,
     parse_sweep_spec,
@@ -216,11 +216,13 @@ def _cost_rows(base: CostParams, betas, years, scales, bonus_flag: bool):
 
 
 def _cmd_sweep(args) -> int:
-    spec = parse_sweep_spec(_read_config(args.config))
+    text = _read_config(args.config)
+    spec = parse_sweep_spec(text)
     if args.seed_list:
         spec = replace(spec, seeds=parse_seed_list(args.seed_list))
     if spec.axis == "beta":
-        rows = _cost_rows(spec.base_cost, spec.values, [spec.base_cost.years], [1.0], True)
+        flag = bonus_in_ec_requests(text)
+        rows = _cost_rows(spec.base_cost, spec.values, [spec.base_cost.years], [1.0], flag)
         _write_csv(args.output, COST_COLUMNS, rows)
     else:
         rows = _sweep_rows(spec)
@@ -230,26 +232,15 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_float_list(raw: str, what: str) -> list[float]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"{what} must list at least one number")
-    return [_float(what, p) for p in parts]
-
-
 def _cmd_cost(args) -> int:
-    if args.config:
-        text = _read_config(args.config)
-        base = parse_cost_params(text)
+    text = _read_config(args.config) if args.config else ""
+    base = parse_cost_params(text)
+    flag = args.bonus_in_ec_requests
+    if flag is None:
         flag = bonus_in_ec_requests(text)
-    else:
-        base = CostParams()
-        flag = True
-    if args.bonus_in_ec_requests is not None:
-        flag = args.bonus_in_ec_requests
-    betas = _parse_float_list(args.betas, "--betas")
-    years = _parse_float_list(args.years, "--years")
-    scales = _parse_float_list(args.scales, "--scales")
+    betas = parse_list(args.betas, "--betas")
+    years = parse_list(args.years, "--years")
+    scales = parse_list(args.scales, "--scales")
     rows = _cost_rows(base, betas, years, scales, flag)
     _write_csv(args.output, COST_COLUMNS, rows)
     if args.output:

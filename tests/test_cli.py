@@ -162,6 +162,20 @@ def test_cost_bonus_flag_switches_interpretation(tmp_path):
     assert row_on["vcc_total_usd"] == row_off["vcc_total_usd"]
 
 
+def test_beta_sweep_and_cost_read_the_bonus_flag_alike(tmp_path):
+    off = "cost.bonus_in_ec_requests = false\n"
+    sweep_cfg = tmp_path / "sweep.cfg"
+    sweep_cfg.write_text("sweep.axis = beta\nsweep.values = 1e-6\n" + off)
+    cost_cfg = tmp_path / "cost.cfg"
+    cost_cfg.write_text(off)
+    swept = tmp_path / "sweep.csv"
+    costed = tmp_path / "cost.csv"
+    assert main(["sweep", str(sweep_cfg), "-o", str(swept)]) == 0
+    assert main(["cost", str(cost_cfg), "--betas", "1e-6", "--scales", "1", "-o", str(costed)]) == 0
+    assert swept.read_bytes() == costed.read_bytes()
+    assert _rows(swept)[0]["ec_total_usd"] == "199168.46000000002"
+
+
 def test_anova_table_matches_the_hand_example(tmp_path):
     data = tmp_path / "groups.csv"
     data.write_text(

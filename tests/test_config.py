@@ -1,6 +1,7 @@
 """Config file parsing, presets, overrides, and exact serialization."""
 
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -15,7 +16,6 @@ from offloadsim.config import (
     apply_axis,
     bonus_in_ec_requests,
     default_config_text,
-    parse_config,
     parse_cost_params,
     parse_run_config,
     parse_seed_list,
@@ -199,10 +199,15 @@ def test_sweep_validation():
         parse_sweep_spec("strategy = ECFirst\nsweep.axis = users\n")
     with pytest.raises(ConfigError, match="integers"):
         parse_sweep_spec("strategy = ECFirst\nsweep.axis = users\nsweep.values = 1.5\n")
-    with pytest.raises(ConfigError, match="seed-list"):
+    with pytest.raises(ConfigError, match="line 4: .*seed-list"):
         parse_sweep_spec(
             "strategy = ECFirst\nsweep.axis = users\nsweep.values = 1\n"
             "sweep.replications = 10\n"
+        )
+    with pytest.raises(ConfigError, match="line 4: sweep.replications must be at least 1"):
+        parse_sweep_spec(
+            "strategy = ECFirst\nsweep.axis = users\nsweep.values = 1\n"
+            "sweep.replications = 0\n"
         )
 
 
@@ -218,6 +223,24 @@ def test_sweep_keys_rejected_outside_sweeps():
         parse_run_config("strategy = ECFirst\nsweep.axis = users\n")
     with pytest.raises(ConfigError, match="sweep subcommand"):
         parse_cost_params("cost.beta = 0\nsweep.values = 1\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, where",
+    [
+        (parse_run_config, "strategy = ECFirst\ncost.beta = banana\n", "line 2: cost.beta"),
+        (parse_cost_params, "cost.beta = 1\nusers = banana\n", "line 2: users"),
+        (parse_cost_params, "scenario.bs_z = 0\n", "line 1: scenario.bs_z must be positive"),
+        (
+            parse_sweep_spec,
+            "sweep.axis = beta\nsweep.values = 1e-6\nstrategy = banana\ncost.bonus_in_ec_requests = maybe\n",
+            "line 3: strategy",
+        ),
+    ],
+)
+def test_every_value_is_checked_whatever_the_subcommand(parse, text, where):
+    with pytest.raises(ConfigError, match=where):
+        parse(text)
 
 
 def test_beta_sweep_builds_cost_parameters():
@@ -240,15 +263,6 @@ def test_cost_params_parsing():
 def test_bonus_placement_flag():
     assert bonus_in_ec_requests("cost.beta = 0\n") is True
     assert bonus_in_ec_requests("cost.bonus_in_ec_requests = false\n") is False
-
-
-def test_parse_config_dispatches_on_content():
-    assert isinstance(parse_config("strategy = ECFirst\n"), RunConfig)
-    assert isinstance(parse_config("cost.beta = 0\n"), CostParams)
-    spec = parse_config("strategy = ECFirst\nsweep.axis = users\nsweep.values = 1\n")
-    assert isinstance(spec, SweepSpec)
-    with pytest.raises(ConfigError, match="cannot tell"):
-        parse_config("# only comments\n")
 
 
 def test_apply_axis_each_knob():
@@ -296,6 +310,13 @@ def test_default_config_text_parses_as_run_and_cost():
     assert p == CostParams()
 
 
+def test_the_defaults_file_sets_or_shows_every_key():
+    text = default_config_text()
+    for key, (target, *_) in config._KEYS.items():
+        if target not in config._LINKS:
+            assert re.search(rf"^#? *{re.escape(key)} *=", text, re.M), key
+
+
 def test_parse_seed_list():
     assert parse_seed_list("0, 1, 2") == (0, 1, 2)
     assert parse_seed_list("7") == (7,)
@@ -314,12 +335,7 @@ def test_negative_seeds_are_rejected():
         parse_seed_list("1,-5")
 
 
-_KEYS = (
-    config._RUN_KEYS
-    + tuple(f"channel.{link}.{name}" for link in config._LINKS for name in config._LINK_FIELDS)
-    + config._SWEEP_KEYS[:1]
-    + config._COST_KEYS[:2]
-)
+_KEYS = tuple(config._KEYS)
 _SMALL = st.sampled_from(("0", "1", "2", "3", "0.5", "1/4", "7", "40", "1e-3", "90", "-1"))
 # Small numbers three times over, so that most values are ones their key accepts.
 _VALUES = st.one_of(
