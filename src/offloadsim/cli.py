@@ -15,7 +15,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from itertools import islice, repeat
 from operator import attrgetter
 from pathlib import Path
@@ -32,13 +32,12 @@ from .config import (
     parse_sweep_spec,
 )
 from .costmodel import CostParams, cost_breakdown, savings
-from .engine import Aggregates, RECORD_FIELDS, run, summarize
+from .engine import AGGREGATE_FIELDS, Aggregates, RECORD_FIELDS, run, summarize, summarize_runs
 from .stats import anova_oneway
 
 # Aggregates fields in order, as CSV columns: latencies carry their unit.
-_AGGREGATE_FIELDS = tuple(f.name for f in fields(Aggregates))
 _UNITS = {"mean_total": "mean_total_s", "p90": "p90_s", "p95": "p95_s", "p99": "p99_s"}
-AGGREGATE_COLUMNS = tuple(_UNITS.get(name, name) for name in _AGGREGATE_FIELDS)
+AGGREGATE_COLUMNS = tuple(_UNITS.get(name, name) for name in AGGREGATE_FIELDS)
 
 COST_COLUMNS = (
     "request_scale",
@@ -139,7 +138,7 @@ def _write_csv(path: str | None, header, rows) -> None:
 
 
 def _aggregate_values(agg: Aggregates) -> list:
-    return [getattr(agg, name) for name in _AGGREGATE_FIELDS]
+    return [getattr(agg, name) for name in AGGREGATE_FIELDS]
 
 
 def _read_config(path: str) -> str:
@@ -171,13 +170,17 @@ def _cmd_run(args) -> int:
 
 
 def _sweep_rows(spec: SweepSpec):
-    """Per-seed rows plus one mean row per axis value, in declaration order."""
+    """Per-seed rows plus one mean row per axis value, in declaration order.
+
+    The points run through ``summarize_runs``, so they share the usable CPUs.
+    """
+    cfgs = [apply_axis(spec.base_run, spec.axis, value, seed) for value in spec.values for seed in spec.seeds]
+    aggs = iter(summarize_runs(cfgs))
     rows = []
     for value in spec.values:
         per_seed = []
         for seed in spec.seeds:
-            cfg = apply_axis(spec.base_run, spec.axis, value, seed)
-            per_seed.append(_aggregate_values(summarize(run(cfg))))
+            per_seed.append(_aggregate_values(next(aggs)))
             rows.append([spec.axis, value, seed] + per_seed[-1])
         means = []
         for col in range(len(AGGREGATE_COLUMNS)):
@@ -218,7 +221,9 @@ def _cost_rows(base: CostParams, betas, years, scales, bonus_flag: bool):
 def _cmd_sweep(args) -> int:
     text = _read_config(args.config)
     spec = parse_sweep_spec(text)
-    if args.seed_list:
+    if args.seed_list is not None:
+        if spec.axis == "beta":
+            raise ConfigError("--seed-list does not apply to a beta sweep, which runs nothing")
         spec = replace(spec, seeds=parse_seed_list(args.seed_list))
     if spec.axis == "beta":
         flag = bonus_in_ec_requests(text)

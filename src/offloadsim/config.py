@@ -19,7 +19,7 @@ from importlib import resources
 
 from .channel import ChannelConfig, LinkClass, NO_SHARING, PROCESSOR_SHARING, lena_calibrated
 from .controller import STRATEGIES
-from .costmodel import CostParams
+from .costmodel import BONUS_IN_EC_REQUESTS, CostParams
 from .engine import KMH, MAX_VEHICLES, REPLICATION_SEEDS, RunConfig
 from .scenario import partial_coverage, total_coverage
 
@@ -236,7 +236,7 @@ def _build_cost(entries: dict[str, tuple[object, int]]) -> CostParams:
 
 def bonus_in_ec_requests(text: str) -> bool:
     """The breakdown-table flag, readable from any config file (default on)."""
-    return _scan(text).get("cost.bonus_in_ec_requests", (True,))[0]
+    return _scan(text).get("cost.bonus_in_ec_requests", (BONUS_IN_EC_REQUESTS,))[0]
 
 
 def _scan_outside_sweeps(text: str, context: str) -> dict[str, tuple[object, int]]:
@@ -273,6 +273,8 @@ def parse_sweep_spec(text: str) -> SweepSpec:
             raise ConfigError(f"line {line}: capacity fractions must be positive, got {v!r}")
 
     replications, where = entries.get("sweep.replications", (len(REPLICATION_SEEDS), None))
+    if axis == "beta" and where is not None:
+        raise ConfigError(f"line {where}: sweep.replications does not apply to a beta sweep, which runs nothing")
     if replications < 1:
         raise ConfigError(f"line {where}: sweep.replications must be at least 1")
     if replications > len(REPLICATION_SEEDS):

@@ -13,6 +13,9 @@ import math
 from dataclasses import dataclass, fields, replace
 
 SECONDS_ACTIVE_PER_YEAR = 15 * 3600 * 365  # 15 h/day of offloading activity
+# Whether breakdown tables add the bonus to the edge per-request column, unless
+# told otherwise (``cost.bonus_in_ec_requests``, ``--bonus-in-ec-requests``).
+BONUS_IN_EC_REQUESTS = True
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,7 @@ def cost_breakdown(
     p: CostParams,
     betas: list[float],
     request_scale: float = 1.0,
-    bonus_in_requests: bool = True,
+    bonus_in_requests: bool = BONUS_IN_EC_REQUESTS,
 ) -> list[BreakdownRow]:
     """Component percentages of the edge and vehicular totals per bonus level.
 
@@ -158,7 +161,7 @@ def total_costs(
     betas: list[float],
     years: list[float],
     request_scale: float = 1.0,
-    bonus_in_requests: bool = True,
+    bonus_in_requests: bool = BONUS_IN_EC_REQUESTS,
 ) -> list[tuple[float, float, float, float]]:
     """(beta, years, ec_total, vcc_total) tuples over a grid of bonus levels and horizons."""
     out = []

@@ -19,14 +19,20 @@ Any lost radio leg, a rejection by a busy vehicle, or a dispatch to a vehicle
 that left coverage ends the task as a failure. The result is delivered when
 the last leg ends at or before the horizon (``t + latency <= duration``, decided
 when that leg starts); tasks unresolved at the horizon count as in flight.
+
+``summarize_runs`` summarizes many independent runs on the usable CPUs, in
+forked worker processes, with the same result as one after another.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import marshal
 import math
+import os
 import random
+import sys
 from dataclasses import dataclass, field, fields
 
 from .channel import ChannelConfig, Link, LinkClass, lena_calibrated
@@ -453,3 +459,90 @@ def summarize(records: list[OffloadRecord]) -> Aggregates:
         fail_total_pct=(100.0 * len(failed) / n) if n else math.nan,
         vehicles_used=len(used),
     )
+
+
+AGGREGATE_FIELDS = tuple(f.name for f in fields(Aggregates))
+
+
+def summarize_runs(cfgs: list[RunConfig]) -> list[Aggregates]:
+    """``[summarize(run(c)) for c in cfgs]``, with the runs spread over processes.
+
+    Every config is validated first, so a bad one raises before any run. With
+    n workers, worker k takes ``cfgs[k::n]``: this process runs share 0, and
+    each other share runs in a child made by ``os.fork``, which sends back its
+    rows' field values through a pipe with ``marshal`` (exact for every float,
+    nan and -0.0 included). Each run owns its seeded RNG, so the result never
+    depends on n. A child that fails prints its traceback to stderr, and the
+    call raises RuntimeError.
+    """
+    for cfg in cfgs:
+        cfg.validate()
+    n = _worker_count(len(cfgs))
+    children = []  # (pid, read end of its pipe)
+    done = False
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _child(w, cfgs[k::n])  # never returns
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        own = [summarize(run(cfg)) for cfg in cfgs[::n]]
+        # A pipe holds about 300 rows, so read each to EOF before waiting on its writer.
+        payloads = [pipe.read() for _, pipe in children]
+        done = True
+    finally:
+        failed = []
+        for pid, pipe in children:
+            pipe.close()
+            if not done:
+                os.kill(pid, _SIGKILL)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                failed.append(f"{pid} (exit status {code})")
+    if failed:
+        raise RuntimeError(f"worker process {', '.join(failed)} failed; see its traceback on stderr")
+    out: list = [None] * len(cfgs)
+    out[::n] = own
+    for k, payload in enumerate(payloads, 1):
+        out[k::n] = [Aggregates(*values) for values in marshal.loads(payload)]
+    return out
+
+
+_SIGKILL = 9  # the same number wherever os.fork exists
+
+
+def _worker_count(n_runs: int) -> int:
+    """The usable CPUs, at most one per run; 1 where forking is missing or
+    unsafe, that is while another thread runs."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_runs))
+
+
+def _child(fd: int, cfgs: list[RunConfig]):
+    """A forked worker: write its runs' aggregate rows to fd, then exit."""
+    status = 1
+    try:
+        rows = []
+        for cfg in cfgs:
+            agg = summarize(run(cfg))
+            rows.append(tuple(getattr(agg, name) for name in AGGREGATE_FIELDS))
+        with open(fd, "wb") as pipe:
+            pipe.write(marshal.dumps(rows))
+        status = 0
+    except BaseException:  # the worker ends here whatever went wrong, so report it
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(status)  # no cleanup of the parent's state copied at fork

@@ -34,6 +34,7 @@ from offloadsim.engine import (
     SUCCESS,
     run,
     summarize,
+    summarize_runs,
 )
 from offloadsim.scenario import build_scenario, in_coverage, partial_coverage, position_at
 from offloadsim.stats import anova_oneway, percentile, reg_inc_beta
@@ -57,6 +58,13 @@ LEG_FIELDS = (
 def _nine_seed_mean(values):
     assert len(values) == len(REPLICATION_SEEDS)
     return sum(values) / len(values)
+
+
+def _nine_seed_means(cfgs, field):
+    """The nine-seed mean of one Aggregates field per point, for point-major cfgs."""
+    values = [getattr(agg, field) for agg in summarize_runs(cfgs)]
+    k = len(REPLICATION_SEEDS)
+    return [_nine_seed_mean(values[i : i + k]) for i in range(0, len(values), k)]
 
 
 # --- criterion 1: cost breakdown tables, exact and fast ---------------------
@@ -292,14 +300,14 @@ SPEEDS_KMH = (13.1, 50.0, 100.0)
 
 
 def _capacity_curve():
-    means = []
-    for frac in CAPACITY_FRACTIONS:
-        per_seed = []
-        for seed in REPLICATION_SEEDS:
-            cfg = RunConfig(strategy=VCC_FIRST, vehicle_capacity=71120.0 * frac, seed=seed)
-            per_seed.append(summarize(run(cfg)).mean_total)
-        means.append(_nine_seed_mean(per_seed))
-    return means
+    return _nine_seed_means(
+        [
+            RunConfig(strategy=VCC_FIRST, vehicle_capacity=71120.0 * frac, seed=seed)
+            for frac in CAPACITY_FRACTIONS
+            for seed in REPLICATION_SEEDS
+        ],
+        "mean_total",
+    )
 
 
 @pytest.fixture(scope="module")
@@ -308,16 +316,24 @@ def capacity_curve():
 
 
 def test_criterion_09_cloud_share_fades_with_fleet_size(default_runs):
+    simulated = iter(
+        _nine_seed_means(
+            [
+                RunConfig(strategy=VCC_FIRST, n_vehicles=n, seed=seed)
+                for n in FLEET_SIZES
+                if n != 40
+                for seed in REPLICATION_SEEDS
+            ],
+            "cc_share_pct",
+        )
+    )
     means = []
     for n in FLEET_SIZES:
-        per_seed = []
-        for seed in REPLICATION_SEEDS:
-            if n == 40:
-                records = default_runs.records[(VCC_FIRST, seed)]
-            else:
-                records = run(RunConfig(strategy=VCC_FIRST, n_vehicles=n, seed=seed))
-            per_seed.append(summarize(records).cc_share_pct)
-        means.append(_nine_seed_mean(per_seed))
+        if n == 40:  # the default fleet: reuse the reference runs
+            runs = default_runs.by_strategy(VCC_FIRST)
+            means.append(_nine_seed_mean([summarize(records).cc_share_pct for records in runs]))
+        else:
+            means.append(next(simulated))
     for earlier, later in zip(means, means[1:]):
         assert later <= earlier + 1e-9
     for n, share in zip(FLEET_SIZES, means):
@@ -352,13 +368,14 @@ def test_criterion_09_capacity_gain_from_1x_to_3x_below_five_percent(capacity_cu
 
 
 def test_criterion_09_failure_rate_grows_with_speed():
-    means = []
-    for kmh in SPEEDS_KMH:
-        per_seed = []
-        for seed in REPLICATION_SEEDS:
-            cfg = RunConfig(strategy=VCC_FIRST, vehicle_speed=kmh * KMH, seed=seed)
-            per_seed.append(summarize(run(cfg)).fail_total_pct)
-        means.append(_nine_seed_mean(per_seed))
+    means = _nine_seed_means(
+        [
+            RunConfig(strategy=VCC_FIRST, vehicle_speed=kmh * KMH, seed=seed)
+            for kmh in SPEEDS_KMH
+            for seed in REPLICATION_SEEDS
+        ],
+        "fail_total_pct",
+    )
     for earlier, later in zip(means, means[1:]):
         assert later >= earlier
     assert means[0] < 4.0

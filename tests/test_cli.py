@@ -2,12 +2,14 @@
 
 import csv
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from offloadsim import engine
 from offloadsim.cli import AGGREGATE_COLUMNS, ANOVA_COLUMNS, COST_COLUMNS, main
 from offloadsim.costmodel import CostParams, savings
 
@@ -105,6 +107,58 @@ def test_negative_seed_list_exits_nonzero(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert main(["sweep", str(cfg), "-o", str(out), "--seed-list", "1,-5"]) == 1
     assert "nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_seed_list_exits_nonzero(tmp_path, capsys):
+    # it used to be ignored, and the sweep ran the default seeds
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("strategy = ECFirst\nduration = 5\nsweep.axis = users\nsweep.values = 1\n")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", str(cfg), "-o", str(out), "--seed-list", ""]) == 1
+    assert "seed list must list at least one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
+def test_a_failing_sweep_worker_fails_the_sweep(tmp_path, monkeypatch, capfd):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("strategy = ECFirst\nusers = 2\nduration = 2\nsweep.axis = users\nsweep.values = 1, 2\n")
+    real_run = engine.run
+
+    def failing_run(run_cfg):
+        # points go (1, s0), (1, s1), (2, s0), (2, s1); with two workers the
+        # child takes the seed-1 points
+        if run_cfg.seed == 1:
+            raise ArithmeticError("planted failure")
+        return real_run(run_cfg)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(engine, "run", failing_run)
+    out = tmp_path / "s.csv"
+    with pytest.raises(RuntimeError, match="worker process"):
+        main(["sweep", str(cfg), "-o", str(out), "--seed-list", "0,1"])
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):  # the worker was reaped: no zombie
+        os.waitpid(-1, os.WNOHANG)
+    assert "ArithmeticError: planted failure" in capfd.readouterr().err
+
+
+def test_beta_sweep_rejects_replications(tmp_path, capsys):
+    cfg = tmp_path / "beta.cfg"
+    cfg.write_text("sweep.axis = beta\nsweep.values = 0\nsweep.replications = 3\n")
+    out = tmp_path / "beta.csv"
+    assert main(["sweep", str(cfg), "-o", str(out)]) == 1
+    assert "line 3: sweep.replications does not apply to a beta sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_beta_sweep_rejects_a_seed_list(tmp_path, capsys):
+    cfg = tmp_path / "beta.cfg"
+    cfg.write_text("sweep.axis = beta\nsweep.values = 0\n")
+    out = tmp_path / "beta.csv"
+    assert main(["sweep", str(cfg), "-o", str(out), "--seed-list", "5,6"]) == 1
+    assert "--seed-list does not apply to a beta sweep" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """End-to-end simulation runs: determinism, leg accounting, and taxonomy."""
 
 import math
+import os
 import random
 
 import pytest
@@ -29,8 +30,9 @@ from offloadsim.engine import (
     generate_arrivals,
     run,
     summarize,
+    summarize_runs,
 )
-from offloadsim.scenario import partial_coverage
+from offloadsim.scenario import partial_coverage, total_coverage
 
 LEG_FIELDS = (
     "t_up_access",
@@ -431,3 +433,74 @@ def test_run_config_bounds_the_beacons_of_a_vcc_fleet():
     # ECFirst runs and fleets of none replay no beacons
     RunConfig(strategy=EC_FIRST, duration=1.0, beacon_period=1e-300).validate()
     RunConfig(strategy=VCC_FIRST, n_vehicles=0, duration=1.0, beacon_period=1e-300).validate()
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
+
+
+def _mixed_configs():
+    return [
+        RunConfig(strategy=strategy, geometry=preset(), n_users=3, n_vehicles=30, duration=3.0, seed=seed)
+        for strategy in (EC_FIRST, VCC_FIRST)
+        for preset in (total_coverage, partial_coverage)
+        for seed in (0, 5)
+    ]
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [{0, 1}, {0, 1, 2}])
+def test_summarize_runs_equals_the_serial_list(monkeypatch, cpus):
+    cfgs = _mixed_configs()
+    serial = [summarize(run(cfg)) for cfg in cfgs]
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    parallel = summarize_runs(cfgs)
+    assert len(forks) == len(cpus) - 1
+    # repr: nan shares compare unequal, and -0.0 must stay -0.0
+    assert [repr(agg) for agg in parallel] == [repr(agg) for agg in serial]
+    assert summarize_runs([]) == []
+
+
+def test_summarize_runs_on_one_cpu_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    cfgs = _mixed_configs()[:5]
+    assert [repr(agg) for agg in summarize_runs(cfgs)] == [repr(summarize(run(cfg))) for cfg in cfgs]
+
+
+def test_summarize_runs_validates_every_config_before_forking(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked before validating")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    cfgs = [RunConfig(duration=1.0), RunConfig(duration=1.0, n_users=-1)]
+    with pytest.raises(ValueError, match="population counts"):
+        summarize_runs(cfgs)
+
+
+@needs_fork
+def test_summarize_runs_reaps_its_workers_when_its_own_share_fails(monkeypatch):
+    real_run = engine.run
+
+    def failing_run(cfg):
+        if cfg.seed == 0:  # share 0 runs in the calling process
+            raise ArithmeticError("planted failure")
+        return real_run(cfg)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(engine, "run", failing_run)
+    with pytest.raises(ArithmeticError, match="planted"):
+        summarize_runs([RunConfig(duration=1.0, seed=seed) for seed in (0, 1, 0, 1)])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
