@@ -19,7 +19,6 @@ from .channel import (
     transfer_time,
 )
 from .compute import (
-    EdgeAccepted,
     EdgeState,
     cloud_fixed_roundtrip,
     elaboration_time,

@@ -5,7 +5,12 @@ in the bytes ``csv.writer(lineterminator="\\n")`` would write: floats with repr,
 ints with str, None as an empty cell, and other values (strings) quoted by the
 csv module itself, so identical runs produce byte-identical files. Rows are
 formatted in blocks of ``_BLOCK_ROWS``, column by column, and a value repeated
-within a block column is formatted once.
+within a block column is formatted once. A table of ``_PARALLEL_ROWS`` rows or
+more, such as ``run --records`` of a long run, is split into contiguous shares
+formatted at once on the usable CPUs, in worker processes forked by
+``workers.forked``; this process writes the shares out in order, so the bytes
+never depend on the worker count. Under ``taskset -c 0``, while another thread
+runs, or for a shorter table, one process writes it all.
 When writing to a file, a short human-readable summary goes to stdout instead.
 """
 
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import marshal
 import math
 import sys
 from dataclasses import replace
@@ -34,6 +40,7 @@ from .config import (
 from .costmodel import CostParams, cost_breakdown, savings
 from .engine import AGGREGATE_FIELDS, Aggregates, RECORD_FIELDS, run, summarize, summarize_runs
 from .stats import anova_oneway
+from .workers import forked, worker_count
 
 # Aggregates fields in order, as CSV columns: latencies carry their unit.
 _UNITS = {"mean_total": "mean_total_s", "p90": "p90_s", "p95": "p95_s", "p99": "p99_s"}
@@ -58,6 +65,9 @@ ANOVA_COLUMNS = ("source", "sum_sq", "df", "F", "PR(>F)")
 # Rows formatted per write: enough to share each repeated cell's text, few
 # enough that a long table never sits in memory whole.
 _BLOCK_ROWS = 512
+# Tables this long or longer are formatted on the usable CPUs: below it the
+# fork costs about what a second worker saves.
+_PARALLEL_ROWS = 4 * _BLOCK_ROWS
 
 
 class _Echo:
@@ -124,17 +134,76 @@ def _csv_block(rows: list) -> str:
 def _write_csv(path: str | None, header, rows) -> None:
     """Write the header and rows (any iterable of sequences) to the path or stdout.
 
-    Rows are taken ``_BLOCK_ROWS`` at a time, so memory stays flat.
+    Rows are taken ``_BLOCK_ROWS`` at a time, so memory stays flat. A list,
+    tuple or ``_RowView`` of ``_PARALLEL_ROWS`` rows or more is formatted by
+    ``_write_forked`` on the usable CPUs, in the same bytes; other iterables
+    have no length to split by, and are written here.
     """
     out = open(path, "w", newline="") if path else sys.stdout
     try:
         out.write(_csv_block([header]))
-        rows = iter(rows)
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            out.write(_csv_block(block))
+        parallel = isinstance(rows, (list, tuple, _RowView)) and len(rows) >= _PARALLEL_ROWS
+        n = worker_count(len(rows) // _BLOCK_ROWS) if parallel else 1
+        if n > 1:
+            _write_forked(out, rows, n)
+        else:
+            for text in _block_texts(rows):
+                out.write(text)
     finally:
         if path:
             out.close()
+
+
+def _block_texts(rows):
+    """The CSV text of each ``_BLOCK_ROWS`` rows of an iterable, in order."""
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        yield _csv_block(block)
+
+
+def _write_forked(out, rows, n: int) -> None:
+    """Write ``rows`` with n workers, each formatting one contiguous share.
+
+    This process formats share 0 and writes it. Each forked worker formats its
+    whole share first, since a pipe holds less than one block and a worker
+    writing as it goes would wait on this process's share, and then sends the
+    text block by block as ``marshal`` strings, then None. This process copies
+    the shares out in order, one block at a time.
+    """
+    size = -(-len(rows) // n)
+
+    def share(k: int, pipe) -> None:
+        texts = list(_block_texts(rows[k * size : (k + 1) * size]))
+        for text in texts:
+            marshal.dump(text, pipe)
+        marshal.dump(None, pipe)
+
+    with forked(n, share) as pipes:
+        for text in _block_texts(rows[:size]):
+            out.write(text)
+        for pipe in pipes:
+            # EOFError here means the worker died; leaving the block reports it
+            while (text := marshal.load(pipe)) is not None:
+                out.write(text)
+
+
+class _RowView:
+    """``map(row, items)`` that also has a length and slices, so a table read
+    from a list of objects can be split among workers without building it."""
+
+    __slots__ = ("row", "items")
+
+    def __init__(self, row, items) -> None:
+        self.row, self.items = row, items
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return map(self.row, self.items)
+
+    def __getitem__(self, part: slice) -> "_RowView":
+        return _RowView(self.row, self.items[part])
 
 
 def _aggregate_values(agg: Aggregates) -> list:
@@ -157,7 +226,7 @@ def _cmd_run(args) -> int:
         _write_csv(
             args.records,
             RECORD_FIELDS,
-            map(attrgetter(*RECORD_FIELDS), records),
+            _RowView(attrgetter(*RECORD_FIELDS), records),
         )
     if args.output:
         ms = agg.mean_total * 1e3

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .channel import ChannelConfig, LinkClass
 from .scenario import VehicleState
@@ -36,12 +35,6 @@ def cloud_fixed_roundtrip(cfg: ChannelConfig) -> float:
     )
 
 
-class EdgeAccepted(NamedTuple):
-    service_start: float
-    completion: float
-    queue_wait: float  # service_start minus payload arrival
-
-
 @dataclass
 class EdgeState:
     """One FIFO server with a bounded waiting line.
@@ -54,44 +47,47 @@ class EdgeState:
     capacity: float  # MIPS
     max_queue: int = 100
     next_free: float = 0.0
-    accepted: int = 0
-    completed: int = 0
     _jobs: deque = field(default_factory=deque)  # (service_start, completion)
+
+    def __post_init__(self) -> None:
+        if self.capacity <= 0.0:
+            raise ValueError("capacity must be positive")
 
     def waiting_count(self, now: float) -> int:
         """Tasks admitted but not yet in service at ``now``; drops finished ones."""
         jobs = self._jobs
         while jobs and jobs[0][1] <= now:
             jobs.popleft()
-            self.completed += 1
         return len(jobs) - (1 if jobs and jobs[0][0] <= now else 0)
-
-    def occupancy(self, now: float) -> tuple[int, int, int]:
-        """(waiting, in_service, completed) counts at time ``now``."""
-        waiting = self.waiting_count(now)
-        return waiting, len(self._jobs) - waiting, self.completed
 
     def offer(
         self, workload_mi: float, now: float, data_at: float | None = None
-    ) -> tuple[int, EdgeAccepted | None]:
+    ) -> tuple[int, float | None, float | None]:
         """Admit a task at ``now`` unless ``max_queue`` tasks already wait.
 
-        Returns the waiting count at ``now`` before this task, and the
-        admission or None on overflow. ``data_at`` is when the payload reaches
-        the server (defaults to ``now``); service cannot start before it, and
-        queue wait is measured from it.
+        Returns (waiting, completion, queue_wait): the ``waiting_count`` at
+        ``now`` before this task, then the admitted task's completion time and
+        its wait from ``data_at`` to its service start, both None on overflow.
+        ``data_at`` is when the payload reaches the server (defaults to
+        ``now``); service cannot start before it. The workload must be
+        nonnegative; it is not checked here, since this runs once per task.
         """
-        waiting = self.waiting_count(now)
+        jobs = self._jobs
+        while jobs and jobs[0][1] <= now:
+            jobs.popleft()
+        waiting = len(jobs)
+        if waiting and jobs[0][0] <= now:
+            waiting -= 1
         if waiting >= self.max_queue:
-            return waiting, None
+            return waiting, None, None
         if data_at is None:
             data_at = now
-        service_start = max(self.next_free, data_at)
-        completion = service_start + elaboration_time(workload_mi, self.capacity)
-        self.next_free = completion
-        self._jobs.append((service_start, completion))
-        self.accepted += 1
-        return waiting, EdgeAccepted(service_start, completion, service_start - data_at)
+        start = self.next_free
+        if start < data_at:
+            start = data_at
+        completion = self.next_free = start + workload_mi / self.capacity
+        jobs.append((start, completion))
+        return waiting, completion, start - data_at
 
 
 def vehicle_offer(v: VehicleState, workload_mi: float, now: float) -> float | None:

@@ -21,7 +21,8 @@ the last leg ends at or before the horizon (``t + latency <= duration``, decided
 when that leg starts); tasks unresolved at the horizon count as in flight.
 
 ``summarize_runs`` summarizes many independent runs on the usable CPUs, in
-forked worker processes, with the same result as one after another.
+worker processes forked by ``workers.forked``, with the same result as one
+after another.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ import heapq
 import itertools
 import marshal
 import math
-import os
 import random
-import sys
 from dataclasses import dataclass, field, fields
 
 from .channel import ChannelConfig, Link, LinkClass, lena_calibrated
@@ -56,6 +55,7 @@ from .scenario import (
     total_coverage,
 )
 from .stats import percentile
+from .workers import forked, worker_count
 
 # Where a task can die, in lifecycle order.
 USER_TO_GNB = "USER_TO_GNB"
@@ -297,17 +297,17 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
         if kind == _AT_GNB:
             rec = records[a]
             if edge is not None:
-                waiting, accepted = edge.offer(workload, t, t + cn_up)
+                waiting, completion, queue_wait = edge.offer(workload, t, t + cn_up)
                 rec.edge_queue_at_decision = waiting
-                if accepted is None:
+                if completion is None:
                     to_cloud(t, rec, a)
                 else:
                     rec.destination = EDGE
                     rec.t_up_cn = cn_up
-                    rec.t_queue = accepted.queue_wait
+                    rec.t_queue = queue_wait
                     rec.t_elab = edge_elab
                     rec.t_down_cn = cn_down
-                    heappush(heap, (accepted.completion + cn_down, next_seq(), _RESULT_AT_GNB, a, 0))
+                    heappush(heap, (completion + cn_down, next_seq(), _RESULT_AT_GNB, a, 0))
                 continue
             vid = beacons.dispatch(rng, t)
             if vid is None:
@@ -337,6 +337,8 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
         elif kind == _VEHICLE_DONE:
             covered = beacons.covered(b, t)
             beacons.restart(b, t, covered)  # idle again: beacon immediately
+            if vehicles[b].busy_until > t:  # a task reached b at this instant and sorted first
+                beacons.stop(b, t)
             latency = vue_up.send(rng, t, covered)
             if latency is None:
                 fail(records[a], VCC_TO_GNB)
@@ -468,81 +470,27 @@ def summarize_runs(cfgs: list[RunConfig]) -> list[Aggregates]:
     """``[summarize(run(c)) for c in cfgs]``, with the runs spread over processes.
 
     Every config is validated first, so a bad one raises before any run. With
-    n workers, worker k takes ``cfgs[k::n]``: this process runs share 0, and
-    each other share runs in a child made by ``os.fork``, which sends back its
-    rows' field values through a pipe with ``marshal`` (exact for every float,
-    nan and -0.0 included). Each run owns its seeded RNG, so the result never
-    depends on n. A child that fails prints its traceback to stderr, and the
-    call raises RuntimeError.
+    n workers (``workers.worker_count``), worker k takes ``cfgs[k::n]``: this
+    process runs share 0, and each other share runs in a child made by
+    ``workers.forked``, which sends back its rows' field values through its
+    pipe with ``marshal`` (exact for every float, nan and -0.0 included). Each
+    run owns its seeded RNG, so the result never depends on n. A child that
+    fails prints its traceback to stderr, and the call raises RuntimeError.
     """
     for cfg in cfgs:
         cfg.validate()
-    n = _worker_count(len(cfgs))
-    children = []  # (pid, read end of its pipe)
-    done = False
-    try:
-        for k in range(1, n):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                os.close(r)
-                _child(w, cfgs[k::n])  # never returns
-            os.close(w)
-            children.append((pid, open(r, "rb")))
+    n = worker_count(len(cfgs))
+
+    def share(k: int, out) -> None:
+        aggs = [summarize(run(cfg)) for cfg in cfgs[k::n]]
+        marshal.dump([tuple(getattr(agg, name) for name in AGGREGATE_FIELDS) for agg in aggs], out)
+
+    with forked(n, share) as pipes:
         own = [summarize(run(cfg)) for cfg in cfgs[::n]]
         # A pipe holds about 300 rows, so read each to EOF before waiting on its writer.
-        payloads = [pipe.read() for _, pipe in children]
-        done = True
-    finally:
-        failed = []
-        for pid, pipe in children:
-            pipe.close()
-            if not done:
-                os.kill(pid, _SIGKILL)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code:
-                failed.append(f"{pid} (exit status {code})")
-    if failed:
-        raise RuntimeError(f"worker process {', '.join(failed)} failed; see its traceback on stderr")
+        payloads = [pipe.read() for pipe in pipes]
     out: list = [None] * len(cfgs)
     out[::n] = own
     for k, payload in enumerate(payloads, 1):
         out[k::n] = [Aggregates(*values) for values in marshal.loads(payload)]
     return out
-
-
-_SIGKILL = 9  # the same number wherever os.fork exists
-
-
-def _worker_count(n_runs: int) -> int:
-    """The usable CPUs, at most one per run; 1 where forking is missing or
-    unsafe, that is while another thread runs."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    threading = sys.modules.get("threading")
-    if threading is not None and threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_runs))
-
-
-def _child(fd: int, cfgs: list[RunConfig]):
-    """A forked worker: write its runs' aggregate rows to fd, then exit."""
-    status = 1
-    try:
-        rows = []
-        for cfg in cfgs:
-            agg = summarize(run(cfg))
-            rows.append(tuple(getattr(agg, name) for name in AGGREGATE_FIELDS))
-        with open(fd, "wb") as pipe:
-            pipe.write(marshal.dumps(rows))
-        status = 0
-    except BaseException:  # the worker ends here whatever went wrong, so report it
-        sys.excepthook(*sys.exc_info())
-        sys.stderr.flush()
-    finally:
-        os._exit(status)  # no cleanup of the parent's state copied at fork

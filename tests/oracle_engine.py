@@ -5,7 +5,7 @@ Every arrival, every beacon of every idle vehicle and every delivery is its own
 heap event, and every radio leg goes through ``channel.leg_outcome`` and
 ``channel.transfer_time``. It is slow and simple on purpose. A few shims adapt
 it to today's public names: a local ``Task``, a three-line ``select_ecfirst``,
-``EdgeState.offer``'s (waiting, admission) pair, and the vehicle id or None
+``EdgeState.offer``'s (waiting, completion, queue wait) triple, and the vehicle id or None
 that ``select_vccfirst`` returns. ``run`` must return the
 same records as ``offloadsim.engine.run`` for every valid config.
 """
@@ -162,12 +162,12 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
                     to_cloud(t, rec, task)
                 else:
                     rec.destination = EDGE
-                    _, accepted = edge.offer(task.workload_mi, now=t, data_at=t + cn_up)
+                    _, completion, queue_wait = edge.offer(task.workload_mi, now=t, data_at=t + cn_up)
                     rec.t_up_cn = cn_up
-                    rec.t_queue = accepted.queue_wait
+                    rec.t_queue = queue_wait
                     rec.t_elab = elaboration_time(task.workload_mi, cfg.edge_mips)
                     rec.t_down_cn = cn_down
-                    push(accepted.completion + cn_down, _RESULT_AT_GNB, a)
+                    push(completion + cn_down, _RESULT_AT_GNB, a)
 
         elif kind == _AT_VEHICLE:
             task = tasks[a]

@@ -64,6 +64,20 @@ def test_run_is_byte_identical_across_invocations(tmp_path):
     assert (tmp_path / "ra.csv").read_bytes() == (tmp_path / "rb.csv").read_bytes()
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
+def test_long_records_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("strategy = ECFirst\nusers = 30\nduration = 20\n")  # 3,000 records
+    written = []
+    for cpus in ({0}, {0, 1}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        rec = tmp_path / f"r{len(cpus)}.csv"
+        assert main(["run", str(cfg), "-o", str(tmp_path / "a.csv"), "--records", str(rec)]) == 0
+        written.append(rec.read_bytes())
+    assert written[0].count(b"\n") == 3001
+    assert written[1] == written[0] and written[2] == written[0]
+
+
 def test_sweep_emits_per_seed_and_mean_rows(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

@@ -38,25 +38,25 @@ def _edge(capacity=1000.0, max_queue=100):
 def test_edge_serves_fifo_with_cumulative_waits():
     edge = _edge(capacity=1000.0)  # 100 MI -> 0.1 s service
     e = 100.0 / 1000.0
-    _, first = edge.offer(100.0, now=0.0)
-    _, second = edge.offer(100.0, now=0.0)
-    _, third = edge.offer(100.0, now=0.0)
-    assert (first.queue_wait, second.queue_wait, third.queue_wait) == (0.0, e, 2 * e)
-    assert first.completion == e
-    assert second.completion == 2 * e
-    assert third.completion == 3 * e
-    assert edge.accepted == 3
+    _, first, first_wait = edge.offer(100.0, now=0.0)
+    _, second, second_wait = edge.offer(100.0, now=0.0)
+    _, third, third_wait = edge.offer(100.0, now=0.0)
+    assert (first_wait, second_wait, third_wait) == (0.0, e, 2 * e)
+    assert first == e
+    assert second == 2 * e
+    assert third == 3 * e
 
 
 def test_edge_occupancy_transitions():
+    """One task in service and one waiting, then the second in service, then none."""
     edge = _edge(capacity=1000.0)
     edge.offer(100.0, now=0.0)
     edge.offer(100.0, now=0.0)
-    assert edge.occupancy(0.0) == (1, 1, 0)
-    assert edge.occupancy(0.05) == (1, 1, 0)
-    assert edge.occupancy(0.15) == (0, 1, 1)
-    assert edge.occupancy(0.25) == (0, 0, 2)
-    assert edge.completed == 2
+    assert edge.waiting_count(0.0) == 1
+    assert edge.waiting_count(0.05) == 1
+    assert edge.waiting_count(0.15) == 0
+    assert edge.waiting_count(0.25) == 0
+    assert edge.offer(100.0, now=0.25) == (0, 0.35, 0.0)  # the line is empty again
 
 
 def test_edge_overflow_rejects_beyond_queue_bound():
@@ -65,8 +65,7 @@ def test_edge_overflow_rejects_beyond_queue_bound():
     assert edge.offer(100.0, now=0.0)[1] is not None  # waiting 1
     assert edge.offer(100.0, now=0.0)[1] is not None  # waiting 2
     assert edge.waiting_count(0.0) == 2
-    assert edge.offer(100.0, now=0.0) == (2, None)
-    assert edge.accepted == 3
+    assert edge.offer(100.0, now=0.0) == (2, None, None)
     # once the head finishes there is room again
     assert edge.offer(100.0, now=0.1)[1] is not None
 
@@ -77,30 +76,35 @@ def test_edge_offer_reports_the_waiting_count_it_decided_on():
     assert edge.offer(100.0, now=0.0)[0] == 0  # straight into service
     assert edge.offer(100.0, now=0.0)[0] == 0
     assert edge.offer(100.0, now=0.0)[0] == 1  # 1 in service + 2 waiting: full
-    assert edge.offer(100.0, now=0.0) == (2, None)
-    # service drains one slot and the edge is attractive again
-    waiting, accepted = edge.offer(100.0, now=0.1)
-    assert waiting == 1 and accepted.service_start == pytest.approx(0.3)
+    assert edge.offer(100.0, now=0.0) == (2, None, None)
+    # service drains one slot and the edge is attractive again; it starts at 0.3
+    waiting, completion, queue_wait = edge.offer(100.0, now=0.1)
+    assert waiting == 1 and queue_wait == pytest.approx(0.3 - 0.1)
+    assert completion == pytest.approx(0.3 + 0.1)
 
 
 def test_edge_respects_payload_arrival_time():
     edge = _edge(capacity=1000.0)
-    _, a = edge.offer(100.0, now=0.0, data_at=0.002)
-    assert a.service_start == 0.002
-    assert a.queue_wait == 0.0
-    assert a.completion == 0.002 + 0.1
-    # a back-to-back offer waits for the first to finish
-    _, b = edge.offer(100.0, now=0.0, data_at=0.002)
-    assert b.service_start == a.completion
-    assert b.queue_wait == a.completion - 0.002
+    _, a, a_wait = edge.offer(100.0, now=0.0, data_at=0.002)
+    assert a_wait == 0.0  # service starts when the payload arrives
+    assert a == 0.002 + 0.1
+    # a back-to-back offer waits for the first to finish, so it starts at a
+    _, b, b_wait = edge.offer(100.0, now=0.0, data_at=0.002)
+    assert b == a + 0.1
+    assert b_wait == a - 0.002
 
 
 def test_edge_idle_gap_resets_waiting():
     edge = _edge(capacity=1000.0)
     edge.offer(100.0, now=0.0)
-    _, a = edge.offer(100.0, now=5.0)
-    assert a.service_start == 5.0
-    assert a.queue_wait == 0.0
+    _, a, a_wait = edge.offer(100.0, now=5.0)
+    assert a == 5.0 + 0.1  # service starts at the offer
+    assert a_wait == 0.0
+
+
+def test_edge_rejects_a_capacity_that_is_not_positive():
+    with pytest.raises(ValueError, match="capacity"):
+        _edge(capacity=0.0)
 
 
 def test_vehicle_serves_one_task_at_a_time():

@@ -2,21 +2,24 @@
 
 Every subcommand goes through ``cli._write_csv``, which formats rows a block at
 a time, column by column, sharing the text of values repeated in a block
-column. Its output must match ``csv.writer(lineterminator="\\n")`` byte for
-byte: floats (nan, inf and signed zeros too) with repr, ints with str, None as
-an empty cell and strings with the csv module's quoting.
+column, and splits a long table among forked workers. Its output must match
+``csv.writer(lineterminator="\\n")`` byte for byte, whatever the worker count:
+floats (nan, inf and signed zeros too) with repr, ints with str, None as an
+empty cell and strings with the csv module's quoting.
 """
 
 import contextlib
 import csv
 import io
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offloadsim.cli import _BLOCK_ROWS, _write_csv
+from offloadsim import cli
+from offloadsim.cli import _BLOCK_ROWS, _PARALLEL_ROWS, _write_csv
 
 _FLOATS = st.one_of(
     st.floats(),
@@ -28,6 +31,9 @@ _CELLS = st.one_of(_NUMBERS, st.none(), st.text(alphabet=',"\n\r a-', max_size=5
 _COLUMN_KINDS = (_FLOATS, st.one_of(_FLOATS, st.none()), _NUMBERS, _CELLS)
 
 _ROW_COUNTS = (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 7)
+# Both sides of the cutoff for forked workers, and shares that end inside a block.
+_LONG_ROW_COUNTS = (_PARALLEL_ROWS - 1, _PARALLEL_ROWS, _PARALLEL_ROWS + 1, 2 * _PARALLEL_ROWS + _BLOCK_ROWS + 2)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
 
 
 @st.composite
@@ -51,18 +57,34 @@ def _columns(draw):
 
 
 @st.composite
-def _tables(draw):
+def _tables(draw, row_counts=_ROW_COUNTS):
     columns = draw(st.lists(_columns(), max_size=6))
     header = tuple(draw(st.lists(_CELLS, min_size=len(columns), max_size=len(columns))))
-    n_rows = draw(st.sampled_from(_ROW_COUNTS))
+    n_rows = draw(st.sampled_from(row_counts))
     return header, [tuple(column(i) for column in columns) for i in range(n_rows)]
 
 
 def _written(header, rows):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _write_csv(None, header, iter(rows))
+        _write_csv(None, header, rows)
     return out.getvalue()
+
+
+@contextlib.contextmanager
+def _usable_cpus(n):
+    """Make n CPUs usable and yield the list that counts forks."""
+    forks = []
+    real_fork = getattr(os, "fork", None)
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        mp.setattr(os, "fork", counting_fork, raising=False)
+        yield forks
 
 
 def _reference(header, rows):
@@ -73,9 +95,10 @@ def _reference(header, rows):
     return out.getvalue()
 
 
-def _assert_same_text(header, rows):
-    """Equal texts, or a failure showing the lengths and where they first differ."""
-    got, want = _written(header, rows), _reference(header, rows)
+def _assert_same_text(header, rows, given=None):
+    """Equal texts, or a failure showing the lengths and where they first differ.
+    The writer gets ``given`` (the rows by default), the csv module the rows."""
+    got, want = _written(header, rows if given is None else given), _reference(header, rows)
     if got != want:
         at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
         lo = max(at - 60, 0)
@@ -85,7 +108,55 @@ def _assert_same_text(header, rows):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(table=_tables())
 def test_block_writer_matches_the_csv_module(table):
-    _assert_same_text(*table)
+    header, rows = table
+    _assert_same_text(header, rows, iter(rows))  # any iterable: one process writes it
+
+
+@needs_fork
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(table=_tables(_LONG_ROW_COUNTS))
+def test_forked_writer_matches_the_csv_module(n, table):
+    header, rows = table
+    with _usable_cpus(n) as forks:
+        _assert_same_text(header, rows)
+    assert len(forks) == (n - 1 if len(rows) >= _PARALLEL_ROWS else 0)
+
+
+@needs_fork
+def test_only_a_list_tuple_or_row_view_is_split():
+    rows = [(i, i / 7, None) for i in range(_PARALLEL_ROWS + 5)]
+    header = ("a", "b", "c")
+    with _usable_cpus(2) as forks:
+        _assert_same_text(header, rows, (row for row in rows))
+        assert forks == []
+        _assert_same_text(header, rows, tuple(rows))
+        _assert_same_text(header, rows, cli._RowView(lambda i: (i, i / 7, None), range(len(rows))))
+        assert len(forks) == 2
+
+
+@needs_fork
+def test_a_failing_writer_worker_raises_and_leaves_no_child(capfd):
+    # three shares of _PARALLEL_ROWS rows: a short row in the last one fails worker 2
+    rows = [(i, 0.5) for i in range(3 * _PARALLEL_ROWS)]
+    rows[-3] = (1,)
+    with _usable_cpus(3), pytest.raises(RuntimeError, match="worker process"):
+        _written(("a", "b"), rows)
+    with pytest.raises(ChildProcessError):  # every worker was reaped: no zombie
+        os.waitpid(-1, os.WNOHANG)
+    assert "ValueError: CSV rows must all have the same length" in capfd.readouterr().err
+
+
+@needs_fork
+def test_the_writer_reaps_its_workers_when_its_own_share_fails(capfd):
+    rows = [(i, 0.5) for i in range(3 * _PARALLEL_ROWS)]
+    rows[3] = (1,)  # share 0 is formatted in the calling process
+    with _usable_cpus(3) as forks, pytest.raises(ValueError, match="same length"):
+        _written(("a", "b"), rows)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert "Traceback" not in capfd.readouterr().err  # the killed workers report nothing
 
 
 @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])

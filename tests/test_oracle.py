@@ -62,3 +62,24 @@ def test_engine_matches_the_eager_oracle(
         registry_timeout=timeout,
     )
     assert _rows(run(cfg)) == _rows(oracle_engine.run(cfg))
+
+
+def test_a_task_reaching_a_vehicle_as_its_previous_task_ends_matches_the_oracle():
+    """A 0.25 s forward leg and a 0.05 s elaboration equal to the request
+    interval: tasks reach the vehicle at the instant its previous task ends, and
+    the arrival sorts before the completion. The completion must not leave the
+    vehicle, now serving again, beaconing."""
+    links = {link: LinkParams(0.0) for link in LinkClass}
+    links[LinkClass.VUE_DOWN] = LinkParams(0.25)
+    cfg = RunConfig(
+        strategy="VCCFirst",
+        n_users=1,
+        n_vehicles=1,
+        request_rate=20.0,
+        duration=3.0,
+        workload_mi=3556.0,
+        beacon_period=0.01,
+        channel=ChannelConfig(links),
+        seed=0,
+    )
+    assert _rows(run(cfg)) == _rows(oracle_engine.run(cfg))

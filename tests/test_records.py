@@ -68,10 +68,10 @@ def test_edge_service_starts_never_decrease(text):
 
     class RecordingEdge(EdgeState):
         def offer(self, workload_mi, now, data_at=None):
-            waiting, accepted = super().offer(workload_mi, now, data_at)
-            if accepted is not None:
-                starts.append(accepted.service_start)
-            return waiting, accepted
+            waiting, completion, queue_wait = super().offer(workload_mi, now, data_at)
+            if completion is not None:
+                starts.append(self._jobs[-1][0])  # the admitted task's (service_start, completion)
+            return waiting, completion, queue_wait
 
     with mock.patch.object(engine, "EdgeState", RecordingEdge):
         records = run(parse_run_config(text))
