@@ -5,6 +5,10 @@ base latency plus a size-dependent serialization term under processor sharing,
 and an independent per-leg Bernoulli loss whose probability grows linearly with
 the mobile endpoint's speed. Wired legs (core network, Internet) are lossless
 with fixed one-way latency.
+
+A run resolves each radio leg through the ``Link`` of its link class, which
+holds both formulas and the airtime still in use; a wired leg is its
+``base_latency``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Union
 
 
 class LinkClass(Enum):
@@ -111,8 +114,7 @@ class Link:
     the mobile endpoint's speed read once, plus the end times of its transfers
     still on the air (a heap) for processor sharing.
 
-    The transfer-time and loss formulas are defined here; the module-level
-    functions below apply them to a ``ChannelConfig`` entry.
+    The transfer-time and loss formulas are defined here and nowhere else.
     """
 
     __slots__ = ("base_latency", "rate", "shared", "bits", "p_loss", "ends")
@@ -149,62 +151,3 @@ class Link:
         latency = self.transfer_time(len(ends) + 1)
         heappush(ends, t + latency)
         return None if self.lost(rng, covered) else latency
-
-
-def transfer_time(
-    size_bytes: float, link: LinkClass, concurrent: int, cfg: ChannelConfig
-) -> float:
-    """One-way leg duration for ``size_bytes`` with ``concurrent`` active transfers.
-
-    ``concurrent`` counts simultaneously active transfers in the same link
-    class, this one included, so it is at least 1. Under processor sharing each
-    transfer sees rate/concurrent; with sharing disabled the full rate applies.
-    Unbounded-rate (wired) legs take exactly the base latency.
-    """
-    if size_bytes < 0.0:
-        raise ValueError("size must be nonnegative")
-    if concurrent < 1:
-        raise ValueError("concurrent count includes this transfer, so it is >= 1")
-    return Link(cfg.links[link], size_bytes).transfer_time(concurrent)
-
-
-def loss_probability(cfg: ChannelConfig, link: LinkClass, speed: float) -> float:
-    """Per-leg loss probability at the given endpoint speed, clamped to [0, 1]."""
-    return Link(cfg.links[link], speed=speed).p_loss
-
-
-@dataclass(frozen=True)
-class Delivered:
-    latency: float
-
-
-@dataclass(frozen=True)
-class Lost:
-    reason: str  # OUT_OF_COVERAGE or CHANNEL_ERROR
-
-
-LegOutcome = Union[Delivered, Lost]
-
-
-def leg_outcome(
-    rng,
-    link: LinkClass,
-    size_bytes: float,
-    speed: float,
-    src_covered: bool,
-    dst_covered: bool,
-    cfg: ChannelConfig,
-    concurrent: int = 1,
-) -> LegOutcome:
-    """Attempt one leg.
-
-    An uncovered endpoint on a radio leg loses the packet outright and consumes
-    no RNG draw; a covered radio leg consumes exactly one Bernoulli draw from
-    ``rng``; wired legs never lose and never draw. Delivery carries the
-    transfer_time latency.
-    """
-    if link in RADIO_LINKS:
-        reason = Link(cfg.links[link], speed=speed).lost(rng, src_covered and dst_covered)
-        if reason:
-            return Lost(reason)
-    return Delivered(transfer_time(size_bytes, link, concurrent, cfg))

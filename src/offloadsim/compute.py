@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .channel import ChannelConfig, LinkClass
 from .scenario import VehicleState
 
 
@@ -22,17 +21,6 @@ def elaboration_time(workload_mi: float, capacity_mips: float) -> float:
     if capacity_mips <= 0.0:
         raise ValueError("capacity must be positive")
     return workload_mi / capacity_mips
-
-
-def cloud_fixed_roundtrip(cfg: ChannelConfig) -> float:
-    """Wired round trip to the cloud and back: both CN legs plus both Internet legs."""
-    links = cfg.links
-    return (
-        links[LinkClass.CN_UP].base_latency
-        + links[LinkClass.INTERNET_UP].base_latency
-        + links[LinkClass.INTERNET_DOWN].base_latency
-        + links[LinkClass.CN_DOWN].base_latency
-    )
 
 
 @dataclass

@@ -34,8 +34,6 @@ EC_FIRST = "ECFirst"
 VCC_FIRST = "VCCFirst"
 STRATEGIES = (EC_FIRST, VCC_FIRST)
 
-DEFAULT_TIMEOUT = 0.5  # s
-
 
 @dataclass
 class Registry:
@@ -43,7 +41,7 @@ class Registry:
     timeout expiry. ``ids`` is the sorted index of present ids; ``_ages`` is a
     heap of (time, id) per change to a finite entry, so expiry pops only stale items."""
 
-    timeout: float = DEFAULT_TIMEOUT
+    timeout: float
     entries: dict[int, float] = field(default_factory=dict)
     ids: list[int] = field(default_factory=list)
     _ages: list[tuple[float, int]] = field(default_factory=list, repr=False)

@@ -9,9 +9,9 @@ beta function, computed by continued fraction.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -2,12 +2,16 @@
 version of ``offloadsim.engine.run``.
 
 Every arrival, every beacon of every idle vehicle and every delivery is its own
-heap event, and every radio leg goes through ``channel.leg_outcome`` and
-``channel.transfer_time``. It is slow and simple on purpose. A few shims adapt
-it to today's public names: a local ``Task``, a three-line ``select_ecfirst``,
-``EdgeState.offer``'s (waiting, completion, queue wait) triple, and the vehicle id or None
-that ``select_vccfirst`` returns. ``run`` must return the
-same records as ``offloadsim.engine.run`` for every valid config.
+heap event. Events go by time, then beacons before everything else, then push
+order: a beacon at time <= t takes effect before a dispatch or a vehicle's task
+start at t, as the README states. Every radio leg builds a ``channel.Link`` and
+takes only its ``transfer_time`` and ``lost``; the airtime heaps are kept here,
+so ``Link.send``'s own bookkeeping is checked independently. It is slow and
+simple on purpose. A few shims adapt it to today's public names: a local
+``Task``, a three-line ``select_ecfirst``, ``EdgeState.offer``'s (waiting,
+completion, queue wait) triple, and the vehicle id or None that
+``select_vccfirst`` returns. ``run`` must return the same records as
+``offloadsim.engine.run`` for every valid config.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import heapq
 import random
 from typing import NamedTuple
 
-from offloadsim.channel import Delivered, LinkClass, leg_outcome, transfer_time
+from offloadsim.channel import Link, LinkClass
 from offloadsim.compute import EdgeState, elaboration_time, vehicle_offer
 from offloadsim.controller import CLOUD, EDGE, VCC_FIRST, VEHICLE, Registry, select_vccfirst
 from offloadsim.engine import (
@@ -70,12 +74,12 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
     inet_up = chan.links[LinkClass.INTERNET_UP].base_latency
     inet_down = chan.links[LinkClass.INTERNET_DOWN].base_latency
 
-    heap: list[tuple[float, int, int, int, int]] = []
+    heap: list[tuple[float, bool, int, int, int, int]] = []
     seq = 0
 
     def push(t: float, kind: int, a: int = 0, b: int = 0) -> None:
         nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, a, b))
+        heapq.heappush(heap, (t, kind != _BEACON, seq, kind, a, b))
         seq += 1
 
     arrivals = [
@@ -98,15 +102,15 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
     active: dict[LinkClass, list[float]] = {link: [] for link in LinkClass}
 
     def attempt_radio(t, link, size, speed, src_cov=True, dst_cov=True):
-        """Run one radio leg; the transmission occupies airtime even if lost."""
+        """Run one radio leg: its latency, or None when lost. The transmission
+        occupies airtime even if lost."""
         ends = active[link]
         while ends and ends[0] <= t:
             heapq.heappop(ends)
-        concurrent = len(ends) + 1
-        out = leg_outcome(rng, link, size, speed, src_cov, dst_cov, chan, concurrent)
-        airtime = out.latency if isinstance(out, Delivered) else transfer_time(size, link, concurrent, chan)
+        leg = Link(chan.links[link], size, speed)
+        airtime = leg.transfer_time(len(ends) + 1)
         heapq.heappush(ends, t + airtime)
-        return out
+        return None if leg.lost(rng, src_cov and dst_cov) else airtime
 
     def fail(rec: OffloadRecord, leg: str) -> None:
         rec.outcome = FAILED
@@ -123,17 +127,17 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
 
     horizon = cfg.duration
     while heap:
-        t, _, kind, a, b = heapq.heappop(heap)
+        t, _, _, kind, a, b = heapq.heappop(heap)
         if t > horizon:
             break
 
         if kind == _ARRIVAL:
             task = tasks[a]
             rec = records[a]
-            out = attempt_radio(t, LinkClass.PUE_UP, task.size_bytes, 0.0)
-            if isinstance(out, Delivered):
-                rec.t_up_access = out.latency
-                push(t + out.latency, _AT_GNB, a)
+            latency = attempt_radio(t, LinkClass.PUE_UP, task.size_bytes, 0.0)
+            if latency is not None:
+                rec.t_up_access = latency
+                push(t + latency, _AT_GNB, a)
             else:
                 fail(rec, USER_TO_GNB)
 
@@ -149,10 +153,10 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
                     rec.destination = VEHICLE
                     rec.vehicle_id = vid
                     covered = in_coverage(position_at(v, t, geom), geom)
-                    out = attempt_radio(t, LinkClass.VUE_DOWN, task.size_bytes, v.speed, dst_cov=covered)
-                    if isinstance(out, Delivered):
-                        rec.t_gnb_to_vue = out.latency
-                        push(t + out.latency, _AT_VEHICLE, a, vid)
+                    latency = attempt_radio(t, LinkClass.VUE_DOWN, task.size_bytes, v.speed, dst_cov=covered)
+                    if latency is not None:
+                        rec.t_gnb_to_vue = latency
+                        push(t + latency, _AT_VEHICLE, a, vid)
                     else:
                         fail(rec, GNB_TO_VCC)
             else:
@@ -190,20 +194,20 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
                 registry.on_beacon(b, t)  # idle again: beacon immediately
             beacon_epoch[b] += 1
             push(t + cfg.beacon_period, _BEACON, b, beacon_epoch[b])
-            out = attempt_radio(t, LinkClass.VUE_UP, task.result_bytes, v.speed, src_cov=covered)
-            if isinstance(out, Delivered):
-                rec.t_vue_to_gnb = out.latency
-                push(t + out.latency, _RESULT_AT_GNB, a)
+            latency = attempt_radio(t, LinkClass.VUE_UP, task.result_bytes, v.speed, src_cov=covered)
+            if latency is not None:
+                rec.t_vue_to_gnb = latency
+                push(t + latency, _RESULT_AT_GNB, a)
             else:
                 fail(rec, VCC_TO_GNB)
 
         elif kind == _RESULT_AT_GNB:
             task = tasks[a]
             rec = records[a]
-            out = attempt_radio(t, LinkClass.PUE_DOWN, task.result_bytes, 0.0)
-            if isinstance(out, Delivered):
-                rec.t_down_access = out.latency
-                push(t + out.latency, _DELIVERED, a)
+            latency = attempt_radio(t, LinkClass.PUE_DOWN, task.result_bytes, 0.0)
+            if latency is not None:
+                rec.t_down_access = latency
+                push(t + latency, _DELIVERED, a)
             else:
                 fail(rec, GNB_TO_USER)
 

@@ -6,23 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
+from offloadsim import engine
 from offloadsim.channel import (
     CHANNEL_ERROR,
     NO_SHARING,
     PROCESSOR_SHARING,
     ChannelConfig,
-    Delivered,
     Link,
     LinkClass,
     LinkParams,
-    Lost,
     OUT_OF_COVERAGE,
     RADIO_LINKS,
     WIRED_LINKS,
-    leg_outcome,
     lena_calibrated,
-    loss_probability,
-    transfer_time,
 )
 
 
@@ -55,7 +52,12 @@ def test_calibrated_preset_values():
     assert cfg.links[LinkClass.PUE_UP].base_latency == 0.0027
     assert cfg.links[LinkClass.VUE_DOWN].base_latency == 0.0057
     assert cfg.links[LinkClass.CN_UP].base_latency == 0.002
+    assert cfg.links[LinkClass.CN_DOWN].base_latency == 0.002
     assert cfg.links[LinkClass.INTERNET_UP].base_latency == 0.035
+    assert cfg.links[LinkClass.INTERNET_DOWN].base_latency == 0.035
+    # the wired cloud round trip: 2 ms core + 35 ms Internet each way
+    wired = (LinkClass.CN_UP, LinkClass.INTERNET_UP, LinkClass.INTERNET_DOWN, LinkClass.CN_DOWN)
+    assert sum(cfg.links[link].base_latency for link in wired) == pytest.approx(0.074, rel=1e-12)
     for link in RADIO_LINKS:
         assert cfg.links[link].rate == 100e6
         assert cfg.links[link].p_base == 1e-3
@@ -66,36 +68,42 @@ def test_calibrated_preset_values():
 
 
 def test_transfer_time_radio():
-    cfg = lena_calibrated()
+    links = lena_calibrated().links
     # 4000 bytes over 100 Mb/s: 0.32 ms of serialization on top of the floor
-    assert transfer_time(4000.0, LinkClass.PUE_UP, 1, cfg) == 0.0027 + 32000.0 / 100e6
-    assert transfer_time(4000.0, LinkClass.VUE_UP, 1, cfg) == 0.0057 + 32000.0 / 100e6
+    assert Link(links[LinkClass.PUE_UP], 4000.0).transfer_time(1) == 0.0027 + 32000.0 / 100e6
+    assert Link(links[LinkClass.VUE_UP], 4000.0).transfer_time(1) == 0.0057 + 32000.0 / 100e6
     # two concurrent transfers halve the rate
-    assert transfer_time(4000.0, LinkClass.PUE_UP, 2, cfg) == 0.0027 + 32000.0 / 50e6
-    assert transfer_time(0.0, LinkClass.PUE_UP, 1, cfg) == 0.0027
+    assert Link(links[LinkClass.PUE_UP], 4000.0).transfer_time(2) == 0.0027 + 32000.0 / 50e6
+    assert Link(links[LinkClass.PUE_UP], 0.0).transfer_time(1) == 0.0027
 
 
 def test_transfer_time_wired_ignores_size_and_concurrency():
-    cfg = lena_calibrated()
+    links = lena_calibrated().links
     for size in (0.0, 4000.0, 1e9):
         for concurrent in (1, 7, 1000):
-            assert transfer_time(size, LinkClass.CN_UP, concurrent, cfg) == 0.002
-            assert transfer_time(size, LinkClass.INTERNET_DOWN, concurrent, cfg) == 0.035
+            assert Link(links[LinkClass.CN_UP], size).transfer_time(concurrent) == 0.002
+            assert Link(links[LinkClass.INTERNET_DOWN], size).transfer_time(concurrent) == 0.035
 
 
 def test_transfer_time_no_sharing_mode():
-    cfg = lena_calibrated()
     params = LinkParams(0.001, rate=1e6, sharing="none")
-    cfg.links[LinkClass.PUE_UP] = params
-    assert transfer_time(1000.0, LinkClass.PUE_UP, 5, cfg) == 0.001 + 8000.0 / 1e6
+    assert Link(params, 1000.0).transfer_time(5) == 0.001 + 8000.0 / 1e6
 
 
-def test_transfer_time_validation():
+def test_wired_legs_never_lose_and_never_draw(monkeypatch):
+    """Only a ``Link`` loses or draws, and a run builds one for each radio
+    link class and none for a wired one, whose leg is its base latency."""
     cfg = lena_calibrated()
-    with pytest.raises(ValueError):
-        transfer_time(-1.0, LinkClass.PUE_UP, 1, cfg)
-    with pytest.raises(ValueError):
-        transfer_time(1.0, LinkClass.PUE_UP, 0, cfg)
+    resolved = []
+
+    class Recording(Link):
+        def __init__(self, params, *args):
+            resolved.extend(link for link in LinkClass if cfg.links[link] is params)
+            super().__init__(params, *args)
+
+    monkeypatch.setattr(engine, "Link", Recording)
+    engine.run(engine.RunConfig(strategy="VCCFirst", duration=0.1, channel=cfg))
+    assert len(resolved) == len(RADIO_LINKS) and set(resolved) == RADIO_LINKS
 
 
 def test_link_params_validation():
@@ -133,72 +141,45 @@ def test_lossless_copy():
 
 
 def test_loss_probability_linear_in_speed_and_clamped():
-    cfg = lena_calibrated()
-    assert loss_probability(cfg, LinkClass.PUE_UP, 0.0) == 1e-3
+    links = lena_calibrated().links
+    assert Link(links[LinkClass.PUE_UP], speed=0.0).p_loss == 1e-3
     v = 100.0 / 3.6
-    assert loss_probability(cfg, LinkClass.VUE_UP, v) == pytest.approx(
-        1e-3 + 5e-4 * v, rel=1e-15
-    )
-    assert loss_probability(cfg, LinkClass.VUE_UP, 1e9) == 1.0
-    assert loss_probability(cfg, LinkClass.CN_UP, 1e9) == 0.0
-
-
-def test_wired_legs_never_lose_and_never_draw():
-    cfg = lena_calibrated()
-    out = leg_outcome(_NoDraw(), LinkClass.CN_UP, 4000.0, 0.0, True, True, cfg)
-    assert out == Delivered(0.002)
-    # coverage flags are irrelevant off the radio
-    out = leg_outcome(_NoDraw(), LinkClass.INTERNET_UP, 4000.0, 50.0, False, False, cfg)
-    assert out == Delivered(0.035)
+    assert Link(links[LinkClass.VUE_UP], speed=v).p_loss == pytest.approx(1e-3 + 5e-4 * v, rel=1e-15)
+    assert Link(links[LinkClass.VUE_UP], speed=1e9).p_loss == 1.0
+    assert Link(links[LinkClass.CN_UP], speed=1e9).p_loss == 0.0
 
 
 def test_out_of_coverage_loses_without_drawing():
-    cfg = lena_calibrated()
-    for src, dst in ((False, True), (True, False), (False, False)):
-        out = leg_outcome(_NoDraw(), LinkClass.VUE_DOWN, 4000.0, 3.0, src, dst, cfg)
-        assert out == Lost(OUT_OF_COVERAGE)
+    leg = Link(lena_calibrated().links[LinkClass.VUE_DOWN], 4000.0, 3.0)
+    assert leg.lost(_NoDraw(), False) == OUT_OF_COVERAGE
+    assert leg.send(_NoDraw(), 0.0, covered=False) is None
 
 
 def test_covered_radio_leg_draws_exactly_once():
-    cfg = lena_calibrated()
     rng = _Counting(7)
-    out = leg_outcome(rng, LinkClass.PUE_UP, 4000.0, 0.0, True, True, cfg)
+    Link(lena_calibrated().links[LinkClass.PUE_UP], 4000.0).send(rng, 0.0)
     assert rng.draws == 1
-    assert isinstance(out, (Delivered, Lost))
 
 
 def test_certain_loss_and_certain_delivery():
     cfg = lena_calibrated()
     rng = random.Random(0)
-    out = leg_outcome(rng, LinkClass.VUE_UP, 4000.0, 1e9, True, True, cfg)
-    assert out == Lost(CHANNEL_ERROR)
-    out = leg_outcome(rng, LinkClass.VUE_UP, 4000.0, 0.0, True, True, cfg.lossless())
-    assert out == Delivered(transfer_time(4000.0, LinkClass.VUE_UP, 1, cfg))
+    assert Link(cfg.links[LinkClass.VUE_UP], 4000.0, 1e9).lost(rng, True) == CHANNEL_ERROR
+    lossless = Link(cfg.lossless().links[LinkClass.VUE_UP], 4000.0)
+    assert lossless.send(rng, 0.0) == 0.0057 + 32000.0 / 100e6
 
 
 def test_loss_frequency_matches_probability():
     """Empirical loss rate over 1e5 legs at 100 km/h sits on the model line."""
-    cfg = lena_calibrated()
-    speed = 100.0 / 3.6
-    p = loss_probability(cfg, LinkClass.VUE_UP, speed)
+    leg = Link(lena_calibrated().links[LinkClass.VUE_UP], 4000.0, 100.0 / 3.6)
     rng = random.Random(2024)
     n = 100_000
-    lost = sum(
-        1
-        for _ in range(n)
-        if isinstance(
-            leg_outcome(rng, LinkClass.VUE_UP, 4000.0, speed, True, True, cfg), Lost
-        )
-    )
-    assert lost / n == pytest.approx(p, abs=2e-3)
+    lost = sum(1 for _ in range(n) if leg.lost(rng, True))
+    assert lost / n == pytest.approx(leg.p_loss, abs=2e-3)
 
 
-_RADIO = sorted(RADIO_LINKS, key=lambda link: link.value)
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=examples(400), deadline=None, derandomize=True)
 @given(
-    link=st.sampled_from(_RADIO),
     params=st.builds(
         LinkParams,
         base_latency=st.floats(0.0, 0.1),
@@ -214,23 +195,25 @@ _RADIO = sorted(RADIO_LINKS, key=lambda link: link.value)
     busy=st.integers(0, 6),
     seed=st.integers(0, 2**32),
 )
-def test_link_send_matches_the_public_leg_functions(link, params, size, speed, src, dst, busy, seed):
-    """The engine's per-run Link gives what leg_outcome and transfer_time give:
-    the same delivered-or-lost result, latency, airtime and RNG state."""
-    cfg = ChannelConfig({**lena_calibrated().links, link: params})
+def test_link_send_matches_the_closed_form(params, size, speed, src, dst, busy, seed):
+    """``Link.send`` against the model written out: the base latency plus the
+    bits over the rate, split among the transfers on the air under processor
+    sharing; a loss probability linear in speed and clamped at 1, drawn once
+    and only when both endpoints are covered; airtime taken even when lost."""
     t = 2.0
     on_air = [t + 0.5 + i for i in range(busy)]
-    fast = Link(cfg.links[link], size, speed)
-    fast.ends = [t - 0.1, t] + on_air  # sorted, so a heap; both first ones have ended
-    rng_fast, rng_ref = random.Random(seed), random.Random(seed)
+    leg = Link(params, size, speed)
+    leg.ends = [t - 0.1, t] + on_air  # sorted, so a heap; both first ones have ended
+    rng, ref = random.Random(seed), random.Random(seed)
 
-    latency = fast.send(rng_fast, t, src and dst)
-    ref = leg_outcome(rng_ref, link, size, speed, src, dst, cfg, busy + 1)
-    airtime = transfer_time(size, link, busy + 1, cfg)
+    latency = leg.send(rng, t, src and dst)
 
-    assert rng_fast.getstate() == rng_ref.getstate()
-    if isinstance(ref, Delivered):
-        assert latency == ref.latency == airtime
+    if params.rate is None:
+        airtime = params.base_latency
     else:
-        assert latency is None
-    assert sorted(fast.ends) == sorted(on_air + [t + airtime])
+        sharers = busy + 1 if params.sharing == PROCESSOR_SHARING else 1
+        airtime = params.base_latency + size * 8.0 / (params.rate / sharers)
+    delivered = src and dst and not ref.random() < min(1.0, params.p_base + params.k_speed * speed)
+    assert rng.getstate() == ref.getstate()
+    assert latency == (airtime if delivered else None)
+    assert sorted(leg.ends) == sorted(on_air + [t + airtime])

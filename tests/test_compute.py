@@ -2,13 +2,8 @@
 
 import pytest
 
-from offloadsim.channel import lena_calibrated
-from offloadsim.compute import (
-    EdgeState,
-    cloud_fixed_roundtrip,
-    elaboration_time,
-    vehicle_offer,
-)
+from offloadsim.channel import WIRED_LINKS, Link, lena_calibrated
+from offloadsim.compute import EdgeState, elaboration_time, vehicle_offer
 from offloadsim.scenario import CLOCKWISE, VehicleState
 
 
@@ -27,8 +22,10 @@ def test_elaboration_time_validation():
 
 
 def test_cloud_wired_roundtrip():
-    # 2 ms core + 35 ms Internet each way
-    assert cloud_fixed_roundtrip(lena_calibrated()) == pytest.approx(0.074, rel=1e-12)
+    # 2 ms core + 35 ms Internet each way, whatever the payload size
+    links = lena_calibrated().links
+    roundtrip = sum(Link(links[link], size_bytes=1e6).transfer_time(1) for link in WIRED_LINKS)
+    assert roundtrip == pytest.approx(0.074, rel=1e-12)
 
 
 def _edge(capacity=1000.0, max_queue=100):

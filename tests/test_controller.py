@@ -31,7 +31,7 @@ def test_beacon_refresh_and_strict_expiry():
 
 
 def test_select_vccfirst_falls_back_to_cloud_when_empty():
-    assert select_vccfirst(Registry(), random.Random(0), now=1.0) is None
+    assert select_vccfirst(Registry(timeout=0.5), random.Random(0), now=1.0) is None
 
 
 def test_select_vccfirst_expires_then_picks_and_removes():
@@ -51,7 +51,7 @@ def test_select_vccfirst_is_uniform_over_candidates():
     """1e5 selections over 10 fresh vehicles land within 0.5% of 10% each."""
     rng = random.Random(31337)
     counts = {vid: 0 for vid in range(10)}
-    reg = Registry()
+    reg = Registry(timeout=0.5)
     n = 100_000
     for _ in range(n):
         for vid in counts:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from offloadsim import engine
-from offloadsim.channel import ChannelConfig, LinkClass, LinkParams, lena_calibrated, transfer_time
+from offloadsim.channel import ChannelConfig, Link, LinkClass, LinkParams, lena_calibrated
 from offloadsim.compute import elaboration_time
 from offloadsim.controller import CLOUD, EC_FIRST, EDGE, VCC_FIRST, VEHICLE
 from offloadsim.engine import (
@@ -274,6 +274,10 @@ def test_run_config_validation():
         run(RunConfig(beacon_period=0.0))
     with pytest.raises(ValueError, match="seed"):
         RunConfig(seed=-1).validate()
+    with pytest.raises(ValueError, match="nonnegative"):
+        RunConfig(task_size_bytes=-1.0).validate()
+    with pytest.raises(ValueError, match="nonnegative"):
+        RunConfig(result_size_bytes=-1.0).validate()
 
 
 @pytest.mark.parametrize(
@@ -361,8 +365,8 @@ def test_a_delivery_exactly_at_the_horizon_succeeds(strategy):
     seed = 3
     phase = random.Random(seed).random() * 1.0
     chan = links.links
-    up = transfer_time(4000.0, LinkClass.PUE_UP, 1, links)
-    down = transfer_time(4000.0, LinkClass.PUE_DOWN, 1, links)
+    up = Link(chan[LinkClass.PUE_UP], 4000.0).transfer_time(1)
+    down = Link(chan[LinkClass.PUE_DOWN], 4000.0).transfer_time(1)
     elab = elaboration_time(500.0, 2356230.0)
     at_gnb = phase + up
     result_at_gnb = (

@@ -8,6 +8,7 @@ interval equal to the beacon period, a vehicle's beacons fall on the very
 instants its user's next task is dispatched.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,11 +65,14 @@ def test_engine_matches_the_eager_oracle(
     assert _rows(run(cfg)) == _rows(oracle_engine.run(cfg))
 
 
-def test_a_task_reaching_a_vehicle_as_its_previous_task_ends_matches_the_oracle():
+@pytest.mark.parametrize("seed", (0, 1, 2, 4, 7, 9, 21, 23, 25, 26))
+def test_a_task_reaching_a_vehicle_as_its_previous_task_ends_matches_the_oracle(seed):
     """A 0.25 s forward leg and a 0.05 s elaboration equal to the request
     interval: tasks reach the vehicle at the instant its previous task ends, and
     the arrival sorts before the completion. The completion must not leave the
-    vehicle, now serving again, beaconing."""
+    vehicle, now serving again, beaconing. At the seeds other than 0 a task also
+    reaches the gNB at the instant a vehicle's task ends, and the vehicle's
+    beacon must count before that dispatch."""
     links = {link: LinkParams(0.0) for link in LinkClass}
     links[LinkClass.VUE_DOWN] = LinkParams(0.25)
     cfg = RunConfig(
@@ -80,6 +84,29 @@ def test_a_task_reaching_a_vehicle_as_its_previous_task_ends_matches_the_oracle(
         workload_mi=3556.0,
         beacon_period=0.01,
         channel=ChannelConfig(links),
-        seed=0,
+        seed=seed,
+    )
+    assert _rows(run(cfg)) == _rows(oracle_engine.run(cfg))
+
+
+def test_a_beacon_counts_before_a_dispatch_pushed_earlier_at_its_time():
+    """No workload and a 1 Mb/s shared user uplink, so uploads end on 32 ms
+    steps that can equal a beacon time exactly. A task whose arrival at the gNB
+    was pushed before the beacon at that instant must still see the beacon."""
+    links = {link: LinkParams(0.0) for link in LinkClass}
+    links[LinkClass.PUE_UP] = LinkParams(0.0, rate=1e6)
+    cfg = RunConfig(
+        strategy="VCCFirst",
+        n_users=2,
+        request_rate=20.0,
+        duration=3.0,
+        seed=6981,
+        workload_mi=0.0,
+        geometry=total_coverage(),
+        n_vehicles=16,
+        vehicle_speed=13.1 * KMH,
+        channel=ChannelConfig(links),
+        beacon_period=0.1,
+        registry_timeout=0.1,
     )
     assert _rows(run(cfg)) == _rows(oracle_engine.run(cfg))
