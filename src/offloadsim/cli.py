@@ -5,25 +5,29 @@ in the bytes ``csv.writer(lineterminator="\\n")`` would write: floats with repr,
 ints with str, None as an empty cell, and other values (strings) quoted by the
 csv module itself, so identical runs produce byte-identical files. Rows are
 formatted in blocks of ``_BLOCK_ROWS``, column by column, and a value repeated
-within a block column is formatted once. A table of ``_PARALLEL_ROWS`` rows or
-more, such as ``run --records`` of a long run, is split into contiguous shares
+within a block column is formatted once; ``run --records`` passes the run's
+``engine.Records``, whose blocks are slices of its columns, so no row is built.
+A table of ``_PARALLEL_ROWS`` rows or more is split into contiguous shares
 formatted at once on the usable CPUs, in worker processes forked by
 ``workers.forked``; this process writes the shares out in order, so the bytes
 never depend on the worker count. Under ``taskset -c 0``, while another thread
-runs, or for a shorter table, one process writes it all.
-When writing to a file, a short human-readable summary goes to stdout instead.
+runs, or for a shorter table, one process writes it all. A file is written
+whole or not at all. When writing to a file, a short human-readable summary
+goes to stdout instead.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import marshal
 import math
+import os
 import sys
+from array import array
 from dataclasses import replace
 from itertools import islice, repeat
-from operator import attrgetter
 from pathlib import Path
 
 from .config import (
@@ -38,7 +42,7 @@ from .config import (
     parse_sweep_spec,
 )
 from .costmodel import CostParams, cost_breakdown, savings
-from .engine import AGGREGATE_FIELDS, Aggregates, RECORD_FIELDS, run, summarize, summarize_runs
+from .engine import AGGREGATE_FIELDS, Aggregates, RECORD_FIELDS, Records, run, summarize, summarize_runs
 from .stats import anova_oneway
 from .workers import forked, worker_count
 
@@ -97,14 +101,21 @@ def _cell(value) -> str:
     return plain(value) if plain else _csv_line((value, None))[:-2]
 
 
-def _column_cells(values: tuple):
+def _column_cells(values):
     """The cells of one block column, formatting each value repeated in it once.
 
     Only a column of one type (besides None) gets a memo, since equal values of
     different types can print differently (1 and 1.0). So can 0.0 and -0.0, so
     a float column holding a zero gets a memo only when it holds no None and
-    all its values share one sign.
+    all its values share one sign. An ``array('d')`` holds floats only and is
+    memoized by their bits: equal bits print alike, and 0.0 and -0.0 differ.
     """
+    if getattr(values, "typecode", None) == "d":
+        bits = array("q", values.tobytes())
+        distinct = array("q", set(bits))
+        if 2 * len(distinct) > len(values):
+            return map(repr, values)
+        return map(dict(zip(distinct, map(repr, array("d", distinct.tobytes())))).__getitem__, bits)
     kinds = set(map(type, values))
     if kinds - {type(None)} in _MEMO_KINDS:
         distinct = set(values)
@@ -119,46 +130,63 @@ def _column_cells(values: tuple):
     return map(plain or _cell, values)
 
 
-def _csv_block(rows: list) -> str:
-    """The CSV text of equal-length rows, each line ending in \\n."""
-    width = len(rows[0])
-    if set(map(len, rows)) != {width}:
-        raise ValueError("CSV rows must all have the same length")
-    columns = [_column_cells(values) for values in zip(*rows)]
-    if width == 1:
-        columns = [[_LONE_EMPTY if cell == "" else cell for cell in columns[0]]]
-    lines = map(",".join, zip(*columns)) if width else repeat("", len(rows))
+def _csv_block(n: int, columns) -> str:
+    """The CSV text of n rows given as equal-length columns, each line ending in \\n."""
+    cells = [_column_cells(values) for values in columns]
+    if len(cells) == 1:
+        cells = [[_LONE_EMPTY if cell == "" else cell for cell in cells[0]]]
+    lines = map(",".join, zip(*cells)) if cells else repeat("", n)
     return "\n".join(lines) + "\n"
 
 
 def _write_csv(path: str | None, header, rows) -> None:
-    """Write the header and rows (any iterable of sequences) to the path or stdout.
+    """Write the header and rows to the path, all or nothing, or to stdout.
 
-    Rows are taken ``_BLOCK_ROWS`` at a time, so memory stays flat. A list,
-    tuple or ``_RowView`` of ``_PARALLEL_ROWS`` rows or more is formatted by
+    ``rows`` is any iterable of sequences, ``engine.Records`` included, taken
+    ``_BLOCK_ROWS`` at a time, so memory stays flat. A list, tuple or
+    ``Records`` of ``_PARALLEL_ROWS`` rows or more is formatted by
     ``_write_forked`` on the usable CPUs, in the same bytes; other iterables
-    have no length to split by, and are written here.
+    have no length to split by. A regular file is written under a temporary
+    name in its directory and renamed over the path once complete, so on any
+    failure the path keeps what it held before.
     """
-    out = open(path, "w", newline="") if path else sys.stdout
-    try:
-        out.write(_csv_block([header]))
-        parallel = isinstance(rows, (list, tuple, _RowView)) and len(rows) >= _PARALLEL_ROWS
-        n = worker_count(len(rows) // _BLOCK_ROWS) if parallel else 1
-        if n > 1:
-            _write_forked(out, rows, n)
-        else:
-            for text in _block_texts(rows):
-                out.write(text)
-    finally:
-        if path:
-            out.close()
+    if path and (not os.path.exists(path) or os.path.isfile(path)):
+        path = os.path.realpath(path) if os.path.islink(path) else path  # through a link, as open would
+        temporary = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(temporary, "w", newline="") as out:
+                _write_table(out, header, rows)
+            os.replace(temporary, path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temporary)  # left only by a failure
+    else:  # stdout, or a device or pipe such as /dev/null, written in place
+        with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
+            _write_table(out, header, rows)
+
+
+def _write_table(out, header, rows) -> None:
+    out.write(_csv_block(1, zip(header)))
+    parallel = isinstance(rows, (list, tuple, Records)) and len(rows) >= _PARALLEL_ROWS
+    n = worker_count(len(rows) // _BLOCK_ROWS) if parallel else 1
+    if n > 1:
+        _write_forked(out, rows, n)
+    else:
+        out.writelines(_block_texts(rows))
 
 
 def _block_texts(rows):
-    """The CSV text of each ``_BLOCK_ROWS`` rows of an iterable, in order."""
+    """The CSV text of each ``_BLOCK_ROWS`` rows of a table, in order."""
+    if isinstance(rows, Records):  # sliced column by column
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start : start + _BLOCK_ROWS]
+            yield _csv_block(len(block), block.columns)
+        return
     rows = iter(rows)
     while block := list(islice(rows, _BLOCK_ROWS)):
-        yield _csv_block(block)
+        if len(set(map(len, block))) > 1:
+            raise ValueError("CSV rows must all have the same length")
+        yield _csv_block(len(block), zip(*block))
 
 
 def _write_forked(out, rows, n: int) -> None:
@@ -179,31 +207,11 @@ def _write_forked(out, rows, n: int) -> None:
         marshal.dump(None, pipe)
 
     with forked(n, share) as pipes:
-        for text in _block_texts(rows[:size]):
-            out.write(text)
+        out.writelines(_block_texts(rows[:size]))
         for pipe in pipes:
             # EOFError here means the worker died; leaving the block reports it
             while (text := marshal.load(pipe)) is not None:
                 out.write(text)
-
-
-class _RowView:
-    """``map(row, items)`` that also has a length and slices, so a table read
-    from a list of objects can be split among workers without building it."""
-
-    __slots__ = ("row", "items")
-
-    def __init__(self, row, items) -> None:
-        self.row, self.items = row, items
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return map(self.row, self.items)
-
-    def __getitem__(self, part: slice) -> "_RowView":
-        return _RowView(self.row, self.items[part])
 
 
 def _aggregate_values(agg: Aggregates) -> list:
@@ -223,11 +231,7 @@ def _cmd_run(args) -> int:
     agg = summarize(records)
     _write_csv(args.output, ("seed",) + AGGREGATE_COLUMNS, [[cfg.seed] + _aggregate_values(agg)])
     if args.records:
-        _write_csv(
-            args.records,
-            RECORD_FIELDS,
-            _RowView(attrgetter(*RECORD_FIELDS), records),
-        )
+        _write_csv(args.records, RECORD_FIELDS, records)
     if args.output:
         ms = agg.mean_total * 1e3
         print(

@@ -12,6 +12,9 @@ which holds the link's parameters and the airtime still in use. A leg returns
 its latency, or None when lost; it draws once from the RNG only when both
 endpoints are in coverage, and a lost leg still occupies its airtime.
 
+A run's ``Records`` are columns, one per ``RECORD_FIELDS`` entry indexed by
+task id; each event writes its leg straight into its column.
+
 Task lifecycle: a user uploads over the access network to the gNB; the
 controller picks a destination (cloud, edge or a beaconing vehicle); the task
 travels the remaining legs, is elaborated, and the result returns to the user.
@@ -31,7 +34,10 @@ import heapq
 import itertools
 import marshal
 import math
+import operator
 import random
+from array import array
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field, fields
 
 from .channel import ChannelConfig, Link, LinkClass, lena_calibrated
@@ -138,50 +144,38 @@ class RunConfig:
             raise ValueError(f"vehicles x duration / beacon period must not exceed {MAX_BEACONS} beacons")
 
 
+OffloadRecord = namedtuple("OffloadRecord", (
+    "task_id origin_user created_at destination vehicle_id t_up_access t_up_cn t_up_internet t_gnb_to_vue"
+    " t_queue t_elab t_vue_to_gnb t_down_internet t_down_cn t_down_access total outcome failed_leg"
+    " edge_queue_at_decision"
+))
+OffloadRecord.__doc__ = """One task's row of ``Records``: its id, user and creation time; its
+destination (None when it died before dispatch) and vehicle; the ten legs'
+durations in lifecycle order, exactly 0 where not traversed; ``total``, the
+legs' sum for a success and 0 otherwise; the outcome, the failed leg, and
+(ECFirst) the edge's waiting count when the controller decided."""
+
+RECORD_FIELDS = OffloadRecord._fields
+
+
 @dataclass(slots=True)
-class OffloadRecord:
-    """Per-task accounting: destination, each leg's duration, and the outcome.
+class Records:
+    """One run's records as one column per ``RECORD_FIELDS`` entry, indexed by
+    task id: ``array('d')`` for the floats, a ``range`` for ``task_id`` and
+    lists for the rest. An item is built as an ``OffloadRecord`` when read, and
+    a slice is the ``Records`` of those tasks."""
 
-    Legs that a destination never traverses stay exactly 0. ``total`` is the
-    sum of the traversed legs for successes and 0 otherwise.
-    """
+    columns: list
 
-    task_id: int
-    origin_user: int
-    created_at: float
-    destination: str | None = None  # None when the task died before dispatch
-    vehicle_id: int | None = None
-    t_up_access: float = 0.0
-    t_up_cn: float = 0.0
-    t_up_internet: float = 0.0
-    t_gnb_to_vue: float = 0.0
-    t_queue: float = 0.0
-    t_elab: float = 0.0
-    t_vue_to_gnb: float = 0.0
-    t_down_internet: float = 0.0
-    t_down_cn: float = 0.0
-    t_down_access: float = 0.0
-    total: float = 0.0
-    outcome: str = IN_FLIGHT
-    failed_leg: str | None = None
-    edge_queue_at_decision: int | None = None
+    def __len__(self) -> int:
+        return len(self.columns[0])
 
-    def leg_sum(self) -> float:
-        return (
-            self.t_up_access
-            + self.t_up_cn
-            + self.t_up_internet
-            + self.t_gnb_to_vue
-            + self.t_queue
-            + self.t_elab
-            + self.t_vue_to_gnb
-            + self.t_down_internet
-            + self.t_down_cn
-            + self.t_down_access
-        )
+    def __getitem__(self, i):
+        items = [column[i] for column in self.columns]
+        return Records(items) if isinstance(i, slice) else OffloadRecord._make(items)
 
-
-RECORD_FIELDS = tuple(f.name for f in fields(OffloadRecord))
+    def __iter__(self):
+        return map(OffloadRecord._make, zip(*self.columns))
 
 
 def generate_arrivals(cfg: RunConfig, rng: random.Random) -> list[tuple[float, int]]:
@@ -208,7 +202,7 @@ def generate_arrivals(cfg: RunConfig, rng: random.Random) -> list[tuple[float, i
 _AT_GNB, _AT_VEHICLE, _VEHICLE_DONE, _RESULT_AT_GNB = range(4)
 
 
-def run(cfg: RunConfig) -> list[OffloadRecord]:
+def run(cfg: RunConfig) -> Records:
     """Simulate one run and return one record per generated arrival, by task id."""
     cfg.validate()
     rng = random.Random(cfg.seed)
@@ -232,14 +226,20 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
     vue_down = Link(links[LinkClass.VUE_DOWN], cfg.task_size_bytes, cfg.vehicle_speed)
     vue_up = Link(links[LinkClass.VUE_UP], cfg.result_size_bytes, cfg.vehicle_speed)
 
-    # Records are indexed by task id. Arrival i carries sequence number i, so
-    # it precedes every pushed event at its time; pushed events number on
-    # from len(arrivals). The inf sentinel ends the arrival stream.
+    # Records are columns in RECORD_FIELDS order, indexed by task id. Arrival
+    # i carries sequence number i, so it precedes every pushed event at its
+    # time; pushed events number on from n. The inf sentinel ends the arrivals.
     arrivals = generate_arrivals(cfg, rng)
-    records = [OffloadRecord(tid, user, t) for tid, (t, user) in enumerate(arrivals)]
-    arrival_times = [t for t, _ in arrivals] + [math.inf]
+    n = len(arrivals)
+    arrival_times = [t for t, _ in arrivals]
+    columns = [range(n), [user for _, user in arrivals], array("d", arrival_times)]
+    columns += [[None] * n for _ in range(2)] + [array("d", [0.0]) * n for _ in range(11)]
+    columns += [[IN_FLIGHT] * n] + [[None] * n for _ in range(2)]
+    (_, _, _, destination, vehicle_id, t_up_access, t_up_cn, t_up_internet, t_gnb_to_vue, t_queue, t_elab, t_vue_to_gnb,
+     t_down_internet, t_down_cn, t_down_access, total, outcome, failed_leg, edge_queue_at_decision) = columns
+    arrival_times.append(math.inf)
     del arrivals
-    next_seq = itertools.count(len(records)).__next__
+    next_seq = itertools.count(n).__next__
     heap: list[tuple[float, int, int, int, int]] = []  # (t, seq, kind, task, vehicle)
 
     if cfg.strategy == VCC_FIRST:
@@ -262,17 +262,17 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
     else:
         edge = EdgeState(capacity=cfg.edge_mips, max_queue=cfg.edge_max_queue)
 
-    def fail(rec: OffloadRecord, leg: str) -> None:
-        rec.outcome = FAILED
-        rec.failed_leg = leg
+    def fail(a: int, leg: str) -> None:
+        outcome[a] = FAILED
+        failed_leg[a] = leg
 
-    def to_cloud(t: float, rec: OffloadRecord, a: int) -> None:
-        rec.destination = CLOUD
-        rec.t_up_cn = cn_up
-        rec.t_up_internet = inet_up
-        rec.t_elab = cloud_elab
-        rec.t_down_internet = inet_down
-        rec.t_down_cn = cn_down
+    def to_cloud(t: float, a: int) -> None:
+        destination[a] = CLOUD
+        t_up_cn[a] = cn_up
+        t_up_internet[a] = inet_up
+        t_elab[a] = cloud_elab
+        t_down_internet[a] = inet_down
+        t_down_cn[a] = cn_down
         result_at = t + cn_up + inet_up + cloud_elab + inet_down + cn_down
         heappush(heap, (result_at, next_seq(), _RESULT_AT_GNB, a, 0))
 
@@ -286,51 +286,50 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
         else:  # arrivals all lie inside the horizon
             latency = pue_up.send(rng, next_arrival)
             if latency is None:
-                fail(records[i], USER_TO_GNB)
+                fail(i, USER_TO_GNB)
             else:
-                records[i].t_up_access = latency
+                t_up_access[i] = latency
                 heappush(heap, (next_arrival + latency, next_seq(), _AT_GNB, i, 0))
             i += 1
             next_arrival = arrival_times[i]
             continue
 
         if kind == _AT_GNB:
-            rec = records[a]
             if edge is not None:
                 waiting, completion, queue_wait = edge.offer(workload, t, t + cn_up)
-                rec.edge_queue_at_decision = waiting
+                edge_queue_at_decision[a] = waiting
                 if completion is None:
-                    to_cloud(t, rec, a)
+                    to_cloud(t, a)
                 else:
-                    rec.destination = EDGE
-                    rec.t_up_cn = cn_up
-                    rec.t_queue = queue_wait
-                    rec.t_elab = edge_elab
-                    rec.t_down_cn = cn_down
+                    destination[a] = EDGE
+                    t_up_cn[a] = cn_up
+                    t_queue[a] = queue_wait
+                    t_elab[a] = edge_elab
+                    t_down_cn[a] = cn_down
                     heappush(heap, (completion + cn_down, next_seq(), _RESULT_AT_GNB, a, 0))
                 continue
             vid = beacons.dispatch(rng, t)
             if vid is None:
-                to_cloud(t, rec, a)
+                to_cloud(t, a)
                 continue
-            rec.destination = VEHICLE
-            rec.vehicle_id = vid
+            destination[a] = VEHICLE
+            vehicle_id[a] = vid
             latency = vue_down.send(rng, t, beacons.covered(vid, t))
             if latency is None:
-                fail(rec, GNB_TO_VCC)
+                fail(a, GNB_TO_VCC)
                 beacons.book(vid)
             else:
-                rec.t_gnb_to_vue = latency
+                t_gnb_to_vue[a] = latency
                 beacons.book(vid, t + latency)
                 heappush(heap, (t + latency, next_seq(), _AT_VEHICLE, a, vid))
 
         elif kind == _AT_VEHICLE:
             done_at = vehicle_offer(vehicles[b], workload, t)
             if done_at is None:
-                fail(records[a], REJECTION)
+                fail(a, REJECTION)
                 beacons.book(b)  # this task did not stop b: wake b if it still beacons
             else:
-                records[a].t_elab = vehicle_elab
+                t_elab[a] = vehicle_elab
                 beacons.stop(b, t)  # busy vehicles stop beaconing
                 heappush(heap, (done_at, next_seq(), _VEHICLE_DONE, a, b))
 
@@ -341,23 +340,23 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
                 beacons.stop(b, t)
             latency = vue_up.send(rng, t, covered)
             if latency is None:
-                fail(records[a], VCC_TO_GNB)
+                fail(a, VCC_TO_GNB)
             else:
-                records[a].t_vue_to_gnb = latency
+                t_vue_to_gnb[a] = latency
                 heappush(heap, (t + latency, next_seq(), _RESULT_AT_GNB, a, 0))
 
         else:  # _RESULT_AT_GNB: the last leg decides the outcome at once
-            rec = records[a]
             latency = pue_down.send(rng, t)
             if latency is None:
-                fail(rec, GNB_TO_USER)
+                fail(a, GNB_TO_USER)
             else:
-                rec.t_down_access = latency
+                t_down_access[a] = latency
                 if t + latency <= horizon:
-                    rec.outcome = SUCCESS
-                    rec.total = rec.leg_sum()
+                    outcome[a] = SUCCESS  # total: the ten legs in field order, left to right
+                    total[a] = (t_up_access[a] + t_up_cn[a] + t_up_internet[a] + t_gnb_to_vue[a] + t_queue[a]
+                                + t_elab[a] + t_vue_to_gnb[a] + t_down_internet[a] + t_down_cn[a] + latency)
 
-    return records
+    return Records(columns)
 
 
 @dataclass(frozen=True)
@@ -386,7 +385,7 @@ class Aggregates:
     vehicles_used: int
 
 
-def summarize(records: list[OffloadRecord]) -> Aggregates:
+def summarize(records: Records) -> Aggregates:
     """Aggregate one run's records.
 
     Percentiles are nearest-rank over success totals. The cloud share is
@@ -395,15 +394,18 @@ def summarize(records: list[OffloadRecord]) -> Aggregates:
     (access + gNB-to-vehicle), elaboration, and downlink (vehicle-to-gNB +
     access); they sum to 100, and are nan when those successes took no time
     at all (or there are none). Failure percentages are per lifecycle leg over
-    all generated requests.
+    all generated requests. Sums run in task id order.
     """
-    n = len(records)
-    dispatched = [r for r in records if r.destination is not None]
-    successes = [r for r in records if r.outcome == SUCCESS]
-    failed = [r for r in records if r.outcome == FAILED]
-    in_flight = n - len(successes) - len(failed)
+    col = dict(zip(RECORD_FIELDS, records.columns))
+    outcome, destination = col["outcome"], col["destination"]
+    n = len(outcome)
+    n_dispatched = n - destination.count(None)
+    n_success = outcome.count(SUCCESS)
+    fails = Counter(col["failed_leg"])  # the failed leg of each failed task, None for the others
+    n_failed = n - fails[None]
+    ok = list(map(operator.eq, outcome, itertools.repeat(SUCCESS)))
 
-    totals = [r.total for r in successes]
+    totals = list(itertools.compress(col["total"], ok))
     if totals:
         mean_total = sum(totals) / len(totals)
         totals.sort()  # after the sum, whose float depends on the order
@@ -413,16 +415,16 @@ def summarize(records: list[OffloadRecord]) -> Aggregates:
     else:
         mean_total = p90 = p95 = p99 = math.nan
 
-    if dispatched:
-        n_cloud = sum(1 for r in dispatched if r.destination == CLOUD)
-        cc_share = 100.0 * n_cloud / len(dispatched)
-    else:
-        cc_share = math.nan
+    cc_share = 100.0 * destination.count(CLOUD) / n_dispatched if n_dispatched else math.nan
 
-    vcc_success = [r for r in successes if r.destination == VEHICLE]
-    up = sum(r.t_up_access + r.t_gnb_to_vue for r in vcc_success)
-    elab = sum(r.t_elab for r in vcc_success)
-    down = sum(r.t_vue_to_gnb + r.t_down_access for r in vcc_success)
+    vcc = [i for i in itertools.compress(range(n), ok) if destination[i] == VEHICLE]  # vehicular successes
+
+    def legs(name: str):
+        return map(col[name].__getitem__, vcc)
+
+    up = sum(map(operator.add, legs("t_up_access"), legs("t_gnb_to_vue")))
+    elab = sum(legs("t_elab"))
+    down = sum(map(operator.add, legs("t_vue_to_gnb"), legs("t_down_access")))
     span = up + elab + down
     if span > 0.0:
         up_pct = 100.0 * up / span
@@ -431,20 +433,14 @@ def summarize(records: list[OffloadRecord]) -> Aggregates:
     else:  # no vehicular success, or only ones that took no time
         up_pct = elab_pct = down_pct = math.nan
 
-    def fail_pct(leg: str) -> float:
-        if n == 0:
-            return math.nan
-        return 100.0 * sum(1 for r in failed if r.failed_leg == leg) / n
-
-    by_leg = {leg: fail_pct(leg) for leg in FAILURE_LEGS}
-    used = {r.vehicle_id for r in records if r.vehicle_id is not None}
+    by_leg = {leg: 100.0 * fails[leg] / n if n else math.nan for leg in FAILURE_LEGS}
 
     return Aggregates(
         n_requests=n,
-        n_dispatched=len(dispatched),
-        n_success=len(successes),
-        n_failed=len(failed),
-        n_in_flight=in_flight,
+        n_dispatched=n_dispatched,
+        n_success=n_success,
+        n_failed=n_failed,
+        n_in_flight=n - n_success - n_failed,
         mean_total=mean_total,
         p90=p90,
         p95=p95,
@@ -458,8 +454,8 @@ def summarize(records: list[OffloadRecord]) -> Aggregates:
         fail_rejection_pct=by_leg[REJECTION],
         fail_vcc_gnb_pct=by_leg[VCC_TO_GNB],
         fail_gnb_user_pct=by_leg[GNB_TO_USER],
-        fail_total_pct=(100.0 * len(failed) / n) if n else math.nan,
-        vehicles_used=len(used),
+        fail_total_pct=(100.0 * n_failed / n) if n else math.nan,
+        vehicles_used=len(set(col["vehicle_id"]) - {None}),
     )
 
 

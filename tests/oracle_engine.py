@@ -9,15 +9,18 @@ takes only its ``transfer_time`` and ``lost``; the airtime heaps are kept here,
 so ``Link.send``'s own bookkeeping is checked independently. It is slow and
 simple on purpose. A few shims adapt it to today's public names: a local
 ``Task``, a three-line ``select_ecfirst``, ``EdgeState.offer``'s (waiting,
-completion, queue wait) triple, and the vehicle id or None that
-``select_vccfirst`` returns. ``run`` must return the same records as
-``offloadsim.engine.run`` for every valid config.
+completion, queue wait) triple, the vehicle id or None that
+``select_vccfirst`` returns, and mutable records (``new_record``, with
+``leg_sum``, once a method of the record) made ``OffloadRecord`` tuples at the
+end. ``run`` must return the same records as ``offloadsim.engine.run`` for
+every valid config.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from offloadsim.channel import Link, LinkClass
@@ -27,6 +30,8 @@ from offloadsim.engine import (
     FAILED,
     GNB_TO_USER,
     GNB_TO_VCC,
+    IN_FLIGHT,
+    RECORD_FIELDS,
     REJECTION,
     SUCCESS,
     USER_TO_GNB,
@@ -45,6 +50,31 @@ class Task(NamedTuple):
     result_bytes: float
     created_at: float
     origin_user: int
+
+
+def new_record(task: Task) -> SimpleNamespace:
+    """A task's record before anything happened to it, with mutable fields."""
+    rec = SimpleNamespace(**dict.fromkeys(RECORD_FIELDS, 0.0))
+    rec.task_id, rec.origin_user, rec.created_at = task.id, task.origin_user, task.created_at
+    rec.destination = rec.vehicle_id = rec.failed_leg = rec.edge_queue_at_decision = None
+    rec.outcome = IN_FLIGHT
+    return rec
+
+
+def leg_sum(rec) -> float:
+    """The ten legs of a record in field order, added left to right."""
+    return (
+        rec.t_up_access
+        + rec.t_up_cn
+        + rec.t_up_internet
+        + rec.t_gnb_to_vue
+        + rec.t_queue
+        + rec.t_elab
+        + rec.t_vue_to_gnb
+        + rec.t_down_internet
+        + rec.t_down_cn
+        + rec.t_down_access
+    )
 
 
 def select_ecfirst(edge: EdgeState, now: float) -> str:
@@ -87,7 +117,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
         for tid, (t, user) in enumerate(generate_arrivals(cfg, rng))
     ]
     tasks = {task.id: task for task in arrivals}
-    records = {task.id: OffloadRecord(task.id, task.origin_user, task.created_at) for task in arrivals}
+    records = {task.id: new_record(task) for task in arrivals}
     for task in arrivals:
         push(task.created_at, _ARRIVAL, task.id)
 
@@ -112,11 +142,11 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
         heapq.heappush(ends, t + airtime)
         return None if leg.lost(rng, src_cov and dst_cov) else airtime
 
-    def fail(rec: OffloadRecord, leg: str) -> None:
+    def fail(rec: SimpleNamespace, leg: str) -> None:
         rec.outcome = FAILED
         rec.failed_leg = leg
 
-    def to_cloud(t: float, rec: OffloadRecord, task: Task) -> None:
+    def to_cloud(t: float, rec: SimpleNamespace, task: Task) -> None:
         rec.destination = CLOUD
         rec.t_up_cn = cn_up
         rec.t_up_internet = inet_up
@@ -214,7 +244,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
         elif kind == _DELIVERED:
             rec = records[a]
             rec.outcome = SUCCESS
-            rec.total = rec.leg_sum()
+            rec.total = leg_sum(rec)
 
         elif kind == _BEACON:
             if b != beacon_epoch.get(a):
@@ -226,4 +256,4 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
                 registry.on_beacon(a, t)
             push(t + cfg.beacon_period, _BEACON, a, b)
 
-    return [records[tid] for tid in sorted(records)]
+    return [OffloadRecord(**vars(records[tid])) for tid in sorted(records)]

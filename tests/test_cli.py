@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from offloadsim import engine
+from offloadsim import cli, engine
 from offloadsim.cli import AGGREGATE_COLUMNS, ANOVA_COLUMNS, COST_COLUMNS, main
 from offloadsim.costmodel import CostParams, savings
 
@@ -76,6 +76,38 @@ def test_long_records_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
         written.append(rec.read_bytes())
     assert written[0].count(b"\n") == 3001
     assert written[1] == written[0] and written[2] == written[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_records_as_a_row_generator_write_the_bytes_of_the_column_path(tmp_path, monkeypatch, cpus):
+    # a row generator, as a wrapper around the writer passes, has no length
+    # and goes through the one-process path; the columns may be split
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("strategy = VCCFirst\nusers = 30\nduration = 20\nscenario.preset = partial_coverage\n")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    real_write = cli._write_csv
+    monkeypatch.setattr(
+        cli, "_write_csv", lambda path, header, rows: real_write(path, header, (row for row in rows))
+    )
+    assert main(["run", str(cfg), "-o", str(tmp_path / "a.csv"), "--records", str(tmp_path / "rows.csv")]) == 0
+    monkeypatch.setattr(cli, "_write_csv", real_write)
+    assert main(["run", str(cfg), "-o", str(tmp_path / "b.csv"), "--records", str(tmp_path / "columns.csv")]) == 0
+    rows = (tmp_path / "rows.csv").read_bytes()
+    assert rows.count(b"\n") == 3001 and b",VEHICLE," in rows
+    assert rows == (tmp_path / "columns.csv").read_bytes()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_a_run_without_users_writes_only_the_records_header(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("strategy = VCCFirst\nusers = 0\n")
+    rec = tmp_path / "records.csv"
+    assert main(["run", str(cfg), "-o", str(tmp_path / "agg.csv"), "--records", str(rec)]) == 0
+    assert rec.read_text() == ",".join(engine.RECORD_FIELDS) + "\n"
+    (row,) = _rows(tmp_path / "agg.csv")
+    assert row["n_requests"] == "0" and row["n_success"] == "0" and row["vehicles_used"] == "0"
+    assert row["mean_total_s"] == "nan" and row["fail_total_pct"] == "nan"
 
 
 def test_sweep_emits_per_seed_and_mean_rows(tmp_path):

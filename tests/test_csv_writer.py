@@ -13,13 +13,14 @@ import csv
 import io
 import os
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offloadsim import cli
 from offloadsim.cli import _BLOCK_ROWS, _PARALLEL_ROWS, _write_csv
+from offloadsim.engine import RECORD_FIELDS, Records, RunConfig, run
 
 _FLOATS = st.one_of(
     st.floats(),
@@ -112,6 +113,24 @@ def test_block_writer_matches_the_csv_module(table):
     _assert_same_text(header, rows, iter(rows))  # any iterable: one process writes it
 
 
+_FLOAT_COLUMNS = st.one_of(
+    st.lists(_FLOATS, max_size=3 * _BLOCK_ROWS),  # mostly distinct values
+    st.lists(_FLOATS, min_size=1, max_size=4).flatmap(  # few values, each repeated
+        lambda pool: st.lists(st.sampled_from(pool), max_size=3 * _BLOCK_ROWS)
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=_FLOAT_COLUMNS)
+def test_column_stored_records_print_like_their_rows(values):
+    # the columns of a run's records: a range of ids and arrays of doubles,
+    # whose repeated values (signed zeros and nan among them) are shared by bits
+    column = array("d", values)
+    rows = list(zip(range(len(column)), column, column[::-1]))
+    _assert_same_text(("id", "x", "y"), rows, Records([range(len(column)), column, column[::-1]]))
+
+
 @needs_fork
 @pytest.mark.parametrize("n", [1, 2, 3])
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -124,19 +143,21 @@ def test_forked_writer_matches_the_csv_module(n, table):
 
 
 @needs_fork
-def test_only_a_list_tuple_or_row_view_is_split():
+def test_only_a_list_tuple_or_records_are_split():
     rows = [(i, i / 7, None) for i in range(_PARALLEL_ROWS + 5)]
     header = ("a", "b", "c")
+    records = run(RunConfig(n_users=4, duration=_PARALLEL_ROWS / 20 + 1))
+    assert len(records) >= _PARALLEL_ROWS
     with _usable_cpus(2) as forks:
         _assert_same_text(header, rows, (row for row in rows))
         assert forks == []
         _assert_same_text(header, rows, tuple(rows))
-        _assert_same_text(header, rows, cli._RowView(lambda i: (i, i / 7, None), range(len(rows))))
+        _assert_same_text(RECORD_FIELDS, list(records), records)
         assert len(forks) == 2
 
 
 @needs_fork
-def test_a_failing_writer_worker_raises_and_leaves_no_child(capfd):
+def test_a_failing_writer_worker_raises_and_leaves_no_child(capfd, tmp_path):
     # three shares of _PARALLEL_ROWS rows: a short row in the last one fails worker 2
     rows = [(i, 0.5) for i in range(3 * _PARALLEL_ROWS)]
     rows[-3] = (1,)
@@ -145,6 +166,29 @@ def test_a_failing_writer_worker_raises_and_leaves_no_child(capfd):
     with pytest.raises(ChildProcessError):  # every worker was reaped: no zombie
         os.waitpid(-1, os.WNOHANG)
     assert "ValueError: CSV rows must all have the same length" in capfd.readouterr().err
+    # to a file: all or nothing, so the file there before keeps its bytes
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"earlier output\n")
+    with _usable_cpus(3), pytest.raises(RuntimeError, match="worker process"):
+        _write_csv(str(path), ("a", "b"), rows)
+    assert path.read_bytes() == b"earlier output\n"
+    assert os.listdir(tmp_path) == ["out.csv"]  # no temporary file left
+
+
+def test_a_complete_file_replaces_the_old_one(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"x" * 100_000)
+    rows = [(1, 0.5, None)] * 3
+    _write_csv(str(path), ("a", "b", "c"), rows)
+    assert path.read_text() == _reference(("a", "b", "c"), rows)
+    assert os.listdir(tmp_path) == ["out.csv"]
+    link = tmp_path / "link.csv"
+    link.symlink_to(path)
+    _write_csv(str(link), ("b",), [(2,)])  # through the link, which stays a link
+    assert link.is_symlink() and path.read_text() == "b\n2\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "out.csv"]
+    _write_csv(os.devnull, ("a",), [(1,)])  # a device is written in place, never replaced
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
 
 
 @needs_fork

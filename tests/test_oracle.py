@@ -110,3 +110,16 @@ def test_a_beacon_counts_before_a_dispatch_pushed_earlier_at_its_time():
         registry_timeout=0.1,
     )
     assert _rows(run(cfg)) == _rows(oracle_engine.run(cfg))
+
+
+@pytest.mark.parametrize("strategy, seed", [("ECFirst", 0), ("ECFirst", 3), ("VCCFirst", 0), ("VCCFirst", 5)])
+def test_records_read_as_the_oracle_records(strategy, seed):
+    """The column store reads back, item by item, as the oracle's objects."""
+    cfg = RunConfig(strategy=strategy, n_users=4, duration=4.0, seed=seed, geometry=partial_coverage())
+    records, want = run(cfg), oracle_engine.run(cfg)
+    assert len(records) == len(want) > 0
+    assert records[0] == want[0] and records[-1] == want[-1] and records[len(want) // 2] == want[len(want) // 2]
+    assert [records[i] for i in range(len(want))] == list(records) == want
+    assert list(records[1:-1]) == want[1:-1]
+    with pytest.raises(IndexError):
+        records[len(want)]

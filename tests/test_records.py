@@ -2,14 +2,19 @@
 
 The records CSV must carry every record's exact values: a float cell parses
 back through ``float()`` to the same number, and a None cell is empty. The
-edge serves in FIFO order, so its service starts never decrease.
+edge serves in FIFO order, so its service starts never decrease. A run keeps
+its records, stored as columns, in at most half the memory that one record
+object per task took.
 """
 
 import csv
+import gc
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +22,7 @@ from offloadsim import engine
 from offloadsim.cli import main
 from offloadsim.compute import EdgeState
 from offloadsim.config import parse_run_config
-from offloadsim.engine import RECORD_FIELDS, run
+from offloadsim.engine import RECORD_FIELDS, RunConfig, run
 
 
 def _configs(strategies, max_users):
@@ -77,3 +82,24 @@ def test_edge_service_starts_never_decrease(text):
         records = run(parse_run_config(text))
     assert len(starts) == sum(1 for r in records if r.destination == "EDGE")
     assert all(a <= b for a, b in zip(starts, starts[1:]))
+
+
+# Bytes per task that a run's records kept as one slotted object per task
+# (tracemalloc, 100,000 tasks): half of these is the bound for the columns.
+_OBJECT_BYTES_PER_TASK = {"ECFirst": 340, "VCCFirst": 363}
+
+
+@pytest.mark.parametrize("strategy", ["ECFirst", "VCCFirst"])
+def test_records_keep_at_most_half_the_bytes_of_one_object_per_task(strategy):
+    cfg = RunConfig(strategy=strategy, duration=500.0)  # 8 users at 5 Hz: 20,000 tasks
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = run(cfg)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 20_000
+    assert retained / len(records) <= _OBJECT_BYTES_PER_TASK[strategy] / 2
