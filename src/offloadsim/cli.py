@@ -2,18 +2,19 @@
 
 Every subcommand emits RFC-4180-style CSV, to --output or to standard output,
 in the bytes ``csv.writer(lineterminator="\\n")`` would write: floats with repr,
-ints with str, None as an empty cell, and other values (strings) quoted by the
-csv module itself, so identical runs produce byte-identical files. Rows are
-formatted in blocks of ``_BLOCK_ROWS``, column by column, and a value repeated
-within a block column is formatted once; ``run --records`` passes the run's
-``engine.Records``, whose blocks are slices of its columns, so no row is built.
-A table of ``_PARALLEL_ROWS`` rows or more is split into contiguous shares
-formatted at once on the usable CPUs, in worker processes forked by
-``workers.forked``; this process writes the shares out in order, so the bytes
-never depend on the worker count. Under ``taskset -c 0``, while another thread
-runs, or for a shorter table, one process writes it all. A file is written
-whole or not at all. When writing to a file, a short human-readable summary
-goes to stdout instead.
+ints with str, None as an empty cell and strings quoted by the csv module, so
+identical runs produce byte-identical files. Every table but one is written by
+``csv.writer`` itself. The exception is ``run --records``, whose rows are the
+run's ``engine.Records``: its columns are formatted in blocks of
+``_BLOCK_ROWS`` rows, slice by slice, with a value repeated within a block
+column formatted once, so no row is built. Records of ``_PARALLEL_ROWS`` rows
+or more are split into contiguous shares formatted at once on the usable CPUs,
+in worker processes forked by ``workers.forked``; this process writes the
+shares out in order, so the bytes never depend on the worker count. Under
+``taskset -c 0``, while another thread runs, or for fewer records, one process
+writes them all. A file is written whole or not at all, and a path that
+cannot be written is reported like an unreadable config. When writing to a
+file, a short human-readable summary goes to stdout instead.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import os
 import sys
 from array import array
 from dataclasses import replace
-from itertools import islice, repeat
 from pathlib import Path
 
 from .config import (
@@ -66,10 +66,10 @@ COST_COLUMNS = (
 ANOVA_COLUMNS = ("source", "sum_sq", "df", "F", "PR(>F)")
 
 
-# Rows formatted per write: enough to share each repeated cell's text, few
+# Records formatted per write: enough to share each repeated cell's text, few
 # enough that a long table never sits in memory whole.
 _BLOCK_ROWS = 512
-# Tables this long or longer are formatted on the usable CPUs: below it the
+# Records this long or longer are formatted on the usable CPUs: below it the
 # fork costs about what a second worker saves.
 _PARALLEL_ROWS = 4 * _BLOCK_ROWS
 
@@ -82,111 +82,95 @@ class _Echo:
         return line
 
 
-def _csv_line(row) -> str:
-    """The line the csv module writes for one row."""
-    return csv.writer(_Echo, lineterminator="\n").writerow(row)
-
-
-# The csv module quotes a row's only cell when it is empty, so the line is not blank.
-_LONE_EMPTY = _csv_line(("",))[:-1]
-_PLAIN = {float: repr, int: str}
-_MEMO_KINDS = ({float}, {int}, {str})
+# The terminator as in the output: the csv module quotes a cell holding one of its characters.
+_QUOTED = csv.writer(_Echo, lineterminator="\n")
 
 
 def _cell(value) -> str:
-    """One cell as the csv module writes it beside others; it quotes strings."""
-    if value is None:
-        return ""
-    plain = _PLAIN.get(type(value))
-    return plain(value) if plain else _csv_line((value, None))[:-2]
+    """One cell as the csv module writes it beside others: None empty, an int
+    with str and a string quoted where it must be."""
+    return _QUOTED.writerow((value, None))[:-2]
 
 
 def _column_cells(values):
-    """The cells of one block column, formatting each value repeated in it once.
+    """The cells of one block of a ``Records`` column, formatting each value
+    repeated in it once.
 
-    Only a column of one type (besides None) gets a memo, since equal values of
-    different types can print differently (1 and 1.0). So can 0.0 and -0.0, so
-    a float column holding a zero gets a memo only when it holds no None and
-    all its values share one sign. An ``array('d')`` holds floats only and is
-    memoized by their bits: equal bits print alike, and 0.0 and -0.0 differ.
+    A ``range`` (task ids) prints with str. An ``array('d')`` holds floats only
+    and is memoized by their bits: equal bits print alike, and 0.0 and -0.0
+    differ. A list holds one type beside None, ints or a few constant strings,
+    so it is memoized by value.
     """
-    if getattr(values, "typecode", None) == "d":
+    if isinstance(values, range):
+        return map(str, values)
+    if isinstance(values, array):
         bits = array("q", values.tobytes())
         distinct = array("q", set(bits))
         if 2 * len(distinct) > len(values):
             return map(repr, values)
         return map(dict(zip(distinct, map(repr, array("d", distinct.tobytes())))).__getitem__, bits)
-    kinds = set(map(type, values))
-    if kinds - {type(None)} in _MEMO_KINDS:
-        distinct = set(values)
-        if 2 * len(distinct) <= len(values) and (
-            float not in kinds
-            or 0.0 not in distinct
-            or (kinds == {float} and len(set(map(math.copysign, repeat(1.0), values))) == 1)
-        ):
-            memo = {value: _cell(value) for value in distinct}
-            return map(memo.__getitem__, values)
-    plain = _PLAIN.get(next(iter(kinds))) if len(kinds) == 1 else None
-    return map(plain or _cell, values)
+    return map({value: _cell(value) for value in set(values)}.__getitem__, values)
 
 
-def _csv_block(n: int, columns) -> str:
-    """The CSV text of n rows given as equal-length columns, each line ending in \\n."""
-    cells = [_column_cells(values) for values in columns]
-    if len(cells) == 1:
-        cells = [[_LONE_EMPTY if cell == "" else cell for cell in cells[0]]]
-    lines = map(",".join, zip(*cells)) if cells else repeat("", n)
-    return "\n".join(lines) + "\n"
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError raised inside as the path not being writable."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_csv(path: str | None, header, rows) -> None:
     """Write the header and rows to the path, all or nothing, or to stdout.
 
-    ``rows`` is any iterable of sequences, ``engine.Records`` included, taken
-    ``_BLOCK_ROWS`` at a time, so memory stays flat. A list, tuple or
-    ``Records`` of ``_PARALLEL_ROWS`` rows or more is formatted by
-    ``_write_forked`` on the usable CPUs, in the same bytes; other iterables
-    have no length to split by. A regular file is written under a temporary
-    name in its directory and renamed over the path once complete, so on any
-    failure the path keeps what it held before.
+    ``rows`` is an ``engine.Records``, written by ``_block_texts`` and, at
+    ``_PARALLEL_ROWS`` rows or more, by ``_write_forked`` on the usable CPUs in
+    the same bytes, or any other iterable of rows, written by ``csv.writer``. A
+    regular file is written under a temporary name in its directory and
+    renamed over the path once complete, so on any failure the path keeps what
+    it held before. A path that cannot be opened or replaced is reported as a
+    ConfigError.
     """
     if path and (not os.path.exists(path) or os.path.isfile(path)):
         path = os.path.realpath(path) if os.path.islink(path) else path  # through a link, as open would
         temporary = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(temporary, "w", newline="") as out:
+            with _writing(path):
+                out = open(temporary, "w", newline="")
+            with out:
                 _write_table(out, header, rows)
-            os.replace(temporary, path)
+            with _writing(path):
+                os.replace(temporary, path)
         finally:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temporary)  # left only by a failure
-    else:  # stdout, or a device or pipe such as /dev/null, written in place
-        with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
+    elif path:  # a device or pipe such as /dev/null, written in place
+        with _writing(path):
+            out = open(path, "w", newline="")
+        with out:
             _write_table(out, header, rows)
+    else:
+        _write_table(sys.stdout, header, rows)
 
 
 def _write_table(out, header, rows) -> None:
-    out.write(_csv_block(1, zip(header)))
-    parallel = isinstance(rows, (list, tuple, Records)) and len(rows) >= _PARALLEL_ROWS
-    n = worker_count(len(rows) // _BLOCK_ROWS) if parallel else 1
-    if n > 1:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    if not isinstance(rows, Records):
+        writer.writerows(rows)
+    elif len(rows) >= _PARALLEL_ROWS and (n := worker_count(len(rows) // _BLOCK_ROWS)) > 1:
         _write_forked(out, rows, n)
     else:
         out.writelines(_block_texts(rows))
 
 
-def _block_texts(rows):
-    """The CSV text of each ``_BLOCK_ROWS`` rows of a table, in order."""
-    if isinstance(rows, Records):  # sliced column by column
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[start : start + _BLOCK_ROWS]
-            yield _csv_block(len(block), block.columns)
-        return
-    rows = iter(rows)
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        if len(set(map(len, block))) > 1:
-            raise ValueError("CSV rows must all have the same length")
-        yield _csv_block(len(block), zip(*block))
+def _block_texts(records: Records):
+    """The CSV text of each ``_BLOCK_ROWS`` records, in order, each line
+    ending in \\n; the blocks are slices of the columns, so no row is built."""
+    for start in range(0, len(records), _BLOCK_ROWS):
+        cells = [_column_cells(values[start : start + _BLOCK_ROWS]) for values in records.columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _write_forked(out, rows, n: int) -> None:
@@ -423,3 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"offloadsim: {exc}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

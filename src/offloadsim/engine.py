@@ -1,11 +1,15 @@
 """Deterministic discrete-event simulation of task offloading.
 
-One run owns a single seeded RNG and orders its events by (time, sequence
+One run draws from ``random.Random(seed)``, user phases first, then beacon
+phases, then the per-event draws, and orders its events by (time, sequence
 number), so identical configurations and seeds replay the exact same event
-interleaving and produce identical records. Arrivals are generated sorted by
-(time, task id) and stay in that list, read by a cursor beside a heap of the
-in-flight events: arrival i counts as sequence number i and every pushed event
-numbers on from the arrival count, so at equal times an arrival goes first.
+interleaving and produce identical records. ``build_scenario`` places the
+VCCFirst fleet from a second ``random.Random(seed)``, so vehicle i's start
+offset over the perimeter equals user i's phase over the request interval.
+Arrivals are generated sorted by (time, task id) and stay in that list, read
+by a cursor beside a heap of the in-flight events: arrival i counts as
+sequence number i and every pushed event numbers on from the arrival count,
+so at equal times an arrival goes first.
 
 Each radio leg goes through the run's ``channel.Link`` for its link class,
 which holds the link's parameters and the airtime still in use. A leg returns

@@ -376,3 +376,46 @@ def test_the_cli_imports_without_numpy():
         [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, timeout=60, check=True
     )
     assert done.stdout == "False\n"
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    # used to exit 0 without running anything or writing the file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG)
+    out = tmp_path / "agg.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "offloadsim.cli", "run", str(cfg), "-o", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert "50 requests" in done.stdout
+    assert main(["run", str(cfg), "-o", str(tmp_path / "main.csv")]) == 0
+    assert out.read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+def test_an_unwritable_output_path_exits_nonzero_with_a_message(tmp_path, capsys, monkeypatch):
+    # each used to end in a FileNotFoundError or IsADirectoryError traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG)
+    missing = tmp_path / "missing" / "x.csv"
+    for flags, path, why in [
+        (["-o", str(missing)], missing, "No such file or directory"),
+        (["-o", str(tmp_path)], tmp_path, "Is a directory"),
+        (["-o", str(tmp_path / "agg.csv"), "--records", str(missing)], missing, "No such file or directory"),
+    ]:
+        assert main(["run", str(cfg)] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"offloadsim: cannot write {path}: {why}\n"
+    # a file that cannot be replaced keeps its bytes, and no temporary file is left
+    out = tmp_path / "agg.csv"
+    out.write_bytes(b"earlier output\n")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["run", str(cfg), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"offloadsim: cannot write {out}: Permission denied\n"
+    assert out.read_bytes() == b"earlier output\n"
+    assert sorted(os.listdir(tmp_path)) == ["agg.csv", "run.cfg"]

@@ -1,8 +1,9 @@
-"""The block CSV writer writes exactly the bytes of ``csv.writer``.
+"""The CSV writer writes exactly the bytes of ``csv.writer``.
 
-Every subcommand goes through ``cli._write_csv``, which formats rows a block at
-a time, column by column, sharing the text of values repeated in a block
-column, and splits a long table among forked workers. Its output must match
+Every subcommand goes through ``cli._write_csv``. A run's ``engine.Records``
+is formatted a block at a time, column by column, sharing the text of values
+repeated in a block column, and a long one is split among forked workers; any
+other table is written by ``csv.writer`` itself. The output must match
 ``csv.writer(lineterminator="\\n")`` byte for byte, whatever the worker count:
 floats (nan, inf and signed zeros too) with repr, ints with str, None as an
 empty cell and strings with the csv module's quoting.
@@ -26,43 +27,36 @@ _FLOATS = st.one_of(
     st.floats(),
     st.sampled_from((0.0, -0.0, 1.0, -1.0, float("nan"), float("inf"), float("-inf"))),
 )
-_NUMBERS = st.one_of(_FLOATS, st.integers(-(2**70), 2**70), st.sampled_from((0, 1, True, False)))
-_CELLS = st.one_of(_NUMBERS, st.none(), st.text(alphabet=',"\n\r a-', max_size=5))
-# What one column draws its few values from.
-_COLUMN_KINDS = (_FLOATS, st.one_of(_FLOATS, st.none()), _NUMBERS, _CELLS)
-
-_ROW_COUNTS = (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 7)
+# Strings as a records list column holds them, and strings the csv module quotes.
+_STRINGS = st.one_of(st.sampled_from(("success", "VEHICLE", "USER_TO_GNB")), st.text(alphabet=',"\n\r a-', max_size=5))
 # Both sides of the cutoff for forked workers, and shares that end inside a block.
 _LONG_ROW_COUNTS = (_PARALLEL_ROWS - 1, _PARALLEL_ROWS, _PARALLEL_ROWS + 1, 2 * _PARALLEL_ROWS + _BLOCK_ROWS + 2)
+_HEADER = ("id", "x", "y", "k", "s")
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
 
 
 @st.composite
-def _columns(draw):
-    """A column as a function of the row index: few distinct values, mixed
-    within a block or switching between blocks, or a fresh value per row.
-    Columns of floats only, of floats and None, and holding equal values that
-    print differently (signed zeros, an int and a float) are common."""
-    pool = draw(st.lists(draw(st.sampled_from(_COLUMN_KINDS)), min_size=1, max_size=6))
-    pool += draw(st.sampled_from(([], [0.0, -0.0], [1, 1.0], [True, 1])))
-    mode = draw(st.sampled_from(("mixed", "runs", "fresh")))
-    seed = draw(st.integers(0, 2**16))
-    if mode == "mixed":
-        rng = random.Random(seed)
-        return lambda i: rng.choice(pool)
-    if mode == "runs":
-        run = draw(st.sampled_from((1, 7, _BLOCK_ROWS - 3, _BLOCK_ROWS)))
-        return lambda i: pool[(i // run) % len(pool)]
+def _list_columns(draw, values, n):
+    """A records list column of n cells drawn from a few values."""
+    pool = draw(st.lists(values, min_size=1, max_size=8))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    return [rng.choice(pool) for _ in range(n)]
+
+
+def _records(n, seed):
+    """Records of n rows with each kind of column: task ids, floats that are
+    mostly distinct and floats from a few values, ints or None, and strings
+    that need quoting or None."""
     rng = random.Random(seed)
-    return lambda i: rng.choice((rng.random(), -rng.random(), rng.randrange(10**6), None, pool[0]))
-
-
-@st.composite
-def _tables(draw, row_counts=_ROW_COUNTS):
-    columns = draw(st.lists(_columns(), max_size=6))
-    header = tuple(draw(st.lists(_CELLS, min_size=len(columns), max_size=len(columns))))
-    n_rows = draw(st.sampled_from(row_counts))
-    return header, [tuple(column(i) for column in columns) for i in range(n_rows)]
+    return Records(
+        [
+            range(n),
+            array("d", (rng.random() for _ in range(n))),
+            array("d", (rng.choice((0.0, -0.0, 0.5, float("nan"))) for _ in range(n))),
+            [rng.choice((None, 3, 41)) for _ in range(n)],
+            [rng.choice((None, "in_flight", 'a "b"', "c,d", "e\nf")) for _ in range(n)],
+        ]
+    )
 
 
 def _written(header, rows):
@@ -106,11 +100,12 @@ def _assert_same_text(header, rows, given=None):
         assert (len(got), at, got[lo : at + 60]) == (len(want), at, want[lo : at + 60])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(table=_tables())
-def test_block_writer_matches_the_csv_module(table):
-    header, rows = table
-    _assert_same_text(header, rows, iter(rows))  # any iterable: one process writes it
+def test_block_writer_matches_the_csv_module():
+    # any table but a Records goes to csv.writer, whatever iterable holds its rows
+    rows = [(1, 0.5, None, "a,b"), (-0.0, float("nan"), float("-inf"), 'say "hi"'), (True, 2**70, "", "x\ny")]
+    for header, table in ((("a", "b", "c", "d"), rows), (("",), [(None,), ("",)]), (("a", "b"), [])):
+        for given in (table, tuple(table), iter(table)):
+            _assert_same_text(header, table, given)
 
 
 _FLOAT_COLUMNS = st.one_of(
@@ -122,55 +117,63 @@ _FLOAT_COLUMNS = st.one_of(
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(values=_FLOAT_COLUMNS)
-def test_column_stored_records_print_like_their_rows(values):
-    # the columns of a run's records: a range of ids and arrays of doubles,
-    # whose repeated values (signed zeros and nan among them) are shared by bits
+@given(values=_FLOAT_COLUMNS, data=st.data())
+def test_column_stored_records_print_like_their_rows(values, data):
+    # the columns of a run's records: a range of ids, arrays of doubles, whose
+    # repeated values (signed zeros and nan among them) are shared by bits, and
+    # lists of ints or strings beside None, shared by value
     column = array("d", values)
-    rows = list(zip(range(len(column)), column, column[::-1]))
-    _assert_same_text(("id", "x", "y"), rows, Records([range(len(column)), column, column[::-1]]))
+    n = len(column)
+    ints = data.draw(_list_columns(st.one_of(st.none(), st.integers(-(2**70), 2**70)), n))
+    strings = data.draw(_list_columns(st.one_of(st.none(), _STRINGS), n))
+    columns = [range(n), column, column[::-1], ints, strings]
+    _assert_same_text(_HEADER, list(zip(*columns)), Records(columns))
 
 
 @needs_fork
 @pytest.mark.parametrize("n", [1, 2, 3])
-@settings(max_examples=15, deadline=None, derandomize=True)
-@given(table=_tables(_LONG_ROW_COUNTS))
-def test_forked_writer_matches_the_csv_module(n, table):
-    header, rows = table
-    with _usable_cpus(n) as forks:
-        _assert_same_text(header, rows)
-    assert len(forks) == (n - 1 if len(rows) >= _PARALLEL_ROWS else 0)
+def test_forked_writer_matches_the_csv_module(n):
+    for n_rows in _LONG_ROW_COUNTS:
+        records = _records(n_rows, seed=n_rows)
+        with _usable_cpus(n) as forks:
+            _assert_same_text(_HEADER, list(zip(*records.columns)), records)
+        assert len(forks) == (n - 1 if n_rows >= _PARALLEL_ROWS else 0)
 
 
 @needs_fork
-def test_only_a_list_tuple_or_records_are_split():
-    rows = [(i, i / 7, None) for i in range(_PARALLEL_ROWS + 5)]
-    header = ("a", "b", "c")
+def test_only_records_are_split():
     records = run(RunConfig(n_users=4, duration=_PARALLEL_ROWS / 20 + 1))
     assert len(records) >= _PARALLEL_ROWS
+    rows = list(records)
     with _usable_cpus(2) as forks:
-        _assert_same_text(header, rows, (row for row in rows))
+        for given in (rows, tuple(rows), iter(rows)):  # to csv.writer, in this process
+            _assert_same_text(RECORD_FIELDS, rows, given)
         assert forks == []
-        _assert_same_text(header, rows, tuple(rows))
-        _assert_same_text(RECORD_FIELDS, list(records), records)
-        assert len(forks) == 2
+        _assert_same_text(RECORD_FIELDS, rows, records)
+        assert len(forks) == 1
+
+
+def _unhashable_at(i):
+    """Records of three shares of _PARALLEL_ROWS rows whose row i holds a list
+    in a list column, which its share's writer cannot memoize."""
+    records = _records(3 * _PARALLEL_ROWS, seed=0)
+    records.columns[3][i] = [1]
+    return records
 
 
 @needs_fork
 def test_a_failing_writer_worker_raises_and_leaves_no_child(capfd, tmp_path):
-    # three shares of _PARALLEL_ROWS rows: a short row in the last one fails worker 2
-    rows = [(i, 0.5) for i in range(3 * _PARALLEL_ROWS)]
-    rows[-3] = (1,)
+    records = _unhashable_at(-3)  # in the last share: worker 2 fails
     with _usable_cpus(3), pytest.raises(RuntimeError, match="worker process"):
-        _written(("a", "b"), rows)
+        _written(_HEADER, records)
     with pytest.raises(ChildProcessError):  # every worker was reaped: no zombie
         os.waitpid(-1, os.WNOHANG)
-    assert "ValueError: CSV rows must all have the same length" in capfd.readouterr().err
+    assert "TypeError: unhashable type: 'list'" in capfd.readouterr().err
     # to a file: all or nothing, so the file there before keeps its bytes
     path = tmp_path / "out.csv"
     path.write_bytes(b"earlier output\n")
     with _usable_cpus(3), pytest.raises(RuntimeError, match="worker process"):
-        _write_csv(str(path), ("a", "b"), rows)
+        _write_csv(str(path), _HEADER, records)
     assert path.read_bytes() == b"earlier output\n"
     assert os.listdir(tmp_path) == ["out.csv"]  # no temporary file left
 
@@ -193,10 +196,9 @@ def test_a_complete_file_replaces_the_old_one(tmp_path):
 
 @needs_fork
 def test_the_writer_reaps_its_workers_when_its_own_share_fails(capfd):
-    rows = [(i, 0.5) for i in range(3 * _PARALLEL_ROWS)]
-    rows[3] = (1,)  # share 0 is formatted in the calling process
-    with _usable_cpus(3) as forks, pytest.raises(ValueError, match="same length"):
-        _written(("a", "b"), rows)
+    records = _unhashable_at(3)  # share 0 is formatted in the calling process
+    with _usable_cpus(3) as forks, pytest.raises(TypeError, match="unhashable"):
+        _written(_HEADER, records)
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -209,6 +211,9 @@ def test_signed_zeros_keep_their_sign_within_and_across_blocks(first, second):
     across = [(first if i < _BLOCK_ROWS else second,) for i in range(2 * _BLOCK_ROWS)]
     for rows in (within, across):
         _assert_same_text(("x",) * len(rows[0]), rows)
+    # float columns of records, memoized by bits
+    columns = [array("d", (row[0] for row in rows)) for rows in (within, across)]
+    _assert_same_text(("w", "a"), list(zip(*columns)), Records(columns))
 
 
 def test_equal_values_of_different_types_keep_their_own_text():
@@ -219,8 +224,3 @@ def test_equal_values_of_different_types_keep_their_own_text():
 def test_lone_empty_cells_are_quoted_like_the_csv_module():
     rows = [(None,), ("",), ("a",)] * 3
     assert _written(("",), rows) == _reference(("",), rows) == '""\n' + '""\n""\na\n' * 3
-
-
-def test_rows_of_different_lengths_are_rejected():
-    with pytest.raises(ValueError, match="same length"):
-        _written(("a", "b"), [(1, 2), (3,)])
