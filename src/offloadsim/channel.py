@@ -13,7 +13,7 @@ holds both formulas and the airtime still in use; a wired leg is its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from enum import Enum
 from heapq import heappop, heappush
 
@@ -29,9 +29,7 @@ class LinkClass(Enum):
     INTERNET_DOWN = "internet_down"
 
 
-RADIO_LINKS = frozenset(
-    {LinkClass.PUE_UP, LinkClass.PUE_DOWN, LinkClass.VUE_UP, LinkClass.VUE_DOWN}
-)
+RADIO_LINKS = frozenset({LinkClass.PUE_UP, LinkClass.PUE_DOWN, LinkClass.VUE_UP, LinkClass.VUE_DOWN})
 WIRED_LINKS = frozenset(LinkClass) - RADIO_LINKS
 
 PROCESSOR_SHARING = "processor_sharing"
@@ -41,17 +39,18 @@ OUT_OF_COVERAGE = "out_of_coverage"
 CHANNEL_ERROR = "channel_error"
 
 
-@dataclass(frozen=True)
-class LinkParams:
-    """One link class: latency floor, shared rate, and loss coefficients."""
+class LinkParams(namedtuple("LinkParams", "base_latency rate p_base k_speed sharing",
+                            defaults=(None, 0.0, 0.0, PROCESSOR_SHARING))):
+    """One link class: ``base_latency`` (s, one-way floor), ``rate`` (bits/s
+    shared by concurrent transfers; None = unbounded), ``p_base`` (loss
+    probability at speed 0), ``k_speed`` (added loss probability per m/s) and
+    ``sharing``. Every construction is checked, ``_replace`` included."""
 
-    base_latency: float  # s, one-way floor
-    rate: float | None = None  # bits/s shared by concurrent transfers; None = unbounded
-    p_base: float = 0.0  # loss probability at speed 0
-    k_speed: float = 0.0  # added loss probability per (m/s)
-    sharing: str = PROCESSOR_SHARING
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.base_latency < 0.0:
             raise ValueError("base latency must be nonnegative")
         if self.rate is not None and self.rate <= 0.0:
@@ -62,28 +61,31 @@ class LinkParams:
             raise ValueError("k_speed must be nonnegative")
         if self.sharing not in (PROCESSOR_SHARING, NO_SHARING):
             raise ValueError(f"unknown sharing mode {self.sharing!r}")
+        return self
 
 
-@dataclass
 class ChannelConfig:
-    """Per-link-class parameters for one run."""
+    """Per-link-class parameters for one run: ``links`` maps every
+    ``LinkClass`` to its ``LinkParams``."""
 
-    links: dict[LinkClass, LinkParams]
+    __slots__ = ("links",)
 
-    def __post_init__(self) -> None:
-        missing = set(LinkClass) - set(self.links)
+    def __init__(self, links: dict[LinkClass, LinkParams]) -> None:
+        missing = set(LinkClass) - set(links)
         if missing:
             names = ", ".join(sorted(k.value for k in missing))
             raise ValueError(f"channel config missing link classes: {names}")
         for link in WIRED_LINKS:
-            if self.links[link].p_base != 0.0 or self.links[link].k_speed != 0.0:
+            if links[link].p_base != 0.0 or links[link].k_speed != 0.0:
                 raise ValueError(f"wired leg {link.value} must be lossless")
+        self.links = links
+
+    def __eq__(self, other):
+        return self.links == other.links if isinstance(other, ChannelConfig) else NotImplemented
 
     def lossless(self) -> "ChannelConfig":
         """Copy with all loss probabilities zeroed (latency model unchanged)."""
-        return ChannelConfig(
-            {k: replace(p, p_base=0.0, k_speed=0.0) for k, p in self.links.items()}
-        )
+        return ChannelConfig({k: p._replace(p_base=0.0, k_speed=0.0) for k, p in self.links.items()})
 
 
 def lena_calibrated() -> ChannelConfig:

@@ -12,9 +12,10 @@ or more are split into contiguous shares formatted at once on the usable CPUs,
 in worker processes forked by ``workers.forked``; this process writes the
 shares out in order, so the bytes never depend on the worker count. Under
 ``taskset -c 0``, while another thread runs, or for fewer records, one process
-writes them all. A file is written whole or not at all, and a path that
-cannot be written is reported like an unreadable config. When writing to a
-file, a short human-readable summary goes to stdout instead.
+writes them all. A file is written whole or not at all, and ``run``'s two
+files both or neither; a path that cannot be written is reported like an
+unreadable config. When writing to a file, a short human-readable summary goes
+to stdout instead.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 import os
 import sys
 from array import array
-from dataclasses import replace
 from pathlib import Path
 
 from .config import (
@@ -42,7 +42,7 @@ from .config import (
     parse_sweep_spec,
 )
 from .costmodel import CostParams, cost_breakdown, savings
-from .engine import AGGREGATE_FIELDS, Aggregates, RECORD_FIELDS, Records, run, summarize, summarize_runs
+from .engine import AGGREGATE_FIELDS, RECORD_FIELDS, Records, run, summarize, summarize_runs
 from .stats import anova_oneway
 from .workers import forked, worker_count
 
@@ -121,6 +121,33 @@ def _writing(path: str):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+_replaced: list | None = None  # in ``_all_or_nothing``: (path, link to its previous file or None)
+
+
+@contextlib.contextmanager
+def _all_or_nothing():
+    """If the block raises, each file ``_write_csv`` replaced inside it gets
+    its previous bytes back, or is removed if it is new."""
+    global _replaced
+    _replaced = replaced = []
+    try:
+        yield
+    except BaseException:
+        for path, previous in reversed(replaced):
+            with contextlib.suppress(OSError):
+                if previous:
+                    os.replace(previous, path)
+                else:
+                    os.remove(path)
+        raise
+    finally:
+        _replaced = None
+        for _, previous in replaced:
+            if previous:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(previous)  # left only by a success
+
+
 def _write_csv(path: str | None, header, rows) -> None:
     """Write the header and rows to the path, all or nothing, or to stdout.
 
@@ -129,8 +156,9 @@ def _write_csv(path: str | None, header, rows) -> None:
     the same bytes, or any other iterable of rows, written by ``csv.writer``. A
     regular file is written under a temporary name in its directory and
     renamed over the path once complete, so on any failure the path keeps what
-    it held before. A path that cannot be opened or replaced is reported as a
-    ConfigError.
+    it held before; inside ``_all_or_nothing`` its previous file is kept as a
+    hard link until the block ends. A path that cannot be opened or replaced is
+    reported as a ConfigError.
     """
     if path and (not os.path.exists(path) or os.path.isfile(path)):
         path = os.path.realpath(path) if os.path.islink(path) else path  # through a link, as open would
@@ -141,6 +169,15 @@ def _write_csv(path: str | None, header, rows) -> None:
             with out:
                 _write_table(out, header, rows)
             with _writing(path):
+                if _replaced is not None:
+                    previous = f"{path}.{os.getpid()}.old"
+                    try:
+                        os.link(path, previous)
+                        _replaced.append((path, previous))
+                    except FileNotFoundError:  # a new file: a failure removes it
+                        _replaced.append((path, None))
+                    except OSError:  # no hard links here: a failure leaves it replaced
+                        pass
                 os.replace(temporary, path)
         finally:
             with contextlib.suppress(FileNotFoundError):
@@ -198,10 +235,6 @@ def _write_forked(out, rows, n: int) -> None:
                 out.write(text)
 
 
-def _aggregate_values(agg: Aggregates) -> list:
-    return [getattr(agg, name) for name in AGGREGATE_FIELDS]
-
-
 def _read_config(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -213,9 +246,10 @@ def _cmd_run(args) -> int:
     cfg = parse_run_config(_read_config(args.config))
     records = run(cfg)
     agg = summarize(records)
-    _write_csv(args.output, ("seed",) + AGGREGATE_COLUMNS, [[cfg.seed] + _aggregate_values(agg)])
-    if args.records:
-        _write_csv(args.records, RECORD_FIELDS, records)
+    with _all_or_nothing():  # both files, or neither
+        _write_csv(args.output, ("seed",) + AGGREGATE_COLUMNS, [[cfg.seed, *agg]])
+        if args.records:
+            _write_csv(args.records, RECORD_FIELDS, records)
     if args.output:
         ms = agg.mean_total * 1e3
         print(
@@ -237,13 +271,10 @@ def _sweep_rows(spec: SweepSpec):
     for value in spec.values:
         per_seed = []
         for seed in spec.seeds:
-            per_seed.append(_aggregate_values(next(aggs)))
-            rows.append([spec.axis, value, seed] + per_seed[-1])
-        means = []
-        for col in range(len(AGGREGATE_COLUMNS)):
-            cells = [r[col] for r in per_seed]
-            means.append(math.nan if any(math.isnan(c) for c in cells) else sum(cells) / len(cells))
-        rows.append([spec.axis, value, "mean"] + means)
+            per_seed.append(next(aggs))
+            rows.append([spec.axis, value, seed, *per_seed[-1]])
+        means = [math.nan if any(map(math.isnan, cells)) else sum(cells) / len(cells) for cells in zip(*per_seed)]
+        rows.append([spec.axis, value, "mean", *means])
     return rows
 
 
@@ -252,26 +283,13 @@ def _cost_rows(base: CostParams, betas, years, scales, bonus_flag: bool):
     for scale in scales:
         for year in years:
             for beta in betas:
-                p = replace(base, years=year, beta=beta, c_vcc_req=None)
+                p = base._replace(years=year, beta=beta, c_vcc_req=None)
                 try:
                     row = cost_breakdown(p, [beta], scale, bonus_flag)[0]
                     saved = savings(p, scale)
                 except ValueError as exc:
                     raise ConfigError(f"cost at scale {scale!r}, years {year!r}, beta {beta!r}: {exc}") from None
-                rows.append(
-                    [
-                        scale,
-                        year,
-                        beta,
-                        row.capex_ec_pct,
-                        row.ec_main_pct,
-                        row.ec_req_pct,
-                        row.vcc_req_pct,
-                        row.ec_total,
-                        row.vcc_total,
-                        saved,
-                    ]
-                )
+                rows.append([scale, year, *row, saved])  # row starts with beta
     return rows
 
 
@@ -281,7 +299,7 @@ def _cmd_sweep(args) -> int:
     if args.seed_list is not None:
         if spec.axis == "beta":
             raise ConfigError("--seed-list does not apply to a beta sweep, which runs nothing")
-        spec = replace(spec, seeds=parse_seed_list(args.seed_list))
+        spec = spec._replace(seeds=parse_seed_list(args.seed_list))
     if spec.axis == "beta":
         flag = bonus_in_ec_requests(text)
         rows = _cost_rows(spec.base_cost, spec.values, [spec.base_cost.years], [1.0], flag)

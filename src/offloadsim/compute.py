@@ -9,7 +9,6 @@ second outright.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .scenario import VehicleState
 
@@ -23,23 +22,21 @@ def elaboration_time(workload_mi: float, capacity_mips: float) -> float:
     return workload_mi / capacity_mips
 
 
-@dataclass
 class EdgeState:
-    """One FIFO server with a bounded waiting line.
+    """One FIFO server of ``capacity`` MIPS with a bounded waiting line.
 
     Admissions are in dispatch order and the core-network delay is the same for
     every task, so service starts are nondecreasing and the waiting line can be
     tracked as a deque of (service_start, completion) pairs pruned lazily.
     """
 
-    capacity: float  # MIPS
-    max_queue: int = 100
-    next_free: float = 0.0
-    _jobs: deque = field(default_factory=deque)  # (service_start, completion)
+    __slots__ = ("capacity", "max_queue", "next_free", "_jobs")
 
-    def __post_init__(self) -> None:
-        if self.capacity <= 0.0:
+    def __init__(self, capacity: float, max_queue: int = 100) -> None:
+        if capacity <= 0.0:
             raise ValueError("capacity must be positive")
+        self.capacity, self.max_queue, self.next_free = capacity, max_queue, 0.0
+        self._jobs: deque = deque()  # (service_start, completion)
 
     def waiting_count(self, now: float) -> int:
         """Tasks admitted but not yet in service at ``now``; drops finished ones."""

@@ -7,14 +7,15 @@ keys, duplicates and bad values are errors naming the line. Each builder takes
 its own subset: run configs need ``strategy``, sweep specs also ``sweep.axis``
 and ``sweep.values``, cost parameters live under ``cost.``, and a ``beta``
 sweep reads ``cost.bonus_in_ec_requests`` as ``offloadsim cost`` does. Numbers
-accept fractions like ``1/128``. Defaults are the dataclass fields; presets
-fill a block of them and explicit keys override them.
+accept fractions like ``1/128``. Defaults are those of ``RunConfig``,
+``ScenarioGeometry``, ``LinkParams`` and ``CostParams``; presets fill a block
+of them and explicit keys override them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from importlib import resources
 
 from .channel import ChannelConfig, LinkClass, NO_SHARING, PROCESSOR_SHARING, lena_calibrated
@@ -32,15 +33,8 @@ class ConfigError(ValueError):
     """Invalid configuration text; the message names the key and line."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep: which knob to turn, its values, and the replication seeds."""
-
-    axis: str
-    values: tuple[float, ...]
-    seeds: tuple[int, ...]
-    base_run: RunConfig | None = None
-    base_cost: CostParams | None = None
+SweepSpec = namedtuple("SweepSpec", "axis values seeds base_run base_cost", defaults=(None, None))
+SweepSpec.__doc__ = "One sweep: the knob to turn, its values, the replication seeds, and the base run or cost."
 
 
 _LINKS = {lc.value: lc for lc in LinkClass}
@@ -209,17 +203,17 @@ def _build_run(entries: dict[str, tuple[object, int]]) -> RunConfig:
     kw = groups.get("run", {})
     kw.update((field, value * KMH) for field, value in groups.get("km/h", {}).items())
     kw.update((field, preset()) for field, preset in groups.get("preset", {}).items())
-    cfg = RunConfig(**kw)
+    base = RunConfig(**kw)
     geometry = groups.get("geometry", {})
     if "bs" in groups:
-        geometry["bs_position"] = tuple(groups["bs"].get(i, v) for i, v in enumerate(cfg.geometry.bs_position))
-    cfg.geometry = replace(cfg.geometry, **geometry)  # the table bounds every field
+        geometry["bs_position"] = tuple(groups["bs"].get(i, v) for i, v in enumerate(base.geometry.bs_position))
     try:
-        cfg.channel = ChannelConfig(
-            {link: replace(params, **groups.get(link.value, {})) for link, params in cfg.channel.links.items()}
+        channel = ChannelConfig(
+            {link: params._replace(**groups.get(link.value, {})) for link, params in base.channel.links.items()}
         )
     except ValueError as exc:
         raise ConfigError(f"channel: {exc}") from None
+    cfg = base._replace(geometry=base.geometry._replace(**geometry), channel=channel)  # the table bounds geometry
     try:
         cfg.validate()
     except ValueError as exc:
@@ -297,15 +291,15 @@ def parse_sweep_spec(text: str) -> SweepSpec:
 def apply_axis(base: RunConfig, axis: str, value: float, seed: int) -> RunConfig:
     """One sweep point: the base run with one knob turned and the seed set."""
     if axis == "users":
-        return replace(base, n_users=int(value), seed=seed)
+        return base._replace(n_users=int(value), seed=seed)
     if axis == "workload":
-        return replace(base, workload_mi=value, seed=seed)
+        return base._replace(workload_mi=value, seed=seed)
     if axis == "vehicles":
-        return replace(base, n_vehicles=int(value), seed=seed)
+        return base._replace(n_vehicles=int(value), seed=seed)
     if axis == "vehicle_capacity_fraction":
-        return replace(base, vehicle_capacity=base.vehicle_capacity * value, seed=seed)
+        return base._replace(vehicle_capacity=base.vehicle_capacity * value, seed=seed)
     if axis == "speed":
-        return replace(base, vehicle_speed=value * KMH, seed=seed)
+        return base._replace(vehicle_speed=value * KMH, seed=seed)
     raise ValueError(f"axis {axis!r} does not drive simulation runs")
 
 

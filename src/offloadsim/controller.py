@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass, field
 
 CLOUD = "CLOUD"
 EDGE = "EDGE"
@@ -35,20 +34,17 @@ VCC_FIRST = "VCCFirst"
 STRATEGIES = (EC_FIRST, VCC_FIRST)
 
 
-@dataclass
 class Registry:
     """vehicle id -> last beacon time (``math.inf``: still beaconing), with
     timeout expiry. ``ids`` is the sorted index of present ids; ``_ages`` is a
     heap of (time, id) per change to a finite entry, so expiry pops only stale items."""
 
-    timeout: float
-    entries: dict[int, float] = field(default_factory=dict)
-    ids: list[int] = field(default_factory=list)
-    _ages: list[tuple[float, int]] = field(default_factory=list, repr=False)
+    __slots__ = ("timeout", "entries", "ids", "_ages")
 
-    def __post_init__(self) -> None:
-        if self.timeout <= 0.0:
+    def __init__(self, timeout: float) -> None:
+        if timeout <= 0.0:
             raise ValueError("timeout must be positive")
+        self.timeout, self.entries, self.ids, self._ages = timeout, {}, [], []
 
     def on_beacon(self, vehicle_id: int, t: float) -> None:
         last = self.entries.get(vehicle_id)

@@ -10,7 +10,7 @@ points happens only at presentation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 
 SECONDS_ACTIVE_PER_YEAR = 15 * 3600 * 365  # 15 h/day of offloading activity
 # Whether breakdown tables add the bonus to the edge per-request column, unless
@@ -18,44 +18,49 @@ SECONDS_ACTIVE_PER_YEAR = 15 * 3600 * 365  # 15 h/day of offloading activity
 BONUS_IN_EC_REQUESTS = True
 
 
-@dataclass(frozen=True)
-class CostParams:
+_COST_DEFAULTS = {
+    "c_ec_cpu": 700.0,  # $ per edge CPU
+    "l_ec_cpu": 3.0,  # years a CPU lasts before replacement
+    "years": 1.0,  # horizon Y
+    "c_ec_main": 1368.46,  # $ per year of edge maintenance
+    "c_ec_req": 2e-5,  # $ per request served at the edge
+    "c_vcc_req": None,  # $ per request served by a vehicle
+    "request_rate": 5.0,  # requests per second per user
+    "users": 100.0,
+    "alpha": float(SECONDS_ACTIVE_PER_YEAR),
+    "beta": 0.0,  # $ per request bonus to vehicle owners
+    "capex_overhead": 1.0,  # multiplier on the capital outlay
+}
+
+
+class CostParams(namedtuple("CostParams", _COST_DEFAULTS, defaults=_COST_DEFAULTS.values())):
     """Inputs of the cost comparison.
 
     ``alpha`` is the active seconds per year, so requests per year are
     request_rate * users * alpha. ``c_vcc_req`` defaults to the edge
-    per-request cost plus the bonus ``beta`` paid to vehicle owners.
+    per-request cost plus the bonus ``beta`` paid to vehicle owners. Every
+    construction is checked, ``_replace`` included.
     """
 
-    c_ec_cpu: float = 700.0  # $ per edge CPU
-    l_ec_cpu: float = 3.0  # years a CPU lasts before replacement
-    years: float = 1.0  # horizon Y
-    c_ec_main: float = 1368.46  # $ per year of edge maintenance
-    c_ec_req: float = 2e-5  # $ per request served at the edge
-    c_vcc_req: float | None = None  # $ per request served by a vehicle
-    request_rate: float = 5.0  # requests per second per user
-    users: float = 100.0
-    alpha: float = float(SECONDS_ACTIVE_PER_YEAR)
-    beta: float = 0.0  # $ per request bonus to vehicle owners
-    capex_overhead: float = 1.0  # multiplier on the capital outlay
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if value is not None and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.l_ec_cpu <= 0.0:
             raise ValueError("CPU lifetime must be positive")
         if self.years <= 0.0:
             raise ValueError("horizon must be positive")
-        if min(self.c_ec_cpu, self.c_ec_main, self.c_ec_req, self.beta) < 0.0:
-            raise ValueError("costs must be nonnegative")
-        if self.c_vcc_req is not None and self.c_vcc_req < 0.0:
+        if min(self.c_ec_cpu, self.c_ec_main, self.c_ec_req, self.beta, self.c_vcc_req or 0.0) < 0.0:
             raise ValueError("costs must be nonnegative")
         if self.request_rate <= 0.0 or self.users <= 0.0 or self.alpha <= 0.0:
             raise ValueError("request volume terms must be positive")
         if self.capex_overhead <= 0.0:
             raise ValueError("capex overhead must be positive")
+        return self
 
     @property
     def vcc_req(self) -> float:
@@ -115,17 +120,8 @@ def vcc_bonus(p: CostParams) -> float:
     return (capex_ec(p) / p.years + p.c_ec_main) / (p.request_rate * p.users * p.alpha)
 
 
-@dataclass(frozen=True)
-class BreakdownRow:
-    """Cost composition for one bonus level, as percentages of each side's total."""
-
-    beta: float
-    capex_ec_pct: float
-    ec_main_pct: float
-    ec_req_pct: float
-    vcc_req_pct: float
-    ec_total: float
-    vcc_total: float
+BreakdownRow = namedtuple("BreakdownRow", "beta capex_ec_pct ec_main_pct ec_req_pct vcc_req_pct ec_total vcc_total")
+BreakdownRow.__doc__ = "Cost composition for one bonus level, as percentages of each side's total."
 
 
 def cost_breakdown(
@@ -142,7 +138,7 @@ def cost_breakdown(
     """
     rows = []
     for beta in betas:
-        q = replace(p, beta=beta, c_vcc_req=None)
+        q = p._replace(beta=beta, c_vcc_req=None)
         capex = capex_ec(q)
         main = q.c_ec_main * q.years
         req = opex_ec(q, request_scale, bonus_in_requests) - main
@@ -167,7 +163,7 @@ def total_costs(
     out = []
     for beta in betas:
         for y in years:
-            q = replace(p, beta=beta, years=y, c_vcc_req=None)
+            q = p._replace(beta=beta, years=y, c_vcc_req=None)
             ec_total = _finite("edge total", capex_ec(q) + opex_ec(q, request_scale, bonus_in_requests))
             out.append((beta, y, ec_total, _finite("vehicular total", opex_vcc(q, request_scale))))
     return out

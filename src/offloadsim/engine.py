@@ -42,7 +42,6 @@ import operator
 import random
 from array import array
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field, fields
 
 from .channel import ChannelConfig, Link, LinkClass, lena_calibrated
 from .compute import EdgeState, elaboration_time, vehicle_offer
@@ -91,33 +90,41 @@ MAX_VEHICLES = 1_000_000  # per run, checked before the fleet is built
 MAX_BEACONS = 1_000_000_000
 
 
-@dataclass
-class RunConfig:
+_RUN_DEFAULTS = {
+    "strategy": EC_FIRST,
+    "n_users": 8,
+    "request_rate": 5.0,  # per user, Hz
+    "duration": 120.0,  # s
+    "seed": 0,
+    "workload_mi": 500.0,
+    "task_size_bytes": 4000.0,
+    "result_size_bytes": 4000.0,
+    "geometry": total_coverage(),
+    "n_vehicles": 40,
+    "vehicle_speed": 13.1 * KMH,  # m/s
+    "vehicle_capacity": 71120.0,  # MIPS
+    "channel": None,  # each config gets its own lena_calibrated()
+    "cloud_mips": 2356230.0,
+    "edge_mips": 749070.0,
+    "edge_max_queue": 100,
+    "beacon_period": 0.1,
+    "registry_timeout": 0.5,
+}
+
+
+class RunConfig(namedtuple("RunConfig", _RUN_DEFAULTS, defaults=_RUN_DEFAULTS.values())):
     """Everything one run needs. Defaults describe the reference workload:
     8 pedestrians offloading 500 MI tasks at 5 req/s for 120 s, 40 vehicles
     looping a fully covered 600 x 50 m block at 13.1 km/h."""
 
-    strategy: str = EC_FIRST
-    n_users: int = 8
-    request_rate: float = 5.0  # per user, Hz
-    duration: float = 120.0  # s
-    seed: int = 0
-    workload_mi: float = 500.0
-    task_size_bytes: float = 4000.0
-    result_size_bytes: float = 4000.0
-    geometry: ScenarioGeometry = field(default_factory=total_coverage)
-    n_vehicles: int = 40
-    vehicle_speed: float = 13.1 * KMH  # m/s
-    vehicle_capacity: float = 71120.0  # MIPS
-    channel: ChannelConfig = field(default_factory=lena_calibrated)
-    cloud_mips: float = 2356230.0
-    edge_mips: float = 749070.0
-    edge_max_queue: int = 100
-    beacon_period: float = 0.1
-    registry_timeout: float = 0.5
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        return cfg if cfg.channel is not None else cfg._replace(channel=lena_calibrated())
 
     def validate(self) -> None:
-        if not all(math.isfinite(v) for v in vars(self).values() if isinstance(v, (int, float))):
+        if not all(math.isfinite(v) for v in self if isinstance(v, (int, float))):
             raise ValueError("numeric parameters must be finite")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
@@ -162,14 +169,16 @@ legs' sum for a success and 0 otherwise; the outcome, the failed leg, and
 RECORD_FIELDS = OffloadRecord._fields
 
 
-@dataclass(slots=True)
 class Records:
     """One run's records as one column per ``RECORD_FIELDS`` entry, indexed by
     task id: ``array('d')`` for the floats, a ``range`` for ``task_id`` and
     lists for the rest. An item is built as an ``OffloadRecord`` when read, and
     a slice is the ``Records`` of those tasks."""
 
-    columns: list
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: list) -> None:
+        self.columns = columns
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -244,7 +253,9 @@ def run(cfg: RunConfig) -> Records:
     arrival_times.append(math.inf)
     del arrivals
     next_seq = itertools.count(n).__next__
-    heap: list[tuple[float, int, int, int, int]] = []  # (t, seq, kind, task, vehicle)
+    # (t, seq, kind, task, b): b is the vehicle at _AT_VEHICLE and _VEHICLE_DONE,
+    # else the sum of the task's legs so far (see _RESULT_AT_GNB).
+    heap: list[tuple[float, int, int, int, float]] = []
 
     if cfg.strategy == VCC_FIRST:
         # Vehicle ids are list indexes. ECFirst never reads the fleet, so it has none.
@@ -270,7 +281,7 @@ def run(cfg: RunConfig) -> Records:
         outcome[a] = FAILED
         failed_leg[a] = leg
 
-    def to_cloud(t: float, a: int) -> None:
+    def to_cloud(t: float, a: int, legs: float) -> None:
         destination[a] = CLOUD
         t_up_cn[a] = cn_up
         t_up_internet[a] = inet_up
@@ -278,7 +289,8 @@ def run(cfg: RunConfig) -> Records:
         t_down_internet[a] = inet_down
         t_down_cn[a] = cn_down
         result_at = t + cn_up + inet_up + cloud_elab + inet_down + cn_down
-        heappush(heap, (result_at, next_seq(), _RESULT_AT_GNB, a, 0))
+        legs = legs + cn_up + inet_up + cloud_elab + inet_down + cn_down
+        heappush(heap, (result_at, next_seq(), _RESULT_AT_GNB, a, legs))
 
     i = 0
     next_arrival = arrival_times[0]
@@ -293,7 +305,7 @@ def run(cfg: RunConfig) -> Records:
                 fail(i, USER_TO_GNB)
             else:
                 t_up_access[i] = latency
-                heappush(heap, (next_arrival + latency, next_seq(), _AT_GNB, i, 0))
+                heappush(heap, (next_arrival + latency, next_seq(), _AT_GNB, i, latency))
             i += 1
             next_arrival = arrival_times[i]
             continue
@@ -303,18 +315,19 @@ def run(cfg: RunConfig) -> Records:
                 waiting, completion, queue_wait = edge.offer(workload, t, t + cn_up)
                 edge_queue_at_decision[a] = waiting
                 if completion is None:
-                    to_cloud(t, a)
+                    to_cloud(t, a, b)
                 else:
                     destination[a] = EDGE
                     t_up_cn[a] = cn_up
                     t_queue[a] = queue_wait
                     t_elab[a] = edge_elab
                     t_down_cn[a] = cn_down
-                    heappush(heap, (completion + cn_down, next_seq(), _RESULT_AT_GNB, a, 0))
+                    legs = b + cn_up + queue_wait + edge_elab + cn_down
+                    heappush(heap, (completion + cn_down, next_seq(), _RESULT_AT_GNB, a, legs))
                 continue
             vid = beacons.dispatch(rng, t)
             if vid is None:
-                to_cloud(t, a)
+                to_cloud(t, a, b)
                 continue
             destination[a] = VEHICLE
             vehicle_id[a] = vid
@@ -347,7 +360,8 @@ def run(cfg: RunConfig) -> Records:
                 fail(a, VCC_TO_GNB)
             else:
                 t_vue_to_gnb[a] = latency
-                heappush(heap, (t + latency, next_seq(), _RESULT_AT_GNB, a, 0))
+                legs = t_up_access[a] + t_gnb_to_vue[a] + vehicle_elab + latency
+                heappush(heap, (t + latency, next_seq(), _RESULT_AT_GNB, a, legs))
 
         else:  # _RESULT_AT_GNB: the last leg decides the outcome at once
             latency = pue_down.send(rng, t)
@@ -356,37 +370,22 @@ def run(cfg: RunConfig) -> Records:
             else:
                 t_down_access[a] = latency
                 if t + latency <= horizon:
-                    outcome[a] = SUCCESS  # total: the ten legs in field order, left to right
-                    total[a] = (t_up_access[a] + t_up_cn[a] + t_up_internet[a] + t_gnb_to_vue[a] + t_queue[a]
-                                + t_elab[a] + t_vue_to_gnb[a] + t_down_internet[a] + t_down_cn[a] + latency)
+                    # total: the ten legs in field order, left to right. b summed only
+                    # those on this task's path: each skipped leg is +0.0, and x + 0.0
+                    # is x bitwise for every leg x >= 0 but -0.0 (a config may say "-0").
+                    # The full sum holds a +0.0, so it is never -0.0: the last + 0.0.
+                    outcome[a] = SUCCESS
+                    total[a] = b + latency + 0.0
 
     return Records(columns)
 
 
-@dataclass(frozen=True)
-class Aggregates:
-    """Run-level summary; latency statistics cover successful tasks only."""
-
-    n_requests: int
-    n_dispatched: int
-    n_success: int
-    n_failed: int
-    n_in_flight: int
-    mean_total: float
-    p90: float
-    p95: float
-    p99: float
-    cc_share_pct: float
-    uplink_share_pct: float
-    elab_share_pct: float
-    downlink_share_pct: float
-    fail_user_gnb_pct: float
-    fail_gnb_vcc_pct: float
-    fail_rejection_pct: float
-    fail_vcc_gnb_pct: float
-    fail_gnb_user_pct: float
-    fail_total_pct: float
-    vehicles_used: int
+Aggregates = namedtuple("Aggregates", (
+    "n_requests n_dispatched n_success n_failed n_in_flight mean_total p90 p95 p99 cc_share_pct uplink_share_pct"
+    " elab_share_pct downlink_share_pct fail_user_gnb_pct fail_gnb_vcc_pct fail_rejection_pct fail_vcc_gnb_pct"
+    " fail_gnb_user_pct fail_total_pct vehicles_used"
+))
+Aggregates.__doc__ = "Run-level summary; latency statistics cover successful tasks only."
 
 
 def summarize(records: Records) -> Aggregates:
@@ -463,7 +462,7 @@ def summarize(records: Records) -> Aggregates:
     )
 
 
-AGGREGATE_FIELDS = tuple(f.name for f in fields(Aggregates))
+AGGREGATE_FIELDS = Aggregates._fields
 
 
 def summarize_runs(cfgs: list[RunConfig]) -> list[Aggregates]:
@@ -483,7 +482,7 @@ def summarize_runs(cfgs: list[RunConfig]) -> list[Aggregates]:
 
     def share(k: int, out) -> None:
         aggs = [summarize(run(cfg)) for cfg in cfgs[k::n]]
-        marshal.dump([tuple(getattr(agg, name) for name in AGGREGATE_FIELDS) for agg in aggs], out)
+        marshal.dump([tuple(agg) for agg in aggs], out)
 
     with forked(n, share) as pipes:
         own = [summarize(run(cfg)) for cfg in cfgs[::n]]
@@ -492,5 +491,5 @@ def summarize_runs(cfgs: list[RunConfig]) -> list[Aggregates]:
     out: list = [None] * len(cfgs)
     out[::n] = own
     for k, payload in enumerate(payloads, 1):
-        out[k::n] = [Aggregates(*values) for values in marshal.loads(payload)]
+        out[k::n] = map(Aggregates._make, marshal.loads(payload))
     return out

@@ -11,23 +11,22 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 CLOCKWISE = 1
 COUNTERCLOCKWISE = -1
 
 
-@dataclass(frozen=True)
-class ScenarioGeometry:
-    """Rectangular loop with one base station at a fixed 3D position."""
+class ScenarioGeometry(namedtuple("ScenarioGeometry", "loop_length_x loop_width_y bs_position coverage_radius"
+                                  " ue_height", defaults=(math.inf, 1.5))):
+    """Rectangular loop with one base station at a fixed 3D position. Every
+    construction is checked, ``_replace`` included."""
 
-    loop_length_x: float
-    loop_width_y: float
-    bs_position: tuple[float, float, float]
-    coverage_radius: float = math.inf
-    ue_height: float = 1.5
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.loop_length_x <= 0.0 or self.loop_width_y <= 0.0:
             raise ValueError("loop dimensions must be positive")
         if self.bs_position[2] <= 0.0:
@@ -36,6 +35,7 @@ class ScenarioGeometry:
             raise ValueError("coverage radius must be positive or infinite")
         if self.ue_height < 0.0:
             raise ValueError("UE height must be nonnegative")
+        return self
 
     @property
     def perimeter(self) -> float:
@@ -52,16 +52,17 @@ def partial_coverage(coverage_radius: float = 450.0) -> ScenarioGeometry:
     return ScenarioGeometry(1200.0, 50.0, (600.0, 25.0, 30.0), coverage_radius)
 
 
-@dataclass
 class VehicleState:
-    """One vehicle: where it starts on the loop, how it moves, what it can compute."""
+    """One vehicle: where it starts on the loop, its direction (CLOCKWISE or
+    COUNTERCLOCKWISE), speed (m/s) and capacity (MIPS), and the end of its
+    current task's service, if any."""
 
-    id: int
-    loop_offset_at_t0: float
-    direction: int  # CLOCKWISE or COUNTERCLOCKWISE
-    speed: float  # m/s
-    capacity: float  # MIPS
-    busy_until: float = 0.0  # end of the current task's service, if any
+    __slots__ = ("id", "loop_offset_at_t0", "direction", "speed", "capacity", "busy_until")
+
+    def __init__(self, id: int, loop_offset_at_t0: float, direction: int, speed: float, capacity: float,
+                 busy_until: float = 0.0) -> None:
+        self.id, self.loop_offset_at_t0, self.direction = id, loop_offset_at_t0, direction
+        self.speed, self.capacity, self.busy_until = speed, capacity, busy_until
 
 
 def build_scenario(

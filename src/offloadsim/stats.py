@@ -9,8 +9,8 @@ beta function, computed by continued fraction.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import chain
 
 
@@ -35,14 +35,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(sorted(values)[rank - 1])
 
 
-@dataclass(frozen=True)
-class AnovaResult:
-    sum_sq_factor: float
-    df_factor: int
-    sum_sq_resid: float
-    df_resid: int
-    f_stat: float
-    p_value: float
+AnovaResult = namedtuple("AnovaResult", "sum_sq_factor df_factor sum_sq_resid df_resid f_stat p_value")
 
 
 def anova_oneway(groups: Sequence[Sequence[float]]) -> AnovaResult:

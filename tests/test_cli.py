@@ -378,14 +378,26 @@ def test_the_cli_imports_without_numpy():
     assert done.stdout == "False\n"
 
 
-def test_python_m_runs_the_cli(tmp_path):
-    # used to exit 0 without running anything or writing the file
+def test_the_cli_imports_without_dataclasses_or_inspect():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize at every start
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = "import sys, offloadsim.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("module", ["offloadsim", "offloadsim.cli"])
+def test_python_m_runs_the_cli(tmp_path, module):
+    # offloadsim.cli used to exit 0 without running anything or writing the
+    # file, and offloadsim to fail with "No module named offloadsim.__main__"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(RUN_CFG)
     out = tmp_path / "agg.csv"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run(
-        [sys.executable, "-m", "offloadsim.cli", "run", str(cfg), "-o", str(out)],
+        [sys.executable, "-m", module, "run", str(cfg), "-o", str(out)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert "50 requests" in done.stdout
@@ -398,18 +410,22 @@ def test_an_unwritable_output_path_exits_nonzero_with_a_message(tmp_path, capsys
     cfg = tmp_path / "run.cfg"
     cfg.write_text(RUN_CFG)
     missing = tmp_path / "missing" / "x.csv"
+    (tmp_path / "agg.csv").write_bytes(b"earlier output\n")
     for flags, path, why in [
         (["-o", str(missing)], missing, "No such file or directory"),
         (["-o", str(tmp_path)], tmp_path, "Is a directory"),
         (["-o", str(tmp_path / "agg.csv"), "--records", str(missing)], missing, "No such file or directory"),
+        (["-o", str(tmp_path / "new.csv"), "--records", str(missing)], missing, "No such file or directory"),
     ]:
         assert main(["run", str(cfg)] + flags) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"offloadsim: cannot write {path}: {why}\n"
+        # the aggregates of a run whose records cannot be written change no file
+        assert (tmp_path / "agg.csv").read_bytes() == b"earlier output\n"
+        assert not (tmp_path / "new.csv").exists()
     # a file that cannot be replaced keeps its bytes, and no temporary file is left
     out = tmp_path / "agg.csv"
-    out.write_bytes(b"earlier output\n")
 
     def refuse(src, dst):
         raise PermissionError(13, "Permission denied")

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from offloadsim import config
-from offloadsim.channel import LinkClass, lena_calibrated
+from offloadsim.channel import LinkClass, LinkParams, lena_calibrated
 from offloadsim.config import (
     ConfigError,
     SweepSpec,
@@ -25,11 +25,27 @@ from offloadsim.config import (
 )
 from offloadsim.costmodel import CostParams
 from offloadsim.engine import KMH, REPLICATION_SEEDS, RunConfig, run, summarize
+from offloadsim.scenario import total_coverage
 
 
 def test_minimal_run_config_uses_defaults():
     cfg = parse_run_config("strategy = ECFirst\n")
     assert cfg == RunConfig(strategy="ECFirst")
+
+
+@pytest.mark.parametrize(
+    "valid, field, bad",
+    [
+        (LinkParams(0.002), "base_latency", -1.0),
+        (total_coverage(), "coverage_radius", 0.0),
+        (CostParams(), "years", math.nan),
+    ],
+)
+def test_checked_parameters_reject_a_bad_value_built_or_replaced(valid, field, bad):
+    with pytest.raises(ValueError):
+        type(valid)(**{**valid._asdict(), field: bad})
+    with pytest.raises(ValueError):
+        valid._replace(**{field: bad})
 
 
 def test_run_config_requires_strategy():

@@ -80,9 +80,9 @@ def test_default_run_generates_4800_tasks():
 def test_identical_config_and_seed_replays_identically():
     a = run(RunConfig(strategy=VCC_FIRST, duration=20.0, seed=5))
     b = run(RunConfig(strategy=VCC_FIRST, duration=20.0, seed=5))
-    assert a == b
+    assert a.columns == b.columns
     c = run(RunConfig(strategy=VCC_FIRST, duration=20.0, seed=6))
-    assert a != c
+    assert a.columns != c.columns
 
 
 def test_lossless_single_user_edge_run_hits_the_closed_form():
@@ -255,6 +255,23 @@ def test_summarize_gives_nan_shares_when_vehicular_successes_took_no_time():
     assert math.isnan(agg.uplink_share_pct)
     assert math.isnan(agg.elab_share_pct)
     assert math.isnan(agg.downlink_share_pct)
+
+
+@pytest.mark.parametrize("strategy", [EC_FIRST, VCC_FIRST])
+def test_a_success_whose_legs_are_all_negative_zero_totals_positive_zero(strategy):
+    # the engine sums only the legs on a task's path; the sum of all ten holds
+    # a +0.0 for each leg the path skips, so it is 0.0, never -0.0
+    zero = ChannelConfig({link: LinkParams(-0.0, None) for link in LinkClass})
+    cfg = RunConfig(strategy=strategy, n_users=1, duration=1.0, workload_mi=-0.0, edge_max_queue=0, channel=zero)
+    totals = [r.total for r in run(cfg) if r.outcome == SUCCESS]
+    assert totals and all(math.copysign(1.0, t) == 1.0 for t in totals)
+
+
+def test_each_run_config_gets_its_own_default_channel():
+    a, b = RunConfig(), RunConfig(seed=1)
+    assert a.channel == b.channel == lena_calibrated()
+    assert a.channel is not b.channel and a.channel.links is not b.channel.links
+    assert a._replace(seed=2).channel is a.channel
 
 
 def test_record_field_order_starts_with_identity():
