@@ -113,20 +113,21 @@ def lena_calibrated() -> ChannelConfig:
 
 class Link:
     """One link class resolved for a run: its parameters, the payload size and
-    the mobile endpoint's speed read once, plus the end times of its transfers
-    still on the air (a heap) for processor sharing.
+    the mobile endpoint's speed read once, the end times of its transfers still
+    on the air (a heap) for processor sharing, and ``times[k - 1]``, the
+    ``transfer_time(k)`` of each level k met so far.
 
     The transfer-time and loss formulas are defined here and nowhere else.
     """
 
-    __slots__ = ("base_latency", "rate", "shared", "bits", "p_loss", "ends")
+    __slots__ = ("base_latency", "rate", "shared", "bits", "p_loss", "ends", "times")
 
     def __init__(self, params: LinkParams, size_bytes: float = 0.0, speed: float = 0.0) -> None:
         self.base_latency, self.rate = params.base_latency, params.rate
         self.shared = params.sharing == PROCESSOR_SHARING
         self.bits = size_bytes * 8.0
         self.p_loss = min(1.0, max(0.0, params.p_base + params.k_speed * speed))
-        self.ends: list[float] = []
+        self.ends, self.times = [], []
 
     def transfer_time(self, concurrent: int) -> float:
         rate = self.rate
@@ -150,6 +151,9 @@ class Link:
         ends = self.ends
         while ends and ends[0] <= t:
             heappop(ends)
-        latency = self.transfer_time(len(ends) + 1)
+        times, k = self.times, len(ends)
+        while len(times) <= k:
+            times.append(self.transfer_time(len(times) + 1))
+        latency = times[k]
         heappush(ends, t + latency)
         return None if self.lost(rng, covered) else latency

@@ -116,7 +116,7 @@ def _float(key: str, raw: str, line: int | None = None) -> float:
         raise ConfigError(f"{_where(line)}{key} expects a number, got {raw!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"{_where(line)}{key} must be finite, got {raw!r}")
-    return value
+    return value + 0.0  # "-0" reads as 0.0, not -0.0
 
 
 def _int(key: str, raw: str, line: int | None = None) -> int:

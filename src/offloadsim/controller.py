@@ -9,14 +9,15 @@ immediately on finishing a task); entries not refreshed within ``timeout``
 expire. The registry is a snapshot, not ground truth: a listed vehicle may
 already be busy or out of coverage, and dispatching to it simply fails.
 
-``Beacons`` replays a vehicle's beacons only when its registry membership could
-change, and no heap holds an infinite time. With a beacon period clearly below
-the timeout, a VCCFirst run costs one replay per vehicle at its first beacon,
-work per task and per coverage crossing, and, per pick, one float addition per
-period since the picked vehicle was last replayed. A vehicular task pushes at
-most the wake-ups that can act before it stops its vehicle, and a vehicle that
-finishes a task well inside its coverage window is listed steady at once.
-Otherwise every beacon of a listed vehicle is replayed, to keep its age exact.
+``Beacons`` replays a vehicle's beacons only when its membership could change,
+and no heap holds an infinite time. With a beacon period clearly below the
+timeout, a VCCFirst run costs one replay per vehicle at its first beacon (on
+an unbounded cell, one bulk listing per batch of those), work per task and per
+coverage crossing, and, per pick, one float addition per period since the
+picked vehicle was last replayed. A vehicular task pushes at most the wake-ups
+that can act before it stops its vehicle, and a vehicle that finishes a task
+well inside its coverage window is listed steady at once. Otherwise every
+beacon of a listed vehicle is replayed, to keep its age exact.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ class Registry:
             heapq.heappush(self._ages, (t, vehicle_id))
         self.entries[vehicle_id] = t
 
+    def list_steady(self, vids: list[int]) -> None:
+        """List ``vids``, none of them present, as still beaconing (``math.inf``)."""
+        self.entries.update(dict.fromkeys(vids, math.inf))
+        if len(vids) == 1:
+            bisect.insort(self.ids, vids[0])
+        else:
+            self.ids += vids
+            self.ids.sort()
+
     def remove(self, vehicle_id: int) -> None:
         del self.entries[vehicle_id]
         del self.ids[bisect.bisect_left(self.ids, vehicle_id)]
@@ -74,7 +84,8 @@ def select_vccfirst(registry: Registry, rng, now: float) -> int | None:
     later beacon of its is processed. Candidates are ordered by id so the
     selection depends only on the RNG state, never on dict history.
     """
-    registry.expire_stale(now)
+    if registry._ages and registry._ages[0][0] < now - registry.timeout:  # something is stale
+        registry.expire_stale(now)
     ids = registry.ids
     if not ids:
         return None
@@ -90,9 +101,12 @@ class Beacons:
     seeded phase, or at once on finishing a task, then at ``x = x + period`` as
     an event per beacon would. It is replayed, from a heap of finite wake-ups,
     only when its membership could change. ``coverage(vid, t)`` gives its
-    coverage at t and a time before which that cannot change. A vehicle sure to
-    beacon in coverage within the timeout is listed as ``math.inf`` and woken
-    only when that window ends. Beacons at time <= t act before engine events at t."""
+    coverage at t and a time before which that cannot change; None covers every
+    vehicle for good, and in a steady run the first beacons are then ``first``,
+    the ids by phase from its end, each due batch listed in bulk as its replays
+    would list it. A vehicle sure to beacon in coverage within the timeout is
+    listed as ``math.inf`` and woken only when that window ends. Beacons at
+    time <= t act before engine events at t."""
 
     def __init__(self, registry: Registry, period: float, phases: list[float], coverage, horizon: float):
         self.registry, self.period, self.coverage = registry, period, coverage
@@ -100,12 +114,25 @@ class Beacons:
         n = len(phases)
         self.next = list(phases)  # next beacon time; math.inf while serving
         self.heard = [-math.inf] * n  # last beacon in coverage
-        self.cov = [(False, -math.inf)] * n  # (covered, until) from the last coverage test
-        self.wakes = list(zip(phases, range(n)))
+        self.cov = [(True, math.inf) if coverage is None else (False, -math.inf)] * n  # (covered, until), last test
+        self.first, self.wakes = [], list(zip(phases, range(n)))
+        if coverage is None and self.steady:
+            self.first, self.wakes = sorted(range(n), key=phases.__getitem__, reverse=True), []
         heapq.heapify(self.wakes)
 
     def advance(self, t: float) -> None:
         """Apply every beacon at time <= t that can change the registry."""
+        first, nxt, period, vids = self.first, self.next, self.period, []
+        while first and nxt[first[-1]] <= t:
+            vid = first.pop()
+            x = nxt[vid]
+            while x <= t:
+                last = x
+                x += period
+            self.heard[vid], nxt[vid] = last, x
+            vids.append(vid)
+        if vids:
+            self.registry.list_steady(vids)
         while self.wakes and self.wakes[0][0] <= t:
             self._replay(heapq.heappop(self.wakes)[1], t)
 
@@ -113,12 +140,13 @@ class Beacons:
         """VCCFirst at t: apply the beacons <= t, pick with ``select_vccfirst``,
         and move the picked vehicle's cursor past its beacons <= t. The caller
         then books the picked vehicle's wake-up with ``book``."""
-        self.advance(t)
+        if self.first and self.next[self.first[-1]] <= t or self.wakes and self.wakes[0][0] <= t:
+            self.advance(t)
         vid = select_vccfirst(self.registry, rng, t)
         if vid is not None:
-            x = self.next[vid]
+            x, period = self.next[vid], self.period
             while x <= t:
-                x += self.period
+                x += period
             self.next[vid] = x
         return vid
 
@@ -154,13 +182,13 @@ class Beacons:
         if x > t:
             return
         covered, until = self.cov[vid]
-        heard = None
+        heard, period = None, self.period
         while x <= t:
             if x > until:
                 covered, until = self.cov[vid] = self.coverage(vid, x)
             if covered:
                 heard = x
-            x += self.period
+            x += period
         self.next[vid] = x
         if heard is not None:
             self.heard[vid] = heard

@@ -44,7 +44,7 @@ from array import array
 from collections import Counter, namedtuple
 
 from .channel import ChannelConfig, Link, LinkClass, lena_calibrated
-from .compute import EdgeState, elaboration_time, vehicle_offer
+from .compute import EdgeState, elaboration_time
 from .controller import (
     CLOUD,
     EC_FIRST,
@@ -260,18 +260,16 @@ def run(cfg: RunConfig) -> Records:
     if cfg.strategy == VCC_FIRST:
         # Vehicle ids are list indexes. ECFirst never reads the fleet, so it has none.
         vehicles = build_scenario(geom, cfg.n_vehicles, cfg.vehicle_speed, cfg.vehicle_capacity, cfg.seed)
-        unbounded = math.isinf(geom.coverage_radius)
 
         def coverage(vid: int, t: float) -> tuple[bool, float]:
-            if unbounded:
-                return True, math.inf
             v = vehicles[vid]
             p = position_at(v, t, geom)
             return in_coverage(p, geom), (t + edge_distance(p, geom) / v.speed if v.speed else math.inf)
 
         # Each vehicle keeps its own beacon phase; beacons are replayed lazily,
-        # not queued as events.
+        # not queued as events. An unbounded cell covers every vehicle for good.
         phases = [rng.random() * cfg.beacon_period for _ in range(cfg.n_vehicles)]
+        coverage = None if math.isinf(geom.coverage_radius) else coverage
         beacons = Beacons(Registry(timeout=cfg.registry_timeout), cfg.beacon_period, phases, coverage, horizon)
         edge = None
     else:
@@ -341,11 +339,11 @@ def run(cfg: RunConfig) -> Records:
                 heappush(heap, (t + latency, next_seq(), _AT_VEHICLE, a, vid))
 
         elif kind == _AT_VEHICLE:
-            done_at = vehicle_offer(vehicles[b], workload, t)
-            if done_at is None:
+            if vehicles[b].busy_until > t:  # a vehicle serves one task at a time
                 fail(a, REJECTION)
                 beacons.book(b)  # this task did not stop b: wake b if it still beacons
             else:
+                done_at = vehicles[b].busy_until = t + vehicle_elab
                 t_elab[a] = vehicle_elab
                 beacons.stop(b, t)  # busy vehicles stop beaconing
                 heappush(heap, (done_at, next_seq(), _VEHICLE_DONE, a, b))
@@ -372,7 +370,7 @@ def run(cfg: RunConfig) -> Records:
                 if t + latency <= horizon:
                     # total: the ten legs in field order, left to right. b summed only
                     # those on this task's path: each skipped leg is +0.0, and x + 0.0
-                    # is x bitwise for every leg x >= 0 but -0.0 (a config may say "-0").
+                    # is x bitwise for every leg x >= 0 but -0.0 (a RunConfig may hold -0.0).
                     # The full sum holds a +0.0, so it is never -0.0: the last + 0.0.
                     outcome[a] = SUCCESS
                     total[a] = b + latency + 0.0

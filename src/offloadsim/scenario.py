@@ -83,9 +83,9 @@ def build_scenario(
     if capacity <= 0.0:
         raise ValueError("capacity must be positive")
     rng = random.Random(seed)
-    fleet = []
+    fleet, perimeter = [], geometry.perimeter
     for vid in range(n_vehicles):
-        offset = rng.random() * geometry.perimeter
+        offset = rng.random() * perimeter
         direction = CLOCKWISE if vid % 2 == 0 else COUNTERCLOCKWISE
         fleet.append(VehicleState(vid, offset, direction, speed, capacity))
     return fleet

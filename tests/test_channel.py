@@ -199,21 +199,35 @@ def test_link_send_matches_the_closed_form(params, size, speed, src, dst, busy, 
     """``Link.send`` against the model written out: the base latency plus the
     bits over the rate, split among the transfers on the air under processor
     sharing; a loss probability linear in speed and clamped at 1, drawn once
-    and only when both endpoints are covered; airtime taken even when lost."""
+    and only when both endpoints are covered; airtime taken even when lost.
+
+    The same link then carries more legs: busy + 2 at once, so the number on
+    the air rises, then each when the second earliest still on the air ends, so
+    it falls and the link reads levels it has met before."""
     t = 2.0
     on_air = [t + 0.5 + i for i in range(busy)]
     leg = Link(params, size, speed)
     leg.ends = [t - 0.1, t] + on_air  # sorted, so a heap; both first ones have ended
     rng, ref = random.Random(seed), random.Random(seed)
 
-    latency = leg.send(rng, t, src and dst)
+    def check_send(at: float) -> None:
+        on_air[:] = [end for end in on_air if end > at]
+        latency = leg.send(rng, at, src and dst)
+        if params.rate is None:
+            airtime = params.base_latency
+        else:
+            sharers = len(on_air) + 1 if params.sharing == PROCESSOR_SHARING else 1
+            airtime = params.base_latency + size * 8.0 / (params.rate / sharers)
+        on_air.append(at + airtime)
+        delivered = src and dst and not ref.random() < min(1.0, params.p_base + params.k_speed * speed)
+        assert rng.getstate() == ref.getstate()
+        assert latency == (airtime if delivered else None)
+        assert sorted(leg.ends) == sorted(on_air)
 
-    if params.rate is None:
-        airtime = params.base_latency
-    else:
-        sharers = busy + 1 if params.sharing == PROCESSOR_SHARING else 1
-        airtime = params.base_latency + size * 8.0 / (params.rate / sharers)
-    delivered = src and dst and not ref.random() < min(1.0, params.p_base + params.k_speed * speed)
-    assert rng.getstate() == ref.getstate()
-    assert latency == (airtime if delivered else None)
-    assert sorted(leg.ends) == sorted(on_air + [t + airtime])
+    for _ in range(busy + 3):
+        check_send(t)
+    later = sorted(end for end in on_air if end > t)
+    while len(later) >= 2:
+        t = later[1]
+        check_send(t)
+        later = sorted(end for end in on_air if end > t)

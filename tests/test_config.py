@@ -1,5 +1,6 @@
 """Config file parsing, presets, overrides, and exact serialization."""
 
+import csv
 import math
 import re
 from collections import Counter
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from offloadsim import config
+from offloadsim.cli import main
 from offloadsim.channel import LinkClass, LinkParams, lena_calibrated
 from offloadsim.config import (
     ConfigError,
@@ -340,6 +342,19 @@ def test_parse_seed_list():
         parse_seed_list("")
     with pytest.raises(ConfigError):
         parse_seed_list("1, x")
+
+
+def test_minus_zero_values_read_as_zero(tmp_path):
+    """"-0" parses as 0.0, so no leg of a run holds -0.0 and no CSV cell reads "-0.0"."""
+    text = "strategy = ECFirst\nduration = 1\nchannel.cn_up.base_latency = -0\ntask.workload_mi = -0\n"
+    cfg = parse_run_config(text)
+    assert math.copysign(1.0, cfg.channel.links[LinkClass.CN_UP].base_latency) == 1.0
+    assert math.copysign(1.0, cfg.workload_mi) == 1.0
+    path, agg, rec = tmp_path / "zero.cfg", tmp_path / "agg.csv", tmp_path / "rec.csv"
+    path.write_text(text)
+    assert main(["run", str(path), "-o", str(agg), "--records", str(rec)]) == 0
+    rows = list(csv.DictReader(rec.open()))
+    assert rows and {row["t_up_cn"] for row in rows} == {row["t_elab"] for row in rows} == {"0.0"}
 
 
 def test_negative_seeds_are_rejected():

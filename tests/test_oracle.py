@@ -30,7 +30,7 @@ def _rows(records):
     seed=st.integers(0, 10_000),
     users=st.integers(1, 6),
     rate=st.sampled_from((2.0, 4.0, 5.0, 10.0, 20.0)),
-    n_vehicles=st.integers(0, 20),
+    n_vehicles=st.integers(0, 50),
     speed_kmh=st.sampled_from((0.0, 13.1, 50.0, 150.0)),
     period=st.sampled_from(("interval", 0.05, 0.1, 0.25, 0.7)),
     timeout=st.sampled_from((0.04, 0.1, 0.25, 0.5)),

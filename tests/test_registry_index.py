@@ -118,8 +118,13 @@ class EagerBeacons:
     speed_kmh=st.sampled_from((0.0, 13.1, 90.0, 300.0)),
     period=st.sampled_from((0.01, 0.1, 0.4, 0.5, 0.7)),
     timeout=st.sampled_from((0.1, 0.5, 1.0)),
+    rate=st.sampled_from((8.0, 100.0)),
 )
-def test_lazy_beacons_leave_the_registry_as_eager_ones(seed, partial, speed_kmh, period, timeout):
+def test_lazy_beacons_leave_the_registry_as_eager_ones(seed, partial, speed_kmh, period, timeout, rate):
+    """Total coverage passes no coverage function, so a steady run lists the
+    first beacons in bulk; at 100 dispatches/s many fall inside the first period.
+    There a twin given a coverage function replays each first beacon instead,
+    and the two must hold the very same state after every step."""
     geom = partial_coverage() if partial else total_coverage()
     fleet = build_scenario(geom, 12, speed_kmh * KMH, 1.0, seed)
     rng = random.Random(seed)
@@ -134,39 +139,44 @@ def test_lazy_beacons_leave_the_registry_as_eager_ones(seed, partial, speed_kmh,
         return in_coverage(p, geom), until
 
     lazy_reg, eager_reg = Registry(timeout=timeout), Registry(timeout=timeout)
-    lazy = Beacons(lazy_reg, period, phases, coverage, horizon=60.0)
+    lazy = Beacons(lazy_reg, period, phases, coverage if partial else None, horizon=60.0)
     eager = EagerBeacons(eager_reg, period, phases, covered)
+    twins = [] if partial else [Beacons(Registry(timeout=timeout), period, phases, coverage, horizon=60.0)]
     busy: set[int] = set()
     events: list[tuple[float, int, int]] = []  # (time, _DONE or _REACHED, vid)
     t = 0.0
     for _ in range(300):
-        t += rng.expovariate(8.0)
+        t += rng.expovariate(rate)
         while events and events[0][0] <= t:
             at, kind, vid = heapq.heappop(events)
             if kind == _DONE:
                 busy.discard(vid)
-                for beacons in (lazy, eager):
+                for beacons in (lazy, eager, *twins):
                     beacons.restart(vid, at, covered(vid, at))
             elif vid in busy:  # rejected
-                lazy.book(vid)
+                for beacons in (lazy, *twins):
+                    beacons.book(vid)
             else:
                 busy.add(vid)
                 heapq.heappush(events, (at + rng.uniform(0.0, 1.5), _DONE, vid))
-                for beacons in (lazy, eager):
+                for beacons in (lazy, eager, *twins):
                     beacons.stop(vid, at)
         draw = rng.random()
-        picks = [beacons.dispatch(random.Random(draw), t) for beacons in (lazy, eager)]
-        assert picks[0] == picks[1]
+        picks = [beacons.dispatch(random.Random(draw), t) for beacons in (lazy, eager, *twins)]
+        assert picks.count(picks[0]) == len(picks)
         assert lazy_reg.ids == eager_reg.ids
+        for twin in twins:
+            assert (twin.next, twin.heard, twin.registry.entries) == (lazy.next, lazy.heard, lazy_reg.entries)
+            assert sorted(twin.registry._ages) == sorted(lazy_reg._ages)
         vid = picks[0]
         if vid is None:
             continue
+        reached = math.inf  # its forward leg is lost
         if draw < 0.7:  # the task reaches vid at once or after up to three periods
             reached = t + rng.choice((0.0, rng.uniform(0.0, 3 * period)))
-            lazy.book(vid, reached)
             heapq.heappush(events, (reached, _REACHED, vid))
-        else:  # its forward leg is lost
-            lazy.book(vid)
+        for beacons in (lazy, *twins):
+            beacons.book(vid, reached)
 
 
 def test_beacons_at_a_dispatch_instant_count_before_it():
