@@ -17,6 +17,8 @@ from collections import namedtuple
 from enum import Enum
 from heapq import heappop, heappush
 
+from .bounds import check_fields
+
 
 class LinkClass(Enum):
     PUE_UP = "pue_up"
@@ -34,6 +36,7 @@ WIRED_LINKS = frozenset(LinkClass) - RADIO_LINKS
 
 PROCESSOR_SHARING = "processor_sharing"
 NO_SHARING = "none"
+SHARING_MODES = (PROCESSOR_SHARING, NO_SHARING)
 
 OUT_OF_COVERAGE = "out_of_coverage"
 CHANNEL_ERROR = "channel_error"
@@ -48,18 +51,14 @@ class LinkParams(namedtuple("LinkParams", "base_latency rate p_base k_speed shar
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
+    KINDS = {
+        "base_latency": "nonnegative", "rate": ("positive", None), "p_base": "probability", "k_speed": "nonnegative"
+    }
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.base_latency < 0.0:
-            raise ValueError("base latency must be nonnegative")
-        if self.rate is not None and self.rate <= 0.0:
-            raise ValueError("rate must be positive or unbounded (None)")
-        if not 0.0 <= self.p_base <= 1.0:
-            raise ValueError("p_base must lie in [0, 1]")
-        if self.k_speed < 0.0:
-            raise ValueError("k_speed must be nonnegative")
-        if self.sharing not in (PROCESSOR_SHARING, NO_SHARING):
+        check_fields(self)
+        if self.sharing not in SHARING_MODES:
             raise ValueError(f"unknown sharing mode {self.sharing!r}")
         return self
 

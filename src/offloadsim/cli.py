@@ -318,9 +318,9 @@ def _cmd_cost(args) -> int:
     flag = args.bonus_in_ec_requests
     if flag is None:
         flag = bonus_in_ec_requests(text)
-    betas = parse_list(args.betas, "--betas")
-    years = parse_list(args.years, "--years")
-    scales = parse_list(args.scales, "--scales")
+    betas = parse_list(args.betas, "--betas", CostParams.KINDS["beta"])
+    years = parse_list(args.years, "--years", CostParams.KINDS["years"])
+    scales = parse_list(args.scales, "--scales", "nonnegative")
     rows = _cost_rows(base, betas, years, scales, flag)
     _write_csv(args.output, COST_COLUMNS, rows)
     if args.output:

@@ -14,11 +14,7 @@ from .scenario import VehicleState
 
 
 def elaboration_time(workload_mi: float, capacity_mips: float) -> float:
-    """Service time in seconds for a workload on a processor of given capacity."""
-    if workload_mi < 0.0:
-        raise ValueError("workload must be nonnegative")
-    if capacity_mips <= 0.0:
-        raise ValueError("capacity must be positive")
+    """Service time in seconds for a workload on a processor of given capacity (both as RunConfig bounds them)."""
     return workload_mi / capacity_mips
 
 
@@ -33,8 +29,6 @@ class EdgeState:
     __slots__ = ("capacity", "max_queue", "next_free", "_jobs")
 
     def __init__(self, capacity: float, max_queue: int = 100) -> None:
-        if capacity <= 0.0:
-            raise ValueError("capacity must be positive")
         self.capacity, self.max_queue, self.next_free = capacity, max_queue, 0.0
         self._jobs: deque = deque()  # (service_start, completion)
 
@@ -54,8 +48,7 @@ class EdgeState:
         ``now`` before this task, then the admitted task's completion time and
         its wait from ``data_at`` to its service start, both None on overflow.
         ``data_at`` is when the payload reaches the server (defaults to
-        ``now``); service cannot start before it. The workload must be
-        nonnegative; it is not checked here, since this runs once per task.
+        ``now``); service cannot start before it.
         """
         jobs = self._jobs
         while jobs and jobs[0][1] <= now:

@@ -1,28 +1,28 @@
 """Line-oriented configuration files: ``key = value`` with ``#`` comments.
 
 Keys are dotted into sections (``scenario.length_x``). The table ``_KEYS``
-gives each key its field and value kind, so every value is parsed and
-bound-checked as its line is read, whatever subcommand reads the file; unknown
-keys, duplicates and bad values are errors naming the line. Each builder takes
-its own subset: run configs need ``strategy``, sweep specs also ``sweep.axis``
-and ``sweep.values``, cost parameters live under ``cost.``, and a ``beta``
-sweep reads ``cost.bonus_in_ec_requests`` as ``offloadsim cost`` does. Numbers
-accept fractions like ``1/128``. Defaults are those of ``RunConfig``,
-``ScenarioGeometry``, ``LinkParams`` and ``CostParams``; presets fill a block
-of them and explicit keys override them.
+gives each key its field, whose owner's ``KINDS`` bounds it, so every value is
+parsed and bound-checked as its line is read, whatever subcommand reads the
+file; unknown keys, duplicates and bad values are errors naming the line. Each
+builder takes its own subset: run configs need ``strategy``, sweep specs also
+``sweep.axis`` and ``sweep.values``, cost parameters live under ``cost.``, and
+a ``beta`` sweep reads ``cost.bonus_in_ec_requests`` as ``offloadsim cost``
+does. Numbers accept fractions like ``1/128``. Defaults are those of
+``RunConfig``, ``ScenarioGeometry``, ``LinkParams`` and ``CostParams``; presets
+fill a block of them and explicit keys override them.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from importlib import resources
 
-from .channel import ChannelConfig, LinkClass, NO_SHARING, PROCESSOR_SHARING, lena_calibrated
+from .bounds import check
+from .channel import SHARING_MODES, ChannelConfig, LinkClass, LinkParams, lena_calibrated
 from .controller import STRATEGIES
 from .costmodel import BONUS_IN_EC_REQUESTS, CostParams
-from .engine import KMH, MAX_VEHICLES, REPLICATION_SEEDS, RunConfig
-from .scenario import partial_coverage, total_coverage
+from .engine import KMH, REPLICATION_SEEDS, RunConfig
+from .scenario import ScenarioGeometry, partial_coverage, total_coverage
 
 SWEEP_AXES = ("users", "workload", "vehicles", "vehicle_capacity_fraction", "speed", "beta")
 SCENARIO_PRESETS = {"total_coverage": total_coverage, "partial_coverage": partial_coverage}
@@ -40,67 +40,64 @@ SweepSpec.__doc__ = "One sweep: the knob to turn, its values, the replication se
 _LINKS = {lc.value: lc for lc in LinkClass}
 _BOOLS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
 
-# key -> (target, field, kind, extra). Targets: "run" (RunConfig), "geometry"
+# key -> (target, field, spelling). Targets: "run" (RunConfig), "geometry"
 # (ScenarioGeometry), "bs" (an index into its bs_position), a link name (its
 # LinkParams), "cost" (CostParams), "sweep", "preset" (a RunConfig field a
-# preset factory fills), "km/h" (a RunConfig speed in km/h) and "flag". Kinds:
-# "int" is a nonnegative integer, ``extra`` its maximum or None; "positive",
-# "nonnegative", "any" and "probability" are finite floats, ``extra`` a (word,
-# value) sentinel or None; "word" is a word in ``extra``, mapped if a dict;
-# "bool" is true or false; "list" holds comma-separated finite floats. The
-# serialisers write keys in this order.
+# preset factory fills), "km/h" (a RunConfig speed in km/h) and "flag". A
+# spelling of None is a number of its field's kind (``_KINDS``), and a word
+# spells the one more value that kind accepts; else it is the words allowed
+# (mapped if a dict), bool, int (an integer its builder bounds) or list (of
+# finite numbers). The serialisers write keys in this order.
 _KEYS = {
-    "strategy": ("run", "strategy", "word", STRATEGIES),
-    "users": ("run", "n_users", "int", None),
-    "request_rate": ("run", "request_rate", "positive", None),
-    "duration": ("run", "duration", "positive", None),
-    "seed": ("run", "seed", "int", None),
-    "task.workload_mi": ("run", "workload_mi", "nonnegative", None),
-    "task.size_bytes": ("run", "task_size_bytes", "nonnegative", None),
-    "task.result_bytes": ("run", "result_size_bytes", "nonnegative", None),
-    "scenario.preset": ("preset", "geometry", "word", SCENARIO_PRESETS),
-    "scenario.length_x": ("geometry", "loop_length_x", "positive", None),
-    "scenario.width_y": ("geometry", "loop_width_y", "positive", None),
-    "scenario.bs_x": ("bs", 0, "any", None),
-    "scenario.bs_y": ("bs", 1, "any", None),
-    "scenario.bs_z": ("bs", 2, "positive", None),
-    "scenario.coverage_radius": ("geometry", "coverage_radius", "positive", ("unbounded", math.inf)),
-    "scenario.ue_height": ("geometry", "ue_height", "nonnegative", None),
-    "vehicles.count": ("run", "n_vehicles", "int", MAX_VEHICLES),
-    "vehicles.speed_kmh": ("km/h", "vehicle_speed", "nonnegative", None),
-    "vehicles.speed_mps": ("run", "vehicle_speed", "nonnegative", None),
-    "vehicles.capacity_mips": ("run", "vehicle_capacity", "positive", None),
-    "compute.cloud_mips": ("run", "cloud_mips", "positive", None),
-    "compute.edge_mips": ("run", "edge_mips", "positive", None),
-    "compute.edge_max_queue": ("run", "edge_max_queue", "int", None),
-    "controller.beacon_period": ("run", "beacon_period", "positive", None),
-    "controller.timeout": ("run", "registry_timeout", "positive", None),
-    "channel.preset": ("preset", "channel", "word", CHANNEL_PRESETS),
+    "strategy": ("run", "strategy", STRATEGIES),
+    "users": ("run", "n_users", None),
+    "request_rate": ("run", "request_rate", None),
+    "duration": ("run", "duration", None),
+    "seed": ("run", "seed", None),
+    "task.workload_mi": ("run", "workload_mi", None),
+    "task.size_bytes": ("run", "task_size_bytes", None),
+    "task.result_bytes": ("run", "result_size_bytes", None),
+    "scenario.preset": ("preset", "geometry", SCENARIO_PRESETS),
+    "scenario.length_x": ("geometry", "loop_length_x", None),
+    "scenario.width_y": ("geometry", "loop_width_y", None),
+    "scenario.bs_x": ("bs", 0, None),
+    "scenario.bs_y": ("bs", 1, None),
+    "scenario.bs_z": ("bs", 2, None),
+    "scenario.coverage_radius": ("geometry", "coverage_radius", "unbounded"),
+    "scenario.ue_height": ("geometry", "ue_height", None),
+    "vehicles.count": ("run", "n_vehicles", None),
+    "vehicles.speed_kmh": ("km/h", "vehicle_speed", None),
+    "vehicles.speed_mps": ("run", "vehicle_speed", None),
+    "vehicles.capacity_mips": ("run", "vehicle_capacity", None),
+    "compute.cloud_mips": ("run", "cloud_mips", None),
+    "compute.edge_mips": ("run", "edge_mips", None),
+    "compute.edge_max_queue": ("run", "edge_max_queue", None),
+    "controller.beacon_period": ("run", "beacon_period", None),
+    "controller.timeout": ("run", "registry_timeout", None),
+    "channel.preset": ("preset", "channel", CHANNEL_PRESETS),
     **{
-        f"channel.{name}.{field}": (name, field, kind, extra)
+        f"channel.{name}.{field}": (name, field, {"rate": "unbounded", "sharing": SHARING_MODES}.get(field))
         for name in _LINKS
-        for field, kind, extra in (
-            ("base_latency", "nonnegative", None), ("rate", "positive", ("unbounded", None)),
-            ("p_base", "probability", None), ("k_speed", "nonnegative", None),
-            ("sharing", "word", (PROCESSOR_SHARING, NO_SHARING)),
-        )
+        for field in LinkParams._fields
     },
-    "sweep.axis": ("sweep", "axis", "word", SWEEP_AXES),
-    "sweep.values": ("sweep", "values", "list", None),
-    "sweep.replications": ("sweep", "replications", "int", None),
-    "cost.c_ec_cpu": ("cost", "c_ec_cpu", "nonnegative", None),
-    "cost.cpu_lifetime_years": ("cost", "l_ec_cpu", "positive", None),
-    "cost.years": ("cost", "years", "positive", None),
-    "cost.c_ec_main": ("cost", "c_ec_main", "nonnegative", None),
-    "cost.c_ec_req": ("cost", "c_ec_req", "nonnegative", None),
-    "cost.c_vcc_req": ("cost", "c_vcc_req", "nonnegative", ("auto", None)),
-    "cost.beta": ("cost", "beta", "nonnegative", None),
-    "cost.requests_per_user": ("cost", "request_rate", "positive", None),
-    "cost.users": ("cost", "users", "positive", None),
-    "cost.alpha_seconds": ("cost", "alpha", "positive", None),
-    "cost.capex_overhead": ("cost", "capex_overhead", "positive", None),
-    "cost.bonus_in_ec_requests": ("flag", "bonus_in_ec_requests", "bool", None),
+    "sweep.axis": ("sweep", "axis", SWEEP_AXES),
+    "sweep.values": ("sweep", "values", list),
+    "sweep.replications": ("sweep", "replications", int),
+    "cost.c_ec_cpu": ("cost", "c_ec_cpu", None),
+    "cost.cpu_lifetime_years": ("cost", "l_ec_cpu", None),
+    "cost.years": ("cost", "years", None),
+    "cost.c_ec_main": ("cost", "c_ec_main", None),
+    "cost.c_ec_req": ("cost", "c_ec_req", None),
+    "cost.c_vcc_req": ("cost", "c_vcc_req", "auto"),
+    "cost.beta": ("cost", "beta", None),
+    "cost.requests_per_user": ("cost", "request_rate", None),
+    "cost.users": ("cost", "users", None),
+    "cost.alpha_seconds": ("cost", "alpha", None),
+    "cost.capex_overhead": ("cost", "capex_overhead", None),
+    "cost.bonus_in_ec_requests": ("flag", "bonus_in_ec_requests", bool),
 }
+_KINDS = {"run": RunConfig.KINDS, "km/h": RunConfig.KINDS, "geometry": ScenarioGeometry.KINDS, "cost": CostParams.KINDS,
+          "bs": ScenarioGeometry.KINDS["bs_position"], **dict.fromkeys(_LINKS, LinkParams.KINDS)}  # target -> its table
 
 
 def _where(line: int | None) -> str:
@@ -108,14 +105,12 @@ def _where(line: int | None) -> str:
 
 
 def _float(key: str, raw: str, line: int | None = None) -> float:
-    """A finite number or fraction ``a/b``; ``line`` is omitted for flags."""
+    """A number or fraction ``a/b``; ``line`` is omitted for flags."""
     try:
         num, _, den = raw.partition("/")
         value = float(num) / float(den) if den else float(raw)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ConfigError(f"{_where(line)}{key} expects a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{_where(line)}{key} must be finite, got {raw!r}")
     return value + 0.0  # "-0" reads as 0.0, not -0.0
 
 
@@ -126,42 +121,46 @@ def _int(key: str, raw: str, line: int | None = None) -> int:
         raise ConfigError(f"{_where(line)}{key} expects an integer, got {raw!r}") from None
 
 
-def parse_list(raw: str, what: str, read=_float, line: int | None = None) -> tuple:
-    """A comma-separated list of at least one value, each parsed by ``read``."""
+def _integral(kind) -> bool:
+    return (kind if isinstance(kind, str) else kind[0]) == "int"
+
+
+def _number(what: str, raw: str, kind, line: int | None = None):
+    """``raw`` read as an integer or a number, as ``kind`` asks, and checked against it."""
+    value = (_int if _integral(kind) else _float)(what, raw, line)
+    try:
+        return check(what, value, kind, raw)
+    except ValueError as exc:
+        raise ConfigError(f"{_where(line)}{exc}") from None
+
+
+def parse_list(raw: str, what: str, kind, line: int | None = None) -> tuple:
+    """A comma-separated list of at least one value, each of ``kind`` (see ``bounds``)."""
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"{_where(line)}{what} must list at least one value")
-    return tuple(read(what, p, line) for p in parts)
+    return tuple(_number(what, p, kind, line) for p in parts)
 
 
 def _read(key: str, raw: str, line: int):
-    """One line's value, parsed and bound-checked by its key's kind."""
-    _, _, kind, extra = _KEYS[key]
-    if kind == "word":
-        if raw not in extra:
-            raise ConfigError(f"line {line}: {key} must be one of {', '.join(sorted(extra))}, got {raw!r}")
-        return extra[raw] if isinstance(extra, dict) else raw
-    if kind == "bool":
+    """One line's value, parsed and bound-checked as its key's spelling and kind say."""
+    target, field, spelling = _KEYS[key]
+    if spelling is bool:
         if raw.lower() in _BOOLS:
             return _BOOLS[raw.lower()]
         raise ConfigError(f"line {line}: {key} expects true or false, got {raw!r}")
-    if kind == "list":
-        return parse_list(raw, key, line=line)
-    if kind == "int":
-        value = _int(key, raw, line)
-        if value < 0:
-            raise ConfigError(f"line {line}: {key} must be nonnegative, got {value}")
-        if extra is not None and value > extra:
-            raise ConfigError(f"line {line}: {key} must not exceed {extra}, got {value}")
-        return value
-    if extra is not None and raw == extra[0]:
-        return extra[1]
-    value = _float(key, raw, line)
-    if (kind == "positive" and value <= 0.0) or (kind == "nonnegative" and value < 0.0):
-        raise ConfigError(f"line {line}: {key} must be {kind}, got {value!r}")
-    if kind == "probability" and not 0.0 <= value <= 1.0:
-        raise ConfigError(f"line {line}: {key} must lie in [0, 1], got {value!r}")
-    return value
+    if spelling is list:
+        return parse_list(raw, key, "any", line)
+    if spelling is int:
+        return _int(key, raw, line)
+    if spelling is None:
+        return _number(key, raw, _KINDS[target][field], line)
+    if isinstance(spelling, str):  # the word for the one more value the kind accepts
+        kind, value = _KINDS[target][field]
+        return value if raw == spelling else _number(key, raw, kind, line)
+    if raw not in spelling:
+        raise ConfigError(f"line {line}: {key} must be one of {', '.join(sorted(spelling))}, got {raw!r}")
+    return spelling[raw] if isinstance(spelling, dict) else raw
 
 
 def _scan(text: str) -> dict[str, tuple[object, int]]:
@@ -222,10 +221,7 @@ def _build_run(entries: dict[str, tuple[object, int]]) -> RunConfig:
 
 
 def _build_cost(entries: dict[str, tuple[object, int]]) -> CostParams:
-    try:
-        return CostParams(**_group(entries).get("cost", {}))
-    except ValueError as exc:
-        raise ConfigError(f"cost: {exc}") from None
+    return CostParams(**_group(entries).get("cost", {}))  # the table bounds every field, and no rule spans them
 
 
 def bonus_in_ec_requests(text: str) -> bool:
@@ -259,12 +255,8 @@ def parse_sweep_spec(text: str) -> SweepSpec:
     for i, v in enumerate(values):
         if v in values[:i]:
             raise ConfigError(f"line {line}: sweep.values lists {v!r} more than once")
-        if v < 0.0:
-            raise ConfigError(f"line {line}: sweep.values must be nonnegative, got {v!r}")
         if axis in ("users", "vehicles") and v != int(v):
             raise ConfigError(f"line {line}: sweep.values for {axis} must be integers, got {v!r}")
-        if axis == "vehicle_capacity_fraction" and v <= 0.0:
-            raise ConfigError(f"line {line}: capacity fractions must be positive, got {v!r}")
 
     replications, where = entries.get("sweep.replications", (len(REPLICATION_SEEDS), None))
     if axis == "beta" and where is not None:
@@ -277,15 +269,14 @@ def parse_sweep_spec(text: str) -> SweepSpec:
         )
     seeds = tuple(REPLICATION_SEEDS[:replications])
 
-    if axis == "beta":
-        return SweepSpec(axis, values, seeds, base_run=None, base_cost=_build_cost(entries))
-    base = _build_run(entries)
-    for v in values:  # every point must be a valid run before any is simulated
+    base_cost = _build_cost(entries) if axis == "beta" else None
+    base_run = _build_run(entries) if axis != "beta" else None
+    for v in values:  # every point must be valid before any is computed
         try:
-            apply_axis(base, axis, v, seeds[0]).validate()
+            base_cost._replace(beta=v) if base_cost else apply_axis(base_run, axis, v, seeds[0]).validate()
         except ValueError as exc:
             raise ConfigError(f"line {line}: sweep.values {v!r}: {exc}") from None
-    return SweepSpec(axis, values, seeds, base_run=base, base_cost=None)
+    return SweepSpec(axis, values, seeds, base_run=base_run, base_cost=base_cost)
 
 
 def apply_axis(base: RunConfig, axis: str, value: float, seed: int) -> RunConfig:
@@ -306,15 +297,16 @@ def apply_axis(base: RunConfig, axis: str, value: float, seed: int) -> RunConfig
 def _serialize(owners: dict[str, object]) -> str:
     """One ``key = value`` line per table key whose target is in ``owners``."""
     lines = []
-    for key, (target, field, kind, extra) in _KEYS.items():
+    for key, (target, field, spelling) in _KEYS.items():
         if target not in owners:
             continue
         owner = owners[target]
         value = owner[field] if target == "bs" else getattr(owner, field)
-        if kind in ("int", "word"):
+        kind = _KINDS[target].get(field)  # None for a word
+        if isinstance(spelling, str) and value == kind[1]:
+            text = spelling
+        elif kind is None or _integral(kind):
             text = str(value)
-        elif extra is not None and value == extra[1]:
-            text = extra[0]
         else:
             text = repr(float(value))
         lines.append(f"{key} = {text}")
@@ -339,8 +331,5 @@ def default_config_text() -> str:
 
 
 def parse_seed_list(raw: str) -> tuple[int, ...]:
-    """Parse a comma-separated seed list, e.g. from --seed-list."""
-    seeds = parse_list(raw, "seed list", _int)
-    if min(seeds) < 0:
-        raise ConfigError(f"seeds must be nonnegative, got {raw!r}")
-    return seeds
+    """The comma-separated seeds of --seed-list, each of the kind of ``RunConfig.seed``."""
+    return parse_list(raw, "--seed-list", RunConfig.KINDS["seed"])

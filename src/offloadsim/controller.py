@@ -43,8 +43,6 @@ class Registry:
     __slots__ = ("timeout", "entries", "ids", "_ages")
 
     def __init__(self, timeout: float) -> None:
-        if timeout <= 0.0:
-            raise ValueError("timeout must be positive")
         self.timeout, self.entries, self.ids, self._ages = timeout, {}, [], []
 
     def on_beacon(self, vehicle_id: int, t: float) -> None:

@@ -12,28 +12,31 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from .bounds import check_fields
+
 SECONDS_ACTIVE_PER_YEAR = 15 * 3600 * 365  # 15 h/day of offloading activity
 # Whether breakdown tables add the bonus to the edge per-request column, unless
 # told otherwise (``cost.bonus_in_ec_requests``, ``--bonus-in-ec-requests``).
 BONUS_IN_EC_REQUESTS = True
 
 
-_COST_DEFAULTS = {
-    "c_ec_cpu": 700.0,  # $ per edge CPU
-    "l_ec_cpu": 3.0,  # years a CPU lasts before replacement
-    "years": 1.0,  # horizon Y
-    "c_ec_main": 1368.46,  # $ per year of edge maintenance
-    "c_ec_req": 2e-5,  # $ per request served at the edge
-    "c_vcc_req": None,  # $ per request served by a vehicle
-    "request_rate": 5.0,  # requests per second per user
-    "users": 100.0,
-    "alpha": float(SECONDS_ACTIVE_PER_YEAR),
-    "beta": 0.0,  # $ per request bonus to vehicle owners
-    "capex_overhead": 1.0,  # multiplier on the capital outlay
+# field -> (default, kind); the kinds are the fields' bounds (see ``bounds``).
+_COST_FIELDS = {
+    "c_ec_cpu": (700.0, "nonnegative"),  # $ per edge CPU
+    "l_ec_cpu": (3.0, "positive"),  # years a CPU lasts before replacement
+    "years": (1.0, "positive"),  # horizon Y
+    "c_ec_main": (1368.46, "nonnegative"),  # $ per year of edge maintenance
+    "c_ec_req": (2e-5, "nonnegative"),  # $ per request served at the edge
+    "c_vcc_req": (None, ("nonnegative", None)),  # $ per request served by a vehicle
+    "request_rate": (5.0, "positive"),  # requests per second per user
+    "users": (100.0, "positive"),
+    "alpha": (float(SECONDS_ACTIVE_PER_YEAR), "positive"),
+    "beta": (0.0, "nonnegative"),  # $ per request bonus to vehicle owners
+    "capex_overhead": (1.0, "positive"),  # multiplier on the capital outlay
 }
 
 
-class CostParams(namedtuple("CostParams", _COST_DEFAULTS, defaults=_COST_DEFAULTS.values())):
+class CostParams(namedtuple("CostParams", _COST_FIELDS, defaults=[default for default, _ in _COST_FIELDS.values()])):
     """Inputs of the cost comparison.
 
     ``alpha`` is the active seconds per year, so requests per year are
@@ -44,22 +47,11 @@ class CostParams(namedtuple("CostParams", _COST_DEFAULTS, defaults=_COST_DEFAULT
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
+    KINDS = {field: kind for field, (_, kind) in _COST_FIELDS.items()}
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(self._fields, self):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.l_ec_cpu <= 0.0:
-            raise ValueError("CPU lifetime must be positive")
-        if self.years <= 0.0:
-            raise ValueError("horizon must be positive")
-        if min(self.c_ec_cpu, self.c_ec_main, self.c_ec_req, self.beta, self.c_vcc_req or 0.0) < 0.0:
-            raise ValueError("costs must be nonnegative")
-        if self.request_rate <= 0.0 or self.users <= 0.0 or self.alpha <= 0.0:
-            raise ValueError("request volume terms must be positive")
-        if self.capex_overhead <= 0.0:
-            raise ValueError("capex overhead must be positive")
+        check_fields(self)
         return self
 
     @property

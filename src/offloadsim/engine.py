@@ -43,6 +43,7 @@ import random
 from array import array
 from collections import Counter, namedtuple
 
+from .bounds import check_fields
 from .channel import ChannelConfig, Link, LinkClass, lena_calibrated
 from .compute import EdgeState, elaboration_time
 from .controller import (
@@ -90,67 +91,50 @@ MAX_VEHICLES = 1_000_000  # per run, checked before the fleet is built
 MAX_BEACONS = 1_000_000_000
 
 
-_RUN_DEFAULTS = {
-    "strategy": EC_FIRST,
-    "n_users": 8,
-    "request_rate": 5.0,  # per user, Hz
-    "duration": 120.0,  # s
-    "seed": 0,
-    "workload_mi": 500.0,
-    "task_size_bytes": 4000.0,
-    "result_size_bytes": 4000.0,
-    "geometry": total_coverage(),
-    "n_vehicles": 40,
-    "vehicle_speed": 13.1 * KMH,  # m/s
-    "vehicle_capacity": 71120.0,  # MIPS
-    "channel": None,  # each config gets its own lena_calibrated()
-    "cloud_mips": 2356230.0,
-    "edge_mips": 749070.0,
-    "edge_max_queue": 100,
-    "beacon_period": 0.1,
-    "registry_timeout": 0.5,
+# field -> (default, kind): the kind bounds the field (see ``bounds``); None
+# leaves it to ``RunConfig.validate``, or to its own type when built.
+_RUN_FIELDS = {
+    "strategy": (EC_FIRST, None),
+    "n_users": (8, "int"),
+    "request_rate": (5.0, "positive"),  # per user, Hz
+    "duration": (120.0, "positive"),  # s
+    "seed": (0, "int"),  # nonnegative, as random.Random(-s) would replay the stream of s
+    "workload_mi": (500.0, "nonnegative"),
+    "task_size_bytes": (4000.0, "nonnegative"),
+    "result_size_bytes": (4000.0, "nonnegative"),
+    "geometry": (total_coverage(), None),
+    "n_vehicles": (40, ("int", MAX_VEHICLES)),
+    "vehicle_speed": (13.1 * KMH, "nonnegative"),  # m/s
+    "vehicle_capacity": (71120.0, "positive"),  # MIPS
+    "channel": (None, None),  # each config gets its own lena_calibrated()
+    "cloud_mips": (2356230.0, "positive"),
+    "edge_mips": (749070.0, "positive"),
+    "edge_max_queue": (100, "int"),
+    "beacon_period": (0.1, "positive"),
+    "registry_timeout": (0.5, "positive"),
 }
 
 
-class RunConfig(namedtuple("RunConfig", _RUN_DEFAULTS, defaults=_RUN_DEFAULTS.values())):
+class RunConfig(namedtuple("RunConfig", _RUN_FIELDS, defaults=[default for default, _ in _RUN_FIELDS.values()])):
     """Everything one run needs. Defaults describe the reference workload:
     8 pedestrians offloading 500 MI tasks at 5 req/s for 120 s, 40 vehicles
     looping a fully covered 600 x 50 m block at 13.1 km/h."""
 
     __slots__ = ()
+    KINDS = {field: kind for field, (_, kind) in _RUN_FIELDS.items() if kind is not None}
 
     def __new__(cls, *args, **kwargs):
         cfg = super().__new__(cls, *args, **kwargs)
         return cfg if cfg.channel is not None else cfg._replace(channel=lena_calibrated())
 
     def validate(self) -> None:
-        if not all(math.isfinite(v) for v in self if isinstance(v, (int, float))):
-            raise ValueError("numeric parameters must be finite")
+        """Check every field's kind, the strategy, and the arrival and beacon caps."""
+        check_fields(self)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.seed < 0:  # random.Random(-s) would replay the stream of s
-            raise ValueError("seed must be nonnegative")
-        if self.n_users < 0 or self.n_vehicles < 0:
-            raise ValueError("population counts must be nonnegative")
-        if self.n_vehicles > MAX_VEHICLES:
-            raise ValueError(f"vehicle count must not exceed {MAX_VEHICLES}")
-        if self.request_rate <= 0.0:
-            raise ValueError("request rate must be positive")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
         per_user = self.duration * self.request_rate
         if self.n_users and (per_user > MAX_ARRIVALS or self.n_users * math.ceil(per_user) > MAX_ARRIVALS):
             raise ValueError(f"users x ceil(duration x request_rate) must not exceed {MAX_ARRIVALS} arrivals")
-        if self.workload_mi < 0.0 or self.task_size_bytes < 0.0 or self.result_size_bytes < 0.0:
-            raise ValueError("task template values must be nonnegative")
-        if self.vehicle_speed < 0.0:
-            raise ValueError("vehicle speed must be nonnegative")
-        if min(self.vehicle_capacity, self.cloud_mips, self.edge_mips) <= 0.0:
-            raise ValueError("capacities must be positive")
-        if self.edge_max_queue < 0:
-            raise ValueError("edge queue bound must be nonnegative")
-        if self.beacon_period <= 0.0 or self.registry_timeout <= 0.0:
-            raise ValueError("beacon period and registry timeout must be positive")
         if self.strategy == VCC_FIRST and self.n_vehicles * (self.duration / self.beacon_period) > MAX_BEACONS:
             raise ValueError(f"vehicles x duration / beacon period must not exceed {MAX_BEACONS} beacons")
 
@@ -241,7 +225,9 @@ def run(cfg: RunConfig) -> Records:
 
     # Records are columns in RECORD_FIELDS order, indexed by task id. Arrival
     # i carries sequence number i, so it precedes every pushed event at its
-    # time; pushed events number on from n. The inf sentinel ends the arrivals.
+    # time; pushed events number on from n. The arrivals end by count: the inf
+    # after them only keeps the heap's events first, and an event at inf, from
+    # a leg or an elaboration that overflowed, lies past the horizon.
     arrivals = generate_arrivals(cfg, rng)
     n = len(arrivals)
     arrival_times = [t for t, _ in arrivals]
@@ -292,12 +278,14 @@ def run(cfg: RunConfig) -> Records:
 
     i = 0
     next_arrival = arrival_times[0]
-    while heap or next_arrival < math.inf:
+    while True:
         if heap and heap[0][0] < next_arrival:
             t, _, kind, a, b = heappop(heap)
             if t > horizon:
                 break
         else:  # arrivals all lie inside the horizon
+            if i == n:  # and every event left, if any, at inf
+                break
             latency = pue_up.send(rng, next_arrival)
             if latency is None:
                 fail(i, USER_TO_GNB)

@@ -13,6 +13,8 @@ import math
 import random
 from collections import namedtuple
 
+from .bounds import check_fields
+
 CLOCKWISE = 1
 COUNTERCLOCKWISE = -1
 
@@ -24,17 +26,17 @@ class ScenarioGeometry(namedtuple("ScenarioGeometry", "loop_length_x loop_width_
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
+    KINDS = {
+        "loop_length_x": "positive",
+        "loop_width_y": "positive",
+        "bs_position": {0: "any", 1: "any", 2: "positive"},  # x, y and height
+        "coverage_radius": ("positive", math.inf),  # inf: the cell covers everything
+        "ue_height": "nonnegative",
+    }
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.loop_length_x <= 0.0 or self.loop_width_y <= 0.0:
-            raise ValueError("loop dimensions must be positive")
-        if self.bs_position[2] <= 0.0:
-            raise ValueError("base station height must be positive")
-        if self.coverage_radius <= 0.0:
-            raise ValueError("coverage radius must be positive or infinite")
-        if self.ue_height < 0.0:
-            raise ValueError("UE height must be nonnegative")
+        check_fields(self)
         return self
 
     @property
@@ -74,14 +76,8 @@ def build_scenario(
 ) -> list[VehicleState]:
     """Place ``n_vehicles`` uniformly on the loop, alternating directions per lane.
 
-    Same inputs and seed give a bitwise-identical fleet.
+    Same inputs and seed give a bitwise-identical fleet; ``RunConfig.validate`` bounds the inputs.
     """
-    if n_vehicles < 0:
-        raise ValueError("vehicle count must be nonnegative")
-    if speed < 0.0:
-        raise ValueError("speed must be nonnegative")
-    if capacity <= 0.0:
-        raise ValueError("capacity must be positive")
     rng = random.Random(seed)
     fleet, perimeter = [], geometry.perimeter
     for vid in range(n_vehicles):

@@ -1,5 +1,6 @@
 """Link latency, processor sharing, and per-leg loss behaviour."""
 
+import math
 import random
 
 import pytest
@@ -117,6 +118,9 @@ def test_link_params_validation():
         LinkParams(0.1, k_speed=-1e-3)
     with pytest.raises(ValueError):
         LinkParams(0.1, sharing="round_robin")
+    for field in ("base_latency", "rate", "p_base", "k_speed"):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got nan"):
+            LinkParams(**{"base_latency": 0.1, field: math.nan})
 
 
 def test_channel_config_requires_all_links_and_lossless_wired():

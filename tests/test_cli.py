@@ -162,7 +162,7 @@ def test_empty_seed_list_exits_nonzero(tmp_path, capsys):
     cfg.write_text("strategy = ECFirst\nduration = 5\nsweep.axis = users\nsweep.values = 1\n")
     out = tmp_path / "s.csv"
     assert main(["sweep", str(cfg), "-o", str(out), "--seed-list", ""]) == 1
-    assert "seed list must list at least one value" in capsys.readouterr().err
+    assert "--seed-list must list at least one value" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -350,11 +350,19 @@ def test_float_cells_use_repr_for_exactness(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value, why",
-    [("--betas", "nan", "must be finite"), ("--years", "inf", "must be finite"), ("--scales", "1/0", "expects a number")],
+    [
+        ("--betas", "nan", "must be finite"),
+        ("--years", "inf", "must be finite"),
+        ("--scales", "1/0", "expects a number"),
+        ("--years", "0", "must be positive"),
+        ("--betas", "-1", "must be nonnegative"),
+        ("--scales", "-1", "must be nonnegative"),
+    ],
 )
 def test_cost_flags_reject_non_finite_numbers(capsys, flag, value, why):
-    # `--betas nan` used to write a table of nan with exit code 0, and
-    # `--years inf` to die with an OverflowError traceback
+    # `--betas nan` used to write a table of nan with exit code 0, `--years inf`
+    # to die with an OverflowError traceback, `--years 0` and `--betas -1` with
+    # a ValueError one, and `--scales -1` to exit 0 with negative totals
     assert main(["cost", flag, value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -4,6 +4,7 @@ import pytest
 
 from offloadsim.channel import WIRED_LINKS, Link, lena_calibrated
 from offloadsim.compute import EdgeState, elaboration_time, vehicle_offer
+from offloadsim.engine import RunConfig, run
 from offloadsim.scenario import CLOCKWISE, VehicleState
 
 
@@ -15,10 +16,10 @@ def test_elaboration_time_is_workload_over_capacity():
 
 
 def test_elaboration_time_validation():
-    with pytest.raises(ValueError):
-        elaboration_time(-1.0, 1000.0)
-    with pytest.raises(ValueError):
-        elaboration_time(1.0, 0.0)
+    # elaboration_time trusts its inputs; engine.run, its caller, validates them first
+    for field, bad in [("workload_mi", -1.0), ("cloud_mips", 0.0), ("vehicle_capacity", 0.0)]:
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            run(RunConfig(**{field: bad}))
 
 
 def test_cloud_wired_roundtrip():
@@ -100,8 +101,9 @@ def test_edge_idle_gap_resets_waiting():
 
 
 def test_edge_rejects_a_capacity_that_is_not_positive():
-    with pytest.raises(ValueError, match="capacity"):
-        _edge(capacity=0.0)
+    # EdgeState trusts its capacity; engine.run, its caller, validates it first
+    with pytest.raises(ValueError, match="edge_mips must be positive, got 0.0"):
+        run(RunConfig(edge_mips=0.0))
 
 
 def test_vehicle_serves_one_task_at_a_time():

@@ -27,7 +27,7 @@ from offloadsim.config import (
 )
 from offloadsim.costmodel import CostParams
 from offloadsim.engine import KMH, REPLICATION_SEEDS, RunConfig, run, summarize
-from offloadsim.scenario import total_coverage
+from offloadsim.scenario import ScenarioGeometry, total_coverage
 
 
 def test_minimal_run_config_uses_defaults():
@@ -41,6 +41,8 @@ def test_minimal_run_config_uses_defaults():
         (LinkParams(0.002), "base_latency", -1.0),
         (total_coverage(), "coverage_radius", 0.0),
         (CostParams(), "years", math.nan),
+        (LinkParams(0.002), "base_latency", math.nan),
+        (total_coverage(), "loop_length_x", math.nan),
     ],
 )
 def test_checked_parameters_reject_a_bad_value_built_or_replaced(valid, field, bad):
@@ -48,6 +50,50 @@ def test_checked_parameters_reject_a_bad_value_built_or_replaced(valid, field, b
         type(valid)(**{**valid._asdict(), field: bad})
     with pytest.raises(ValueError):
         valid._replace(**{field: bad})
+
+
+def _bs_position(i, value):
+    return total_coverage()._replace(bs_position=tuple(value if j == i else x for j, x in enumerate((0.0, 0.0, 30.0))))
+
+
+# config target -> (the value type that owns its fields, a call that checks one field set to a value)
+_OWNERS = {
+    "run": (RunConfig, lambda field, value: RunConfig(**{field: value}).validate()),
+    "km/h": (RunConfig, lambda field, value: RunConfig(**{field: value}).validate()),
+    "geometry": (ScenarioGeometry, lambda field, value: total_coverage()._replace(**{field: value})),
+    "cost": (CostParams, lambda field, value: CostParams(**{field: value})),
+    **{link.value: (LinkParams, lambda field, value: LinkParams(0.0)._replace(**{field: value})) for link in LinkClass},
+}
+
+
+def _just_outside(kind, extra) -> list:
+    if kind == "int":
+        return [-1, extra[0] + 1] if extra else [-1]
+    tiny = -5e-324  # the negative number nearest zero
+    outside = {"positive": [0.0, tiny], "nonnegative": [tiny], "probability": [tiny, math.nextafter(1.0, 2.0)]}
+    return outside.get(kind, [])
+
+
+_NUMERIC_KEYS = [key for key, (_, _, spelling) in config._KEYS.items() if spelling is None or isinstance(spelling, str)]
+
+
+@pytest.mark.parametrize("key", _NUMERIC_KEYS)
+def test_every_numeric_key_has_the_bound_of_its_field(key):
+    """Each key's bound is its owner's kind: a value just outside it, or nan,
+    fails in a config naming the line and key, and in the owner naming the field."""
+    target, field, _ = config._KEYS[key]
+    if target == "bs":
+        kind, name, build = ScenarioGeometry.KINDS["bs_position"][field], rf"bs_position\[{field}\]", _bs_position
+    else:
+        owner, build = _OWNERS[target]
+        kind, name = owner.KINDS[field], field
+    kind, *extra = (kind,) if isinstance(kind, str) else kind
+    for value in _just_outside(kind, extra) + [math.nan]:
+        said = "expects an integer" if kind == "int" and math.isnan(value) else "must be"
+        with pytest.raises(ConfigError, match=rf"^line 1: {re.escape(key)} {said}"):
+            parse_run_config(f"{key} = {value!r}\nstrategy = ECFirst\n")
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            build(field, value)
 
 
 def test_run_config_requires_strategy():
@@ -112,10 +158,11 @@ def test_oversized_sweep_points_name_the_values_line():
 
 
 def test_oversized_fleets_are_rejected_at_parse_time():
-    with pytest.raises(ConfigError, match="line 2: vehicles.count must not exceed 1000000"):
+    in_range = r"must be an integer in \[0, 1000000\]"
+    with pytest.raises(ConfigError, match=rf"line 2: vehicles.count {in_range}, got '1000000000'"):
         parse_run_config("strategy = ECFirst\nvehicles.count = 1000000000\n")
     assert parse_run_config("strategy = ECFirst\nvehicles.count = 1000000\n").n_vehicles == 10**6
-    with pytest.raises(ConfigError, match="line 3: sweep.values 1000001.0: vehicle count"):
+    with pytest.raises(ConfigError, match=rf"line 3: sweep.values 1000001.0: n_vehicles {in_range}"):
         parse_sweep_spec("strategy = VCCFirst\nsweep.axis = vehicles\nsweep.values = 40, 1000001\n")
 
 
@@ -227,6 +274,16 @@ def test_sweep_validation():
             "strategy = ECFirst\nsweep.axis = users\nsweep.values = 1\n"
             "sweep.replications = 0\n"
         )
+    # a point outside its field's kind fails that field's check, naming the values line
+    for axis, value, field in [
+        ("users", "-1", "n_users"),
+        ("workload", "-1", "workload_mi"),
+        ("vehicle_capacity_fraction", "0", "vehicle_capacity"),
+        ("speed", "-1", "vehicle_speed"),
+        ("beta", "-1", "beta"),
+    ]:
+        with pytest.raises(ConfigError, match=f"line 3: sweep.values {float(value)!r}: {field} must be"):
+            parse_sweep_spec(f"strategy = ECFirst\nsweep.axis = {axis}\nsweep.values = 1, {value}\n")
 
 
 def test_duplicate_sweep_values_are_rejected_naming_the_line():
@@ -359,7 +416,7 @@ def test_minus_zero_values_read_as_zero(tmp_path):
 
 def test_negative_seeds_are_rejected():
     # random.Random(-5) seeds the same stream as random.Random(5)
-    with pytest.raises(ConfigError, match="line 2: seed must be nonnegative, got -5"):
+    with pytest.raises(ConfigError, match="line 2: seed must be a nonnegative integer, got '-5'"):
         parse_run_config("strategy = ECFirst\nseed = -5\n")
     assert parse_run_config("strategy = ECFirst\nseed = 0\n").seed == 0
     with pytest.raises(ConfigError, match="nonnegative"):

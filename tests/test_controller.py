@@ -5,6 +5,7 @@ import random
 import pytest
 
 from offloadsim.controller import EC_FIRST, Registry, STRATEGIES, VCC_FIRST, select_vccfirst
+from offloadsim.engine import RunConfig, run
 
 
 def test_strategy_names():
@@ -12,8 +13,9 @@ def test_strategy_names():
 
 
 def test_registry_validation():
-    with pytest.raises(ValueError):
-        Registry(timeout=0.0)
+    # Registry trusts its timeout; engine.run, its caller, validates it first
+    with pytest.raises(ValueError, match="registry_timeout must be positive, got 0.0"):
+        run(RunConfig(strategy=VCC_FIRST, registry_timeout=0.0))
 
 
 def test_beacon_refresh_and_strict_expiry():

@@ -299,12 +299,17 @@ def test_run_config_validation():
 
 
 @pytest.mark.parametrize(
-    "field", ["duration", "request_rate", "vehicle_speed", "registry_timeout", "workload_mi"]
+    "field", ["duration", "request_rate", "vehicle_speed", "registry_timeout", "workload_mi", "geometry", "channel"]
 )
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_run_config_rejects_non_finite_numbers(field, value):
+    # a nan loop used to give a VCCFirst run numbers, and a nan pue_up latency an IndexError
+    nested = {
+        "geometry": lambda: partial_coverage()._replace(loop_length_x=value),
+        "channel": lambda: ChannelConfig({**lena_calibrated().links, LinkClass.PUE_UP: LinkParams(value, 100e6)}),
+    }
     with pytest.raises(ValueError, match="finite"):
-        run(RunConfig(**{field: value}))
+        run(RunConfig(**{"strategy": VCC_FIRST, "duration": 2.0, field: nested[field]() if field in nested else value}))
 
 
 def test_in_flight_tasks_have_no_total():
@@ -375,6 +380,15 @@ def test_an_arrival_goes_before_an_event_pushed_for_the_same_instant():
     assert discriminating >= 5  # the opposite order would give other outcomes
 
 
+@pytest.mark.parametrize("strategy, field", [(EC_FIRST, "task_size_bytes"), (VCC_FIRST, "result_size_bytes")])
+def test_a_leg_that_overflows_to_inf_leaves_its_task_in_flight(strategy, field):
+    # a payload of 1e308 bytes takes inf seconds: an event at inf used to tie
+    # the inf after the arrivals, so the loop took arrival n, which does not
+    # exist, and died with an IndexError
+    records = run(RunConfig(**{"strategy": strategy, "duration": 1.0, field: 1e308}))
+    assert len(records) == 40 and {r.outcome for r in records} == {IN_FLIGHT}
+
+
 @pytest.mark.parametrize("strategy", [EC_FIRST, VCC_FIRST])
 def test_a_delivery_exactly_at_the_horizon_succeeds(strategy):
     """The result that lands exactly at ``duration`` counts; one ulp later it
@@ -417,7 +431,7 @@ def test_a_delivery_exactly_at_the_horizon_succeeds(strategy):
 
 def test_run_config_bounds_the_fleet():
     RunConfig(n_vehicles=MAX_VEHICLES).validate()
-    with pytest.raises(ValueError, match="vehicle count"):
+    with pytest.raises(ValueError, match=r"n_vehicles must be an integer in \[0, 1000000\], got 1000001"):
         RunConfig(n_vehicles=MAX_VEHICLES + 1).validate()
 
 
@@ -507,7 +521,7 @@ def test_summarize_runs_validates_every_config_before_forking(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
     cfgs = [RunConfig(duration=1.0), RunConfig(duration=1.0, n_users=-1)]
-    with pytest.raises(ValueError, match="population counts"):
+    with pytest.raises(ValueError, match="n_users must be a nonnegative integer, got -1"):
         summarize_runs(cfgs)
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from offloadsim.engine import RunConfig, run
 from offloadsim.scenario import (
     CLOCKWISE,
     COUNTERCLOCKWISE,
@@ -49,6 +50,9 @@ def test_geometry_validation():
         ScenarioGeometry(600.0, 50.0, (0.0, 0.0, 30.0), coverage_radius=0.0)
     with pytest.raises(ValueError):
         ScenarioGeometry(600.0, 50.0, (0.0, 0.0, 30.0), ue_height=-0.1)
+    for args in [(math.nan, 50.0, (0.0, 0.0, 30.0)), (600.0, 50.0, (0.0, math.nan, 30.0))]:
+        with pytest.raises(ValueError, match="must be finite, got nan"):
+            ScenarioGeometry(*args)
 
 
 def test_point_on_loop_corners_and_sides():
@@ -103,13 +107,10 @@ def test_build_scenario_is_deterministic_and_alternates_directions():
 
 
 def test_build_scenario_validation():
-    g = total_coverage()
-    with pytest.raises(ValueError):
-        build_scenario(g, -1, 1.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        build_scenario(g, 1, -1.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        build_scenario(g, 1, 1.0, 0.0, 0)
+    # build_scenario trusts its count, speed and capacity; engine.run, its caller, validates them first
+    for field, bad in [("n_vehicles", -1), ("vehicle_speed", -1.0), ("vehicle_capacity", 0.0)]:
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            run(RunConfig(**{field: bad}))
 
 
 def test_infinite_radius_covers_everything():
