@@ -6,13 +6,21 @@ coverage on every lap. Positions are closed form, so we can sample them at
 any instant without stepping a simulation.
 """
 
-from offloadsim.scenario import (
-    build_scenario,
-    in_coverage,
-    partial_coverage,
-    position_at,
-    total_coverage,
-)
+from offloadsim.scenario import coverage_function, partial_coverage, start_offsets, total_coverage
+
+
+def point_on_loop(s, g):
+    """The (x, y) at arc length ``s``, measured clockwise from the (0, 0) corner."""
+    lx, wy = g.loop_length_x, g.loop_width_y
+    s %= g.perimeter
+    if s < lx:
+        return (s, 0.0)
+    s -= lx
+    if s < wy:
+        return (lx, s)
+    s -= wy
+    return (lx - s, wy) if s < lx else (0.0, wy - (s - lx))
+
 
 small = total_coverage()
 large = partial_coverage()
@@ -22,28 +30,27 @@ print(f"large loop: {large.loop_length_x:.0f} x {large.loop_width_y:.0f} m, "
       f"perimeter {large.perimeter:.0f} m, cell radius {large.coverage_radius:.0f} m")
 print()
 
-fleet = build_scenario(large, n_vehicles=4, speed=100.0 / 3.6, capacity=71120.0, seed=7)
-for v in fleet:
-    direction = "clockwise" if v.direction == 1 else "counterclockwise"
-    print(f"vehicle {v.id}: starts at arc length {v.loop_offset_at_t0:7.1f} m, {direction}")
+speed = 100.0 / 3.6
+offsets = start_offsets(large, n_vehicles=4, seed=7)
+coverage = coverage_function(large, offsets, speed)  # coverage(vehicle id, t) -> (covered, until)
+for vid, offset in enumerate(offsets):
+    direction = "clockwise" if vid % 2 == 0 else "counterclockwise"  # by id parity
+    print(f"vehicle {vid}: starts at arc length {offset:7.1f} m, {direction}")
 print()
 
 # sample one lap of vehicle 0 and report every coverage transition
-v = fleet[0]
-lap = large.perimeter / v.speed
-print(f"vehicle 0 laps the loop in {lap:.0f} s at {v.speed * 3.6:.0f} km/h")
+lap = large.perimeter / speed
+print(f"vehicle 0 laps the loop in {lap:.0f} s at {speed * 3.6:.0f} km/h")
 was_covered = None
 t = 0.0
 while t <= lap:
-    x, y = position_at(v, t, large)
-    covered = in_coverage((x, y), large)
+    covered = coverage(0, t)[0]
     if covered != was_covered:
+        x, y = point_on_loop(offsets[0] + speed * t, large)
         state = "enters coverage" if covered else "leaves coverage"
         print(f"  t = {t:6.1f} s  position ({x:7.1f}, {y:4.1f})  {state}")
         was_covered = covered
     t += 0.5
 
-share = sum(
-    in_coverage(position_at(v, 0.1 * k, large), large) for k in range(int(lap * 10))
-) / int(lap * 10)
+share = sum(coverage(0, 0.1 * k)[0] for k in range(int(lap * 10))) / int(lap * 10)
 print(f"\nfraction of the lap spent in coverage: {share:.1%}")

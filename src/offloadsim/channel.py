@@ -13,6 +13,7 @@ holds both formulas and the airtime still in use; a wired leg is its
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from enum import Enum
 from heapq import heappop, heappush
@@ -132,7 +133,8 @@ class Link:
         rate = self.rate
         if rate is None:
             return self.base_latency
-        return self.base_latency + self.bits / (rate / concurrent if self.shared else rate)
+        share = rate / concurrent if self.shared else rate  # 0 where a subnormal rate underflows
+        return self.base_latency + (self.bits / share if share else math.inf if self.bits else 0.0)
 
     def lost(self, rng, covered: bool) -> str | None:
         """Why a radio leg is lost, or None. An uncovered endpoint loses it

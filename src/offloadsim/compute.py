@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from .scenario import VehicleState
-
 
 def elaboration_time(workload_mi: float, capacity_mips: float) -> float:
     """Service time in seconds for a workload on a processor of given capacity (both as RunConfig bounds them)."""
@@ -67,16 +65,3 @@ class EdgeState:
         jobs.append((start, completion))
         return waiting, completion, start - data_at
 
-
-def vehicle_offer(v: VehicleState, workload_mi: float, now: float) -> float | None:
-    """Start service on an idle vehicle and return the completion time.
-
-    Returns None (rejection) if the vehicle is already serving a task. Accepted
-    intervals never overlap: acceptance requires busy_until <= now and sets
-    busy_until to the new completion.
-    """
-    if v.busy_until > now:
-        return None
-    done_at = now + elaboration_time(workload_mi, v.capacity)
-    v.busy_until = done_at
-    return done_at

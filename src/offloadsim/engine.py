@@ -3,9 +3,10 @@
 One run draws from ``random.Random(seed)``, user phases first, then beacon
 phases, then the per-event draws, and orders its events by (time, sequence
 number), so identical configurations and seeds replay the exact same event
-interleaving and produce identical records. ``build_scenario`` places the
-VCCFirst fleet from a second ``random.Random(seed)``, so vehicle i's start
-offset over the perimeter equals user i's phase over the request interval.
+interleaving and produce identical records. On a bounded cell,
+``scenario.start_offsets`` places the VCCFirst fleet from a second
+``random.Random(seed)``, so vehicle i's start offset over the perimeter equals
+user i's phase over the request interval; an unbounded cell draws none.
 Arrivals are generated sorted by (time, task id) and stay in that list, read
 by a cursor beside a heap of the in-flight events: arrival i counts as
 sequence number i and every pushed event numbers on from the arrival count,
@@ -17,7 +18,10 @@ its latency, or None when lost; it draws once from the RNG only when both
 endpoints are in coverage, and a lost leg still occupies its airtime.
 
 A run's ``Records`` are columns, one per ``RECORD_FIELDS`` entry indexed by
-task id; each event writes its leg straight into its column.
+task id; each event writes its leg straight into its column. A VCCFirst fleet
+is columns too, indexed by vehicle id: ``busy_until`` here, the beacon state
+of ``controller.Beacons``, and the start offsets read by the run's one
+``scenario.coverage_function``. Speed and capacity are run constants.
 
 Task lifecycle: a user uploads over the access network to the gNB; the
 controller picks a destination (cloud, edge or a beaconing vehicle); the task
@@ -56,14 +60,7 @@ from .controller import (
     VCC_FIRST,
     VEHICLE,
 )
-from .scenario import (
-    ScenarioGeometry,
-    build_scenario,
-    edge_distance,
-    in_coverage,
-    position_at,
-    total_coverage,
-)
+from .scenario import coverage_function, start_offsets, total_coverage
 from .stats import percentile
 from .workers import forked, worker_count
 
@@ -244,19 +241,17 @@ def run(cfg: RunConfig) -> Records:
     heap: list[tuple[float, int, int, int, float]] = []
 
     if cfg.strategy == VCC_FIRST:
-        # Vehicle ids are list indexes. ECFirst never reads the fleet, so it has none.
-        vehicles = build_scenario(geom, cfg.n_vehicles, cfg.vehicle_speed, cfg.vehicle_capacity, cfg.seed)
-
-        def coverage(vid: int, t: float) -> tuple[bool, float]:
-            v = vehicles[vid]
-            p = position_at(v, t, geom)
-            return in_coverage(p, geom), (t + edge_distance(p, geom) / v.speed if v.speed else math.inf)
-
+        # ECFirst never reads the fleet, so it has none. An unbounded cell
+        # covers every vehicle for good, so it reads no position.
+        fleet, period = cfg.n_vehicles, cfg.beacon_period
+        busy_until = [0.0] * fleet
+        coverage = None if math.isinf(geom.coverage_radius) else coverage_function(
+            geom, start_offsets(geom, fleet, cfg.seed), cfg.vehicle_speed)
         # Each vehicle keeps its own beacon phase; beacons are replayed lazily,
-        # not queued as events. An unbounded cell covers every vehicle for good.
-        phases = [rng.random() * cfg.beacon_period for _ in range(cfg.n_vehicles)]
-        coverage = None if math.isinf(geom.coverage_radius) else coverage
-        beacons = Beacons(Registry(timeout=cfg.registry_timeout), cfg.beacon_period, phases, coverage, horizon)
+        # not queued as events. Beacons copies the phases into a column.
+        phases = [rng.random() * period for _ in range(fleet)]
+        beacons = Beacons(Registry(cfg.registry_timeout, fleet), period, phases, coverage, horizon)
+        del phases
         edge = None
     else:
         edge = EdgeState(capacity=cfg.edge_mips, max_queue=cfg.edge_max_queue)
@@ -327,11 +322,11 @@ def run(cfg: RunConfig) -> Records:
                 heappush(heap, (t + latency, next_seq(), _AT_VEHICLE, a, vid))
 
         elif kind == _AT_VEHICLE:
-            if vehicles[b].busy_until > t:  # a vehicle serves one task at a time
+            if busy_until[b] > t:  # a vehicle serves one task at a time
                 fail(a, REJECTION)
                 beacons.book(b)  # this task did not stop b: wake b if it still beacons
             else:
-                done_at = vehicles[b].busy_until = t + vehicle_elab
+                done_at = busy_until[b] = t + vehicle_elab
                 t_elab[a] = vehicle_elab
                 beacons.stop(b, t)  # busy vehicles stop beaconing
                 heappush(heap, (done_at, next_seq(), _VEHICLE_DONE, a, b))
@@ -339,7 +334,7 @@ def run(cfg: RunConfig) -> Records:
         elif kind == _VEHICLE_DONE:
             covered = beacons.covered(b, t)
             beacons.restart(b, t, covered)  # idle again: beacon immediately
-            if vehicles[b].busy_until > t:  # a task reached b at this instant and sorted first
+            if busy_until[b] > t:  # a task reached b at this instant and sorted first
                 beacons.stop(b, t)
             latency = vue_up.send(rng, t, covered)
             if latency is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import namedtuple
 
 from .bounds import check_fields
@@ -54,75 +55,50 @@ def partial_coverage(coverage_radius: float = 450.0) -> ScenarioGeometry:
     return ScenarioGeometry(1200.0, 50.0, (600.0, 25.0, 30.0), coverage_radius)
 
 
-class VehicleState:
-    """One vehicle: where it starts on the loop, its direction (CLOCKWISE or
-    COUNTERCLOCKWISE), speed (m/s) and capacity (MIPS), and the end of its
-    current task's service, if any."""
-
-    __slots__ = ("id", "loop_offset_at_t0", "direction", "speed", "capacity", "busy_until")
-
-    def __init__(self, id: int, loop_offset_at_t0: float, direction: int, speed: float, capacity: float,
-                 busy_until: float = 0.0) -> None:
-        self.id, self.loop_offset_at_t0, self.direction = id, loop_offset_at_t0, direction
-        self.speed, self.capacity, self.busy_until = speed, capacity, busy_until
-
-
-def build_scenario(
-    geometry: ScenarioGeometry,
-    n_vehicles: int,
-    speed: float,
-    capacity: float,
-    seed: int,
-) -> list[VehicleState]:
-    """Place ``n_vehicles`` uniformly on the loop, alternating directions per lane.
-
-    Same inputs and seed give a bitwise-identical fleet; ``RunConfig.validate`` bounds the inputs.
-    """
+def start_offsets(geometry: ScenarioGeometry, n_vehicles: int, seed: int) -> array:
+    """Each vehicle's start, as arc length clockwise from the (0, 0) corner:
+    vehicle i's is the i-th draw of ``random.Random(seed)`` over the perimeter."""
     rng = random.Random(seed)
-    fleet, perimeter = [], geometry.perimeter
-    for vid in range(n_vehicles):
-        offset = rng.random() * perimeter
-        direction = CLOCKWISE if vid % 2 == 0 else COUNTERCLOCKWISE
-        fleet.append(VehicleState(vid, offset, direction, speed, capacity))
-    return fleet
+    perimeter = geometry.perimeter
+    return array("d", [rng.random() * perimeter for _ in range(n_vehicles)])
 
 
-def point_on_loop(s: float, geometry: ScenarioGeometry) -> tuple[float, float]:
-    """Map arc length ``s`` (measured clockwise from the (0, 0) corner) to (x, y)."""
-    lx = geometry.loop_length_x
-    wy = geometry.loop_width_y
-    s = s % geometry.perimeter
-    if s < lx:
-        return (s, 0.0)
-    s -= lx
-    if s < wy:
-        return (lx, s)
-    s -= wy
-    if s < lx:
-        return (lx - s, wy)
-    s -= lx
-    return (0.0, wy - s)
+def _square(x: float) -> float:
+    """``x**2``, or inf where that overflows (past about 1.3e154), as ``x * x`` would give."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
-def position_at(v: VehicleState, t: float, geometry: ScenarioGeometry) -> tuple[float, float]:
-    """Vehicle position at time ``t``, exact in closed form."""
-    s = v.loop_offset_at_t0 + v.direction * v.speed * t
-    return point_on_loop(s, geometry)
-
-
-def in_coverage(p: tuple[float, float], geometry: ScenarioGeometry) -> bool:
-    """Whether a ground point is within the cell, antenna heights included."""
-    if math.isinf(geometry.coverage_radius):
-        return True
+def coverage_function(geometry: ScenarioGeometry, offsets, speed: float):
+    """The run's coverage test, ``coverage(vid, t) -> (covered, until)``, with
+    the geometry read once. Vehicle ``vid`` starts at ``offsets[vid]`` and
+    drives at ``speed`` (m/s), CLOCKWISE if its id is even, else
+    COUNTERCLOCKWISE. ``covered``: it is within the cell at t, antenna heights
+    included; ``until``: t plus the time to drive to the cell's edge, less 1 um,
+    or inf if it stands still or the cell's edge is out of reach."""
+    lx, wy, perimeter = geometry.loop_length_x, geometry.loop_width_y, geometry.perimeter
     bx, by, bz = geometry.bs_position
-    dx = p[0] - bx
-    dy = p[1] - by
     dz = geometry.ue_height - bz
-    return dx * dx + dy * dy + dz * dz <= geometry.coverage_radius**2
+    dz2, r2 = dz * dz, _square(geometry.coverage_radius)
+    reach2 = r2 - _square(dz)  # nan when both overflow, and then every point is covered
+    reach = math.sqrt(reach2) if reach2 >= 0.0 else None
+    still = reach is None or not speed
+    ahead, back = CLOCKWISE * speed, COUNTERCLOCKWISE * speed
 
+    def coverage(vid: int, t: float) -> tuple[bool, float]:
+        s = (offsets[vid] + (back if vid & 1 else ahead) * t) % perimeter
+        if s < lx:  # arc length s runs clockwise from the (0, 0) corner
+            x, y = s, 0.0
+        elif (s := s - lx) < wy:
+            x, y = lx, s
+        elif (s := s - wy) < lx:
+            x, y = lx - s, wy
+        else:
+            x, y = 0.0, wy - (s - lx)
+        dx, dy = x - bx, y - by
+        covered = dx * dx + dy * dy + dz2 <= r2
+        return covered, math.inf if still else t + (abs(math.hypot(dx, dy) - reach) - 1e-6) / speed
 
-def edge_distance(p: tuple[float, float], geometry: ScenarioGeometry) -> float:
-    """How far from ``p`` coverage cannot change, less 1 um; inf if it never can."""
-    bx, by, bz = geometry.bs_position
-    reach2 = geometry.coverage_radius**2 - (geometry.ue_height - bz) ** 2
-    return math.inf if reach2 < 0.0 else abs(math.hypot(p[0] - bx, p[1] - by) - math.sqrt(reach2)) - 1e-6
+    return coverage

@@ -27,6 +27,11 @@ def examples(tier1: int) -> int:
     return settings().max_examples if settings.get_current_profile_name() == "deep" else tier1
 
 
+def listed(registry) -> dict[int, float]:
+    """A registry's present entries, vehicle id -> last beacon time."""
+    return {vid: last for vid, last in enumerate(registry.entries) if last is not None}
+
+
 # criterion number -> list of (outcome, was_xfail) for its test functions
 _outcomes = defaultdict(list)
 

@@ -8,7 +8,9 @@ start at t, as the README states. Every radio leg builds a ``channel.Link`` and
 takes only its ``transfer_time`` and ``lost``; the airtime heaps are kept here,
 so ``Link.send``'s own bookkeeping is checked independently. It is slow and
 simple on purpose. A few shims adapt it to today's public names: a local
-``Task``, a three-line ``select_ecfirst``, ``EdgeState.offer``'s (waiting,
+``Task``, a three-line ``select_ecfirst``, per-vehicle ``Vehicle`` objects
+served through ``vehicle_offer``, coverage read from
+``scenario.coverage_function``, ``EdgeState.offer``'s (waiting,
 completion, queue wait) triple, the vehicle id or None that
 ``select_vccfirst`` returns, and mutable records (``new_record``, with
 ``leg_sum``, once a method of the record) made ``OffloadRecord`` tuples at the
@@ -24,7 +26,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from offloadsim.channel import Link, LinkClass
-from offloadsim.compute import EdgeState, elaboration_time, vehicle_offer
+from offloadsim.compute import EdgeState, elaboration_time
 from offloadsim.controller import CLOUD, EDGE, VCC_FIRST, VEHICLE, Registry, select_vccfirst
 from offloadsim.engine import (
     FAILED,
@@ -40,7 +42,7 @@ from offloadsim.engine import (
     RunConfig,
     generate_arrivals,
 )
-from offloadsim.scenario import build_scenario, in_coverage, position_at
+from offloadsim.scenario import coverage_function, start_offsets
 
 
 class Task(NamedTuple):
@@ -50,6 +52,30 @@ class Task(NamedTuple):
     result_bytes: float
     created_at: float
     origin_user: int
+
+
+class Vehicle:
+    """One vehicle's id, speed (m/s), capacity (MIPS) and the end of its
+    current task's service, if any."""
+
+    __slots__ = ("id", "speed", "capacity", "busy_until")
+
+    def __init__(self, id: int, speed: float, capacity: float) -> None:
+        self.id, self.speed, self.capacity, self.busy_until = id, speed, capacity, 0.0
+
+
+def vehicle_offer(v: Vehicle, workload_mi: float, now: float) -> float | None:
+    """Start service on an idle vehicle and return the completion time.
+
+    Returns None (rejection) if the vehicle is already serving a task. Accepted
+    intervals never overlap: acceptance requires busy_until <= now and sets
+    busy_until to the new completion.
+    """
+    if v.busy_until > now:
+        return None
+    done_at = now + elaboration_time(workload_mi, v.capacity)
+    v.busy_until = done_at
+    return done_at
 
 
 def new_record(task: Task) -> SimpleNamespace:
@@ -94,9 +120,15 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
     chan = cfg.channel
     vccfirst = cfg.strategy == VCC_FIRST
 
-    vehicles = build_scenario(geom, cfg.n_vehicles, cfg.vehicle_speed, cfg.vehicle_capacity, cfg.seed)
+    vehicles = [Vehicle(vid, cfg.vehicle_speed, cfg.vehicle_capacity) for vid in range(cfg.n_vehicles)]
     vmap = {v.id: v for v in vehicles}
-    registry = Registry(timeout=cfg.registry_timeout)
+    offsets = start_offsets(geom, cfg.n_vehicles, cfg.seed)
+    coverage = coverage_function(geom, offsets, cfg.vehicle_speed)
+
+    def in_coverage(v: Vehicle, t: float) -> bool:
+        return coverage(v.id, t)[0]
+
+    registry = Registry(cfg.registry_timeout, cfg.n_vehicles)
     edge = EdgeState(capacity=cfg.edge_mips, max_queue=cfg.edge_max_queue)
 
     cn_up = chan.links[LinkClass.CN_UP].base_latency
@@ -182,7 +214,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
                     v = vmap[vid]
                     rec.destination = VEHICLE
                     rec.vehicle_id = vid
-                    covered = in_coverage(position_at(v, t, geom), geom)
+                    covered = in_coverage(v, t)
                     latency = attempt_radio(t, LinkClass.VUE_DOWN, task.size_bytes, v.speed, dst_cov=covered)
                     if latency is not None:
                         rec.t_gnb_to_vue = latency
@@ -219,7 +251,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
             task = tasks[a]
             rec = records[a]
             v = vmap[b]
-            covered = in_coverage(position_at(v, t, geom), geom)
+            covered = in_coverage(v, t)
             if covered:
                 registry.on_beacon(b, t)  # idle again: beacon immediately
             beacon_epoch[b] += 1
@@ -252,7 +284,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
             v = vmap[a]
             if v.busy_until > t:
                 continue
-            if in_coverage(position_at(v, t, geom), geom):
+            if in_coverage(v, t):
                 registry.on_beacon(a, t)
             push(t + cfg.beacon_period, _BEACON, a, b)
 

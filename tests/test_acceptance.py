@@ -36,10 +36,10 @@ from offloadsim.engine import (
     summarize,
     summarize_runs,
 )
-from offloadsim.scenario import build_scenario, in_coverage, partial_coverage, position_at
+from offloadsim.scenario import coverage_function, partial_coverage, start_offsets
 from offloadsim.stats import anova_oneway, percentile, reg_inc_beta
-from offloadsim.compute import vehicle_offer
-from offloadsim.scenario import CLOCKWISE, VehicleState
+from oracle_engine import Vehicle, vehicle_offer
+from conftest import listed
 
 LEG_FIELDS = (
     "t_up_access",
@@ -208,7 +208,7 @@ def test_criterion_07_edge_first_overflows_only_when_full(default_runs):
 def test_criterion_07_vehicles_never_serve_overlapping_tasks(default_runs):
     # unit level: 1e5 random offers to one vehicle accept only disjoint intervals
     rng = random.Random(424242)
-    v = VehicleState(0, 0.0, CLOCKWISE, speed=3.0, capacity=500.0)
+    v = Vehicle(0, speed=3.0, capacity=500.0)
     t = 0.0
     accepted = []
     for _ in range(100_000):
@@ -240,7 +240,7 @@ def test_criterion_08_registry_trace_properties():
     rng = random.Random(80808)
     for _ in range(10_000):
         timeout = rng.choice((0.2, 0.5, 1.0))
-        reg = Registry(timeout=timeout)
+        reg = Registry(timeout=timeout, n_vehicles=6)
         now = 0.0
         awaiting_beacon = set()  # assigned and not heard from since
         for _ in range(12):
@@ -253,15 +253,15 @@ def test_criterion_08_registry_trace_properties():
                 vid = select_vccfirst(reg, rng, now)
                 if vid is not None:
                     # removal on assignment
-                    assert vid not in reg.entries
+                    assert vid not in listed(reg)
                     awaiting_beacon.add(vid)
                 # staleness bound: nothing older than the timeout survives
-                for last in reg.entries.values():
+                for last in listed(reg).values():
                     assert last >= now - timeout
             else:
                 now += rng.uniform(0.0, timeout)
             # an assigned vehicle reappears only after a fresh beacon
-            assert not (awaiting_beacon & set(reg.entries))
+            assert not (awaiting_beacon & set(listed(reg)))
 
 
 def test_criterion_08_out_of_coverage_dispatches_fail_on_the_forward_leg():
@@ -275,18 +275,13 @@ def test_criterion_08_out_of_coverage_dispatches_fail_on_the_forward_leg():
             seed=seed,
         )
         records = run(cfg)
-        fleet = {
-            v.id: v
-            for v in build_scenario(
-                cfg.geometry, cfg.n_vehicles, cfg.vehicle_speed, cfg.vehicle_capacity, cfg.seed
-            )
-        }
+        offsets = start_offsets(cfg.geometry, cfg.n_vehicles, cfg.seed)
+        coverage = coverage_function(cfg.geometry, offsets, cfg.vehicle_speed)
         for r in records:
             if r.vehicle_id is None:
                 continue
             decided_at = r.created_at + r.t_up_access
-            spot = position_at(fleet[r.vehicle_id], decided_at, cfg.geometry)
-            if not in_coverage(spot, cfg.geometry):
+            if not coverage(r.vehicle_id, decided_at)[0]:
                 total_stale += 1
                 assert r.outcome == FAILED and r.failed_leg == GNB_TO_VCC
     assert total_stale > 50

@@ -86,6 +86,14 @@ def test_transfer_time_wired_ignores_size_and_concurrency():
             assert Link(links[LinkClass.INTERNET_DOWN], size).transfer_time(concurrent) == 0.035
 
 
+def test_a_share_that_underflows_to_zero_takes_forever():
+    # 5e-324 is the least positive float: halved, it rounds to 0
+    params = LinkParams(0.0057, rate=5e-324)
+    assert Link(params, 4000.0).transfer_time(1) == math.inf  # 32,000 bits over it overflow
+    assert Link(params, 4000.0).transfer_time(2) == math.inf
+    assert Link(params, 0.0).transfer_time(2) == 0.0057  # nothing to send
+
+
 def test_transfer_time_no_sharing_mode():
     params = LinkParams(0.001, rate=1e6, sharing="none")
     assert Link(params, 1000.0).transfer_time(5) == 0.001 + 8000.0 / 1e6

