@@ -138,7 +138,7 @@ class Link:
 
     def lost(self, rng, covered: bool) -> str | None:
         """Why a radio leg is lost, or None. An uncovered endpoint loses it
-        without a draw; a covered leg takes exactly one draw from ``rng``."""
+        without a draw; a covered leg takes exactly one draw from ``rng``, as ``send`` does inline."""
         if not covered:
             return OUT_OF_COVERAGE
         return CHANNEL_ERROR if rng.random() < self.p_loss else None
@@ -157,4 +157,4 @@ class Link:
             times.append(self.transfer_time(len(times) + 1))
         latency = times[k]
         heappush(ends, t + latency)
-        return None if self.lost(rng, covered) else latency
+        return latency if covered and rng.random() >= self.p_loss else None

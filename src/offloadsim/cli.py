@@ -164,9 +164,7 @@ def _write_csv(path: str | None, header, rows) -> None:
         path = os.path.realpath(path) if os.path.islink(path) else path  # through a link, as open would
         temporary = f"{path}.{os.getpid()}.tmp"
         try:
-            with _writing(path):
-                out = open(temporary, "w", newline="")
-            with out:
+            with _writing(path), open(temporary, "w", newline="") as out:
                 _write_table(out, header, rows)
             with _writing(path):
                 if _replaced is not None:
@@ -183,9 +181,7 @@ def _write_csv(path: str | None, header, rows) -> None:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temporary)  # left only by a failure
     elif path:  # a device or pipe such as /dev/null, written in place
-        with _writing(path):
-            out = open(path, "w", newline="")
-        with out:
+        with _writing(path), open(path, "w", newline="") as out:
             _write_table(out, header, rows)
     else:
         _write_table(sys.stdout, header, rows)

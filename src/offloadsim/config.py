@@ -21,7 +21,7 @@ from .bounds import check
 from .channel import SHARING_MODES, ChannelConfig, LinkClass, LinkParams, lena_calibrated
 from .controller import STRATEGIES
 from .costmodel import BONUS_IN_EC_REQUESTS, CostParams
-from .engine import KMH, REPLICATION_SEEDS, RunConfig
+from .engine import KMH, REPLICATION_SEEDS, PositionOverflow, RunConfig
 from .scenario import ScenarioGeometry, partial_coverage, total_coverage
 
 SWEEP_AXES = ("users", "workload", "vehicles", "vehicle_capacity_fraction", "speed", "beta")
@@ -96,6 +96,8 @@ _KEYS = {
     "cost.capex_overhead": ("cost", "capex_overhead", None),
     "cost.bonus_in_ec_requests": ("flag", "bonus_in_ec_requests", bool),
 }
+_POSITION_KEYS = ("duration", "scenario.preset", "scenario.length_x", "scenario.width_y", "vehicles.speed_kmh",
+                  "vehicles.speed_mps")  # what a fleet's loop positions read
 _KINDS = {"run": RunConfig.KINDS, "km/h": RunConfig.KINDS, "geometry": ScenarioGeometry.KINDS, "cost": CostParams.KINDS,
           "bs": ScenarioGeometry.KINDS["bs_position"], **dict.fromkeys(_LINKS, LinkParams.KINDS)}  # target -> its table
 
@@ -215,8 +217,9 @@ def _build_run(entries: dict[str, tuple[object, int]]) -> RunConfig:
     cfg = base._replace(geometry=base.geometry._replace(**geometry), channel=channel)  # the table bounds geometry
     try:
         cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except ValueError as exc:  # a PositionOverflow names the last line of a key the positions read
+        lines = [entries[k][1] for k in _POSITION_KEYS if k in entries and isinstance(exc, PositionOverflow)]
+        raise ConfigError(f"{_where(max(lines, default=None))}{exc}") from None
     return cfg
 
 

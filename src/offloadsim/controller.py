@@ -13,11 +13,12 @@ already be busy or out of coverage, and dispatching to it simply fails.
 and no heap holds an infinite time. With a beacon period clearly below the
 timeout, a VCCFirst run costs one replay per vehicle at its first beacon (the
 first beacons due at a dispatch replayed as one batch, their steady entries
-listed in bulk), work per task and per coverage crossing, and, per pick, one float addition per period since the
-picked vehicle was last replayed. A vehicular task pushes at most the wake-ups
-that can act before it stops its vehicle, and a vehicle that finishes a task
-well inside its coverage window is listed steady at once. Otherwise every
-beacon of a listed vehicle is replayed, to keep its age exact.
+listed in bulk), work per task and per coverage crossing, and, per pick, one
+float addition per period since the picked vehicle was last replayed. A
+vehicular task pushes at most the wake-ups that can act before it stops its
+vehicle, and a vehicle that finishes a task well inside its coverage window is
+listed steady at once. Otherwise every beacon of a listed vehicle is replayed,
+to keep its age exact. A wake-up or stop before a vehicle's next beacon skips the replay.
 """
 
 from __future__ import annotations
@@ -69,9 +70,18 @@ class Registry:
             self.ids += vids
             self.ids.sort()
 
-    def remove(self, vehicle_id: int) -> None:
-        self.entries[vehicle_id] = None
-        del self.ids[bisect.bisect_left(self.ids, vehicle_id)]
+    def pick(self, rng, now: float) -> int | None:
+        """VCCFirst at ``now``: expire stale entries, then remove a listed id drawn
+        uniformly and return it, or None for the cloud. Candidates are ordered by
+        id, so the pick depends only on the RNG state, never on dict history."""
+        if self._ages and self._ages[0][0] < now - self.timeout:  # something is stale
+            self.expire_stale(now)
+        ids = self.ids
+        if not ids:
+            return None
+        vid = ids.pop(rng.randrange(len(ids)))
+        self.entries[vid] = None  # listed again only by a later beacon of its
+        return vid
 
     def expire_stale(self, t: float) -> None:
         """Drop every entry whose last beacon is older than ``t - timeout``."""
@@ -79,24 +89,8 @@ class Registry:
         while self._ages and self._ages[0][0] < deadline:
             last, vid = heapq.heappop(self._ages)
             if self.entries[vid] == last:
-                self.remove(vid)
-
-
-def select_vccfirst(registry: Registry, rng, now: float) -> int | None:
-    """Pick a vehicle uniformly at random and return its id, or None for the cloud.
-
-    The chosen vehicle is removed from the registry and reappears only once a
-    later beacon of its is processed. Candidates are ordered by id so the
-    selection depends only on the RNG state, never on dict history.
-    """
-    if registry._ages and registry._ages[0][0] < now - registry.timeout:  # something is stale
-        registry.expire_stale(now)
-    ids = registry.ids
-    if not ids:
-        return None
-    chosen = ids[rng.randrange(len(ids))]
-    registry.remove(chosen)
-    return chosen
+                self.entries[vid] = None
+                del self.ids[bisect.bisect_left(self.ids, vid)]
 
 
 class Beacons:
@@ -127,17 +121,19 @@ class Beacons:
         """Apply every beacon at time <= t that can change the registry."""
         if self.due <= t:
             self._list_first(t)
-        wakes = self.wakes
+        wakes, nxt = self.wakes, self.next
         while wakes and wakes[0][0] <= t:
-            self._replay(heapq.heappop(wakes)[1], t)
+            vid = heapq.heappop(wakes)[1]
+            if nxt[vid] <= t:  # else the wake-up is stale: no beacon to replay
+                self._replay(vid, t)
 
     def dispatch(self, rng, t: float) -> int | None:
-        """VCCFirst at t: apply the beacons <= t, pick with ``select_vccfirst``,
+        """VCCFirst at t: apply the beacons <= t, pick with ``Registry.pick``,
         and move the picked vehicle's cursor past its beacons <= t. The caller
         then books the picked vehicle's wake-up with ``book``."""
         if self.due <= t or self.wakes and self.wakes[0][0] <= t:
             self.advance(t)
-        vid = select_vccfirst(self.registry, rng, t)
+        vid = self.registry.pick(rng, t)
         if vid is not None:
             x, period = self.next[vid], self.period
             while x <= t:
@@ -152,22 +148,27 @@ class Beacons:
 
     def stop(self, vid: int, t: float) -> None:
         """vid starts serving at t and beacons no more until it finishes."""
-        if self.next[vid] < math.inf:
+        if self.next[vid] <= t:
             self._replay(vid, t)
+        if self.next[vid] < math.inf:
             if self.registry.entries[vid] == math.inf:
                 self.registry.on_beacon(vid, self.heard[vid])
             self.next[vid] = math.inf
 
-    def restart(self, vid: int, t: float, covered: bool) -> None:
-        """vid finished a task at t: it beacons at once, then every period. In a
-        steady run, if its next beacon still falls in its cached coverage window,
-        it is listed as ``math.inf`` at once, as replaying that beacon would."""
+    def restart(self, vid: int, t: float) -> bool:
+        """vid finished a task at t: it beacons at once, then every period; return
+        its coverage at t. In a steady run, if its next beacon still falls in its
+        cached coverage window, it is listed as ``math.inf`` at once, as replaying
+        that beacon would."""
         x = self.next[vid] = t + self.period
+        inside, until = self.inside[vid], self.until[vid]
+        covered = inside if t <= until else self.coverage(vid, t)[0]  # as ``covered`` reads it
         if covered:
-            steady = self.steady and self.inside[vid] and x <= self.until[vid]
+            steady = self.steady and inside and x <= until
             self.registry.on_beacon(vid, math.inf if steady else t)
             self.heard[vid] = t
         self.book(vid)
+        return covered
 
     def _list_first(self, t: float) -> None:
         """Replay the first beacons due by t, each as ``_replay`` would, in one
@@ -216,10 +217,8 @@ class Beacons:
                 heapq.heappush(self.wakes, wake)
 
     def _replay(self, vid: int, t: float) -> None:
-        """Apply vid's beacons up to t; a wake-up that finds none is stale."""
+        """Apply vid's beacons up to t; callers check that the next one is due by t."""
         x = self.next[vid]
-        if x > t:
-            return
         covered, until = self.inside[vid], self.until[vid]
         heard, period = None, self.period
         while x <= t:

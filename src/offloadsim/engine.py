@@ -112,6 +112,10 @@ _RUN_FIELDS = {
 }
 
 
+class PositionOverflow(ValueError):
+    """A VCCFirst fleet on a bounded cell would drive past the float range."""
+
+
 class RunConfig(namedtuple("RunConfig", _RUN_FIELDS, defaults=[default for default, _ in _RUN_FIELDS.values()])):
     """Everything one run needs. Defaults describe the reference workload:
     8 pedestrians offloading 500 MI tasks at 5 req/s for 120 s, 40 vehicles
@@ -125,7 +129,7 @@ class RunConfig(namedtuple("RunConfig", _RUN_FIELDS, defaults=[default for defau
         return cfg if cfg.channel is not None else cfg._replace(channel=lena_calibrated())
 
     def validate(self) -> None:
-        """Check every field's kind, the strategy, and the arrival and beacon caps."""
+        """Check every field's kind, the strategy, the arrival and beacon caps and the fleet's positions."""
         check_fields(self)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
@@ -134,6 +138,9 @@ class RunConfig(namedtuple("RunConfig", _RUN_FIELDS, defaults=[default for defau
             raise ValueError(f"users x ceil(duration x request_rate) must not exceed {MAX_ARRIVALS} arrivals")
         if self.strategy == VCC_FIRST and self.n_vehicles * (self.duration / self.beacon_period) > MAX_BEACONS:
             raise ValueError(f"vehicles x duration / beacon period must not exceed {MAX_BEACONS} beacons")
+        if (self.strategy == VCC_FIRST and self.n_vehicles and self.geometry.coverage_radius < math.inf
+                and self.geometry.perimeter + self.vehicle_speed * self.duration == math.inf):
+            raise PositionOverflow("vehicle positions overflow: loop perimeter + speed x duration must be finite")
 
 
 OffloadRecord = namedtuple("OffloadRecord", (
@@ -332,8 +339,7 @@ def run(cfg: RunConfig) -> Records:
                 heappush(heap, (done_at, next_seq(), _VEHICLE_DONE, a, b))
 
         elif kind == _VEHICLE_DONE:
-            covered = beacons.covered(b, t)
-            beacons.restart(b, t, covered)  # idle again: beacon immediately
+            covered = beacons.restart(b, t)  # idle again: beacon immediately
             if busy_until[b] > t:  # a task reached b at this instant and sorted first
                 beacons.stop(b, t)
             latency = vue_up.send(rng, t, covered)
@@ -401,7 +407,8 @@ def summarize(records: Records) -> Aggregates:
 
     cc_share = 100.0 * destination.count(CLOUD) / n_dispatched if n_dispatched else math.nan
 
-    vcc = [i for i in itertools.compress(range(n), ok) if destination[i] == VEHICLE]  # vehicular successes
+    vehicular = map(operator.eq, itertools.compress(destination, ok), itertools.repeat(VEHICLE))
+    vcc = list(itertools.compress(itertools.compress(range(n), ok), vehicular))  # vehicular successes
 
     def legs(name: str):
         return map(col[name].__getitem__, vcc)

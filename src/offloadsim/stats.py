@@ -51,10 +51,15 @@ def anova_oneway(groups: Sequence[Sequence[float]]) -> AnovaResult:
     n = sum(map(len, groups))
     if n <= k:
         raise ValueError("need more observations than groups")
-    grand = math.fsum(chain.from_iterable(groups)) / n
-    means = [math.fsum(g) / len(g) for g in groups]
-    ss_between = math.fsum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
-    ss_within = math.fsum((v - m) ** 2 for g, m in zip(groups, means) for v in g)
+    try:
+        grand = math.fsum(chain.from_iterable(groups)) / n
+        means = [math.fsum(g) / len(g) for g in groups]
+        ss_between = math.fsum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
+        ss_within = math.fsum((v - m) ** 2 for g, m in zip(groups, means) for v in g)
+    except OverflowError:  # a finite sum or square past the float range
+        ss_between = ss_within = math.inf
+    if math.isinf(ss_between + ss_within):
+        raise ValueError("observations too large: a sum of squares overflows")
     df_between = k - 1
     df_within = n - k
     if ss_within == 0.0:

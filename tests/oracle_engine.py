@@ -12,7 +12,7 @@ simple on purpose. A few shims adapt it to today's public names: a local
 served through ``vehicle_offer``, coverage read from
 ``scenario.coverage_function``, ``EdgeState.offer``'s (waiting,
 completion, queue wait) triple, the vehicle id or None that
-``select_vccfirst`` returns, and mutable records (``new_record``, with
+``Registry.pick`` returns, and mutable records (``new_record``, with
 ``leg_sum``, once a method of the record) made ``OffloadRecord`` tuples at the
 end. ``run`` must return the same records as ``offloadsim.engine.run`` for
 every valid config.
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from offloadsim.channel import Link, LinkClass
 from offloadsim.compute import EdgeState, elaboration_time
-from offloadsim.controller import CLOUD, EDGE, VCC_FIRST, VEHICLE, Registry, select_vccfirst
+from offloadsim.controller import CLOUD, EDGE, VCC_FIRST, VEHICLE, Registry
 from offloadsim.engine import (
     FAILED,
     GNB_TO_USER,
@@ -207,7 +207,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
             task = tasks[a]
             rec = records[a]
             if vccfirst:
-                vid = select_vccfirst(registry, rng, t)
+                vid = registry.pick(rng, t)
                 if vid is None:
                     to_cloud(t, rec, task)
                 else:

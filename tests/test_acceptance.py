@@ -22,7 +22,6 @@ from offloadsim.controller import (
     Registry,
     VCC_FIRST,
     VEHICLE,
-    select_vccfirst,
 )
 from offloadsim.costmodel import CostParams, capex_ec, savings, total_costs, vcc_bonus
 from offloadsim.engine import (
@@ -250,7 +249,7 @@ def test_criterion_08_registry_trace_properties():
                 reg.on_beacon(vid, now)
                 awaiting_beacon.discard(vid)
             elif op < 0.8:
-                vid = select_vccfirst(reg, rng, now)
+                vid = reg.pick(rng, now)
                 if vid is not None:
                     # removal on assignment
                     assert vid not in listed(reg)

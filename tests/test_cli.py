@@ -1,15 +1,23 @@
 """The four subcommands end to end, through main() with temp files."""
 
+import contextlib
 import csv
+import io
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from offloadsim import cli, engine
+from conftest import examples
+from offloadsim import cli, config, engine
 from offloadsim.cli import AGGREGATE_COLUMNS, ANOVA_COLUMNS, COST_COLUMNS, main
 from offloadsim.costmodel import CostParams, savings
 
@@ -315,6 +323,26 @@ def test_anova_rejects_a_non_finite_value_naming_its_line(tmp_path, capsys, raw)
     assert "line 3: value is not finite" in err and "[0, 1]" not in err
 
 
+def test_anova_whose_sums_overflow_exits_nonzero(tmp_path, capsys):
+    # used to end in an OverflowError traceback
+    data = tmp_path / "groups.csv"
+    data.write_text("group,value\na,1e308\na,1e308\nb,1\nb,2\n")
+    assert main(["anova", str(data), "-o", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == "offloadsim: observations too large: a sum of squares overflows\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [["cost", "-o", "/dev/full"], ["run", "run.cfg", "-o", "agg.csv", "--records", "/dev/full"]])
+def test_a_full_device_exits_nonzero_with_a_message(tmp_path, capsys, monkeypatch, argv):
+    # each used to end in an OSError traceback from closing the device
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(RUN_CFG)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "offloadsim: cannot write /dev/full: No space left on device\n"
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]  # the aggregates are not left behind
+
+
 def test_config_errors_exit_nonzero_with_a_message(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("strategy = ECFirst\nbogus = 1\n")
@@ -445,6 +473,34 @@ def test_an_unwritable_output_path_exits_nonzero_with_a_message(tmp_path, capsys
     assert sorted(os.listdir(tmp_path)) == ["agg.csv", "run.cfg"]
 
 
+@pytest.mark.parametrize("lines, named", [
+    ("vehicles.speed_mps = 1e308\nduration = 3", 4),  # offset + speed x t overflowed past t = 1.8 s
+    ("scenario.length_x = 1e308", 3),  # the perimeter itself
+])
+def test_a_fleet_whose_positions_overflow_exits_nonzero_naming_a_line(tmp_path, capsys, lines, named):
+    # each used to exit 0 with every coverage window nan: coverage froze where the position overflowed
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"strategy = VCCFirst\nscenario.preset = partial_coverage\n{lines}\n")
+    out = tmp_path / "agg.csv"
+    assert main(["run", str(cfg), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        f"offloadsim: line {named}: vehicle positions overflow: loop perimeter + speed x duration must be finite\n"
+    )
+
+
+def test_a_speed_sweep_whose_positions_overflow_names_its_values_line(tmp_path, capsys):
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+    sweep = "strategy = VCCFirst\nusers = 0\nsweep.axis = speed\nsweep.values = 50, 1e308\n"
+    cfg.write_text(sweep)
+    assert main(["sweep", str(cfg), "-o", str(out)]) == 0  # an unbounded cell reads no position
+    cfg.write_text(sweep + "scenario.preset = partial_coverage\n")
+    assert main(["sweep", str(cfg), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("offloadsim: line 4: sweep.values 1e+308: vehicle positions overflow") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("line", [
     "scenario.coverage_radius = 1e200",  # its square overflowed in the coverage test
     "scenario.bs_z = 1e200",  # and the mast height's
@@ -460,3 +516,144 @@ def test_extreme_partial_coverage_configs_run_to_the_end(tmp_path, capsys, line)
     assert row["n_requests"] == "40"
     if "rate" in line:  # every vehicular forward leg takes forever: no task ends
         assert row["n_in_flight"] == "40" and row["vehicles_used"] != "0"
+
+
+# Edge values of the config keys and the cost flags, then small ones, so that
+# many calls parse and run.
+_EDGE = st.sampled_from(("0", "-0", "1e-300", "1e308", "1/3", "3/2", "1/128"))
+_VALUE = st.one_of(_EDGE, st.sampled_from(("1", "2", "90", "VCCFirst", "partial_coverage")))
+_NUMBERS = st.lists(st.one_of(_EDGE, st.sampled_from(("1", "0.5"))), min_size=1, max_size=2).map(",".join)
+# Where an output goes: stdout, a new file, a file that holds earlier bytes, a
+# missing directory's file, a directory, or a device.
+_DEVICES = (os.devnull, "/dev/full") if os.path.exists("/dev/full") else (os.devnull,)
+_WHERE = st.sampled_from((None, "new", "old", "missing", "dir") + _DEVICES)
+_EARLIER = b"earlier output\n"
+
+
+def _rows_of(command, argv, text):
+    """Per requested file flag: its header and its number of rows, as a
+    successful call writes them."""
+    if command == "run":
+        cfg = config.parse_run_config(text)
+        n = len(engine.generate_arrivals(cfg, random.Random(cfg.seed)))
+        return {"-o": (("seed",) + AGGREGATE_COLUMNS, 1), "--records": (engine.RECORD_FIELDS, n)}
+    if command == "sweep":
+        spec = config.parse_sweep_spec(text)
+        if spec.axis == "beta":
+            return {"-o": (COST_COLUMNS, len(spec.values))}
+        seeds = next((len(a.split("=")[1].split(",")) for a in argv if a.startswith("--seed-list=")), len(spec.seeds))
+        return {"-o": (("axis", "value", "seed") + AGGREGATE_COLUMNS, len(spec.values) * (seeds + 1))}
+    if command == "cost":
+        sizes = {"--betas": 3, "--years": 1, "--scales": 2}  # the flags' defaults
+        sizes.update((a.split("=")[0], len(a.split(","))) for a in argv if a.split("=")[0] in sizes)
+        return {"-o": (COST_COLUMNS, math.prod(sizes.values()))}
+    return {"-o": (ANOVA_COLUMNS, 2)}
+
+
+def _small_enough(command, text) -> bool:
+    """Whether every run the call would make stays small: at most 2,000
+    arrivals, 200 vehicles and 10^5 beacons, as the config fuzz caps them."""
+    try:
+        if command == "run":
+            cfgs = [config.parse_run_config(text)]
+        elif command == "sweep":
+            spec = config.parse_sweep_spec(text)
+            cfgs = [] if spec.axis == "beta" else [config.apply_axis(spec.base_run, spec.axis, v, 0) for v in spec.values]
+        else:
+            return True
+    except config.ConfigError:
+        return True
+    for cfg in cfgs:
+        beacons = cfg.n_vehicles * cfg.duration / cfg.beacon_period if cfg.strategy == "VCCFirst" else 0
+        if cfg.n_users * math.ceil(cfg.duration * cfg.request_rate) > 2000 or cfg.n_vehicles > 200 or beacons > 1e5:
+            return False
+    return True
+
+
+def test_every_cli_call_ends_in_complete_files_or_one_message():
+    """All four subcommands on edge values from the config keys and the cost
+    flags, writing to every kind of output path: each call exits 0 with every
+    requested file complete, or exits 1 with one ``offloadsim:`` line on
+    stderr, no traceback and no file changed."""
+    outcomes = Counter()
+
+    @settings(max_examples=examples(40), deadline=None, derandomize=True)
+    @given(
+        strategy=st.sampled_from(("ECFirst", "VCCFirst")),
+        entries=st.dictionaries(st.sampled_from(tuple(config._KEYS)), _VALUE, max_size=2),
+        axis=st.sampled_from(config.SWEEP_AXES),
+        values=_NUMBERS,
+        flags=st.dictionaries(st.sampled_from(("--betas", "--years", "--scales", "--seed-list")), _NUMBERS, max_size=2),
+        bonus=st.sampled_from(((), ("--bonus-in-ec-requests",), ("--no-bonus-in-ec-requests",))),
+        outputs=st.tuples(_WHERE, _WHERE),
+    )
+    def check(strategy, entries, axis, values, flags, bonus, outputs):
+        for command in ("run", "sweep", "cost", "anova"):
+            lines = {"strategy": strategy, "users": "2", "duration": "1", "vehicles.count": "10"}
+            if command == "sweep":
+                lines.update({"sweep.axis": axis, "sweep.values": values, "sweep.replications": "1"})
+            elif command == "cost":
+                lines = {}
+            lines.update(entries)
+            text = "".join(f"{key} = {value}\n" for key, value in lines.items())
+            if command == "anova":
+                rows = zip(("a", "a", "b", "b"), (values + ",1,2,3").split(","))
+                text = "group,value\n" + "".join(f"{g},{v}\n" for g, v in rows)
+            if _small_enough(command, text):
+                outcomes[command, _call(command, text, entries, flags, bonus, outputs)] += 1
+
+    check()
+    assert all(outcomes[command, code] >= 5 for command in ("run", "sweep", "cost", "anova") for code in (0, 1)), outcomes
+
+
+def _call(command, text, entries, flags, bonus, outputs) -> int:
+    """Call ``main`` once in a fresh directory, check the contract, and return the exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        source = os.path.join(tmp, "input.cfg")
+        with open(source, "w") as fh:
+            fh.write(text)
+        argv = [command] + ([source] if command != "cost" or entries else [])
+        if command == "cost":
+            argv += [f"{flag}={value}" for flag, value in flags.items() if flag != "--seed-list"] + list(bonus)
+        elif command == "sweep" and "--seed-list" in flags:
+            argv.append(f"--seed-list={flags['--seed-list']}")
+        requested = {}
+        for flag, where in zip(("-o", "--records"), outputs):
+            if where is None or flag == "--records" and command != "run":
+                continue
+            path = {"new": f"{tmp}/{flag[-1]}.csv", "old": f"{tmp}/{flag[-1]}.old.csv",
+                    "missing": f"{tmp}/missing/x.csv", "dir": tmp}.get(where, where)
+            if where == "old":
+                with open(path, "wb") as fh:
+                    fh.write(_EARLIER)
+            argv += [flag, path]
+            requested[flag] = (where, path)
+        if command == "run" and "-o" not in requested and "--records" in requested:
+            argv += ["-o", os.devnull]  # run writes its records beside an aggregates file
+
+        def files():
+            return {name: Path(tmp, name).read_bytes() for name in os.listdir(tmp) if Path(tmp, name).is_file()}
+
+        before = files()
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        after, message = files(), err.getvalue()
+        assert "Traceback" not in message
+        if code == 1:
+            assert message.startswith("offloadsim: ") and message.count("\n") == 1, message
+            assert after == before, argv  # no file changed, and no temporary one left
+            return code
+        assert code == 0 and message == "", (argv, message)
+        expected = _rows_of(command, argv, text)
+        for flag, (where, path) in requested.items():
+            assert where in ("new", "old", os.devnull), argv
+            if where != os.devnull:
+                header, n = expected[flag]
+                with open(path, newline="") as fh:
+                    table = list(csv.reader(fh))
+                assert tuple(table[0]) == tuple(header) and len(table) == n + 1, argv
+                assert all(len(row) == len(header) for row in table), argv
+                assert after[os.path.basename(path)].endswith(b"\n")
+        assert set(after) == set(before) | {os.path.basename(p) for w, p in requested.values() if w == "new"}
+        return code

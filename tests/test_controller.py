@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import listed
-from offloadsim.controller import EC_FIRST, Registry, STRATEGIES, VCC_FIRST, select_vccfirst
+from offloadsim.controller import EC_FIRST, Registry, STRATEGIES, VCC_FIRST
 from offloadsim.engine import RunConfig, run
 
 
@@ -34,20 +34,20 @@ def test_beacon_refresh_and_strict_expiry():
 
 
 def test_select_vccfirst_falls_back_to_cloud_when_empty():
-    assert select_vccfirst(Registry(timeout=0.5, n_vehicles=0), random.Random(0), now=1.0) is None
+    assert Registry(timeout=0.5, n_vehicles=0).pick(random.Random(0), now=1.0) is None
 
 
 def test_select_vccfirst_expires_then_picks_and_removes():
     reg = Registry(timeout=0.5, n_vehicles=3)
     reg.on_beacon(1, 0.0)   # stale by now = 1.0
     reg.on_beacon(2, 0.9)
-    assert select_vccfirst(reg, random.Random(0), now=1.0) == 2
+    assert reg.pick(random.Random(0), now=1.0) == 2
     # the stale entry was dropped and the chosen one removed
     assert listed(reg) == {}
     # the vehicle reappears only after a fresh beacon
-    assert select_vccfirst(reg, random.Random(0), now=1.0) is None
+    assert reg.pick(random.Random(0), now=1.0) is None
     reg.on_beacon(2, 1.1)
-    assert select_vccfirst(reg, random.Random(0), now=1.2) == 2
+    assert reg.pick(random.Random(0), now=1.2) == 2
 
 
 def test_select_vccfirst_is_uniform_over_candidates():
@@ -59,6 +59,6 @@ def test_select_vccfirst_is_uniform_over_candidates():
     for _ in range(n):
         for vid in counts:
             reg.on_beacon(vid, 0.0)
-        counts[select_vccfirst(reg, rng, now=0.0)] += 1
+        counts[reg.pick(rng, now=0.0)] += 1
     for vid, c in counts.items():
         assert c / n == pytest.approx(0.1, abs=0.005), vid

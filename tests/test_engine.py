@@ -23,6 +23,7 @@ from offloadsim.engine import (
     MAX_ARRIVALS,
     MAX_BEACONS,
     MAX_VEHICLES,
+    PositionOverflow,
     REPLICATION_SEEDS,
     REJECTION,
     RECORD_FIELDS,
@@ -497,6 +498,21 @@ def test_run_config_bounds_the_beacons_of_a_vcc_fleet():
     # ECFirst runs and fleets of none replay no beacons
     RunConfig(strategy=EC_FIRST, duration=1.0, beacon_period=1e-300).validate()
     RunConfig(strategy=VCC_FIRST, n_vehicles=0, duration=1.0, beacon_period=1e-300).validate()
+
+
+def test_run_config_rejects_fleet_positions_that_overflow_where_coverage_reads_them():
+    # both used to run with every coverage window nan, so coverage froze at the
+    # first position past the float range
+    fast = dict(strategy=VCC_FIRST, geometry=partial_coverage(), vehicle_speed=1e308, duration=3.0)
+    endless = dict(strategy=VCC_FIRST, geometry=partial_coverage()._replace(loop_length_x=1e308))
+    for cfg in (fast, endless):
+        with pytest.raises(PositionOverflow, match="vehicle positions overflow"):
+            RunConfig(**cfg).validate()
+        # a run that reads no position keeps running: no fleet, an unbounded cell, ECFirst
+        RunConfig(**dict(cfg, n_vehicles=0)).validate()
+        RunConfig(**dict(cfg, geometry=total_coverage()._replace(loop_length_x=cfg["geometry"].loop_length_x))).validate()
+        RunConfig(**dict(cfg, strategy=EC_FIRST)).validate()
+    RunConfig(**dict(fast, vehicle_speed=1e300)).validate()  # 3e300 m is still a float
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")

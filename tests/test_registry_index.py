@@ -10,14 +10,16 @@ whole run may dispatch from a stale entry.
 import heapq
 import math
 import random
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import examples, listed
-from offloadsim.controller import Beacons, Registry, select_vccfirst
-from offloadsim import controller, engine
+from offloadsim.controller import Beacons, Registry
+from offloadsim import engine
+from offloadsim.config import apply_axis, parse_sweep_spec
 from offloadsim.engine import KMH, RunConfig
 from offloadsim.scenario import coverage_function, partial_coverage, start_offsets, total_coverage
 
@@ -52,7 +54,7 @@ def test_index_and_expiry_match_a_sorted_scan(timeout, ops):
         elif op[0] == "select":
             model = expire(now)
             expected = sorted(model)
-            vid = select_vccfirst(reg, random.Random(op[1]), now)
+            vid = reg.pick(random.Random(op[1]), now)
             if expected:
                 pick = expected[random.Random(op[1]).randrange(len(expected))]
                 assert vid == pick
@@ -92,17 +94,19 @@ class EagerBeacons:
 
     def dispatch(self, rng, t):
         self.advance(t)
-        return select_vccfirst(self.registry, rng, t)
+        return self.registry.pick(rng, t)
 
     def stop(self, vid, t):
         if vid in self.next:
             self._apply(vid, t)
             del self.next[vid]
 
-    def restart(self, vid, t, covered):
+    def restart(self, vid, t):
+        covered = self.covered(vid, t)
         if covered:
             self.registry.on_beacon(vid, t)
         self.next[vid] = t + self.period
+        return covered
 
 
 @settings(max_examples=examples(60), deadline=None, derandomize=True)
@@ -150,7 +154,7 @@ def test_lazy_beacons_leave_the_registry_as_eager_ones(
             if kind == _DONE:
                 busy.discard(vid)
                 for beacons in (lazy, eager, *twins):
-                    beacons.restart(vid, at, covered(vid, at))
+                    assert beacons.restart(vid, at) == covered(vid, at)
             elif vid in busy:  # rejected
                 for beacons in (lazy, *twins):
                     beacons.book(vid)
@@ -180,7 +184,8 @@ def test_lazy_beacons_leave_the_registry_as_eager_ones(
 def test_beacons_at_a_dispatch_instant_count_before_it():
     """Tie rule: a beacon at exactly t takes effect before a pick or stop at t."""
     reg = Registry(timeout=0.5, n_vehicles=1)
-    beacons = Beacons(reg, 0.25, [0.0], lambda vid, t: (True, math.inf), horizon=10.0)
+    # in coverage but at the instant 2.0; each window ends at its own test
+    beacons = Beacons(reg, 0.25, [0.0], lambda vid, t: (t != 2.0, t), horizon=10.0)
     rng = random.Random(0)
 
     beacons.advance(0.1)  # heard at 0.0; its later beacons need no replay
@@ -190,10 +195,10 @@ def test_beacons_at_a_dispatch_instant_count_before_it():
     beacons.stop(0, 0.75)  # its beacon at 0.75 still lands
     assert listed(reg) == {0: 0.75}
     assert beacons.dispatch(rng, 1.25) == 0  # exactly timeout old: still listed
-    beacons.restart(0, 1.5, covered=True)
+    assert beacons.restart(0, 1.5)
     beacons.stop(0, 1.6)
     assert beacons.dispatch(rng, 2.0) == 0
-    beacons.restart(0, 2.0, covered=False)
+    assert not beacons.restart(0, 2.0)
     assert beacons.dispatch(rng, 2.25) == 0  # first periodic beacon after the restart
 
 
@@ -242,12 +247,12 @@ def test_a_steady_restart_inside_a_lasting_window_is_listed_at_once():
     reg = beacons.registry
     beacons.book(0, 0.3)
     beacons.stop(0, 0.3)
-    beacons.restart(0, 1.0, covered=True)  # next beacon 1.25, inside the window
+    assert beacons.restart(0, 1.0)  # next beacon 1.25, inside the window
     assert listed(reg) == {0: math.inf} and reg._ages == []  # no finite age pushed
     assert beacons.dispatch(random.Random(0), 1.1) == 0
     beacons.book(0, 1.1)
     beacons.stop(0, 1.1)
-    beacons.restart(0, 1.9, covered=True)  # next beacon 2.15, past the window
+    assert beacons.restart(0, 1.9)  # next beacon 2.15, past the window
     assert listed(reg) == {0: 1.9} and (1.9, 0) in reg._ages
 
 
@@ -256,7 +261,7 @@ def test_a_restart_lists_its_time_when_the_period_is_not_below_the_timeout():
     assert beacons.dispatch(random.Random(0), 0.1) == 0
     beacons.book(0, 0.1)
     beacons.stop(0, 0.1)
-    beacons.restart(0, 1.0, covered=True)
+    assert beacons.restart(0, 1.0)
     assert listed(beacons.registry) == {0: 1.0}
 
 
@@ -302,14 +307,16 @@ def test_every_dispatch_sees_only_fresh_or_steady_entries(
             calls.add(("stop", vid, t))
             super().stop(vid, t)
 
-        def restart(self, vid, t, covered):
+        def restart(self, vid, t):
             serving.discard(vid)
             calls.add(("restart", vid, t))
-            super().restart(vid, t, covered)
+            return super().restart(vid, t)
+
+    pick_from = Registry.pick
 
     def checked(registry, rng, now):
         before = listed(registry)
-        pick = select_vccfirst(registry, rng, now)
+        pick = pick_from(registry, rng, now)
         seen = listed(registry)
         if pick is not None:
             seen[pick] = before[pick]
@@ -321,7 +328,7 @@ def test_every_dispatch_sees_only_fresh_or_steady_entries(
         dispatches.append(len(seen))
         return pick
 
-    with mock.patch.object(engine, "Beacons", Recording), mock.patch.object(controller, "select_vccfirst", checked):
+    with mock.patch.object(engine, "Beacons", Recording), mock.patch.object(Registry, "pick", checked):
         records = engine.run(cfg)
     assert dispatches  # every run dispatches at least once
     for r in records:
@@ -348,7 +355,7 @@ def test_steady_coverage_books_only_finite_times():
         t += rng.expovariate(8.0)
         for vid in [vid for vid, done in busy.items() if done <= t]:
             del busy[vid]
-            beacons.restart(vid, t, covered=True)
+            assert beacons.restart(vid, t)
         vid = beacons.dispatch(rng, t)
         if vid is not None and vid not in busy:
             beacons.book(vid, t)
@@ -360,3 +367,25 @@ def test_steady_coverage_books_only_finite_times():
         assert all(last < math.inf for last, _ in reg._ages)
         assert len(beacons.wakes) <= fleet
     assert t > 500.0 and math.inf in reg.entries
+
+
+def test_no_replay_finds_the_next_beacon_still_ahead():
+    """Over the benchmark's coverage sweep at seeds 0 and 1, every ``_replay``
+    call has a beacon to replay: a wake-up or a stop that finds the vehicle's
+    next beacon after t makes no call."""
+    text = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "coverage_sweep.cfg").read_text()
+    spec = parse_sweep_spec(text)
+    calls, ahead = 0, 0
+    replay = Beacons._replay
+
+    def counted(self, vid, t):
+        nonlocal calls, ahead
+        calls += 1
+        ahead += self.next[vid] > t
+        replay(self, vid, t)
+
+    with mock.patch.object(Beacons, "_replay", counted):
+        for seed in (0, 1):
+            for value in spec.values:
+                engine.run(apply_axis(spec.base_run, spec.axis, value, seed))
+    assert calls > 1000 and ahead == 0, (calls, ahead)

@@ -165,3 +165,14 @@ def test_reg_inc_beta_validation():
         reg_inc_beta(1.0, 1.0, -0.1)
     with pytest.raises(ValueError):
         reg_inc_beta(1.0, 1.0, 1.1)
+
+
+@pytest.mark.parametrize("groups", [
+    [[1e308, 1e308], [1.0, 2.0]],  # a group's sum overflows inside fsum
+    [[1e200, -1e200], [0.0, 1.0]],  # a finite square overflows
+    [[1.7e308, 1.7e308, -1.7e308], [0.0, 1.0]],  # an observation's distance to its mean overflows
+])
+def test_anova_rejects_observations_whose_sums_overflow(groups):
+    # each used to end in an OverflowError, or in a table of inf and nan
+    with pytest.raises(ValueError, match="observations too large"):
+        anova_oneway(groups)
