@@ -1,39 +1,23 @@
 """Abstracted radio and wired links: per-leg transfer time and loss outcome.
 
-Every task hop belongs to one link class. Radio legs (UE/vehicle access) have a
-base latency plus a size-dependent serialization term under processor sharing,
-and an independent per-leg Bernoulli loss whose probability grows linearly with
-the mobile endpoint's speed. Wired legs (core network, Internet) are lossless
-with fixed one-way latency.
+Every task hop belongs to one link class, a field of ``ChannelConfig``. Radio
+legs (UE/vehicle access) have a base latency plus a size-dependent
+serialization term under processor sharing, and an independent per-leg
+Bernoulli loss whose probability grows linearly with the mobile endpoint's
+speed. Wired legs (core network, Internet) are lossless and share nothing, so
+each is one fixed one-way latency.
 
 A run resolves each radio leg through the ``Link`` of its link class, which
-holds both formulas and the airtime still in use; a wired leg is its
-``base_latency``.
+holds both formulas and the airtime still in use; a wired leg is its latency.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from enum import Enum
 from heapq import heappop, heappush
 
 from .bounds import check_fields
-
-
-class LinkClass(Enum):
-    PUE_UP = "pue_up"
-    PUE_DOWN = "pue_down"
-    VUE_UP = "vue_up"
-    VUE_DOWN = "vue_down"
-    CN_UP = "cn_up"
-    CN_DOWN = "cn_down"
-    INTERNET_UP = "internet_up"
-    INTERNET_DOWN = "internet_down"
-
-
-RADIO_LINKS = frozenset({LinkClass.PUE_UP, LinkClass.PUE_DOWN, LinkClass.VUE_UP, LinkClass.VUE_DOWN})
-WIRED_LINKS = frozenset(LinkClass) - RADIO_LINKS
 
 PROCESSOR_SHARING = "processor_sharing"
 NO_SHARING = "none"
@@ -45,8 +29,8 @@ CHANNEL_ERROR = "channel_error"
 
 class LinkParams(namedtuple("LinkParams", "base_latency rate p_base k_speed sharing",
                             defaults=(None, 0.0, 0.0, PROCESSOR_SHARING))):
-    """One link class: ``base_latency`` (s, one-way floor), ``rate`` (bits/s
-    shared by concurrent transfers; None = unbounded), ``p_base`` (loss
+    """One radio link class: ``base_latency`` (s, one-way floor), ``rate``
+    (bits/s shared by concurrent transfers; None = unbounded), ``p_base`` (loss
     probability at speed 0), ``k_speed`` (added loss probability per m/s) and
     ``sharing``. Every construction is checked, ``_replace`` included."""
 
@@ -64,28 +48,26 @@ class LinkParams(namedtuple("LinkParams", "base_latency rate p_base k_speed shar
         return self
 
 
-class ChannelConfig:
-    """Per-link-class parameters for one run: ``links`` maps every
-    ``LinkClass`` to its ``LinkParams``."""
+class ChannelConfig(namedtuple("ChannelConfig",
+                               "pue_up pue_down vue_up vue_down cn_up cn_down internet_up internet_down")):
+    """Every link class of a run. The four radio legs (pedestrian and vehicle,
+    up and down) are ``LinkParams``; the four wired legs (core network and
+    Internet, up and down) are one latency each in seconds, the fields that
+    ``KINDS`` bounds. Every construction is checked, ``_replace`` included."""
 
-    __slots__ = ("links",)
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
+    KINDS = dict.fromkeys(("cn_up", "cn_down", "internet_up", "internet_down"), "nonnegative")
 
-    def __init__(self, links: dict[LinkClass, LinkParams]) -> None:
-        missing = set(LinkClass) - set(links)
-        if missing:
-            names = ", ".join(sorted(k.value for k in missing))
-            raise ValueError(f"channel config missing link classes: {names}")
-        for link in WIRED_LINKS:
-            if links[link].p_base != 0.0 or links[link].k_speed != 0.0:
-                raise ValueError(f"wired leg {link.value} must be lossless")
-        self.links = links
-
-    def __eq__(self, other):
-        return self.links == other.links if isinstance(other, ChannelConfig) else NotImplemented
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        check_fields(self)
+        return self
 
     def lossless(self) -> "ChannelConfig":
-        """Copy with all loss probabilities zeroed (latency model unchanged)."""
-        return ChannelConfig({k: p._replace(p_base=0.0, k_speed=0.0) for k, p in self.links.items()})
+        """Copy with every radio loss probability zeroed (latency model unchanged)."""
+        radio = (name for name in self._fields if name not in self.KINDS)
+        return self._replace(**{name: getattr(self, name)._replace(p_base=0.0, k_speed=0.0) for name in radio})
 
 
 def lena_calibrated() -> ChannelConfig:
@@ -93,22 +75,13 @@ def lena_calibrated() -> ChannelConfig:
 
     Base latencies (2.7 ms pedestrian legs, 5.7 ms vehicle legs) and 100 Mb/s
     shared rates are chosen so a default edge round trip lands near 10 ms and a
-    default vehicular round trip near 30 ms. Wired legs: 2 ms core-network and
-    35 ms Internet one-way.
+    default vehicular round trip near 30 ms. Radio legs lose 0.001 of
+    transfers, plus 5e-4 per m/s on vehicle legs; a run builds pedestrian legs
+    at speed 0. Wired legs: 2 ms core-network and 35 ms Internet one-way.
     """
-    radio_loss = {"p_base": 1e-3, "k_speed": 5e-4}
-    return ChannelConfig(
-        {
-            LinkClass.PUE_UP: LinkParams(0.0027, 100e6, **radio_loss),
-            LinkClass.PUE_DOWN: LinkParams(0.0027, 100e6, **radio_loss),
-            LinkClass.VUE_UP: LinkParams(0.0057, 100e6, **radio_loss),
-            LinkClass.VUE_DOWN: LinkParams(0.0057, 100e6, **radio_loss),
-            LinkClass.CN_UP: LinkParams(0.002),
-            LinkClass.CN_DOWN: LinkParams(0.002),
-            LinkClass.INTERNET_UP: LinkParams(0.035),
-            LinkClass.INTERNET_DOWN: LinkParams(0.035),
-        }
-    )
+    pedestrian = LinkParams(0.0027, 100e6, p_base=1e-3)
+    vehicle = LinkParams(0.0057, 100e6, p_base=1e-3, k_speed=5e-4)
+    return ChannelConfig(pedestrian, pedestrian, vehicle, vehicle, 0.002, 0.002, 0.035, 0.035)
 
 
 class Link:

@@ -12,10 +12,11 @@ or more are split into contiguous shares formatted at once on the usable CPUs,
 in worker processes forked by ``workers.forked``; this process writes the
 shares out in order, so the bytes never depend on the worker count. Under
 ``taskset -c 0``, while another thread runs, or for fewer records, one process
-writes them all. A file is written whole or not at all, and ``run``'s two
-files both or neither; a path that cannot be written is reported like an
-unreadable config. When writing to a file, a short human-readable summary goes
-to stdout instead.
+writes them all. A file is written whole or not at all, and a call that
+fails changes no file, so ``run``'s two files are written both or neither; a
+path or a standard output that cannot be written is reported like an
+unreadable config. When writing to a file, a short human-readable summary
+goes to stdout instead.
 """
 
 from __future__ import annotations
@@ -113,12 +114,20 @@ def _column_cells(values):
 
 
 @contextlib.contextmanager
-def _writing(path: str):
-    """Report an OSError raised inside as the path not being writable."""
+def _writing(path: str | None):
+    """Report an OSError raised inside as the path not being writable. A path
+    of None is standard output, flushed before the block ends."""
     try:
         yield
+        if path is None:
+            sys.stdout.flush()
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+        if path is None:  # the interpreter flushes it again at exit: what is left goes nowhere
+            with contextlib.suppress(OSError):
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, sys.stdout.fileno())
+                os.close(null)
+        raise ConfigError(f"cannot write {path or 'standard output'}: {exc.strerror or exc}") from None
 
 
 _replaced: list | None = None  # in ``_all_or_nothing``: (path, link to its previous file or None)
@@ -158,7 +167,8 @@ def _write_csv(path: str | None, header, rows) -> None:
     renamed over the path once complete, so on any failure the path keeps what
     it held before; inside ``_all_or_nothing`` its previous file is kept as a
     hard link until the block ends. A path that cannot be opened or replaced is
-    reported as a ConfigError.
+    reported as a ConfigError, and so is standard output that cannot be
+    written.
     """
     if path and (not os.path.exists(path) or os.path.isfile(path)):
         path = os.path.realpath(path) if os.path.islink(path) else path  # through a link, as open would
@@ -184,7 +194,8 @@ def _write_csv(path: str | None, header, rows) -> None:
         with _writing(path), open(path, "w", newline="") as out:
             _write_table(out, header, rows)
     else:
-        _write_table(sys.stdout, header, rows)
+        with _writing(None):
+            _write_table(sys.stdout, header, rows)
 
 
 def _write_table(out, header, rows) -> None:
@@ -242,17 +253,17 @@ def _cmd_run(args) -> int:
     cfg = parse_run_config(_read_config(args.config))
     records = run(cfg)
     agg = summarize(records)
-    with _all_or_nothing():  # both files, or neither
-        _write_csv(args.output, ("seed",) + AGGREGATE_COLUMNS, [[cfg.seed, *agg]])
-        if args.records:
-            _write_csv(args.records, RECORD_FIELDS, records)
+    _write_csv(args.output, ("seed",) + AGGREGATE_COLUMNS, [[cfg.seed, *agg]])
+    if args.records:
+        _write_csv(args.records, RECORD_FIELDS, records)
     if args.output:
         ms = agg.mean_total * 1e3
-        print(
-            f"{cfg.strategy} seed {cfg.seed}: {agg.n_requests} requests, "
-            f"{agg.n_success} ok, {agg.n_failed} failed, {agg.n_in_flight} in flight; "
-            f"mean {ms:.3f} ms, cloud share {agg.cc_share_pct:.2f}%"
-        )
+        with _writing(None):
+            print(
+                f"{cfg.strategy} seed {cfg.seed}: {agg.n_requests} requests, "
+                f"{agg.n_success} ok, {agg.n_failed} failed, {agg.n_in_flight} in flight; "
+                f"mean {ms:.3f} ms, cloud share {agg.cc_share_pct:.2f}%"
+            )
     return 0
 
 
@@ -279,7 +290,7 @@ def _cost_rows(base: CostParams, betas, years, scales, bonus_flag: bool):
     for scale in scales:
         for year in years:
             for beta in betas:
-                p = base._replace(years=year, beta=beta, c_vcc_req=None)
+                p = base._replace(years=year, beta=beta)
                 try:
                     row = cost_breakdown(p, [beta], scale, bonus_flag)[0]
                     saved = savings(p, scale)
@@ -304,7 +315,8 @@ def _cmd_sweep(args) -> int:
         rows = _sweep_rows(spec)
         _write_csv(args.output, ("axis", "value", "seed") + AGGREGATE_COLUMNS, rows)
     if args.output:
-        print(f"sweep over {spec.axis}: {len(spec.values)} values -> {args.output}")
+        with _writing(None):
+            print(f"sweep over {spec.axis}: {len(spec.values)} values -> {args.output}")
     return 0
 
 
@@ -315,17 +327,18 @@ def _cmd_cost(args) -> int:
     if flag is None:
         flag = bonus_in_ec_requests(text)
     betas = parse_list(args.betas, "--betas", CostParams.KINDS["beta"])
-    years = parse_list(args.years, "--years", CostParams.KINDS["years"])
+    years = (base.years,) if args.years is None else parse_list(args.years, "--years", CostParams.KINDS["years"])
     scales = parse_list(args.scales, "--scales", "nonnegative")
     rows = _cost_rows(base, betas, years, scales, flag)
     _write_csv(args.output, COST_COLUMNS, rows)
     if args.output:
-        print(f"{'scale':>8} {'years':>6} {'beta':>10} {'capex%':>8} {'main%':>8} {'req%':>8} {'vcc%':>8}")
-        for r in rows:
-            print(
-                f"{r[0]:>8g} {r[1]:>6g} {r[2]:>10.2e} "
-                f"{r[3]:>8.2f} {r[4]:>8.2f} {r[5]:>8.2f} {r[6]:>8.2f}"
-            )
+        with _writing(None):
+            print(f"{'scale':>8} {'years':>6} {'beta':>10} {'capex%':>8} {'main%':>8} {'req%':>8} {'vcc%':>8}")
+            for r in rows:
+                print(
+                    f"{r[0]:>8g} {r[1]:>6g} {r[2]:>10.2e} "
+                    f"{r[3]:>8.2f} {r[4]:>8.2f} {r[5]:>8.2f} {r[6]:>8.2f}"
+                )
     return 0
 
 
@@ -360,12 +373,13 @@ def _cmd_anova(args) -> int:
     ]
     _write_csv(args.output, ANOVA_COLUMNS, rows)
     if args.output:
-        print(f"{'source':<16} {'sum_sq':>14} {'df':>6} {'F':>12} {'PR(>F)':>12}")
-        print(
-            f"{rows[0][0]:<16} {result.sum_sq_factor:>14.6g} {result.df_factor:>6} "
-            f"{result.f_stat:>12.6g} {result.p_value:>12.6g}"
-        )
-        print(f"{'Residual':<16} {result.sum_sq_resid:>14.6g} {result.df_resid:>6}")
+        with _writing(None):
+            print(f"{'source':<16} {'sum_sq':>14} {'df':>6} {'F':>12} {'PR(>F)':>12}")
+            print(
+                f"{rows[0][0]:<16} {result.sum_sq_factor:>14.6g} {result.df_factor:>6} "
+                f"{result.f_stat:>12.6g} {result.p_value:>12.6g}"
+            )
+            print(f"{'Residual':<16} {result.sum_sq_resid:>14.6g} {result.df_resid:>6}")
     return 0
 
 
@@ -395,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("config", nargs="?", help="cost configuration file (optional)")
     p_cost.add_argument("-o", "--output", help="CSV path (default: stdout)")
     p_cost.add_argument("--betas", default="0,1e-6,2e-6", help="per-request bonus levels")
-    p_cost.add_argument("--years", default="1", help="horizons in years")
+    p_cost.add_argument("--years", help="horizons in years (default: the config's cost.years, 1 without one)")
     p_cost.add_argument("--scales", default="1,0.01", help="request-volume scale factors")
     p_cost.add_argument(
         "--bonus-in-ec-requests",
@@ -417,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with _all_or_nothing():  # a call that fails, its summary included, leaves every file as it was
+            return args.fn(args)
     except ConfigError as exc:
         print(f"offloadsim: {exc}", file=sys.stderr)
         return 1

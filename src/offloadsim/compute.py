@@ -30,23 +30,16 @@ class EdgeState:
         self.capacity, self.max_queue, self.next_free = capacity, max_queue, 0.0
         self._jobs: deque = deque()  # (service_start, completion)
 
-    def waiting_count(self, now: float) -> int:
-        """Tasks admitted but not yet in service at ``now``; drops finished ones."""
-        jobs = self._jobs
-        while jobs and jobs[0][1] <= now:
-            jobs.popleft()
-        return len(jobs) - (1 if jobs and jobs[0][0] <= now else 0)
-
     def offer(
         self, workload_mi: float, now: float, data_at: float | None = None
     ) -> tuple[int, float | None, float | None]:
         """Admit a task at ``now`` unless ``max_queue`` tasks already wait.
 
-        Returns (waiting, completion, queue_wait): the ``waiting_count`` at
-        ``now`` before this task, then the admitted task's completion time and
-        its wait from ``data_at`` to its service start, both None on overflow.
-        ``data_at`` is when the payload reaches the server (defaults to
-        ``now``); service cannot start before it.
+        Returns (waiting, completion, queue_wait): the tasks admitted but not
+        yet in service at ``now`` before this one, then the admitted task's
+        completion time and its wait from ``data_at`` to its service start,
+        both None on overflow. ``data_at`` is when the payload reaches the
+        server (defaults to ``now``); service cannot start before it.
         """
         jobs = self._jobs
         while jobs and jobs[0][1] <= now:

@@ -8,8 +8,11 @@ builder takes its own subset: run configs need ``strategy``, sweep specs also
 ``sweep.axis`` and ``sweep.values``, cost parameters live under ``cost.``, and
 a ``beta`` sweep reads ``cost.bonus_in_ec_requests`` as ``offloadsim cost``
 does. Numbers accept fractions like ``1/128``. Defaults are those of
-``RunConfig``, ``ScenarioGeometry``, ``LinkParams`` and ``CostParams``; presets
-fill a block of them and explicit keys override them.
+``RunConfig`` (its channel is ``lena_calibrated()``), ``ScenarioGeometry`` and
+``CostParams``; a scenario preset fills the geometry and explicit keys
+override it. Every key changes some output: a field that no output reads,
+such as a pedestrian leg's ``k_speed`` or the bonus ``beta`` that each cost row
+sets, has no key.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from collections import namedtuple
 from importlib import resources
 
 from .bounds import check
-from .channel import SHARING_MODES, ChannelConfig, LinkClass, LinkParams, lena_calibrated
+from .channel import SHARING_MODES, ChannelConfig, LinkParams
 from .controller import STRATEGIES
 from .costmodel import BONUS_IN_EC_REQUESTS, CostParams
 from .engine import KMH, REPLICATION_SEEDS, PositionOverflow, RunConfig
@@ -26,7 +29,6 @@ from .scenario import ScenarioGeometry, partial_coverage, total_coverage
 
 SWEEP_AXES = ("users", "workload", "vehicles", "vehicle_capacity_fraction", "speed", "beta")
 SCENARIO_PRESETS = {"total_coverage": total_coverage, "partial_coverage": partial_coverage}
-CHANNEL_PRESETS = {"lena_calibrated": lena_calibrated}
 
 
 class ConfigError(ValueError):
@@ -37,13 +39,15 @@ SweepSpec = namedtuple("SweepSpec", "axis values seeds base_run base_cost", defa
 SweepSpec.__doc__ = "One sweep: the knob to turn, its values, the replication seeds, and the base run or cost."
 
 
-_LINKS = {lc.value: lc for lc in LinkClass}
+# The radio link classes, each a LinkParams; pedestrian legs run at speed 0, so their k_speed has no key.
+_RADIO = [name for name in ChannelConfig._fields if name not in ChannelConfig.KINDS]
 _BOOLS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
 
 # key -> (target, field, spelling). Targets: "run" (RunConfig), "geometry"
-# (ScenarioGeometry), "bs" (an index into its bs_position), a link name (its
-# LinkParams), "cost" (CostParams), "sweep", "preset" (a RunConfig field a
-# preset factory fills), "km/h" (a RunConfig speed in km/h) and "flag". A
+# (ScenarioGeometry), "bs" (an index into its bs_position), "channel" (a wired
+# leg's latency in ChannelConfig), a radio link name (its LinkParams), "cost"
+# (CostParams), "sweep", "preset" (the geometry a preset factory fills),
+# "km/h" (a RunConfig speed in km/h) and "flag". A
 # spelling of None is a number of its field's kind (``_KINDS``), and a word
 # spells the one more value that kind accepts; else it is the words allowed
 # (mapped if a dict), bool, int (an integer its builder bounds) or list (of
@@ -74,12 +78,13 @@ _KEYS = {
     "compute.edge_max_queue": ("run", "edge_max_queue", None),
     "controller.beacon_period": ("run", "beacon_period", None),
     "controller.timeout": ("run", "registry_timeout", None),
-    "channel.preset": ("preset", "channel", CHANNEL_PRESETS),
     **{
         f"channel.{name}.{field}": (name, field, {"rate": "unbounded", "sharing": SHARING_MODES}.get(field))
-        for name in _LINKS
+        for name in _RADIO
         for field in LinkParams._fields
+        if field != "k_speed" or name.startswith("vue")
     },
+    **{f"channel.{name}.base_latency": ("channel", name, None) for name in ChannelConfig.KINDS},
     "sweep.axis": ("sweep", "axis", SWEEP_AXES),
     "sweep.values": ("sweep", "values", list),
     "sweep.replications": ("sweep", "replications", int),
@@ -88,8 +93,6 @@ _KEYS = {
     "cost.years": ("cost", "years", None),
     "cost.c_ec_main": ("cost", "c_ec_main", None),
     "cost.c_ec_req": ("cost", "c_ec_req", None),
-    "cost.c_vcc_req": ("cost", "c_vcc_req", "auto"),
-    "cost.beta": ("cost", "beta", None),
     "cost.requests_per_user": ("cost", "request_rate", None),
     "cost.users": ("cost", "users", None),
     "cost.alpha_seconds": ("cost", "alpha", None),
@@ -99,7 +102,8 @@ _KEYS = {
 _POSITION_KEYS = ("duration", "scenario.preset", "scenario.length_x", "scenario.width_y", "vehicles.speed_kmh",
                   "vehicles.speed_mps")  # what a fleet's loop positions read
 _KINDS = {"run": RunConfig.KINDS, "km/h": RunConfig.KINDS, "geometry": ScenarioGeometry.KINDS, "cost": CostParams.KINDS,
-          "bs": ScenarioGeometry.KINDS["bs_position"], **dict.fromkeys(_LINKS, LinkParams.KINDS)}  # target -> its table
+          "bs": ScenarioGeometry.KINDS["bs_position"], "channel": ChannelConfig.KINDS,
+          **dict.fromkeys(_RADIO, LinkParams.KINDS)}  # target -> its table
 
 
 def _where(line: int | None) -> str:
@@ -208,13 +212,9 @@ def _build_run(entries: dict[str, tuple[object, int]]) -> RunConfig:
     geometry = groups.get("geometry", {})
     if "bs" in groups:
         geometry["bs_position"] = tuple(groups["bs"].get(i, v) for i, v in enumerate(base.geometry.bs_position))
-    try:
-        channel = ChannelConfig(
-            {link: params._replace(**groups.get(link.value, {})) for link, params in base.channel.links.items()}
-        )
-    except ValueError as exc:
-        raise ConfigError(f"channel: {exc}") from None
-    cfg = base._replace(geometry=base.geometry._replace(**geometry), channel=channel)  # the table bounds geometry
+    radio = {name: getattr(base.channel, name)._replace(**groups[name]) for name in _RADIO if name in groups}
+    channel = base.channel._replace(**groups.get("channel", {}), **radio)
+    cfg = base._replace(geometry=base.geometry._replace(**geometry), channel=channel)  # the table bounds both
     try:
         cfg.validate()
     except ValueError as exc:  # a PositionOverflow names the last line of a key the positions read
@@ -317,14 +317,16 @@ def _serialize(owners: dict[str, object]) -> str:
 
 
 def serialize_run_config(cfg: RunConfig) -> str:
-    """Full explicit text form; parsing it back yields an equal RunConfig."""
-    owners = {"run": cfg, "geometry": cfg.geometry, "bs": cfg.geometry.bs_position}
-    owners.update((link.value, params) for link, params in cfg.channel.links.items())
+    """Full explicit text form; parsing it back yields an equal RunConfig,
+    but for the pedestrian legs' ``k_speed``, which has no key."""
+    owners = {"run": cfg, "geometry": cfg.geometry, "bs": cfg.geometry.bs_position, "channel": cfg.channel}
+    owners.update((name, getattr(cfg.channel, name)) for name in _RADIO)
     return _serialize(owners)
 
 
 def serialize_cost_params(p: CostParams) -> str:
-    """Full explicit text form; parsing it back yields equal CostParams."""
+    """Full explicit text form; parsing it back yields equal CostParams, but
+    for ``beta``, which each cost row sets."""
     return _serialize({"cost": p})
 
 

@@ -27,11 +27,10 @@ _COST_FIELDS = {
     "years": (1.0, "positive"),  # horizon Y
     "c_ec_main": (1368.46, "nonnegative"),  # $ per year of edge maintenance
     "c_ec_req": (2e-5, "nonnegative"),  # $ per request served at the edge
-    "c_vcc_req": (None, ("nonnegative", None)),  # $ per request served by a vehicle
     "request_rate": (5.0, "positive"),  # requests per second per user
     "users": (100.0, "positive"),
     "alpha": (float(SECONDS_ACTIVE_PER_YEAR), "positive"),
-    "beta": (0.0, "nonnegative"),  # $ per request bonus to vehicle owners
+    "beta": (0.0, "nonnegative"),  # $ per request bonus to vehicle owners, set per table row
     "capex_overhead": (1.0, "positive"),  # multiplier on the capital outlay
 }
 
@@ -40,9 +39,9 @@ class CostParams(namedtuple("CostParams", _COST_FIELDS, defaults=[default for de
     """Inputs of the cost comparison.
 
     ``alpha`` is the active seconds per year, so requests per year are
-    request_rate * users * alpha. ``c_vcc_req`` defaults to the edge
-    per-request cost plus the bonus ``beta`` paid to vehicle owners. Every
-    construction is checked, ``_replace`` included.
+    request_rate * users * alpha. A vehicle is paid the edge per-request cost
+    plus the bonus ``beta``. Every construction is checked, ``_replace``
+    included.
     """
 
     __slots__ = ()
@@ -56,7 +55,7 @@ class CostParams(namedtuple("CostParams", _COST_FIELDS, defaults=[default for de
 
     @property
     def vcc_req(self) -> float:
-        return self.c_vcc_req if self.c_vcc_req is not None else self.c_ec_req + self.beta
+        return self.c_ec_req + self.beta
 
     def requests(self, request_scale: float = 1.0) -> float:
         """Total requests over the horizon."""
@@ -130,7 +129,7 @@ def cost_breakdown(
     """
     rows = []
     for beta in betas:
-        q = p._replace(beta=beta, c_vcc_req=None)
+        q = p._replace(beta=beta)
         capex = capex_ec(q)
         main = q.c_ec_main * q.years
         req = opex_ec(q, request_scale, bonus_in_requests) - main
@@ -155,7 +154,7 @@ def total_costs(
     out = []
     for beta in betas:
         for y in years:
-            q = p._replace(beta=beta, years=y, c_vcc_req=None)
+            q = p._replace(beta=beta, years=y)
             ec_total = _finite("edge total", capex_ec(q) + opex_ec(q, request_scale, bonus_in_requests))
             out.append((beta, y, ec_total, _finite("vehicular total", opex_vcc(q, request_scale))))
     return out

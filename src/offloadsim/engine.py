@@ -48,7 +48,7 @@ from array import array
 from collections import Counter, namedtuple
 
 from .bounds import check_fields
-from .channel import ChannelConfig, Link, LinkClass, lena_calibrated
+from .channel import Link, lena_calibrated
 from .compute import EdgeState, elaboration_time
 from .controller import (
     CLOUD,
@@ -103,7 +103,7 @@ _RUN_FIELDS = {
     "n_vehicles": (40, ("int", MAX_VEHICLES)),
     "vehicle_speed": (13.1 * KMH, "nonnegative"),  # m/s
     "vehicle_capacity": (71120.0, "positive"),  # MIPS
-    "channel": (None, None),  # each config gets its own lena_calibrated()
+    "channel": (lena_calibrated(), None),
     "cloud_mips": (2356230.0, "positive"),
     "edge_mips": (749070.0, "positive"),
     "edge_max_queue": (100, "int"),
@@ -123,10 +123,6 @@ class RunConfig(namedtuple("RunConfig", _RUN_FIELDS, defaults=[default for defau
 
     __slots__ = ()
     KINDS = {field: kind for field, (_, kind) in _RUN_FIELDS.items() if kind is not None}
-
-    def __new__(cls, *args, **kwargs):
-        cfg = super().__new__(cls, *args, **kwargs)
-        return cfg if cfg.channel is not None else cfg._replace(channel=lena_calibrated())
 
     def validate(self) -> None:
         """Check every field's kind, the strategy, the arrival and beacon caps and the fleet's positions."""
@@ -208,7 +204,7 @@ def run(cfg: RunConfig) -> Records:
     cfg.validate()
     rng = random.Random(cfg.seed)
     geom = cfg.geometry
-    links = cfg.channel.links
+    channel = cfg.channel
     horizon = cfg.duration
     heappop, heappush = heapq.heappop, heapq.heappush
 
@@ -218,14 +214,12 @@ def run(cfg: RunConfig) -> Records:
     cloud_elab = elaboration_time(workload, cfg.cloud_mips)
     edge_elab = elaboration_time(workload, cfg.edge_mips)
     vehicle_elab = elaboration_time(workload, cfg.vehicle_capacity)
-    cn_up = links[LinkClass.CN_UP].base_latency
-    cn_down = links[LinkClass.CN_DOWN].base_latency
-    inet_up = links[LinkClass.INTERNET_UP].base_latency
-    inet_down = links[LinkClass.INTERNET_DOWN].base_latency
-    pue_up = Link(links[LinkClass.PUE_UP], cfg.task_size_bytes)
-    pue_down = Link(links[LinkClass.PUE_DOWN], cfg.result_size_bytes)
-    vue_down = Link(links[LinkClass.VUE_DOWN], cfg.task_size_bytes, cfg.vehicle_speed)
-    vue_up = Link(links[LinkClass.VUE_UP], cfg.result_size_bytes, cfg.vehicle_speed)
+    cn_up, cn_down = channel.cn_up, channel.cn_down
+    inet_up, inet_down = channel.internet_up, channel.internet_down
+    pue_up = Link(channel.pue_up, cfg.task_size_bytes)
+    pue_down = Link(channel.pue_down, cfg.result_size_bytes)
+    vue_down = Link(channel.vue_down, cfg.task_size_bytes, cfg.vehicle_speed)
+    vue_up = Link(channel.vue_up, cfg.result_size_bytes, cfg.vehicle_speed)
 
     # Records are columns in RECORD_FIELDS order, indexed by task id. Arrival
     # i carries sequence number i, so it precedes every pushed event at its

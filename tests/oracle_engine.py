@@ -12,9 +12,10 @@ simple on purpose. A few shims adapt it to today's public names: a local
 served through ``vehicle_offer``, coverage read from
 ``scenario.coverage_function``, ``EdgeState.offer``'s (waiting,
 completion, queue wait) triple, the vehicle id or None that
-``Registry.pick`` returns, and mutable records (``new_record``, with
-``leg_sum``, once a method of the record) made ``OffloadRecord`` tuples at the
-end. ``run`` must return the same records as ``offloadsim.engine.run`` for
+``Registry.pick`` returns, ``waiting_count`` (once a method of
+``EdgeState``) reading the edge's waiting line, and mutable records
+(``new_record``, with ``leg_sum``, once a method of the record) made
+``OffloadRecord`` tuples at the end. ``run`` must return the same records as ``offloadsim.engine.run`` for
 every valid config.
 """
 
@@ -25,7 +26,7 @@ import random
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from offloadsim.channel import Link, LinkClass
+from offloadsim.channel import Link
 from offloadsim.compute import EdgeState, elaboration_time
 from offloadsim.controller import CLOUD, EDGE, VCC_FIRST, VEHICLE, Registry
 from offloadsim.engine import (
@@ -103,9 +104,17 @@ def leg_sum(rec) -> float:
     )
 
 
+def waiting_count(edge: EdgeState, now: float) -> int:
+    """Tasks admitted to the edge but not yet in service at ``now``; drops finished ones."""
+    jobs = edge._jobs
+    while jobs and jobs[0][1] <= now:
+        jobs.popleft()
+    return len(jobs) - (1 if jobs and jobs[0][0] <= now else 0)
+
+
 def select_ecfirst(edge: EdgeState, now: float) -> str:
     """Send to the edge unless its waiting line is full, else to the cloud."""
-    return CLOUD if edge.waiting_count(now) >= edge.max_queue else EDGE
+    return CLOUD if waiting_count(edge, now) >= edge.max_queue else EDGE
 
 
 # Event kinds, dispatched in the run loop.
@@ -131,10 +140,8 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
     registry = Registry(cfg.registry_timeout, cfg.n_vehicles)
     edge = EdgeState(capacity=cfg.edge_mips, max_queue=cfg.edge_max_queue)
 
-    cn_up = chan.links[LinkClass.CN_UP].base_latency
-    cn_down = chan.links[LinkClass.CN_DOWN].base_latency
-    inet_up = chan.links[LinkClass.INTERNET_UP].base_latency
-    inet_down = chan.links[LinkClass.INTERNET_DOWN].base_latency
+    cn_up, cn_down = chan.cn_up, chan.cn_down
+    inet_up, inet_down = chan.internet_up, chan.internet_down
 
     heap: list[tuple[float, bool, int, int, int, int]] = []
     seq = 0
@@ -161,7 +168,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
             push(rng.random() * cfg.beacon_period, _BEACON, v.id, 0)
 
     # Active transfer end-times per radio link class, for processor sharing.
-    active: dict[LinkClass, list[float]] = {link: [] for link in LinkClass}
+    active: dict[str, list[float]] = {link: [] for link in ("pue_up", "pue_down", "vue_up", "vue_down")}
 
     def attempt_radio(t, link, size, speed, src_cov=True, dst_cov=True):
         """Run one radio leg: its latency, or None when lost. The transmission
@@ -169,7 +176,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
         ends = active[link]
         while ends and ends[0] <= t:
             heapq.heappop(ends)
-        leg = Link(chan.links[link], size, speed)
+        leg = Link(getattr(chan, link), size, speed)
         airtime = leg.transfer_time(len(ends) + 1)
         heapq.heappush(ends, t + airtime)
         return None if leg.lost(rng, src_cov and dst_cov) else airtime
@@ -196,7 +203,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
         if kind == _ARRIVAL:
             task = tasks[a]
             rec = records[a]
-            latency = attempt_radio(t, LinkClass.PUE_UP, task.size_bytes, 0.0)
+            latency = attempt_radio(t, "pue_up", task.size_bytes, 0.0)
             if latency is not None:
                 rec.t_up_access = latency
                 push(t + latency, _AT_GNB, a)
@@ -215,7 +222,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
                     rec.destination = VEHICLE
                     rec.vehicle_id = vid
                     covered = in_coverage(v, t)
-                    latency = attempt_radio(t, LinkClass.VUE_DOWN, task.size_bytes, v.speed, dst_cov=covered)
+                    latency = attempt_radio(t, "vue_down", task.size_bytes, v.speed, dst_cov=covered)
                     if latency is not None:
                         rec.t_gnb_to_vue = latency
                         push(t + latency, _AT_VEHICLE, a, vid)
@@ -223,7 +230,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
                         fail(rec, GNB_TO_VCC)
             else:
                 destination = select_ecfirst(edge, t)
-                rec.edge_queue_at_decision = edge.waiting_count(t)
+                rec.edge_queue_at_decision = waiting_count(edge, t)
                 if destination == CLOUD:
                     to_cloud(t, rec, task)
                 else:
@@ -256,7 +263,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
                 registry.on_beacon(b, t)  # idle again: beacon immediately
             beacon_epoch[b] += 1
             push(t + cfg.beacon_period, _BEACON, b, beacon_epoch[b])
-            latency = attempt_radio(t, LinkClass.VUE_UP, task.result_bytes, v.speed, src_cov=covered)
+            latency = attempt_radio(t, "vue_up", task.result_bytes, v.speed, src_cov=covered)
             if latency is not None:
                 rec.t_vue_to_gnb = latency
                 push(t + latency, _RESULT_AT_GNB, a)
@@ -266,7 +273,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
         elif kind == _RESULT_AT_GNB:
             task = tasks[a]
             rec = records[a]
-            latency = attempt_radio(t, LinkClass.PUE_DOWN, task.result_bytes, 0.0)
+            latency = attempt_radio(t, "pue_down", task.result_bytes, 0.0)
             if latency is not None:
                 rec.t_down_access = latency
                 push(t + latency, _DELIVERED, a)

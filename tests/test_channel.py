@@ -15,13 +15,13 @@ from offloadsim.channel import (
     PROCESSOR_SHARING,
     ChannelConfig,
     Link,
-    LinkClass,
     LinkParams,
     OUT_OF_COVERAGE,
-    RADIO_LINKS,
-    WIRED_LINKS,
     lena_calibrated,
 )
+
+RADIO = ("pue_up", "pue_down", "vue_up", "vue_down")
+WIRED = ("cn_up", "cn_down", "internet_up", "internet_down")
 
 
 class _NoDraw:
@@ -42,48 +42,55 @@ class _Counting(random.Random):
 
 
 def test_link_partition():
-    assert RADIO_LINKS | WIRED_LINKS == frozenset(LinkClass)
-    assert not RADIO_LINKS & WIRED_LINKS
-    assert LinkClass.PUE_UP in RADIO_LINKS
-    assert LinkClass.INTERNET_DOWN in WIRED_LINKS
+    """Eight link classes: four radio ones with link parameters, four wired
+    ones that are a bounded latency each."""
+    assert ChannelConfig._fields == RADIO + WIRED
+    assert tuple(ChannelConfig.KINDS) == WIRED
+    cfg = lena_calibrated()
+    assert all(isinstance(getattr(cfg, link), LinkParams) for link in RADIO)
+    assert all(isinstance(getattr(cfg, link), float) for link in WIRED)
 
 
 def test_calibrated_preset_values():
     cfg = lena_calibrated()
-    assert cfg.links[LinkClass.PUE_UP].base_latency == 0.0027
-    assert cfg.links[LinkClass.VUE_DOWN].base_latency == 0.0057
-    assert cfg.links[LinkClass.CN_UP].base_latency == 0.002
-    assert cfg.links[LinkClass.CN_DOWN].base_latency == 0.002
-    assert cfg.links[LinkClass.INTERNET_UP].base_latency == 0.035
-    assert cfg.links[LinkClass.INTERNET_DOWN].base_latency == 0.035
+    assert cfg.pue_up.base_latency == cfg.pue_down.base_latency == 0.0027
+    assert cfg.vue_up.base_latency == cfg.vue_down.base_latency == 0.0057
+    assert cfg.cn_up == cfg.cn_down == 0.002
+    assert cfg.internet_up == cfg.internet_down == 0.035
     # the wired cloud round trip: 2 ms core + 35 ms Internet each way
-    wired = (LinkClass.CN_UP, LinkClass.INTERNET_UP, LinkClass.INTERNET_DOWN, LinkClass.CN_DOWN)
-    assert sum(cfg.links[link].base_latency for link in wired) == pytest.approx(0.074, rel=1e-12)
-    for link in RADIO_LINKS:
-        assert cfg.links[link].rate == 100e6
-        assert cfg.links[link].p_base == 1e-3
-        assert cfg.links[link].k_speed == 5e-4
-    for link in WIRED_LINKS:
-        assert cfg.links[link].rate is None
-        assert cfg.links[link].p_base == 0.0
+    assert cfg.cn_up + cfg.internet_up + cfg.internet_down + cfg.cn_down == pytest.approx(0.074, rel=1e-12)
+    for link in RADIO:
+        assert getattr(cfg, link).rate == 100e6
+        assert getattr(cfg, link).p_base == 1e-3
+    # only a vehicle leg's loss grows with speed: a run builds pedestrian legs at speed 0
+    assert cfg.pue_up.k_speed == cfg.pue_down.k_speed == 0.0
+    assert cfg.vue_up.k_speed == cfg.vue_down.k_speed == 5e-4
 
 
 def test_transfer_time_radio():
-    links = lena_calibrated().links
+    cfg = lena_calibrated()
     # 4000 bytes over 100 Mb/s: 0.32 ms of serialization on top of the floor
-    assert Link(links[LinkClass.PUE_UP], 4000.0).transfer_time(1) == 0.0027 + 32000.0 / 100e6
-    assert Link(links[LinkClass.VUE_UP], 4000.0).transfer_time(1) == 0.0057 + 32000.0 / 100e6
+    assert Link(cfg.pue_up, 4000.0).transfer_time(1) == 0.0027 + 32000.0 / 100e6
+    assert Link(cfg.vue_up, 4000.0).transfer_time(1) == 0.0057 + 32000.0 / 100e6
     # two concurrent transfers halve the rate
-    assert Link(links[LinkClass.PUE_UP], 4000.0).transfer_time(2) == 0.0027 + 32000.0 / 50e6
-    assert Link(links[LinkClass.PUE_UP], 0.0).transfer_time(1) == 0.0027
+    assert Link(cfg.pue_up, 4000.0).transfer_time(2) == 0.0027 + 32000.0 / 50e6
+    assert Link(cfg.pue_up, 0.0).transfer_time(1) == 0.0027
 
 
 def test_transfer_time_wired_ignores_size_and_concurrency():
-    links = lena_calibrated().links
+    """Every cloud task of a run takes each wired leg's latency, whatever its
+    payload and however many tasks cross at once."""
+    instant_radio = LinkParams(0.0)
+    channel = lena_calibrated()._replace(pue_up=instant_radio, pue_down=instant_radio)
     for size in (0.0, 4000.0, 1e9):
-        for concurrent in (1, 7, 1000):
-            assert Link(links[LinkClass.CN_UP], size).transfer_time(concurrent) == 0.002
-            assert Link(links[LinkClass.INTERNET_DOWN], size).transfer_time(concurrent) == 0.035
+        cfg = engine.RunConfig(
+            strategy="ECFirst", n_users=30, duration=1.0, edge_max_queue=0, channel=channel,
+            task_size_bytes=size, result_size_bytes=size,
+        )
+        cloud = [r for r in engine.run(cfg) if r.destination == "CLOUD"]
+        assert len(cloud) == 150
+        legs = {(r.t_up_cn, r.t_up_internet, r.t_down_internet, r.t_down_cn) for r in cloud}
+        assert legs == {(0.002, 0.035, 0.035, 0.002)}
 
 
 def test_a_share_that_underflows_to_zero_takes_forever():
@@ -101,18 +108,18 @@ def test_transfer_time_no_sharing_mode():
 
 def test_wired_legs_never_lose_and_never_draw(monkeypatch):
     """Only a ``Link`` loses or draws, and a run builds one for each radio
-    link class and none for a wired one, whose leg is its base latency."""
-    cfg = lena_calibrated()
+    link class and none for a wired one, whose leg is its latency."""
+    cfg = lena_calibrated()._replace(pue_down=LinkParams(0.0027, 100e6, p_base=1e-3))  # no two alike
     resolved = []
 
     class Recording(Link):
         def __init__(self, params, *args):
-            resolved.extend(link for link in LinkClass if cfg.links[link] is params)
+            resolved.append(params)
             super().__init__(params, *args)
 
     monkeypatch.setattr(engine, "Link", Recording)
     engine.run(engine.RunConfig(strategy="VCCFirst", duration=0.1, channel=cfg))
-    assert len(resolved) == len(RADIO_LINKS) and set(resolved) == RADIO_LINKS
+    assert sorted(map(id, resolved)) == sorted(id(getattr(cfg, link)) for link in RADIO)
 
 
 def test_link_params_validation():
@@ -132,58 +139,59 @@ def test_link_params_validation():
 
 
 def test_channel_config_requires_all_links_and_lossless_wired():
-    links = dict(lena_calibrated().links)
-    del links[LinkClass.CN_UP]
-    with pytest.raises(ValueError, match="cn_up"):
-        ChannelConfig(links)
-    links = dict(lena_calibrated().links)
-    links[LinkClass.INTERNET_UP] = LinkParams(0.035, p_base=0.1)
-    with pytest.raises(ValueError, match="lossless"):
-        ChannelConfig(links)
+    """Every link class is a required field, and a wired one is a bounded
+    latency: it has no loss, rate or sharing to set."""
+    links = lena_calibrated()._asdict()
+    del links["cn_up"]
+    with pytest.raises(TypeError, match="cn_up"):
+        ChannelConfig(**links)
+    for bad in (-1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^internet_up must be"):
+            lena_calibrated()._replace(internet_up=bad)
 
 
 def test_lossless_copy():
     cfg = lena_calibrated().lossless()
-    for link in LinkClass:
-        assert cfg.links[link].p_base == 0.0
-        assert cfg.links[link].k_speed == 0.0
+    for link in RADIO:
+        assert getattr(cfg, link).p_base == 0.0
+        assert getattr(cfg, link).k_speed == 0.0
     # latency model untouched
-    assert cfg.links[LinkClass.VUE_UP].base_latency == 0.0057
-    assert cfg.links[LinkClass.VUE_UP].rate == 100e6
+    assert cfg.vue_up.base_latency == 0.0057
+    assert cfg.vue_up.rate == 100e6
+    assert cfg.cn_up == 0.002 and cfg.internet_down == 0.035
 
 
 def test_loss_probability_linear_in_speed_and_clamped():
-    links = lena_calibrated().links
-    assert Link(links[LinkClass.PUE_UP], speed=0.0).p_loss == 1e-3
+    cfg = lena_calibrated()
+    assert Link(cfg.pue_up, speed=0.0).p_loss == 1e-3
     v = 100.0 / 3.6
-    assert Link(links[LinkClass.VUE_UP], speed=v).p_loss == pytest.approx(1e-3 + 5e-4 * v, rel=1e-15)
-    assert Link(links[LinkClass.VUE_UP], speed=1e9).p_loss == 1.0
-    assert Link(links[LinkClass.CN_UP], speed=1e9).p_loss == 0.0
+    assert Link(cfg.vue_up, speed=v).p_loss == pytest.approx(1e-3 + 5e-4 * v, rel=1e-15)
+    assert Link(cfg.vue_up, speed=1e9).p_loss == 1.0
 
 
 def test_out_of_coverage_loses_without_drawing():
-    leg = Link(lena_calibrated().links[LinkClass.VUE_DOWN], 4000.0, 3.0)
+    leg = Link(lena_calibrated().vue_down, 4000.0, 3.0)
     assert leg.lost(_NoDraw(), False) == OUT_OF_COVERAGE
     assert leg.send(_NoDraw(), 0.0, covered=False) is None
 
 
 def test_covered_radio_leg_draws_exactly_once():
     rng = _Counting(7)
-    Link(lena_calibrated().links[LinkClass.PUE_UP], 4000.0).send(rng, 0.0)
+    Link(lena_calibrated().pue_up, 4000.0).send(rng, 0.0)
     assert rng.draws == 1
 
 
 def test_certain_loss_and_certain_delivery():
     cfg = lena_calibrated()
     rng = random.Random(0)
-    assert Link(cfg.links[LinkClass.VUE_UP], 4000.0, 1e9).lost(rng, True) == CHANNEL_ERROR
-    lossless = Link(cfg.lossless().links[LinkClass.VUE_UP], 4000.0)
+    assert Link(cfg.vue_up, 4000.0, 1e9).lost(rng, True) == CHANNEL_ERROR
+    lossless = Link(cfg.lossless().vue_up, 4000.0)
     assert lossless.send(rng, 0.0) == 0.0057 + 32000.0 / 100e6
 
 
 def test_loss_frequency_matches_probability():
     """Empirical loss rate over 1e5 legs at 100 km/h sits on the model line."""
-    leg = Link(lena_calibrated().links[LinkClass.VUE_UP], 4000.0, 100.0 / 3.6)
+    leg = Link(lena_calibrated().vue_up, 4000.0, 100.0 / 3.6)
     rng = random.Random(2024)
     n = 100_000
     lost = sum(1 for _ in range(n) if leg.lost(rng, True))

@@ -270,6 +270,24 @@ def test_cost_bonus_flag_switches_interpretation(tmp_path):
     assert row_on["vcc_total_usd"] == row_off["vcc_total_usd"]
 
 
+def test_cost_years_default_to_the_config(tmp_path):
+    # `--years` used to default to 1 whatever the config's cost.years said
+    cfg = tmp_path / "cost.cfg"
+    cfg.write_text("cost.years = 4\n")
+    from_config, from_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+    assert main(["cost", str(cfg), "-o", str(from_config)]) == 0
+    assert main(["cost", str(cfg), "--years", "4", "-o", str(from_flag)]) == 0
+    assert from_config.read_bytes() == from_flag.read_bytes()
+    assert {row["years"] for row in _rows(from_config)} == {"4.0"}
+    # the flag still wins, and the beta sweep reads the key alike
+    assert main(["cost", str(cfg), "--years", "2", "-o", str(from_flag)]) == 0
+    assert {row["years"] for row in _rows(from_flag)} == {"2.0"}
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text("cost.years = 4\nsweep.axis = beta\nsweep.values = 0, 1e-6, 2e-6\n")
+    assert main(["sweep", str(sweep), "-o", str(from_flag)]) == 0
+    assert from_flag.read_text().splitlines() == from_config.read_text().splitlines()[:4]
+
+
 def test_beta_sweep_and_cost_read_the_bonus_flag_alike(tmp_path):
     off = "cost.bonus_in_ec_requests = false\n"
     sweep_cfg = tmp_path / "sweep.cfg"
@@ -341,6 +359,41 @@ def test_a_full_device_exits_nonzero_with_a_message(tmp_path, capsys, monkeypatc
     assert main(argv) == 1
     assert capsys.readouterr().err == "offloadsim: cannot write /dev/full: No space left on device\n"
     assert sorted(os.listdir(tmp_path)) == ["run.cfg"]  # the aggregates are not left behind
+
+
+def _cli(argv, stdout, cwd=None) -> subprocess.CompletedProcess:
+    """``offloadsim`` in a child process whose standard output is ``stdout``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "offloadsim", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, cwd=cwd,
+        text=True, timeout=60,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_full_standard_output_exits_nonzero_with_one_message(tmp_path):
+    # used to end in an OSError traceback from the interpreter's last flush
+    message = "offloadsim: cannot write standard output: No space left on device\n"
+    with open("/dev/full", "w") as full:
+        done = _cli(["cost"], full)
+        assert (done.returncode, done.stderr) == (1, message)
+        # a summary that cannot be printed fails the call, which then leaves no file
+        (tmp_path / "run.cfg").write_text(RUN_CFG)
+        done = _cli(["run", "run.cfg", "-o", "agg.csv", "--records", "records.csv"], full, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (1, message)
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+def test_a_closed_pipe_on_standard_output_exits_nonzero_with_one_message():
+    # as `offloadsim cost | head -1` can meet it: used to end in a BrokenPipeError traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _cli(["cost"], write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == "offloadsim: cannot write standard output: Broken pipe\n"
 
 
 def test_config_errors_exit_nonzero_with_a_message(tmp_path, capsys):

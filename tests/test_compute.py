@@ -2,8 +2,8 @@
 
 import pytest
 
-from oracle_engine import Vehicle, vehicle_offer
-from offloadsim.channel import WIRED_LINKS, Link, lena_calibrated
+from oracle_engine import Vehicle, vehicle_offer, waiting_count
+from offloadsim.channel import ChannelConfig, lena_calibrated
 from offloadsim.compute import EdgeState, elaboration_time
 from offloadsim.engine import RunConfig, run
 
@@ -23,9 +23,9 @@ def test_elaboration_time_validation():
 
 
 def test_cloud_wired_roundtrip():
-    # 2 ms core + 35 ms Internet each way, whatever the payload size
-    links = lena_calibrated().links
-    roundtrip = sum(Link(links[link], size_bytes=1e6).transfer_time(1) for link in WIRED_LINKS)
+    # 2 ms core + 35 ms Internet each way; a wired leg is one latency, whatever the payload size
+    channel = lena_calibrated()
+    roundtrip = sum(getattr(channel, link) for link in ChannelConfig.KINDS)
     assert roundtrip == pytest.approx(0.074, rel=1e-12)
 
 
@@ -50,10 +50,10 @@ def test_edge_occupancy_transitions():
     edge = _edge(capacity=1000.0)
     edge.offer(100.0, now=0.0)
     edge.offer(100.0, now=0.0)
-    assert edge.waiting_count(0.0) == 1
-    assert edge.waiting_count(0.05) == 1
-    assert edge.waiting_count(0.15) == 0
-    assert edge.waiting_count(0.25) == 0
+    assert waiting_count(edge, 0.0) == 1
+    assert waiting_count(edge, 0.05) == 1
+    assert waiting_count(edge, 0.15) == 0
+    assert waiting_count(edge, 0.25) == 0
     assert edge.offer(100.0, now=0.25) == (0, 0.35, 0.0)  # the line is empty again
 
 
@@ -62,7 +62,7 @@ def test_edge_overflow_rejects_beyond_queue_bound():
     assert edge.offer(100.0, now=0.0)[1] is not None  # in service
     assert edge.offer(100.0, now=0.0)[1] is not None  # waiting 1
     assert edge.offer(100.0, now=0.0)[1] is not None  # waiting 2
-    assert edge.waiting_count(0.0) == 2
+    assert waiting_count(edge, 0.0) == 2
     assert edge.offer(100.0, now=0.0) == (2, None, None)
     # once the head finishes there is room again
     assert edge.offer(100.0, now=0.1)[1] is not None

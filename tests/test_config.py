@@ -1,9 +1,12 @@
 """Config file parsing, presets, overrides, and exact serialization."""
 
+import contextlib
 import csv
+import io
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from offloadsim import config
 from offloadsim.cli import main
-from offloadsim.channel import LinkClass, LinkParams, lena_calibrated
+from offloadsim.channel import ChannelConfig, LinkParams, lena_calibrated
 from offloadsim.config import (
     ConfigError,
     SweepSpec,
@@ -62,7 +65,8 @@ _OWNERS = {
     "km/h": (RunConfig, lambda field, value: RunConfig(**{field: value}).validate()),
     "geometry": (ScenarioGeometry, lambda field, value: total_coverage()._replace(**{field: value})),
     "cost": (CostParams, lambda field, value: CostParams(**{field: value})),
-    **{link.value: (LinkParams, lambda field, value: LinkParams(0.0)._replace(**{field: value})) for link in LinkClass},
+    "channel": (ChannelConfig, lambda field, value: lena_calibrated()._replace(**{field: value})),
+    **{link: (LinkParams, lambda field, value: LinkParams(0.0)._replace(**{field: value})) for link in config._RADIO},
 }
 
 
@@ -211,18 +215,22 @@ def test_channel_overrides():
         "channel.pue_up.base_latency = 0.004\n"
         "channel.pue_up.rate = 50e6\n"
         "channel.vue_up.p_base = 0.01\n"
-        "channel.cn_up.rate = unbounded\n"
+        "channel.vue_down.rate = unbounded\n"
+        "channel.cn_up.base_latency = 0.01\n"
     )
-    assert cfg.channel.links[LinkClass.PUE_UP].base_latency == 0.004
-    assert cfg.channel.links[LinkClass.PUE_UP].rate == 50e6
-    assert cfg.channel.links[LinkClass.VUE_UP].p_base == 0.01
-    assert cfg.channel.links[LinkClass.CN_UP].rate is None
+    assert cfg.channel.pue_up.base_latency == 0.004
+    assert cfg.channel.pue_up.rate == 50e6
+    assert cfg.channel.vue_up.p_base == 0.01
+    assert cfg.channel.vue_down.rate is None
+    assert cfg.channel.cn_up == 0.01
     # untouched links keep the preset
-    assert cfg.channel.links[LinkClass.PUE_DOWN] == lena_calibrated().links[LinkClass.PUE_DOWN]
+    for link in ("pue_down", "cn_down", "internet_up", "internet_down"):
+        assert getattr(cfg.channel, link) == getattr(lena_calibrated(), link)
 
 
 def test_wired_loss_override_is_rejected():
-    with pytest.raises(ConfigError, match="lossless"):
+    # a wired leg is one latency: it has no loss key
+    with pytest.raises(ConfigError, match="^line 2: unknown key 'channel.cn_up.p_base'$"):
         parse_run_config("strategy = ECFirst\nchannel.cn_up.p_base = 0.1\n")
 
 
@@ -297,14 +305,14 @@ def test_sweep_keys_rejected_outside_sweeps():
     with pytest.raises(ConfigError, match="sweep subcommand"):
         parse_run_config("strategy = ECFirst\nsweep.axis = users\n")
     with pytest.raises(ConfigError, match="sweep subcommand"):
-        parse_cost_params("cost.beta = 0\nsweep.values = 1\n")
+        parse_cost_params("cost.years = 1\nsweep.values = 1\n")
 
 
 @pytest.mark.parametrize(
     "parse, text, where",
     [
-        (parse_run_config, "strategy = ECFirst\ncost.beta = banana\n", "line 2: cost.beta"),
-        (parse_cost_params, "cost.beta = 1\nusers = banana\n", "line 2: users"),
+        (parse_run_config, "strategy = ECFirst\ncost.years = banana\n", "line 2: cost.years"),
+        (parse_cost_params, "cost.years = 1\nusers = banana\n", "line 2: users"),
         (parse_cost_params, "scenario.bs_z = 0\n", "line 1: scenario.bs_z must be positive"),
         (
             parse_sweep_spec,
@@ -327,16 +335,12 @@ def test_beta_sweep_builds_cost_parameters():
 
 
 def test_cost_params_parsing():
-    p = parse_cost_params(
-        "cost.c_ec_cpu = 800\ncost.beta = 1e-6\ncost.c_vcc_req = auto\n"
-    )
-    assert p == CostParams(c_ec_cpu=800.0, beta=1e-6)
-    p = parse_cost_params("cost.c_vcc_req = 3e-5\n")
-    assert p.c_vcc_req == 3e-5
+    p = parse_cost_params("cost.c_ec_cpu = 800\ncost.users = 50\n")
+    assert p == CostParams(c_ec_cpu=800.0, users=50.0)
 
 
 def test_bonus_placement_flag():
-    assert bonus_in_ec_requests("cost.beta = 0\n") is True
+    assert bonus_in_ec_requests("cost.years = 1\n") is True
     assert bonus_in_ec_requests("cost.bonus_in_ec_requests = false\n") is False
 
 
@@ -368,12 +372,12 @@ def test_run_config_round_trips_through_text():
 
 
 def test_cost_params_round_trip_through_text():
-    p = CostParams(c_ec_cpu=812.5, years=3.0, beta=1.5e-6)
+    p = CostParams(c_ec_cpu=812.5, years=3.0)
     text = serialize_cost_params(p)
     assert parse_cost_params(text) == p
-    auto = serialize_cost_params(CostParams())
-    assert "c_vcc_req = auto" in auto
-    assert parse_cost_params(auto) == CostParams()
+    assert parse_cost_params(serialize_cost_params(CostParams())) == CostParams()
+    # each table row sets the bonus, so the text has none
+    assert serialize_cost_params(p._replace(beta=1.5e-6)) == text and "beta" not in text
 
 
 def test_default_config_text_parses_as_run_and_cost():
@@ -387,8 +391,8 @@ def test_default_config_text_parses_as_run_and_cost():
 
 def test_the_defaults_file_sets_or_shows_every_key():
     text = default_config_text()
-    for key, (target, *_) in config._KEYS.items():
-        if target not in config._LINKS:
+    for key in config._KEYS:
+        if not key.startswith("channel."):  # the channel keys are listed by link kind
             assert re.search(rf"^#? *{re.escape(key)} *=", text, re.M), key
 
 
@@ -405,7 +409,7 @@ def test_minus_zero_values_read_as_zero(tmp_path):
     """"-0" parses as 0.0, so no leg of a run holds -0.0 and no CSV cell reads "-0.0"."""
     text = "strategy = ECFirst\nduration = 1\nchannel.cn_up.base_latency = -0\ntask.workload_mi = -0\n"
     cfg = parse_run_config(text)
-    assert math.copysign(1.0, cfg.channel.links[LinkClass.CN_UP].base_latency) == 1.0
+    assert math.copysign(1.0, cfg.channel.cn_up) == 1.0
     assert math.copysign(1.0, cfg.workload_mi) == 1.0
     path, agg, rec = tmp_path / "zero.cfg", tmp_path / "agg.csv", tmp_path / "rec.csv"
     path.write_text(text)
@@ -472,3 +476,93 @@ def test_config_text_either_fails_to_parse_or_runs_to_the_end():
 
     check()
     assert outcomes["ran"] >= 50 and outcomes["rejected"] >= 50, outcomes
+
+
+# Keys that no output read, each with a value it once accepted.
+_DELETED = {
+    **{
+        f"channel.{link}.{field}": value
+        for link in ("cn_up", "cn_down", "internet_up", "internet_down")
+        for field, value in (("rate", "unbounded"), ("p_base", "0"), ("k_speed", "0"), ("sharing", "none"))
+    },
+    "channel.pue_up.k_speed": "5e-4",
+    "channel.pue_down.k_speed": "5e-4",
+    "cost.c_vcc_req": "auto",
+    "cost.beta": "1e-6",
+    "channel.preset": "lena_calibrated",
+}
+
+
+@pytest.mark.parametrize("key", _DELETED)
+def test_a_deleted_key_exits_1_naming_its_line(tmp_path, capsys, key):
+    command = "cost" if key.startswith("cost.") else "run"
+    cfg = tmp_path / "input.cfg"
+    cfg.write_text(f"strategy = ECFirst\nduration = 1\n{key} = {_DELETED[key]}\n")
+    assert main([command, str(cfg), "-o", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"offloadsim: line 3: unknown key {key!r}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+# Small calls that together reach the cloud, the edge and vehicles: a run of
+# each strategy on a partially covered loop, with payloads large enough that
+# transfers share every radio link, the cost table and two sweeps.
+_RUN = {"users": "6", "duration": "2", "vehicles.count": "12", "scenario.preset": "partial_coverage",
+        "task.size_bytes": "400000", "task.result_bytes": "400000", "compute.edge_max_queue": "3",
+        "compute.edge_mips": "5000"}
+_PROBES = {
+    "ECFirst": ("run", {"strategy": "ECFirst", **_RUN}),
+    "VCCFirst": ("run", {"strategy": "VCCFirst", **_RUN}),
+    "cost": ("cost", {}),
+    "beta sweep": ("sweep", {"sweep.axis": "beta", "sweep.values": "0, 1e-6"}),
+    "speed sweep": ("sweep", {"strategy": "VCCFirst", **_RUN, "duration": "1", "sweep.axis": "speed",
+                              "sweep.values": "13.1, 50", "sweep.replications": "1"}),
+}
+# key -> a value other than its default (or, with no default, than its probe's)
+_CHANGED = {
+    "strategy": "VCCFirst", "users": "5", "request_rate": "4", "duration": "1.5", "seed": "1",
+    "task.workload_mi": "900", "task.size_bytes": "1000", "task.result_bytes": "1000",
+    "scenario.preset": "total_coverage", "scenario.length_x": "700", "scenario.width_y": "300",
+    "scenario.bs_x": "100", "scenario.bs_y": "200", "scenario.bs_z": "300", "scenario.coverage_radius": "200",
+    "scenario.ue_height": "300", "vehicles.count": "3", "vehicles.speed_kmh": "90", "vehicles.speed_mps": "25",
+    "vehicles.capacity_mips": "5000", "compute.cloud_mips": "1000", "compute.edge_mips": "20000",
+    "compute.edge_max_queue": "0", "controller.beacon_period": "0.3", "controller.timeout": "0.05",
+    **{f"channel.{link}.{field}": value
+       for link in ("pue_up", "pue_down", "vue_up", "vue_down")
+       for field, value in (("base_latency", "0.02"), ("rate", "unbounded"), ("p_base", "0.3"),
+                            ("k_speed", "0.05"), ("sharing", "none"))},
+    **{f"channel.{link}.base_latency": "0.1" for link in ("cn_up", "cn_down", "internet_up", "internet_down")},
+    "sweep.axis": "workload", "sweep.values": "13.1, 90", "sweep.replications": "2",
+    "cost.c_ec_cpu": "900", "cost.cpu_lifetime_years": "0.5", "cost.years": "2", "cost.c_ec_main": "1000",
+    "cost.c_ec_req": "3e-5", "cost.requests_per_user": "2", "cost.users": "50", "cost.alpha_seconds": "1e7",
+    "cost.capex_overhead": "2", "cost.bonus_in_ec_requests": "false",
+}
+_OUTPUTS: dict = {}
+
+
+def _output(probe: str, lines: dict, tmp: Path) -> bytes:
+    """The bytes one probe's call writes for the config ``lines``."""
+    command, _ = _PROBES[probe]
+    text = "".join(f"{key} = {value}\n" for key, value in lines.items())
+    if (probe, text) not in _OUTPUTS:
+        (tmp / "input.cfg").write_text(text)
+        out, records = tmp / "out.csv", tmp / "records.csv"
+        argv = [command, str(tmp / "input.cfg"), "-o", str(out)] + (["--records", str(records)] * (command == "run"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, text
+        _OUTPUTS[probe, text] = out.read_bytes() + (records.read_bytes() if command == "run" else b"")
+    return _OUTPUTS[probe, text]
+
+
+@pytest.mark.parametrize("key", config._KEYS)
+def test_every_key_changes_an_output(tmp_path, key):
+    """Each key, set to a value other than its default, changes the bytes of
+    some call that reads it."""
+    target = config._KEYS[key][0]
+    readers = {"cost": ("cost", "beta sweep"), "flag": ("cost",), "sweep": ("speed sweep",)}.get(
+        target, ("ECFirst", "VCCFirst")
+    )
+    base = {probe: _PROBES[probe][1] for probe in readers}
+    assert any(
+        _output(probe, {**lines, key: _CHANGED[key]}, tmp_path) != _output(probe, lines, tmp_path)
+        for probe, lines in base.items()
+    ), f"{key} = {_CHANGED[key]} changes no output"

@@ -32,7 +32,7 @@ def test_request_volume():
 def test_default_vcc_fee_tracks_edge_fee_plus_bonus():
     assert CostParams().vcc_req == 2e-5
     assert CostParams(beta=1e-6).vcc_req == 2e-5 + 1e-6
-    assert CostParams(beta=1e-6, c_vcc_req=5e-5).vcc_req == 5e-5
+    assert CostParams(beta=1e-6, c_ec_req=5e-5).vcc_req == 5e-5 + 1e-6
 
 
 def test_capex_buys_one_cpu_per_replacement_cycle():
@@ -132,14 +132,14 @@ def test_cost_params_validation():
     with pytest.raises(ValueError):
         CostParams(c_ec_cpu=-1.0)
     with pytest.raises(ValueError):
-        CostParams(c_vcc_req=-1e-6)
+        CostParams(beta=-1e-6)
     with pytest.raises(ValueError):
         CostParams(users=0.0)
     with pytest.raises(ValueError):
         CostParams(capex_overhead=0.0)
 
 
-@pytest.mark.parametrize("field", ["years", "c_ec_cpu", "beta", "alpha", "c_vcc_req", "capex_overhead"])
+@pytest.mark.parametrize("field", ["years", "c_ec_cpu", "beta", "alpha", "capex_overhead"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_cost_params_reject_non_finite_fields(field, value):
     # CostParams(years=nan) used to pass and savings() then died in capex_ec

@@ -10,7 +10,7 @@ import pytest
 
 import oracle_engine
 from offloadsim import engine
-from offloadsim.channel import ChannelConfig, Link, LinkClass, LinkParams, lena_calibrated
+from offloadsim.channel import ChannelConfig, Link, LinkParams, lena_calibrated
 from offloadsim.compute import elaboration_time
 from offloadsim.controller import CLOUD, EC_FIRST, EDGE, VCC_FIRST, VEHICLE
 from offloadsim.engine import (
@@ -251,7 +251,7 @@ def test_summarize_handles_an_all_cloud_run():
 
 def test_summarize_gives_nan_shares_when_vehicular_successes_took_no_time():
     # used to divide by the zero total span of the vehicular successes
-    lossless = ChannelConfig({link: LinkParams(0.0, None) for link in LinkClass})
+    lossless = ChannelConfig(*[LinkParams(0.0, None)] * 4, *[0.0] * 4)
     records = run(RunConfig(strategy="VCCFirst", n_users=1, duration=1.0, workload_mi=0.0, channel=lossless))
     assert any(r.destination == VEHICLE and r.outcome == SUCCESS for r in records)
     agg = summarize(records)
@@ -264,16 +264,20 @@ def test_summarize_gives_nan_shares_when_vehicular_successes_took_no_time():
 def test_a_success_whose_legs_are_all_negative_zero_totals_positive_zero(strategy):
     # the engine sums only the legs on a task's path; the sum of all ten holds
     # a +0.0 for each leg the path skips, so it is 0.0, never -0.0
-    zero = ChannelConfig({link: LinkParams(-0.0, None) for link in LinkClass})
+    zero = ChannelConfig(*[LinkParams(-0.0, None)] * 4, *[-0.0] * 4)
     cfg = RunConfig(strategy=strategy, n_users=1, duration=1.0, workload_mi=-0.0, edge_max_queue=0, channel=zero)
     totals = [r.total for r in run(cfg) if r.outcome == SUCCESS]
     assert totals and all(math.copysign(1.0, t) == 1.0 for t in totals)
 
 
 def test_each_run_config_gets_its_own_default_channel():
+    # configs share the default channel, which none of them can change in place
     a, b = RunConfig(), RunConfig(seed=1)
     assert a.channel == b.channel == lena_calibrated()
-    assert a.channel is not b.channel and a.channel.links is not b.channel.links
+    with pytest.raises(AttributeError):
+        a.channel.cn_up = 1.0
+    with pytest.raises(AttributeError):
+        a.channel.pue_up.base_latency = 1.0
     assert a._replace(seed=2).channel is a.channel
 
 
@@ -309,7 +313,7 @@ def test_run_config_rejects_non_finite_numbers(field, value):
     # a nan loop used to give a VCCFirst run numbers, and a nan pue_up latency an IndexError
     nested = {
         "geometry": lambda: partial_coverage()._replace(loop_length_x=value),
-        "channel": lambda: ChannelConfig({**lena_calibrated().links, LinkClass.PUE_UP: LinkParams(value, 100e6)}),
+        "channel": lambda: lena_calibrated()._replace(pue_up=LinkParams(value, 100e6)),
     }
     with pytest.raises(ValueError, match="finite"):
         run(RunConfig(**{"strategy": VCC_FIRST, "duration": 2.0, field: nested[field]() if field in nested else value}))
@@ -348,9 +352,8 @@ def test_arrival_bound_is_users_times_ceil_of_arrivals_per_user():
 
 def _zero_latency_links(**radio):
     """Every leg takes exactly 0 s; radio legs lose with the given p_base."""
-    return ChannelConfig(
-        {link: LinkParams(0.0, None, p_base=radio.get(link.value, 0.0)) for link in LinkClass}
-    )
+    links = ("pue_up", "pue_down", "vue_up", "vue_down")
+    return ChannelConfig(*(LinkParams(0.0, None, p_base=radio.get(link, 0.0)) for link in links), *[0.0] * 4)
 
 
 def test_an_arrival_goes_before_an_event_pushed_for_the_same_instant():
@@ -399,19 +402,11 @@ def test_a_delivery_exactly_at_the_horizon_succeeds(strategy):
     links = lena_calibrated().lossless()
     seed = 3
     phase = random.Random(seed).random() * 1.0
-    chan = links.links
-    up = Link(chan[LinkClass.PUE_UP], 4000.0).transfer_time(1)
-    down = Link(chan[LinkClass.PUE_DOWN], 4000.0).transfer_time(1)
+    up = Link(links.pue_up, 4000.0).transfer_time(1)
+    down = Link(links.pue_down, 4000.0).transfer_time(1)
     elab = elaboration_time(500.0, 2356230.0)
     at_gnb = phase + up
-    result_at_gnb = (
-        at_gnb
-        + chan[LinkClass.CN_UP].base_latency
-        + chan[LinkClass.INTERNET_UP].base_latency
-        + elab
-        + chan[LinkClass.INTERNET_DOWN].base_latency
-        + chan[LinkClass.CN_DOWN].base_latency
-    )
+    result_at_gnb = at_gnb + links.cn_up + links.internet_up + elab + links.internet_down + links.cn_down
     delivered = result_at_gnb + down
 
     def single(duration):

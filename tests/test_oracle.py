@@ -14,13 +14,16 @@ from hypothesis import strategies as st
 
 import oracle_engine
 from conftest import examples
-from offloadsim.channel import ChannelConfig, LinkClass, LinkParams, lena_calibrated
+from offloadsim.channel import ChannelConfig, LinkParams, lena_calibrated
 from offloadsim.engine import KMH, RECORD_FIELDS, RunConfig, run
 from offloadsim.scenario import partial_coverage, total_coverage
 
 
 def _rows(records):
     return [tuple(repr(getattr(r, f)) for f in RECORD_FIELDS) for r in records]
+
+
+_INSTANT = ChannelConfig(*[LinkParams(0.0)] * 4, *[0.0] * 4)  # every leg takes 0 s and none is lost
 
 
 @settings(max_examples=examples(120), deadline=None, derandomize=True)
@@ -43,7 +46,7 @@ def test_engine_matches_the_eager_oracle(
     edge_max_queue,
 ):
     if instant_links:
-        channel = ChannelConfig({link: LinkParams(0.0) for link in LinkClass})
+        channel = _INSTANT
     else:
         channel = lena_calibrated()
     cfg = RunConfig(
@@ -73,8 +76,6 @@ def test_a_task_reaching_a_vehicle_as_its_previous_task_ends_matches_the_oracle(
     vehicle, now serving again, beaconing. At the seeds other than 0 a task also
     reaches the gNB at the instant a vehicle's task ends, and the vehicle's
     beacon must count before that dispatch."""
-    links = {link: LinkParams(0.0) for link in LinkClass}
-    links[LinkClass.VUE_DOWN] = LinkParams(0.25)
     cfg = RunConfig(
         strategy="VCCFirst",
         n_users=1,
@@ -83,7 +84,7 @@ def test_a_task_reaching_a_vehicle_as_its_previous_task_ends_matches_the_oracle(
         duration=3.0,
         workload_mi=3556.0,
         beacon_period=0.01,
-        channel=ChannelConfig(links),
+        channel=_INSTANT._replace(vue_down=LinkParams(0.25)),
         seed=seed,
     )
     assert _rows(run(cfg)) == _rows(oracle_engine.run(cfg))
@@ -93,8 +94,6 @@ def test_a_beacon_counts_before_a_dispatch_pushed_earlier_at_its_time():
     """No workload and a 1 Mb/s shared user uplink, so uploads end on 32 ms
     steps that can equal a beacon time exactly. A task whose arrival at the gNB
     was pushed before the beacon at that instant must still see the beacon."""
-    links = {link: LinkParams(0.0) for link in LinkClass}
-    links[LinkClass.PUE_UP] = LinkParams(0.0, rate=1e6)
     cfg = RunConfig(
         strategy="VCCFirst",
         n_users=2,
@@ -105,7 +104,7 @@ def test_a_beacon_counts_before_a_dispatch_pushed_earlier_at_its_time():
         geometry=total_coverage(),
         n_vehicles=16,
         vehicle_speed=13.1 * KMH,
-        channel=ChannelConfig(links),
+        channel=_INSTANT._replace(pue_up=LinkParams(0.0, rate=1e6)),
         beacon_period=0.1,
         registry_timeout=0.1,
     )
