@@ -44,7 +44,7 @@ from .config import (
 )
 from .costmodel import CostParams, cost_breakdown, savings
 from .engine import AGGREGATE_FIELDS, RECORD_FIELDS, Records, run, summarize, summarize_runs
-from .stats import anova_oneway
+from .stats import anova_oneway, left_sum
 from .workers import forked, worker_count
 
 # Aggregates fields in order, as CSV columns: latencies carry their unit.
@@ -280,7 +280,7 @@ def _sweep_rows(spec: SweepSpec):
         for seed in spec.seeds:
             per_seed.append(next(aggs))
             rows.append([spec.axis, value, seed, *per_seed[-1]])
-        means = [math.nan if any(map(math.isnan, cells)) else sum(cells) / len(cells) for cells in zip(*per_seed)]
+        means = [math.nan if any(map(math.isnan, cells)) else left_sum(cells) / len(cells) for cells in zip(*per_seed)]
         rows.append([spec.axis, value, "mean", *means])
     return rows
 

@@ -18,7 +18,6 @@ sets, has no key.
 from __future__ import annotations
 
 from collections import namedtuple
-from importlib import resources
 
 from .bounds import check
 from .channel import SHARING_MODES, ChannelConfig, LinkParams
@@ -332,6 +331,8 @@ def serialize_cost_params(p: CostParams) -> str:
 
 def default_config_text() -> str:
     """The shipped, commented defaults file."""
+    from importlib import resources  # on Python 3.12+ it imports inspect and typing
+
     return resources.files("offloadsim").joinpath("data/defaults.cfg").read_text()
 
 

@@ -14,11 +14,11 @@ and no heap holds an infinite time. With a beacon period clearly below the
 timeout, a VCCFirst run costs one replay per vehicle at its first beacon (the
 first beacons due at a dispatch replayed as one batch, their steady entries
 listed in bulk), work per task and per coverage crossing, and, per pick, one
-float addition per period since the picked vehicle was last replayed. A
-vehicular task pushes at most the wake-ups that can act before it stops its
-vehicle, and a vehicle that finishes a task well inside its coverage window is
-listed steady at once. Otherwise every beacon of a listed vehicle is replayed,
-to keep its age exact. A wake-up or stop before a vehicle's next beacon skips the replay.
+float addition per period since the picked vehicle was last replayed, made
+eight to a comparison. A vehicular task pushes at most the wake-ups that can
+act before it stops its vehicle, and a vehicle that finishes a task well inside
+its coverage window is listed steady at once. Otherwise every beacon of a
+listed vehicle is replayed, to keep its age exact. A wake-up or stop before a vehicle's next beacon skips the replay.
 """
 
 from __future__ import annotations
@@ -73,13 +73,21 @@ class Registry:
     def pick(self, rng, now: float) -> int | None:
         """VCCFirst at ``now``: expire stale entries, then remove a listed id drawn
         uniformly and return it, or None for the cloud. Candidates are ordered by
-        id, so the pick depends only on the RNG state, never on dict history."""
+        id, so the pick depends only on the RNG state, never on dict history. The
+        index is drawn from ``getrandbits`` as CPython's ``randrange(n)`` draws
+        it, so it does not rest on ``randrange``, whose algorithm CPython does
+        not promise to keep."""
         if self._ages and self._ages[0][0] < now - self.timeout:  # something is stale
             self.expire_stale(now)
         ids = self.ids
         if not ids:
             return None
-        vid = ids.pop(rng.randrange(len(ids)))
+        n = len(ids)
+        k = n.bit_length()
+        i = rng.getrandbits(k)
+        while i >= n:
+            i = rng.getrandbits(k)
+        vid = ids.pop(i)
         self.entries[vid] = None  # listed again only by a later beacon of its
         return vid
 
@@ -135,7 +143,12 @@ class Beacons:
             self.advance(t)
         vid = self.registry.pick(rng, t)
         if vid is not None:
+            # The same additions as one per test, made eight per test while the
+            # first seven sums are sure to stay <= t.
             x, period = self.next[vid], self.period
+            lim = t - 8 * (period + math.ulp(t))
+            while x <= lim:
+                x = x + period + period + period + period + period + period + period + period
             while x <= t:
                 x += period
             self.next[vid] = x

@@ -61,7 +61,7 @@ from .controller import (
     VEHICLE,
 )
 from .scenario import coverage_function, start_offsets, total_coverage
-from .stats import percentile
+from .stats import left_sum, percentile
 from .workers import forked, worker_count
 
 # Where a task can die, in lifecycle order.
@@ -378,7 +378,8 @@ def summarize(records: Records) -> Aggregates:
     (access + gNB-to-vehicle), elaboration, and downlink (vehicle-to-gNB +
     access); they sum to 100, and are nan when those successes took no time
     at all (or there are none). Failure percentages are per lifecycle leg over
-    all generated requests. Sums run in task id order.
+    all generated requests. Every sum is a left fold in task id order
+    (``stats.left_sum``), so the bytes do not depend on the Python version.
     """
     col = dict(zip(RECORD_FIELDS, records.columns))
     outcome, destination = col["outcome"], col["destination"]
@@ -391,7 +392,7 @@ def summarize(records: Records) -> Aggregates:
 
     totals = list(itertools.compress(col["total"], ok))
     if totals:
-        mean_total = sum(totals) / len(totals)
+        mean_total = left_sum(totals) / len(totals)
         totals.sort()  # after the sum, whose float depends on the order
         p90 = percentile(totals, 90.0)
         p95 = percentile(totals, 95.0)
@@ -401,16 +402,18 @@ def summarize(records: Records) -> Aggregates:
 
     cc_share = 100.0 * destination.count(CLOUD) / n_dispatched if n_dispatched else math.nan
 
-    vehicular = map(operator.eq, itertools.compress(destination, ok), itertools.repeat(VEHICLE))
-    vcc = list(itertools.compress(itertools.compress(range(n), ok), vehicular))  # vehicular successes
+    up = elab = down = span = 0.0
+    if VEHICLE in destination:
+        vehicular = map(operator.eq, destination, itertools.repeat(VEHICLE))
+        vcc = list(map(operator.and_, ok, vehicular))  # the vehicular successes
 
-    def legs(name: str):
-        return map(col[name].__getitem__, vcc)
+        def legs(name: str):
+            return itertools.compress(col[name], vcc)
 
-    up = sum(map(operator.add, legs("t_up_access"), legs("t_gnb_to_vue")))
-    elab = sum(legs("t_elab"))
-    down = sum(map(operator.add, legs("t_vue_to_gnb"), legs("t_down_access")))
-    span = up + elab + down
+        up = left_sum(map(operator.add, legs("t_up_access"), legs("t_gnb_to_vue")))
+        elab = left_sum(legs("t_elab"))
+        down = left_sum(map(operator.add, legs("t_vue_to_gnb"), legs("t_down_access")))
+        span = up + elab + down
     if span > 0.0:
         up_pct = 100.0 * up / span
         elab_pct = 100.0 * elab / span

@@ -9,9 +9,15 @@ beta function, computed by continued fraction.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Sequence
-from itertools import chain
+from itertools import accumulate, chain
+
+
+def left_sum(values):
+    """``((0 + v0) + v1) + ...`` in iteration order: the float sum ``sum`` gives
+    before Python 3.12, which compensates it. Integers add exactly either way."""
+    return deque(accumulate(values, initial=0), maxlen=1)[0]
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -144,6 +144,17 @@ def test_sweep_emits_per_seed_and_mean_rows(tmp_path):
     assert mean["axis"] == "vehicles" and head["axis"] == "vehicles"
 
 
+def test_a_sweep_mean_row_sums_left_to_right(monkeypatch):
+    # on Python 3.12 sum() compensates floats, and ten seeds of 0.1 averaged 0.1
+    spec = config.parse_sweep_spec("strategy = ECFirst\nsweep.axis = users\nsweep.values = 1\n")
+    spec = spec._replace(seeds=tuple(range(10)))  # as --seed-list 0,...,9 sets them
+    agg = engine.Aggregates._make([0.1] * len(engine.AGGREGATE_FIELDS))
+    monkeypatch.setattr(cli, "summarize_runs", lambda cfgs: [agg] * len(cfgs))
+    rows = cli._sweep_rows(spec)
+    assert [row[2] for row in rows] == [*range(10), "mean"]
+    assert rows[-1][3:] == [0.09999999999999999] * len(engine.AGGREGATE_FIELDS)
+
+
 def test_sweep_seed_list_override(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

@@ -27,6 +27,7 @@ from offloadsim.engine import (
     REPLICATION_SEEDS,
     REJECTION,
     RECORD_FIELDS,
+    Records,
     RunConfig,
     SUCCESS,
     USER_TO_GNB,
@@ -258,6 +259,24 @@ def test_summarize_gives_nan_shares_when_vehicular_successes_took_no_time():
     assert math.isnan(agg.uplink_share_pct)
     assert math.isnan(agg.elab_share_pct)
     assert math.isnan(agg.downlink_share_pct)
+
+
+def test_summarize_sums_left_to_right_on_every_python():
+    # Python 3.12 compensates float sum(): ten totals of 0.1 gave a mean of 0.1
+    # there and 0.09999999999999999 on 3.11, and the shares differed alike
+    n = 10
+    cells = {field: [None] * n for field in RECORD_FIELDS}
+    cells.update({field: [0.0] * n for field in LEG_FIELDS})
+    cells.update(task_id=range(n), destination=[VEHICLE] * n, outcome=[SUCCESS] * n, total=[0.1] * n)
+    cells.update(t_up_access=[0.1] * n, t_elab=[0.3] * n)
+    agg = summarize(Records([cells[field] for field in RECORD_FIELDS]))
+    assert agg.mean_total == 0.09999999999999999
+    up, elab = 0.0, 0.0
+    for _ in range(n):
+        up, elab = up + 0.1, elab + 0.3
+    assert (up, elab) == (0.9999999999999999, 2.9999999999999996)
+    assert agg.uplink_share_pct == 100.0 * up / (up + elab)
+    assert agg.elab_share_pct == 100.0 * elab / (up + elab)
 
 
 @pytest.mark.parametrize("strategy", [EC_FIRST, VCC_FIRST])

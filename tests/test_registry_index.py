@@ -389,3 +389,45 @@ def test_no_replay_finds_the_next_beacon_still_ahead():
             for value in spec.values:
                 engine.run(apply_axis(spec.base_run, spec.axis, value, seed))
     assert calls > 1000 and ahead == 0, (calls, ahead)
+
+
+@st.composite
+def _catch_ups(draw):
+    """(x, period, t): a cursor x in [0, t] at most a few thousand periods behind t."""
+    t = draw(st.floats(1e-6, 1e7) | st.sampled_from((0.1, 1.0, 120.0, 2.0**20)))
+    period = draw(
+        st.sampled_from((0.1, 1 / 3)) | st.integers(-30, 4).map(lambda k: 2.0**k) | st.floats(1e-4, 10.0)
+        | st.floats(0.51, 8.0).map(lambda c: c * math.ulp(t))  # down to just above half a float step of t
+    )
+    if draw(st.booleans()):  # anywhere below t, or just below it
+        x = draw(st.floats(0.0, 1.0, exclude_max=True) | st.just(math.nextafter(1.0, 0.0))) * t
+    else:  # a few periods, and a part of one, behind t
+        x = t - draw(st.integers(0, 64)) * period - draw(st.floats(0.0, 1.0)) * period
+    return max(x, t - 5000 * period, 0.0), period, t
+
+
+@settings(max_examples=examples(300), deadline=None, derandomize=True)
+@given(case=_catch_ups())
+def test_a_pick_moves_its_cursor_as_one_addition_per_test_would(case):
+    x, period, t = case
+    reference = x
+    while reference <= t:
+        reference += period
+    beacons = Beacons(Registry(timeout=1.0, n_vehicles=1), period, [math.inf], None, horizon=t)
+    beacons.next[0] = x
+    beacons.registry.list_steady([0])
+    assert beacons.dispatch(random.Random(0), t) == 0
+    assert beacons.next[0] == reference, (x, period, t)
+
+
+def test_a_pick_draws_the_id_at_randrange_and_leaves_the_same_rng_state():
+    sizes = [1, 2, 3] + [2**k + d for k in range(2, 21) for d in (-1, 0, 1)]
+    for n in sizes:
+        reg = Registry(timeout=1.0, n_vehicles=n)
+        reg.list_steady(list(range(n)))
+        ids = list(range(n))
+        rng, twin = random.Random(n), random.Random(n)
+        for _ in range(min(n, 12)):
+            assert reg.pick(rng, 0.0) == ids.pop(twin.randrange(len(ids)))
+            assert rng.getstate() == twin.getstate()
+        assert reg.ids == ids
