@@ -32,5 +32,5 @@ rng = random.Random(11)
 speed = 100.0 / 3.6
 leg = Link(cfg.vue_up, size, speed)
 n = 100_000
-lost = sum(leg.lost(rng, True) is not None for _ in range(n))
+lost = sum(leg.send(rng, float(i)) is None for i in range(n))  # 1 s apart: no leg shares the air
 print(f"\n{n} legs at 100 km/h: lost {lost} ({lost / n:.5f}; model says {leg.p_loss:.5f})")

@@ -23,9 +23,6 @@ PROCESSOR_SHARING = "processor_sharing"
 NO_SHARING = "none"
 SHARING_MODES = (PROCESSOR_SHARING, NO_SHARING)
 
-OUT_OF_COVERAGE = "out_of_coverage"
-CHANNEL_ERROR = "channel_error"
-
 
 class LinkParams(namedtuple("LinkParams", "base_latency rate p_base k_speed sharing",
                             defaults=(None, 0.0, 0.0, PROCESSOR_SHARING))):
@@ -64,11 +61,6 @@ class ChannelConfig(namedtuple("ChannelConfig",
         check_fields(self)
         return self
 
-    def lossless(self) -> "ChannelConfig":
-        """Copy with every radio loss probability zeroed (latency model unchanged)."""
-        radio = (name for name in self._fields if name not in self.KINDS)
-        return self._replace(**{name: getattr(self, name)._replace(p_base=0.0, k_speed=0.0) for name in radio})
-
 
 def lena_calibrated() -> ChannelConfig:
     """Shipped radio calibration.
@@ -90,7 +82,9 @@ class Link:
     on the air (a heap) for processor sharing, and ``times[k - 1]``, the
     ``transfer_time(k)`` of each level k met so far.
 
-    The transfer-time and loss formulas are defined here and nowhere else.
+    The transfer-time and loss formulas are defined here and nowhere else. A
+    leg with an uncovered endpoint is lost without a draw; a covered one takes
+    exactly one draw from the run's RNG and is lost iff it is below ``p_loss``.
     """
 
     __slots__ = ("base_latency", "rate", "shared", "bits", "p_loss", "ends", "times")
@@ -108,13 +102,6 @@ class Link:
             return self.base_latency
         share = rate / concurrent if self.shared else rate  # 0 where a subnormal rate underflows
         return self.base_latency + (self.bits / share if share else math.inf if self.bits else 0.0)
-
-    def lost(self, rng, covered: bool) -> str | None:
-        """Why a radio leg is lost, or None. An uncovered endpoint loses it
-        without a draw; a covered leg takes exactly one draw from ``rng``, as ``send`` does inline."""
-        if not covered:
-            return OUT_OF_COVERAGE
-        return CHANNEL_ERROR if rng.random() < self.p_loss else None
 
     def send(self, rng, t: float, covered: bool = True) -> float | None:
         """One radio leg started at ``t``: its latency, or None when it is lost.

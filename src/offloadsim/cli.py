@@ -244,9 +244,11 @@ def _write_forked(out, rows, n: int) -> None:
 
 def _read_config(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path}: not UTF-8 ({exc.reason})") from None
 
 
 def _cmd_run(args) -> int:
@@ -345,24 +347,28 @@ def _cmd_cost(args) -> int:
 def _cmd_anova(args) -> int:
     groups: dict[str, list[float]] = {}
     try:
-        with open(args.csv, newline="") as fh:
+        with open(args.csv, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or args.group_col not in reader.fieldnames:
                 raise ConfigError(f"{args.csv}: no column named {args.group_col!r}")
             if args.value_col not in reader.fieldnames:
                 raise ConfigError(f"{args.csv}: no column named {args.value_col!r}")
-            for row_no, row in enumerate(reader, 2):
+            for row in reader:  # reader.line_num: the last line of the row, blank lines counted
                 try:
                     value = float(row[args.value_col])
                 except (TypeError, ValueError):
                     raise ConfigError(
-                        f"{args.csv} line {row_no}: {args.value_col} is not a number"
+                        f"{args.csv} line {reader.line_num}: {args.value_col} is not a number"
                     ) from None
                 if not math.isfinite(value):
-                    raise ConfigError(f"{args.csv} line {row_no}: {args.value_col} is not finite")
+                    raise ConfigError(f"{args.csv} line {reader.line_num}: {args.value_col} is not finite")
                 groups.setdefault(row[args.group_col], []).append(value)
     except OSError as exc:
         raise ConfigError(f"cannot read {args.csv}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {args.csv}: not UTF-8 ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ConfigError(f"{args.csv} line {reader.reader.line_num}: {exc}") from None  # the row is not counted yet
     try:
         result = anova_oneway(list(groups.values()))
     except ValueError as exc:

@@ -50,7 +50,7 @@ _BOOLS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "o
 # spelling of None is a number of its field's kind (``_KINDS``), and a word
 # spells the one more value that kind accepts; else it is the words allowed
 # (mapped if a dict), bool, int (an integer its builder bounds) or list (of
-# finite numbers). The serialisers write keys in this order.
+# finite numbers).
 _KEYS = {
     "strategy": ("run", "strategy", STRATEGIES),
     "users": ("run", "n_users", None),
@@ -126,13 +126,10 @@ def _int(key: str, raw: str, line: int | None = None) -> int:
         raise ConfigError(f"{_where(line)}{key} expects an integer, got {raw!r}") from None
 
 
-def _integral(kind) -> bool:
-    return (kind if isinstance(kind, str) else kind[0]) == "int"
-
-
 def _number(what: str, raw: str, kind, line: int | None = None):
     """``raw`` read as an integer or a number, as ``kind`` asks, and checked against it."""
-    value = (_int if _integral(kind) else _float)(what, raw, line)
+    integral = (kind if isinstance(kind, str) else kind[0]) == "int"
+    value = (_int if integral else _float)(what, raw, line)
     try:
         return check(what, value, kind, raw)
     except ValueError as exc:
@@ -294,46 +291,6 @@ def apply_axis(base: RunConfig, axis: str, value: float, seed: int) -> RunConfig
     if axis == "speed":
         return base._replace(vehicle_speed=value * KMH, seed=seed)
     raise ValueError(f"axis {axis!r} does not drive simulation runs")
-
-
-def _serialize(owners: dict[str, object]) -> str:
-    """One ``key = value`` line per table key whose target is in ``owners``."""
-    lines = []
-    for key, (target, field, spelling) in _KEYS.items():
-        if target not in owners:
-            continue
-        owner = owners[target]
-        value = owner[field] if target == "bs" else getattr(owner, field)
-        kind = _KINDS[target].get(field)  # None for a word
-        if isinstance(spelling, str) and value == kind[1]:
-            text = spelling
-        elif kind is None or _integral(kind):
-            text = str(value)
-        else:
-            text = repr(float(value))
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_run_config(cfg: RunConfig) -> str:
-    """Full explicit text form; parsing it back yields an equal RunConfig,
-    but for the pedestrian legs' ``k_speed``, which has no key."""
-    owners = {"run": cfg, "geometry": cfg.geometry, "bs": cfg.geometry.bs_position, "channel": cfg.channel}
-    owners.update((name, getattr(cfg.channel, name)) for name in _RADIO)
-    return _serialize(owners)
-
-
-def serialize_cost_params(p: CostParams) -> str:
-    """Full explicit text form; parsing it back yields equal CostParams, but
-    for ``beta``, which each cost row sets."""
-    return _serialize({"cost": p})
-
-
-def default_config_text() -> str:
-    """The shipped, commented defaults file."""
-    from importlib import resources  # on Python 3.12+ it imports inspect and typing
-
-    return resources.files("offloadsim").joinpath("data/defaults.cfg").read_text()
 
 
 def parse_seed_list(raw: str) -> tuple[int, ...]:

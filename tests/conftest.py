@@ -27,6 +27,12 @@ def examples(tier1: int) -> int:
     return settings().max_examples if settings.get_current_profile_name() == "deep" else tier1
 
 
+def lossless(channel):
+    """A ``ChannelConfig`` with every radio loss probability zeroed, its latencies unchanged."""
+    radio = (name for name in channel._fields if name not in channel.KINDS)
+    return channel._replace(**{name: getattr(channel, name)._replace(p_base=0.0, k_speed=0.0) for name in radio})
+
+
 def listed(registry) -> dict[int, float]:
     """A registry's present entries, vehicle id -> last beacon time."""
     return {vid: last for vid, last in enumerate(registry.entries) if last is not None}

@@ -172,14 +172,17 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
 
     def attempt_radio(t, link, size, speed, src_cov=True, dst_cov=True):
         """Run one radio leg: its latency, or None when lost. The transmission
-        occupies airtime even if lost."""
+        occupies airtime even if lost. A leg draws nothing unless both
+        endpoints are covered, and is lost iff its one draw is below p_loss."""
         ends = active[link]
         while ends and ends[0] <= t:
             heapq.heappop(ends)
         leg = Link(getattr(chan, link), size, speed)
         airtime = leg.transfer_time(len(ends) + 1)
         heapq.heappush(ends, t + airtime)
-        return None if leg.lost(rng, src_cov and dst_cov) else airtime
+        if not (src_cov and dst_cov) or rng.random() < leg.p_loss:
+            return None
+        return airtime
 
     def fail(rec: SimpleNamespace, leg: str) -> None:
         rec.outcome = FAILED

@@ -7,16 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import examples
+from conftest import examples, lossless
 from offloadsim import engine
 from offloadsim.channel import (
-    CHANNEL_ERROR,
     NO_SHARING,
     PROCESSOR_SHARING,
     ChannelConfig,
     Link,
     LinkParams,
-    OUT_OF_COVERAGE,
     lena_calibrated,
 )
 
@@ -151,7 +149,7 @@ def test_channel_config_requires_all_links_and_lossless_wired():
 
 
 def test_lossless_copy():
-    cfg = lena_calibrated().lossless()
+    cfg = lossless(lena_calibrated())
     for link in RADIO:
         assert getattr(cfg, link).p_base == 0.0
         assert getattr(cfg, link).k_speed == 0.0
@@ -171,8 +169,8 @@ def test_loss_probability_linear_in_speed_and_clamped():
 
 def test_out_of_coverage_loses_without_drawing():
     leg = Link(lena_calibrated().vue_down, 4000.0, 3.0)
-    assert leg.lost(_NoDraw(), False) == OUT_OF_COVERAGE
     assert leg.send(_NoDraw(), 0.0, covered=False) is None
+    assert leg.ends == [leg.transfer_time(1)]  # the lost leg took its airtime
 
 
 def test_covered_radio_leg_draws_exactly_once():
@@ -184,17 +182,17 @@ def test_covered_radio_leg_draws_exactly_once():
 def test_certain_loss_and_certain_delivery():
     cfg = lena_calibrated()
     rng = random.Random(0)
-    assert Link(cfg.vue_up, 4000.0, 1e9).lost(rng, True) == CHANNEL_ERROR
-    lossless = Link(cfg.lossless().vue_up, 4000.0)
-    assert lossless.send(rng, 0.0) == 0.0057 + 32000.0 / 100e6
+    assert Link(cfg.vue_up, 4000.0, 1e9).send(rng, 0.0) is None
+    assert Link(lossless(cfg).vue_up, 4000.0).send(rng, 0.0) == 0.0057 + 32000.0 / 100e6
 
 
 def test_loss_frequency_matches_probability():
-    """Empirical loss rate over 1e5 legs at 100 km/h sits on the model line."""
+    """Empirical loss rate over 1e5 legs at 100 km/h, 1 s apart so that no two
+    share the air, sits on the model line."""
     leg = Link(lena_calibrated().vue_up, 4000.0, 100.0 / 3.6)
     rng = random.Random(2024)
     n = 100_000
-    lost = sum(1 for _ in range(n) if leg.lost(rng, True))
+    lost = sum(leg.send(rng, float(i)) is None for i in range(n))
     assert lost / n == pytest.approx(leg.p_loss, abs=2e-3)
 
 

@@ -361,6 +361,37 @@ def test_anova_whose_sums_overflow_exits_nonzero(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("rows", ["a,1\n\nb,x\n", '"a\nb",1\nb,x\n'], ids=["blank-line", "quoted-line-break"])
+def test_anova_names_the_file_line_of_a_bad_value(tmp_path, capsys, rows):
+    # a blank line or a line break inside quotes used to shift the line named
+    data = tmp_path / "groups.csv"
+    data.write_text("group,value\n" + rows)
+    assert main(["anova", str(data)]) == 1
+    assert capsys.readouterr().err == f"offloadsim: {data} line 4: value is not a number\n"
+
+
+_UNDECODABLE = b"\xff\xfe bad\n"
+_NOT_UTF8 = "cannot read config file {}: not UTF-8 (invalid start byte)"
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("run", _UNDECODABLE, _NOT_UTF8),
+    ("sweep", _UNDECODABLE, _NOT_UTF8),
+    ("cost", _UNDECODABLE, _NOT_UTF8),
+    ("anova", _UNDECODABLE, "cannot read {}: not UTF-8 (invalid start byte)"),
+    ("anova", b"group,value\na," + b"1" * 200_000 + b"\nb,2\n", "{} line 2: field larger than field limit (131072)"),
+], ids=["run", "sweep", "cost", "anova", "anova-oversized-field"])
+def test_an_input_that_cannot_be_read_exits_nonzero_with_one_message(tmp_path, capsys, command, data, message):
+    # each used to end in a UnicodeDecodeError or csv.Error traceback
+    source = tmp_path / "input"
+    source.write_bytes(data)
+    (tmp_path / "out.csv").write_bytes(_EARLIER)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main([command, str(source), "-o", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"offloadsim: {message.format(source)}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 @pytest.mark.parametrize("argv", [["cost", "-o", "/dev/full"], ["run", "run.cfg", "-o", "agg.csv", "--records", "/dev/full"]])
 def test_a_full_device_exits_nonzero_with_a_message(tmp_path, capsys, monkeypatch, argv):
@@ -650,8 +681,9 @@ def test_every_cli_call_ends_in_complete_files_or_one_message():
         flags=st.dictionaries(st.sampled_from(("--betas", "--years", "--scales", "--seed-list")), _NUMBERS, max_size=2),
         bonus=st.sampled_from(((), ("--bonus-in-ec-requests",), ("--no-bonus-in-ec-requests",))),
         outputs=st.tuples(_WHERE, _WHERE),
+        prefix=st.sampled_from((b"", b"", b"", _UNDECODABLE)),
     )
-    def check(strategy, entries, axis, values, flags, bonus, outputs):
+    def check(strategy, entries, axis, values, flags, bonus, outputs, prefix):
         for command in ("run", "sweep", "cost", "anova"):
             lines = {"strategy": strategy, "users": "2", "duration": "1", "vehicles.count": "10"}
             if command == "sweep":
@@ -664,18 +696,19 @@ def test_every_cli_call_ends_in_complete_files_or_one_message():
                 rows = zip(("a", "a", "b", "b"), (values + ",1,2,3").split(","))
                 text = "group,value\n" + "".join(f"{g},{v}\n" for g, v in rows)
             if _small_enough(command, text):
-                outcomes[command, _call(command, text, entries, flags, bonus, outputs)] += 1
+                outcomes[command, _call(command, text, entries, flags, bonus, outputs, prefix)] += 1
 
     check()
     assert all(outcomes[command, code] >= 5 for command in ("run", "sweep", "cost", "anova") for code in (0, 1)), outcomes
 
 
-def _call(command, text, entries, flags, bonus, outputs) -> int:
-    """Call ``main`` once in a fresh directory, check the contract, and return the exit code."""
+def _call(command, text, entries, flags, bonus, outputs, prefix=b"") -> int:
+    """Call ``main`` once in a fresh directory on ``prefix`` and the UTF-8 of
+    ``text``, check the contract, and return the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         source = os.path.join(tmp, "input.cfg")
-        with open(source, "w") as fh:
-            fh.write(text)
+        with open(source, "wb") as fh:
+            fh.write(prefix + text.encode())
         argv = [command] + ([source] if command != "cost" or entries else [])
         if command == "cost":
             argv += [f"{flag}={value}" for flag, value in flags.items() if flag != "--seed-list"] + list(bonus)
@@ -704,6 +737,7 @@ def _call(command, text, entries, flags, bonus, outputs) -> int:
             code = main(argv)
         after, message = files(), err.getvalue()
         assert "Traceback" not in message
+        assert code == 1 or not prefix or source not in argv, argv  # an input that is not UTF-8 fails
         if code == 1:
             assert message.startswith("offloadsim: ") and message.count("\n") == 1, message
             assert after == before, argv  # no file changed, and no temporary one left

@@ -1,4 +1,4 @@
-"""Config file parsing, presets, overrides, and exact serialization."""
+"""Config file parsing, presets, overrides, and the shipped defaults file."""
 
 import contextlib
 import csv
@@ -20,17 +20,16 @@ from offloadsim.config import (
     SweepSpec,
     apply_axis,
     bonus_in_ec_requests,
-    default_config_text,
     parse_cost_params,
     parse_run_config,
     parse_seed_list,
     parse_sweep_spec,
-    serialize_cost_params,
-    serialize_run_config,
 )
 from offloadsim.costmodel import CostParams
 from offloadsim.engine import KMH, REPLICATION_SEEDS, RunConfig, run, summarize
 from offloadsim.scenario import ScenarioGeometry, total_coverage
+
+DEFAULTS = Path(config.__file__).with_name("data") / "defaults.cfg"  # the shipped, commented defaults file
 
 
 def test_minimal_run_config_uses_defaults():
@@ -356,32 +355,8 @@ def test_apply_axis_each_knob():
         apply_axis(base, "beta", 0.0, 3)
 
 
-def test_run_config_round_trips_through_text():
-    cfg = parse_run_config(
-        "strategy = VCCFirst\n"
-        "users = 5\n"
-        "seed = 11\n"
-        "scenario.preset = partial_coverage\n"
-        "vehicles.speed_kmh = 50\n"
-        "channel.vue_up.p_base = 0.002\n"
-    )
-    text = serialize_run_config(cfg)
-    again = parse_run_config(text)
-    assert again == cfg
-    assert serialize_run_config(again) == text
-
-
-def test_cost_params_round_trip_through_text():
-    p = CostParams(c_ec_cpu=812.5, years=3.0)
-    text = serialize_cost_params(p)
-    assert parse_cost_params(text) == p
-    assert parse_cost_params(serialize_cost_params(CostParams())) == CostParams()
-    # each table row sets the bonus, so the text has none
-    assert serialize_cost_params(p._replace(beta=1.5e-6)) == text and "beta" not in text
-
-
 def test_default_config_text_parses_as_run_and_cost():
-    text = default_config_text()
+    text = DEFAULTS.read_text(encoding="utf-8")
     cfg = parse_run_config(text)
     assert cfg.strategy == "ECFirst"
     assert cfg == RunConfig(strategy="ECFirst")
@@ -390,7 +365,7 @@ def test_default_config_text_parses_as_run_and_cost():
 
 
 def test_the_defaults_file_sets_or_shows_every_key():
-    text = default_config_text()
+    text = DEFAULTS.read_text(encoding="utf-8")
     for key in config._KEYS:
         if not key.startswith("channel."):  # the channel keys are listed by link kind
             assert re.search(rf"^#? *{re.escape(key)} *=", text, re.M), key

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 import oracle_engine
+from conftest import lossless
 from offloadsim import engine
 from offloadsim.channel import ChannelConfig, Link, LinkParams, lena_calibrated
 from offloadsim.compute import elaboration_time
@@ -93,7 +94,7 @@ def test_lossless_single_user_edge_run_hits_the_closed_form():
     """With no contention and no loss every task's legs are the same numbers."""
     cfg = RunConfig(
         strategy=EC_FIRST, n_users=1, duration=10.0, seed=0,
-        channel=lena_calibrated().lossless(),
+        channel=lossless(lena_calibrated()),
     )
     records = run(cfg)
     assert len(records) == 50
@@ -113,7 +114,7 @@ def test_lossless_single_user_edge_run_hits_the_closed_form():
 def test_lossless_single_user_vehicular_run_hits_the_closed_form():
     cfg = RunConfig(
         strategy=VCC_FIRST, n_users=1, n_vehicles=4, duration=10.0, seed=0,
-        channel=lena_calibrated().lossless(),
+        channel=lossless(lena_calibrated()),
     )
     records = run(cfg)
     assert len(records) == 50
@@ -418,7 +419,7 @@ def test_a_leg_that_overflows_to_inf_leaves_its_task_in_flight(strategy, field):
 def test_a_delivery_exactly_at_the_horizon_succeeds(strategy):
     """The result that lands exactly at ``duration`` counts; one ulp later it
     is in flight. Both strategies send the single task to the cloud."""
-    links = lena_calibrated().lossless()
+    links = lossless(lena_calibrated())
     seed = 3
     phase = random.Random(seed).random() * 1.0
     up = Link(links.pue_up, 4000.0).transfer_time(1)
