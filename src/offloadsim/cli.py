@@ -244,7 +244,7 @@ def _write_forked(out, rows, n: int) -> None:
 
 def _read_config(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -347,7 +347,7 @@ def _cmd_cost(args) -> int:
 def _cmd_anova(args) -> int:
     groups: dict[str, list[float]] = {}
     try:
-        with open(args.csv, newline="", encoding="utf-8") as fh:
+        with open(args.csv, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or args.group_col not in reader.fieldnames:
                 raise ConfigError(f"{args.csv}: no column named {args.group_col!r}")

@@ -10,15 +10,13 @@ expire. The registry is a snapshot, not ground truth: a listed vehicle may
 already be busy or out of coverage, and dispatching to it simply fails.
 
 ``Beacons`` replays a vehicle's beacons only when its membership could change,
-and no heap holds an infinite time. With a beacon period clearly below the
-timeout, a VCCFirst run costs one replay per vehicle at its first beacon (the
-first beacons due at a dispatch replayed as one batch, their steady entries
-listed in bulk), work per task and per coverage crossing, and, per pick, one
-float addition per period since the picked vehicle was last replayed, made
-eight to a comparison. A vehicular task pushes at most the wake-ups that can
-act before it stops its vehicle, and a vehicle that finishes a task well inside
-its coverage window is listed steady at once. Otherwise every beacon of a
-listed vehicle is replayed, to keep its age exact. A wake-up or stop before a vehicle's next beacon skips the replay.
+and no heap holds an infinite time; one batch walk, ``Beacons._replay``, makes
+every replay. With a beacon period clearly below the timeout, a VCCFirst run
+costs one replay per vehicle at its first beacon, work per task and per
+coverage crossing, and, per pick, one float addition per period since the
+picked vehicle was last replayed, made eight to a comparison; otherwise every
+beacon of a listed vehicle is replayed, to keep its age exact. A vehicular
+task pushes at most the wake-ups that can act before it stops its vehicle.
 """
 
 from __future__ import annotations
@@ -107,13 +105,13 @@ class Beacons:
     Vehicle ids index flat per-vehicle columns. An idle vehicle beacons from
     its seeded phase, or at once on finishing a task, then at ``x = x +
     period`` as an event per beacon would. It is replayed only when its
-    membership could change: at its first beacon, in a batch of those due
-    (``_list_first``), then from a heap of finite wake-ups. ``coverage(vid,
-    t)`` gives its coverage at t and a time before which that cannot change;
-    None covers every vehicle for good. In a steady run, a vehicle sure to
-    beacon in coverage within the timeout is listed as ``math.inf`` and woken
-    only when that window ends. Beacons at time <= t act before engine events
-    at t."""
+    membership could change, and always by ``_replay``: at its first beacon
+    (``_first_due``), at a finite wake-up from a heap, as it stops and as it
+    restarts. ``coverage(vid, t)`` gives its coverage at t and a time before
+    which that cannot change; None covers every vehicle for good. In a steady
+    run, a vehicle heard in coverage is listed as ``math.inf`` and woken only
+    when its window ends, or at its next beacon if that falls past the window.
+    Beacons at time <= t act before engine events at t."""
 
     def __init__(self, registry: Registry, period: float, phases: list[float], coverage, horizon: float):
         self.registry, self.period, self.coverage = registry, period, coverage
@@ -123,17 +121,20 @@ class Beacons:
         self.heard = array("d", [-math.inf]) * n  # last beacon in coverage
         self.inside = [coverage is None] * n  # the last coverage test, and until when it holds
         self.until = [math.inf if coverage is None else -math.inf] * n
-        self.first, self.due, self.wakes = None, min(self.next, default=math.inf), []  # see _list_first
+        self.first, self.due, self.wakes = None, min(self.next, default=math.inf), []  # see _first_due
 
     def advance(self, t: float) -> None:
-        """Apply every beacon at time <= t that can change the registry."""
-        if self.due <= t:
-            self._list_first(t)
-        wakes, nxt = self.wakes, self.next
+        """Apply every beacon at time <= t that can change the registry: the
+        first beacons due and the vehicles woken, replayed as one batch."""
+        wakes, nxt, woken = self.wakes, self.next, []
         while wakes and wakes[0][0] <= t:
             vid = heapq.heappop(wakes)[1]
             if nxt[vid] <= t:  # else the wake-up is stale: no beacon to replay
-                self._replay(vid, t)
+                woken.append(vid)
+        if self.due <= t:
+            self._replay(itertools.chain(self._first_due(t), woken), t)
+        elif woken:
+            self._replay(woken, t)
 
     def dispatch(self, rng, t: float) -> int | None:
         """VCCFirst at t: apply the beacons <= t, pick with ``Registry.pick``,
@@ -162,47 +163,51 @@ class Beacons:
     def stop(self, vid: int, t: float) -> None:
         """vid starts serving at t and beacons no more until it finishes."""
         if self.next[vid] <= t:
-            self._replay(vid, t)
+            self._replay((vid,), t)
         if self.next[vid] < math.inf:
             if self.registry.entries[vid] == math.inf:
                 self.registry.on_beacon(vid, self.heard[vid])
             self.next[vid] = math.inf
 
     def restart(self, vid: int, t: float) -> bool:
-        """vid finished a task at t: it beacons at once, then every period; return
-        its coverage at t. In a steady run, if its next beacon still falls in its
-        cached coverage window, it is listed as ``math.inf`` at once, as replaying
-        that beacon would."""
-        x = self.next[vid] = t + self.period
-        inside, until = self.inside[vid], self.until[vid]
-        covered = inside if t <= until else self.coverage(vid, t)[0]  # as ``covered`` reads it
-        if covered:
-            steady = self.steady and inside and x <= until
-            self.registry.on_beacon(vid, math.inf if steady else t)
-            self.heard[vid] = t
-        self.book(vid)
-        return covered
+        """vid finished a task at t: it beacons at once, then every period;
+        replay that beacon and return its coverage at t."""
+        self.next[vid] = t
+        self._replay((vid,), t)
+        return self.inside[vid]
 
-    def _list_first(self, t: float) -> None:
-        """Replay the first beacons due by t, each as ``_replay`` would, in one
-        batch by id: steady entries listed in bulk, many wake-ups heapified at
-        once. The first batch sorts the ids it leaves into ``first``, by phase,
-        descending; ``due`` is the next first beacon's time."""
+    def _first_due(self, t: float):
+        """The ids, in order, whose first beacon is due by t. The first call
+        sorts the ids it leaves into ``first``, by phase, descending; each later
+        call cuts the due ids off its end. ``due`` is the next first beacon's
+        time."""
         first, nxt = self.first, self.next
         if first is None:
             ids, at = range(len(nxt)), itertools.repeat(t)
             later = itertools.compress(ids, map(operator.gt, nxt, at))
             first = self.first = array("q", sorted(later, key=nxt.__getitem__, reverse=True))
-            due = itertools.compress(ids, map(operator.le, nxt, at))  # read lazily: the loop writes only ids read
+            due = itertools.compress(ids, map(operator.le, nxt, at))  # read lazily: the replay writes only ids read
         else:
             cut = bisect.bisect_left(first, -t, key=lambda vid: -nxt[vid])
             due = sorted(first[cut:])
             del first[cut:]
         self.due = nxt[first[-1]] if first else math.inf
-        registry, coverage, period, steady = self.registry, self.coverage, self.period, self.steady
-        heard, inside, until_at, listed, booked = self.heard, self.inside, self.until, [], []
-        for vid in due:
-            x, covered, until, last = nxt[vid], inside[vid], until_at[vid], None
+        return due
+
+    def _replay(self, vids, t: float) -> None:
+        """Apply the beacons up to t of each of ``vids``: walk its ``x = x +
+        period`` chain with its coverage tests, list or age its entry, and book
+        its wake-up as ``book`` would. A vehicle whose next beacon is after t
+        is skipped: one dispatch can wake it twice."""
+        registry, coverage, period = self.registry, self.coverage, self.period
+        steady, nxt, heard = self.steady, self.next, self.heard
+        inside, until_at, entries = self.inside, self.until, registry.entries
+        listed, booked = [], []
+        for vid in vids:
+            x = nxt[vid]
+            if x > t:
+                continue
+            covered, until, last = inside[vid], until_at[vid], None
             while x <= t:
                 if x > until:
                     covered, until = coverage(vid, x)
@@ -210,43 +215,32 @@ class Beacons:
                     last = x
                 x += period
             nxt[vid], inside[vid], until_at[vid] = x, covered, until
-            if last is not None:
+            if last is None:
+                if entries[vid] == math.inf:
+                    registry.on_beacon(vid, heard[vid])  # fell silent: start aging
+            else:
                 heard[vid] = last
-                if steady and covered:
+                if not (steady and covered):
+                    registry.on_beacon(vid, last)
+                elif entries[vid] is None:
                     listed.append(vid)
                 else:
-                    registry.on_beacon(vid, last)
-            w = x if x > until or (covered and not steady) else until  # as book(vid) reads it
+                    registry.on_beacon(vid, math.inf)
+            w = x if x > until or (covered and not steady) else until
             if w < math.inf:
                 booked.append((w, vid))
         if listed:
             registry.list_steady(listed)
-        if len(booked) > len(self.wakes) >> 3:
-            booked += self.wakes
+        if not booked:
+            return
+        wakes = self.wakes
+        if len(booked) > len(wakes) >> 3:
+            booked += wakes
             heapq.heapify(booked)
             self.wakes = booked
         else:
             for wake in booked:
-                heapq.heappush(self.wakes, wake)
-
-    def _replay(self, vid: int, t: float) -> None:
-        """Apply vid's beacons up to t; callers check that the next one is due by t."""
-        x = self.next[vid]
-        covered, until = self.inside[vid], self.until[vid]
-        heard, period = None, self.period
-        while x <= t:
-            if x > until:
-                covered, until = self.inside[vid], self.until[vid] = self.coverage(vid, x)
-            if covered:
-                heard = x
-            x += period
-        self.next[vid] = x
-        if heard is not None:
-            self.heard[vid] = heard
-            self.registry.on_beacon(vid, math.inf if self.steady and covered else heard)
-        elif self.registry.entries[vid] == math.inf:
-            self.registry.on_beacon(vid, self.heard[vid])  # left coverage: start aging
-        self.book(vid)
+                heapq.heappush(wakes, wake)
 
     def book(self, vid: int, before: float = math.inf) -> None:
         """Wake vid at its next beacon if that can matter, else when its window

@@ -392,6 +392,26 @@ def test_an_input_that_cannot_be_read_exits_nonzero_with_one_message(tmp_path, c
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+_SWEEP_CFG = "strategy = ECFirst\nduration = 2\nsweep.axis = users\nsweep.values = 1, 2\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("run", RUN_CFG),
+    ("sweep", _SWEEP_CFG),
+    ("cost", "cost.years = 3\n"),
+    ("anova", "group,value\na,1\na,2\nb,4\nb,6\n"),
+], ids=["run", "sweep", "cost", "anova"])
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, command, text):
+    # used to be read as part of the first key or column name, which was refused
+    outputs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        source = tmp_path / "input"
+        source.write_bytes(prefix + text.encode())
+        assert main([command, str(source), "-o", str(tmp_path / "out.csv")]) == 0
+        outputs.append((tmp_path / "out.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 @pytest.mark.parametrize("argv", [["cost", "-o", "/dev/full"], ["run", "run.cfg", "-o", "agg.csv", "--records", "/dev/full"]])
 def test_a_full_device_exits_nonzero_with_a_message(tmp_path, capsys, monkeypatch, argv):

@@ -253,7 +253,21 @@ def test_a_steady_restart_inside_a_lasting_window_is_listed_at_once():
     beacons.book(0, 1.1)
     beacons.stop(0, 1.1)
     assert beacons.restart(0, 1.9)  # next beacon 2.15, past the window
-    assert listed(reg) == {0: 1.9} and (1.9, 0) in reg._ages
+    # listed steady all the same, and woken at that beacon, whose coverage test decides
+    assert listed(reg) == {0: math.inf} and reg._ages == [] and (1.9 + 0.25, 0) in beacons.wakes
+
+
+def test_a_vehicle_woken_twice_by_one_dispatch_is_walked_once():
+    """A picked vehicle keeps its window-end wake-up and books one at its next
+    beacon too; a dispatch past both replays it once, with one new wake-up."""
+    walks = []
+    beacons = _one_listed_vehicle(lambda vid, t: walks.append(t) or (True, 2.0))  # in coverage until 2 s
+    beacons.book(0, math.inf)  # its forward leg is lost
+    assert sorted(beacons.wakes) == [(0.5, 0), (2.0, 0)]
+    walks.clear()
+    assert beacons.dispatch(random.Random(0), 2.3) == 0
+    assert walks == [2.25]  # its one coverage test, at its first beacon past the window
+    assert beacons.wakes == [(2.5, 0)]
 
 
 def test_a_restart_lists_its_time_when_the_period_is_not_below_the_timeout():
@@ -370,19 +384,20 @@ def test_steady_coverage_books_only_finite_times():
 
 
 def test_no_replay_finds_the_next_beacon_still_ahead():
-    """Over the benchmark's coverage sweep at seeds 0 and 1, every ``_replay``
-    call has a beacon to replay: a wake-up or a stop that finds the vehicle's
-    next beacon after t makes no call."""
+    """Over the benchmark's coverage sweep at seeds 0 and 1, every vehicle a
+    ``_replay`` batch is given has a beacon to replay: a wake-up or a stop that
+    finds the vehicle's next beacon after t passes no vehicle."""
     text = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "coverage_sweep.cfg").read_text()
     spec = parse_sweep_spec(text)
     calls, ahead = 0, 0
     replay = Beacons._replay
 
-    def counted(self, vid, t):
+    def counted(self, vids, t):
         nonlocal calls, ahead
-        calls += 1
-        ahead += self.next[vid] > t
-        replay(self, vid, t)
+        vids = list(vids)
+        calls += len(vids)
+        ahead += sum(self.next[vid] > t for vid in vids)
+        replay(self, vids, t)
 
     with mock.patch.object(Beacons, "_replay", counted):
         for seed in (0, 1):
