@@ -252,6 +252,8 @@ def _read_config(path: str) -> str:
 
 
 def _cmd_run(args) -> int:
+    if args.output and args.records and os.path.realpath(args.output) == os.path.realpath(args.records):
+        raise ConfigError(f"-o and --records name the same file: {args.records}")
     cfg = parse_run_config(_read_config(args.config))
     records = run(cfg)
     agg = summarize(records)

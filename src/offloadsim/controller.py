@@ -12,11 +12,12 @@ already be busy or out of coverage, and dispatching to it simply fails.
 ``Beacons`` replays a vehicle's beacons only when its membership could change,
 and no heap holds an infinite time; one batch walk, ``Beacons._replay``, makes
 every replay. With a beacon period clearly below the timeout, a VCCFirst run
-costs one replay per vehicle at its first beacon, work per task and per
-coverage crossing, and, per pick, one float addition per period since the
-picked vehicle was last replayed, made eight to a comparison; otherwise every
-beacon of a listed vehicle is replayed, to keep its age exact. A vehicular
-task pushes at most the wake-ups that can act before it stops its vehicle.
+costs one replay per vehicle at its first beacon, and work per task and per
+coverage crossing; otherwise every beacon of a listed vehicle is replayed, to
+keep its age exact. A pick finds its vehicle's next beacon by closed form, and
+walks the beacons since its last replay only if that beacon may act before
+the task arrives or the forward leg is lost. A vehicular task pushes at most
+the wake-ups that can act before it stops its vehicle.
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ class Beacons:
         self.inside = [coverage is None] * n  # the last coverage test, and until when it holds
         self.until = [math.inf if coverage is None else -math.inf] * n
         self.first, self.due, self.wakes = None, min(self.next, default=math.inf), []  # see _first_due
+        self.lag = None  # (vid, cursor, t) of a pick whose cursor is <= t, until book
 
     def advance(self, t: float) -> None:
         """Apply every beacon at time <= t that can change the registry: the
@@ -137,22 +139,18 @@ class Beacons:
             self._replay(woken, t)
 
     def dispatch(self, rng, t: float) -> int | None:
-        """VCCFirst at t: apply the beacons <= t, pick with ``Registry.pick``,
-        and move the picked vehicle's cursor past its beacons <= t. The caller
-        then books the picked vehicle's wake-up with ``book``."""
+        """VCCFirst at t: apply the beacons <= t and pick with ``Registry.pick``.
+        A picked vehicle whose cursor is at or before t keeps it, with t, in
+        ``lag``, and its cursor becomes ``math.inf``, which every replay and
+        stale wake-up skips; the caller books the picked vehicle at once with
+        ``book``, which finds its next beacon."""
         if self.due <= t or self.wakes and self.wakes[0][0] <= t:
             self.advance(t)
         vid = self.registry.pick(rng, t)
-        if vid is not None:
-            # The same additions as one per test, made eight per test while the
-            # first seven sums are sure to stay <= t.
-            x, period = self.next[vid], self.period
-            lim = t - 8 * (period + math.ulp(t))
-            while x <= lim:
-                x = x + period + period + period + period + period + period + period + period
-            while x <= t:
-                x += period
-            self.next[vid] = x
+        self.lag = None
+        if vid is not None and self.next[vid] <= t:
+            self.lag = vid, self.next[vid], t
+            self.next[vid] = math.inf
         return vid
 
     def covered(self, vid: int, t: float) -> bool:
@@ -247,7 +245,35 @@ class Beacons:
         ends; never, if that is after ``before`` or infinite. A picked vehicle
         is booked with ``before`` set to when its task reaches it, since a
         later wake-up would find it serving; beacons at that time still act
-        first. A lost forward leg books it with no limit."""
+        first. A lost forward leg books it with no limit.
+
+        A pick left in ``lag`` is found by closed form: if its next beacon is
+        sure to fall after ``before``, no wake-up can act and its cursor stays
+        ``math.inf`` until it stops. Otherwise its cursor walks the exact
+        ``x = x + period`` chain past the pick's t, one addition per test."""
+        lag = self.lag
+        if lag is not None and lag[0] == vid:
+            self.lag = None
+            _, x, t = lag
+            period = self.period
+            # The chain from x (>= 0, exact) is x_j = x + j*period + e_j with
+            # |e_j| <= j*u/2: each addition rounds by at most u/2, u = ulp(T),
+            # while every sum stays below T. x~_j = fl(x + fl(j*period)) rounds
+            # twice, so |x~_j - (x + j*period)| <= u and |x_j - x~_j| <=
+            # (j/2 + 1)*u <= eps for j <= k. Take T = 4*x~_k and eps = (k + 2)*
+            # ulp(2*x~_k) >= (k/2 + 1)*u, exact as an integer times a power of
+            # two. If the test below holds, then eps < x~_k (t >= 0), so every
+            # sum is at most x~_k*(1 + 2**-51) + eps < T, and, since rounding is
+            # monotone, x_(k-1) <= t <= before < x_k: x_k is the next beacon, and
+            # a wake-up is at x_k or at a window end past it, never by before.
+            k = (t - x) // period + 1.0
+            hi = x + k * period
+            eps = (k + 2.0) * math.ulp(hi + hi)
+            if x + (k - 1.0) * period + eps <= t <= before < hi - eps:
+                return
+            while x <= t:
+                x += period
+            self.next[vid] = x
         x, covered, until = self.next[vid], self.inside[vid], self.until[vid]
         w = x if x > until or (covered and self.registry.entries[vid] != math.inf) else until
         if w <= before and w < math.inf:

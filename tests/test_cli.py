@@ -72,6 +72,25 @@ def test_run_is_byte_identical_across_invocations(tmp_path):
     assert (tmp_path / "ra.csv").read_bytes() == (tmp_path / "rb.csv").read_bytes()
 
 
+@pytest.mark.parametrize("earlier", [None, b"earlier output\n"])
+@pytest.mark.parametrize("records", ["same.csv", "./same.csv", "link.csv"])
+def test_run_rejects_one_file_for_aggregates_and_records(tmp_path, capsys, monkeypatch, records, earlier):
+    """-o and --records that name one file, directly or through a link, exit 1
+    with one message before the run, and no file changes."""
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(RUN_CFG)
+    os.symlink("same.csv", "link.csv")
+    if earlier is not None:
+        Path("same.csv").write_bytes(earlier)
+    before = sorted(os.listdir())
+    assert main(["run", "run.cfg", "-o", "same.csv", "--records", records]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("offloadsim: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(os.listdir()) == before
+    if earlier is not None:
+        assert Path("same.csv").read_bytes() == earlier
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
 def test_long_records_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"

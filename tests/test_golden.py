@@ -16,6 +16,9 @@ import pytest
 from offloadsim.cli import main
 
 _SMALL = "users = 4\nduration = 6\nseed = 5\n"
+# Slow vehicles in a large fleet: picked cursors hundreds of periods behind,
+# with rejections and lost forward legs, on both cells.
+_LONG_LAG = "strategy = VCCFirst\nvehicles.count = 300\nvehicles.capacity_mips = 500\nusers = 4\nduration = 30\nseed = 5\n"
 
 CASES = {
     "ecfirst": "strategy = ECFirst\n" + _SMALL,
@@ -41,6 +44,8 @@ CASES = {
         "vehicles.count = 8\nusers = 4\nduration = 2\nseed = 5\n"
     ),
     "slow_vehicles": "strategy = VCCFirst\nvehicles.capacity_mips = 500\n" + _SMALL,
+    "long_lag": _LONG_LAG,
+    "long_lag_partial": "scenario.preset = partial_coverage\n" + _LONG_LAG,
 }
 
 GOLDEN = {
@@ -52,6 +57,8 @@ GOLDEN = {
     'period_equals_timeout': ('81c902f833a44bdf189c8b11476653a529534bd44bcf9bb4d404ad9f7f2d0e2c', 'cfb5b89809aecc1e936060a68fb290643d97415b87008bd9a70a19c420832e20'),
     'period_below_radio_leg': ('2e3b66d0394a436ded5bdaeb1c9bba09ba42f55c2886e8ba79c62c03f99fe196', 'f02fd0f6264bbead514e98f1ca4f50ac2115b103ea7549f66b65ef810f50cdc9'),
     'slow_vehicles': ('0992aeec9531dd8ed63e773c2611dacf84caa5406045144ca988045b1923a26c', 'bd6b91ce39632fdd0c075d7d43c08fd9ee3f359cf53a79025a613df18f95aee5'),
+    'long_lag': ('304296f5e1bf797a65e5695f4eac4c0bd433a71fa124dc70f7fc988312f4bf45', '9bb9587349cafb2d1612ca528d3d7b5a8d5c3519339a0641158ccb46c96375ad'),
+    'long_lag_partial': ('53ce6d1a7636ff92d0feba42c710d1cc3690abeceb6fdab541cfb87820dc02cb', 'cc2ea5d0ff3fb09ea9fe8790c9191a1104adf3cbfefab74aca1656e592cbd589'),
 }
 
 

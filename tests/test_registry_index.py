@@ -408,7 +408,11 @@ def test_no_replay_finds_the_next_beacon_still_ahead():
 
 @st.composite
 def _catch_ups(draw):
-    """(x, period, t): a cursor x in [0, t] at most a few thousand periods behind t."""
+    """(x, period, t, before, window): a cursor x in [0, t] at most a few
+    thousand periods behind t; ``before``, when the picked vehicle's task
+    reaches it, a few ulps either side of the chain's first beacon past t,
+    up to four periods after t, or never (a lost leg); and the vehicle's
+    coverage flag and window end, a few ulps either side of that beacon too."""
     t = draw(st.floats(1e-6, 1e7) | st.sampled_from((0.1, 1.0, 120.0, 2.0**20)))
     period = draw(
         st.sampled_from((0.1, 1 / 3)) | st.integers(-30, 4).map(lambda k: 2.0**k) | st.floats(1e-4, 10.0)
@@ -418,21 +422,39 @@ def _catch_ups(draw):
         x = draw(st.floats(0.0, 1.0, exclude_max=True) | st.just(math.nextafter(1.0, 0.0))) * t
     else:  # a few periods, and a part of one, behind t
         x = t - draw(st.integers(0, 64)) * period - draw(st.floats(0.0, 1.0)) * period
-    return max(x, t - 5000 * period, 0.0), period, t
+    x = max(x, t - 5000 * period, 0.0)
+    first = x
+    while first <= t:
+        first += period
+
+    def near_first(d):
+        return first + d * math.ulp(first)
+
+    before = draw(
+        st.integers(-8, 8).map(near_first) | st.floats(0.0, 4.0).map(lambda c: t + c * period) | st.just(math.inf)
+    )
+    window = draw(st.just((True, math.inf)) | st.tuples(st.booleans(), st.integers(-8, 8).map(near_first)))
+    return x, period, t, before, window
 
 
 @settings(max_examples=examples(300), deadline=None, derandomize=True)
 @given(case=_catch_ups())
 def test_a_pick_moves_its_cursor_as_one_addition_per_test_would(case):
-    x, period, t = case
+    """``dispatch`` then ``book`` push exactly the wake-up that the cursor
+    caught up by ``while x <= t: x += period`` gives, and a cursor that was
+    walked ends where that chain ends; one not walked is ``math.inf``."""
+    x, period, t, before, (covered, until) = case
     reference = x
     while reference <= t:
         reference += period
     beacons = Beacons(Registry(timeout=1.0, n_vehicles=1), period, [math.inf], None, horizon=t)
-    beacons.next[0] = x
+    beacons.next[0], beacons.inside[0], beacons.until[0] = x, covered, until
     beacons.registry.list_steady([0])
     assert beacons.dispatch(random.Random(0), t) == 0
-    assert beacons.next[0] == reference, (x, period, t)
+    beacons.book(0, before)
+    w = reference if reference > until or covered else until
+    assert beacons.wakes == ([(w, 0)] if w <= before and w < math.inf else []), case
+    assert beacons.next[0] == reference or beacons.next[0] == math.inf and reference > before, case
 
 
 def test_a_pick_draws_the_id_at_randrange_and_leaves_the_same_rng_state():
