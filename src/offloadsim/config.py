@@ -137,11 +137,15 @@ def _number(what: str, raw: str, kind, line: int | None = None):
 
 
 def parse_list(raw: str, what: str, kind, line: int | None = None) -> tuple:
-    """A comma-separated list of at least one value, each of ``kind`` (see ``bounds``)."""
+    """A comma-separated list of at least one value, each of ``kind`` (see ``bounds``), none twice."""
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"{_where(line)}{what} must list at least one value")
-    return tuple(_number(what, p, kind, line) for p in parts)
+    values = tuple(_number(what, p, kind, line) for p in parts)
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{_where(line)}{what} lists {v!r} more than once")
+    return values
 
 
 def _read(key: str, raw: str, line: int):
@@ -251,9 +255,7 @@ def parse_sweep_spec(text: str) -> SweepSpec:
             raise ConfigError(f"missing mandatory key {key!r}")
     axis = entries["sweep.axis"][0]
     values, line = entries["sweep.values"]
-    for i, v in enumerate(values):
-        if v in values[:i]:
-            raise ConfigError(f"line {line}: sweep.values lists {v!r} more than once")
+    for v in values:
         if axis in ("users", "vehicles") and v != int(v):
             raise ConfigError(f"line {line}: sweep.values for {axis} must be integers, got {v!r}")
 

@@ -14,10 +14,10 @@ and no heap holds an infinite time; one batch walk, ``Beacons._replay``, makes
 every replay. With a beacon period clearly below the timeout, a VCCFirst run
 costs one replay per vehicle at its first beacon, and work per task and per
 coverage crossing; otherwise every beacon of a listed vehicle is replayed, to
-keep its age exact. A pick finds its vehicle's next beacon by closed form, and
-walks the beacons since its last replay only if that beacon may act before
-the task arrives or the forward leg is lost. A vehicular task pushes at most
-the wake-ups that can act before it stops its vehicle.
+keep its age exact. Booking a pick finds its vehicle's next beacon by closed
+form, and walks the beacons since its last replay only if that beacon may act
+before the task arrives or the forward leg is lost. A vehicular task pushes at
+most the wake-ups that can act before it stops its vehicle.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ class Beacons:
         self.inside = [coverage is None] * n  # the last coverage test, and until when it holds
         self.until = [math.inf if coverage is None else -math.inf] * n
         self.first, self.due, self.wakes = None, min(self.next, default=math.inf), []  # see _first_due
-        self.lag = None  # (vid, cursor, t) of a pick whose cursor is <= t, until book
 
     def advance(self, t: float) -> None:
         """Apply every beacon at time <= t that can change the registry: the
@@ -140,18 +139,11 @@ class Beacons:
 
     def dispatch(self, rng, t: float) -> int | None:
         """VCCFirst at t: apply the beacons <= t and pick with ``Registry.pick``.
-        A picked vehicle whose cursor is at or before t keeps it, with t, in
-        ``lag``, and its cursor becomes ``math.inf``, which every replay and
-        stale wake-up skips; the caller books the picked vehicle at once with
-        ``book``, which finds its next beacon."""
+        The caller books the picked vehicle with ``book``, which moves its
+        cursor, before anything else reads that cursor."""
         if self.due <= t or self.wakes and self.wakes[0][0] <= t:
             self.advance(t)
-        vid = self.registry.pick(rng, t)
-        self.lag = None
-        if vid is not None and self.next[vid] <= t:
-            self.lag = vid, self.next[vid], t
-            self.next[vid] = math.inf
-        return vid
+        return self.registry.pick(rng, t)
 
     def covered(self, vid: int, t: float) -> bool:
         """vid's coverage at t. Coverage windows start at or before the current
@@ -240,21 +232,20 @@ class Beacons:
             for wake in booked:
                 heapq.heappush(wakes, wake)
 
-    def book(self, vid: int, before: float = math.inf) -> None:
-        """Wake vid at its next beacon if that can matter, else when its window
-        ends; never, if that is after ``before`` or infinite. A picked vehicle
-        is booked with ``before`` set to when its task reaches it, since a
-        later wake-up would find it serving; beacons at that time still act
-        first. A lost forward leg books it with no limit.
+    def book(self, vid: int, t: float, before: float = math.inf) -> None:
+        """Wake vid, picked at t, at its next beacon if that can matter, else
+        when its window ends; never, if that is after ``before`` or infinite.
+        ``before`` is when its task reaches it, since a later wake-up would
+        find it serving; beacons at that time still act first. A lost forward
+        leg books it with no limit.
 
-        A pick left in ``lag`` is found by closed form: if its next beacon is
-        sure to fall after ``before``, no wake-up can act and its cursor stays
-        ``math.inf`` until it stops. Otherwise its cursor walks the exact
-        ``x = x + period`` chain past the pick's t, one addition per test."""
-        lag = self.lag
-        if lag is not None and lag[0] == vid:
-            self.lag = None
-            _, x, t = lag
+        A cursor at or before t takes a closed-form test: if its next beacon
+        is sure to fall after ``before``, no wake-up can act and the cursor
+        becomes ``math.inf``, which every replay and stale wake-up skips,
+        until the vehicle stops. Otherwise it walks the exact ``x = x + period``
+        chain past t, one addition per test."""
+        x = self.next[vid]
+        if x <= t:
             period = self.period
             # The chain from x (>= 0, exact) is x_j = x + j*period + e_j with
             # |e_j| <= j*u/2: each addition rounds by at most u/2, u = ulp(T),
@@ -270,11 +261,14 @@ class Beacons:
             hi = x + k * period
             eps = (k + 2.0) * math.ulp(hi + hi)
             if x + (k - 1.0) * period + eps <= t <= before < hi - eps:
+                self.next[vid] = math.inf
                 return
             while x <= t:
                 x += period
             self.next[vid] = x
-        x, covered, until = self.next[vid], self.inside[vid], self.until[vid]
-        w = x if x > until or (covered and self.registry.entries[vid] != math.inf) else until
+        until = self.until[vid]
+        # _replay's rule, but the pick took vid's entry: a covered vid is woken
+        # at its next beacon even when steady, where _replay lists it as inf.
+        w = x if x > until or self.inside[vid] else until
         if w <= before and w < math.inf:
             heapq.heappush(self.wakes, (w, vid))

@@ -316,16 +316,15 @@ def run(cfg: RunConfig) -> Records:
             latency = vue_down.send(rng, t, beacons.covered(vid, t))
             if latency is None:
                 fail(a, GNB_TO_VCC)
-                beacons.book(vid)
+                beacons.book(vid, t)
             else:
                 t_gnb_to_vue[a] = latency
-                beacons.book(vid, t + latency)
+                beacons.book(vid, t, t + latency)
                 heappush(heap, (t + latency, next_seq(), _AT_VEHICLE, a, vid))
 
         elif kind == _AT_VEHICLE:
             if busy_until[b] > t:  # a vehicle serves one task at a time
                 fail(a, REJECTION)
-                beacons.book(b)  # this task did not stop b: wake b if it still beacons
             else:
                 done_at = busy_until[b] = t + vehicle_elab
                 t_elab[a] = vehicle_elab

@@ -511,6 +511,28 @@ def test_float_cells_use_repr_for_exactness(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, repeated",
+    [
+        (["sweep", "--seed-list", "1,1"], "--seed-list lists 1 more than once"),
+        (["sweep", "--seed-list", "0, 4, 2, 4"], "--seed-list lists 4 more than once"),
+        (["cost", "--betas", "0,1e-6,0.000001"], "--betas lists 1e-06 more than once"),
+        (["cost", "--years", "2,2.0"], "--years lists 2.0 more than once"),
+        (["cost", "--scales", "1/2,0.5"], "--scales lists 0.5 more than once"),
+    ],
+)
+def test_list_flags_reject_a_repeated_value(tmp_path, capsys, argv, repeated):
+    # `--seed-list 1,1` used to exit 0 with two equal rows, and a mean row that
+    # counted one replication twice
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("strategy = ECFirst\nduration = 5\nsweep.axis = users\nsweep.values = 1\n")
+    out = tmp_path / "out.csv"
+    config_file = [str(cfg)] if argv[0] == "sweep" else []  # cost reads its defaults without one
+    assert main([argv[0], *config_file, "-o", str(out), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"offloadsim: {repeated}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flag, value, why",
     [
         ("--betas", "nan", "must be finite"),

@@ -155,14 +155,13 @@ def test_lazy_beacons_leave_the_registry_as_eager_ones(
                 busy.discard(vid)
                 for beacons in (lazy, eager, *twins):
                     assert beacons.restart(vid, at) == covered(vid, at)
-            elif vid in busy:  # rejected
-                for beacons in (lazy, *twins):
-                    beacons.book(vid)
-            else:
+            elif vid not in busy:  # else rejected: the task does not stop vid
                 busy.add(vid)
                 heapq.heappush(events, (at + rng.uniform(0.0, 1.5), _DONE, vid))
                 for beacons in (lazy, eager, *twins):
                     beacons.stop(vid, at)
+            # a serving vehicle beacons no more, so a task it rejects has nothing to book
+            assert all(lazy.next[vid] == math.inf for vid in busy)
         draw = rng.random()
         picks = [beacons.dispatch(random.Random(draw), t) for beacons in (lazy, eager, *twins)]
         assert picks.count(picks[0]) == len(picks)
@@ -178,7 +177,7 @@ def test_lazy_beacons_leave_the_registry_as_eager_ones(
             reached = t + rng.choice((0.0, rng.uniform(0.0, 3 * period)))
             heapq.heappush(events, (reached, _REACHED, vid))
         for beacons in (lazy, *twins):
-            beacons.book(vid, reached)
+            beacons.book(vid, t, reached)
 
 
 def test_beacons_at_a_dispatch_instant_count_before_it():
@@ -190,7 +189,7 @@ def test_beacons_at_a_dispatch_instant_count_before_it():
 
     beacons.advance(0.1)  # heard at 0.0; its later beacons need no replay
     assert beacons.dispatch(rng, 0.5) == 0
-    beacons.book(0, 0.75)
+    beacons.book(0, 0.5, 0.75)
     assert beacons.dispatch(rng, 0.5) is None  # the beacon at 0.5 was spent on the first pick
     beacons.stop(0, 0.75)  # its beacon at 0.75 still lands
     assert listed(reg) == {0: 0.75}
@@ -228,7 +227,7 @@ def test_a_pick_whose_task_arrives_first_books_no_wake_up():
     for until in (math.inf, 4.0):  # unbounded cell, or a window ending at 4 s
         beacons = _one_listed_vehicle(lambda vid, t: (True, until))
         before = list(beacons.wakes)
-        beacons.book(0, 0.45)  # the task stops the vehicle before its beacon at 0.5
+        beacons.book(0, 0.3, 0.45)  # the task stops the vehicle before its beacon at 0.5
         assert beacons.wakes == before
         beacons.stop(0, 0.45)
         assert beacons.dispatch(random.Random(0), 1.0) is None
@@ -237,7 +236,7 @@ def test_a_pick_whose_task_arrives_first_books_no_wake_up():
 def test_a_pick_books_its_wake_up_when_the_beacon_comes_first_or_the_leg_is_lost():
     for stop_at in (0.5, math.inf):  # a tie goes to the beacon
         beacons = _one_listed_vehicle(lambda vid, t: (True, math.inf))
-        beacons.book(0, stop_at)
+        beacons.book(0, 0.3, stop_at)
         assert beacons.wakes == [(0.5, 0)]
         assert beacons.dispatch(random.Random(0), 0.5) == 0  # listed again by its beacon at 0.5
 
@@ -245,12 +244,12 @@ def test_a_pick_books_its_wake_up_when_the_beacon_comes_first_or_the_leg_is_lost
 def test_a_steady_restart_inside_a_lasting_window_is_listed_at_once():
     beacons = _one_listed_vehicle(lambda vid, t: (True, 2.0))  # in coverage until 2 s
     reg = beacons.registry
-    beacons.book(0, 0.3)
+    beacons.book(0, 0.3, 0.3)
     beacons.stop(0, 0.3)
     assert beacons.restart(0, 1.0)  # next beacon 1.25, inside the window
     assert listed(reg) == {0: math.inf} and reg._ages == []  # no finite age pushed
     assert beacons.dispatch(random.Random(0), 1.1) == 0
-    beacons.book(0, 1.1)
+    beacons.book(0, 1.1, 1.1)
     beacons.stop(0, 1.1)
     assert beacons.restart(0, 1.9)  # next beacon 2.15, past the window
     # listed steady all the same, and woken at that beacon, whose coverage test decides
@@ -262,7 +261,7 @@ def test_a_vehicle_woken_twice_by_one_dispatch_is_walked_once():
     beacon too; a dispatch past both replays it once, with one new wake-up."""
     walks = []
     beacons = _one_listed_vehicle(lambda vid, t: walks.append(t) or (True, 2.0))  # in coverage until 2 s
-    beacons.book(0, math.inf)  # its forward leg is lost
+    beacons.book(0, 0.3, math.inf)  # its forward leg is lost
     assert sorted(beacons.wakes) == [(0.5, 0), (2.0, 0)]
     walks.clear()
     assert beacons.dispatch(random.Random(0), 2.3) == 0
@@ -273,7 +272,7 @@ def test_a_vehicle_woken_twice_by_one_dispatch_is_walked_once():
 def test_a_restart_lists_its_time_when_the_period_is_not_below_the_timeout():
     beacons = Beacons(Registry(timeout=0.25, n_vehicles=1), 0.25, [0.0], lambda vid, t: (True, math.inf), horizon=10.0)
     assert beacons.dispatch(random.Random(0), 0.1) == 0
-    beacons.book(0, 0.1)
+    beacons.book(0, 0.1, 0.1)
     beacons.stop(0, 0.1)
     assert beacons.restart(0, 1.0)
     assert listed(beacons.registry) == {0: 1.0}
@@ -371,12 +370,11 @@ def test_steady_coverage_books_only_finite_times():
             del busy[vid]
             assert beacons.restart(vid, t)
         vid = beacons.dispatch(rng, t)
-        if vid is not None and vid not in busy:
-            beacons.book(vid, t)
-            busy[vid] = t + rng.uniform(0.0, 1.5)
-            beacons.stop(vid, t)
-        elif vid is not None:  # rejected by a serving vehicle
-            beacons.book(vid)
+        if vid is not None:
+            beacons.book(vid, t, t)
+            if vid not in busy:  # else rejected by a serving vehicle
+                busy[vid] = t + rng.uniform(0.0, 1.5)
+                beacons.stop(vid, t)
         assert all(w < math.inf for w, _ in beacons.wakes)
         assert all(last < math.inf for last, _ in reg._ages)
         assert len(beacons.wakes) <= fleet
@@ -409,10 +407,11 @@ def test_no_replay_finds_the_next_beacon_still_ahead():
 @st.composite
 def _catch_ups(draw):
     """(x, period, t, before, window): a cursor x in [0, t] at most a few
-    thousand periods behind t; ``before``, when the picked vehicle's task
-    reaches it, a few ulps either side of the chain's first beacon past t,
-    up to four periods after t, or never (a lost leg); and the vehicle's
-    coverage flag and window end, a few ulps either side of that beacon too."""
+    thousand periods behind t, or one already past t; ``before``, when the
+    picked vehicle's task reaches it, a few ulps either side of the chain's
+    first beacon past t, up to four periods after t, or never (a lost leg);
+    and the vehicle's coverage flag and window end, a few ulps either side of
+    that beacon too."""
     t = draw(st.floats(1e-6, 1e7) | st.sampled_from((0.1, 1.0, 120.0, 2.0**20)))
     period = draw(
         st.sampled_from((0.1, 1 / 3)) | st.integers(-30, 4).map(lambda k: 2.0**k) | st.floats(1e-4, 10.0)
@@ -423,6 +422,8 @@ def _catch_ups(draw):
     else:  # a few periods, and a part of one, behind t
         x = t - draw(st.integers(0, 64)) * period - draw(st.floats(0.0, 1.0)) * period
     x = max(x, t - 5000 * period, 0.0)
+    if draw(st.integers(0, 4)) == 0:  # already past t: book neither walks nor takes the closed form
+        x = math.nextafter(t, math.inf) + draw(st.floats(0.0, 4.0)) * period
     first = x
     while first <= t:
         first += period
@@ -441,8 +442,8 @@ def _catch_ups(draw):
 @given(case=_catch_ups())
 def test_a_pick_moves_its_cursor_as_one_addition_per_test_would(case):
     """``dispatch`` then ``book`` push exactly the wake-up that the cursor
-    caught up by ``while x <= t: x += period`` gives, and a cursor that was
-    walked ends where that chain ends; one not walked is ``math.inf``."""
+    caught up by ``while x <= t: x += period`` gives, and a cursor ends where
+    that chain ends, or is ``math.inf`` when its next beacon is after ``before``."""
     x, period, t, before, (covered, until) = case
     reference = x
     while reference <= t:
@@ -451,7 +452,7 @@ def test_a_pick_moves_its_cursor_as_one_addition_per_test_would(case):
     beacons.next[0], beacons.inside[0], beacons.until[0] = x, covered, until
     beacons.registry.list_steady([0])
     assert beacons.dispatch(random.Random(0), t) == 0
-    beacons.book(0, before)
+    beacons.book(0, t, before)
     w = reference if reference > until or covered else until
     assert beacons.wakes == ([(w, 0)] if w <= before and w < math.inf else []), case
     assert beacons.next[0] == reference or beacons.next[0] == math.inf and reference > before, case
