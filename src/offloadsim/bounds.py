@@ -1,13 +1,15 @@
 """The one bound check of every numeric parameter, and its one message.
 
-A value type's ``KINDS`` table (field -> kind) is the only place a field's
-bound is stated. A kind is "positive", "nonnegative", "probability" (in
-[0, 1]) or "any", each a finite float, or "int", a nonnegative integer; a pair
-(kind, extra) gives "int" a maximum and a float kind one more value it accepts
-(None or inf), and a dict gives each component of a tuple field its kind.
+Each value type is a ``checked`` base over one table, field -> (default,
+kind), the only place a field's default and bound are stated. A kind is
+"positive", "nonnegative", "probability" (in [0, 1]) or "any", each a finite
+float, or "int", a nonnegative integer; a pair (kind, extra) gives "int" a
+maximum and a float kind one more value it accepts (None or inf), a dict gives
+each component of a tuple field its kind, and None checks nothing.
 """
 
 import math
+from collections import namedtuple
 
 # float kind -> (its words in a message, whether a finite value is of that kind)
 _FLOAT_KINDS = {
@@ -33,12 +35,30 @@ def check(name: str, value, kind, text: str | None = None):
     raise ValueError(f"{name} must be {words}, got {value if text is None else text!r}")
 
 
-def check_fields(values) -> None:
-    """Check each field of a namedtuple that its ``KINDS`` table lists."""
-    for field, kind in values.KINDS.items():
-        value = getattr(values, field)
-        if isinstance(kind, dict):
-            for i, component in kind.items():
-                check(f"{field}[{i}]", value[i], component)
-        else:
-            check(field, value, kind)
+def checked(name: str, fields: dict):
+    """A namedtuple base over ``fields``, field -> (default, kind), where a
+    default of ``...`` means none (such fields come first). Every construction,
+    ``_replace`` included, checks each field against its kind and then calls
+    ``_check``, where a subclass states the rules that span fields."""
+
+    class Checked(namedtuple(name, fields, defaults=[default for default, _ in fields.values() if default is not ...])):
+        __slots__ = ()
+        KINDS = {field: kind for field, (_, kind) in fields.items() if kind is not None}
+        _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
+
+        def __new__(cls, *args, **kwargs):
+            self = super().__new__(cls, *args, **kwargs)
+            for field, kind in self.KINDS.items():
+                value = getattr(self, field)
+                if isinstance(kind, dict):
+                    for i, component in kind.items():
+                        check(f"{field}[{i}]", value[i], component)
+                else:
+                    check(field, value, kind)
+            self._check()
+            return self
+
+        def _check(self) -> None:
+            """Raise ValueError where a rule that spans fields fails; none here."""
+
+    return Checked

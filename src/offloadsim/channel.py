@@ -14,52 +14,47 @@ holds both formulas and the airtime still in use; a wired leg is its latency.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from heapq import heappop, heappush
 
-from .bounds import check_fields
+from .bounds import checked
 
 PROCESSOR_SHARING = "processor_sharing"
 NO_SHARING = "none"
 SHARING_MODES = (PROCESSOR_SHARING, NO_SHARING)
 
 
-class LinkParams(namedtuple("LinkParams", "base_latency rate p_base k_speed sharing",
-                            defaults=(None, 0.0, 0.0, PROCESSOR_SHARING))):
-    """One radio link class: ``base_latency`` (s, one-way floor), ``rate``
-    (bits/s shared by concurrent transfers; None = unbounded), ``p_base`` (loss
-    probability at speed 0), ``k_speed`` (added loss probability per m/s) and
-    ``sharing``. Every construction is checked, ``_replace`` included."""
+class LinkParams(checked("LinkParams", {
+    "base_latency": (..., "nonnegative"),  # s, the one-way floor
+    "rate": (None, ("positive", None)),  # bits/s shared by concurrent transfers; None: unbounded
+    "p_base": (0.0, "probability"),  # loss probability at speed 0
+    "k_speed": (0.0, "nonnegative"),  # added loss probability per m/s
+    "sharing": (PROCESSOR_SHARING, None),  # one of SHARING_MODES
+})):
+    """One radio link class."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
-    KINDS = {
-        "base_latency": "nonnegative", "rate": ("positive", None), "p_base": "probability", "k_speed": "nonnegative"
-    }
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        check_fields(self)
+    def _check(self) -> None:
         if self.sharing not in SHARING_MODES:
             raise ValueError(f"unknown sharing mode {self.sharing!r}")
-        return self
 
 
-class ChannelConfig(namedtuple("ChannelConfig",
-                               "pue_up pue_down vue_up vue_down cn_up cn_down internet_up internet_down")):
+class ChannelConfig(checked("ChannelConfig", {
+    "pue_up": (..., None),
+    "pue_down": (..., None),
+    "vue_up": (..., None),
+    "vue_down": (..., None),
+    "cn_up": (..., "nonnegative"),
+    "cn_down": (..., "nonnegative"),
+    "internet_up": (..., "nonnegative"),
+    "internet_down": (..., "nonnegative"),
+})):
     """Every link class of a run. The four radio legs (pedestrian and vehicle,
     up and down) are ``LinkParams``; the four wired legs (core network and
     Internet, up and down) are one latency each in seconds, the fields that
-    ``KINDS`` bounds. Every construction is checked, ``_replace`` included."""
+    ``KINDS`` bounds."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
-    KINDS = dict.fromkeys(("cn_up", "cn_down", "internet_up", "internet_down"), "nonnegative")
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        check_fields(self)
-        return self
 
 
 def lena_calibrated() -> ChannelConfig:

@@ -355,6 +355,9 @@ def _cmd_anova(args) -> int:
                 raise ConfigError(f"{args.csv}: no column named {args.group_col!r}")
             if args.value_col not in reader.fieldnames:
                 raise ConfigError(f"{args.csv}: no column named {args.value_col!r}")
+            for name in (args.group_col, args.value_col):
+                if reader.fieldnames.count(name) > 1:
+                    raise ConfigError(f"{args.csv}: the header names {name!r} more than once")
             for row in reader:  # reader.line_num: the last line of the row, blank lines counted
                 try:
                     value = float(row[args.value_col])
@@ -364,6 +367,9 @@ def _cmd_anova(args) -> int:
                     ) from None
                 if not math.isfinite(value):
                     raise ConfigError(f"{args.csv} line {reader.line_num}: {args.value_col} is not finite")
+                if None in row or None in row.values():  # DictReader's key for extra cells, its value for missing ones
+                    more = "more" if None in row else "fewer"
+                    raise ConfigError(f"{args.csv} line {reader.line_num}: {more} cells than the header")
                 groups.setdefault(row[args.group_col], []).append(value)
     except OSError as exc:
         raise ConfigError(f"cannot read {args.csv}: {exc}") from None

@@ -7,12 +7,14 @@ file; unknown keys, duplicates and bad values are errors naming the line. Each
 builder takes its own subset: run configs need ``strategy``, sweep specs also
 ``sweep.axis`` and ``sweep.values``, cost parameters live under ``cost.``, and
 a ``beta`` sweep reads ``cost.bonus_in_ec_requests`` as ``offloadsim cost``
-does. Numbers accept fractions like ``1/128``. Defaults are those of
-``RunConfig`` (its channel is ``lena_calibrated()``), ``ScenarioGeometry`` and
-``CostParams``; a scenario preset fills the geometry and explicit keys
-override it. Every key changes some output: a field that no output reads,
-such as a pedestrian leg's ``k_speed`` or the bonus ``beta`` that each cost row
-sets, has no key.
+does. A run config is built once, on its final geometry and channel, and
+checks itself as every value type does (``bounds.checked``); so does each
+sweep point before any runs. Numbers accept fractions like ``1/128``. Defaults
+are those of ``RunConfig`` (its channel is ``lena_calibrated()``),
+``ScenarioGeometry`` and ``CostParams``; a scenario preset fills the geometry
+and explicit keys override it. Every key changes some output: a field that no
+output reads, such as a pedestrian leg's ``k_speed`` or the bonus ``beta``
+that each cost row sets, has no key.
 """
 
 from __future__ import annotations
@@ -207,20 +209,19 @@ def _build_run(entries: dict[str, tuple[object, int]]) -> RunConfig:
     groups = _group(entries)
     kw = groups.get("run", {})
     kw.update((field, value * KMH) for field, value in groups.get("km/h", {}).items())
-    kw.update((field, preset()) for field, preset in groups.get("preset", {}).items())
-    base = RunConfig(**kw)
-    geometry = groups.get("geometry", {})
+    preset = groups.get("preset", {}).get("geometry")
+    geometry = preset() if preset else RunConfig._field_defaults["geometry"]
+    fields = groups.get("geometry", {})
     if "bs" in groups:
-        geometry["bs_position"] = tuple(groups["bs"].get(i, v) for i, v in enumerate(base.geometry.bs_position))
-    radio = {name: getattr(base.channel, name)._replace(**groups[name]) for name in _RADIO if name in groups}
-    channel = base.channel._replace(**groups.get("channel", {}), **radio)
-    cfg = base._replace(geometry=base.geometry._replace(**geometry), channel=channel)  # the table bounds both
-    try:
-        cfg.validate()
+        fields["bs_position"] = tuple(groups["bs"].get(i, v) for i, v in enumerate(geometry.bs_position))
+    channel = RunConfig._field_defaults["channel"]
+    radio = {name: getattr(channel, name)._replace(**groups[name]) for name in _RADIO if name in groups}
+    try:  # one RunConfig, on the final geometry: one on the preset's could fail a check the final one passes
+        return RunConfig(**kw, geometry=geometry._replace(**fields),
+                         channel=channel._replace(**groups.get("channel", {}), **radio))
     except ValueError as exc:  # a PositionOverflow names the last line of a key the positions read
         lines = [entries[k][1] for k in _POSITION_KEYS if k in entries and isinstance(exc, PositionOverflow)]
         raise ConfigError(f"{_where(max(lines, default=None))}{exc}") from None
-    return cfg
 
 
 def _build_cost(entries: dict[str, tuple[object, int]]) -> CostParams:
@@ -274,7 +275,7 @@ def parse_sweep_spec(text: str) -> SweepSpec:
     base_run = _build_run(entries) if axis != "beta" else None
     for v in values:  # every point must be valid before any is computed
         try:
-            base_cost._replace(beta=v) if base_cost else apply_axis(base_run, axis, v, seeds[0]).validate()
+            base_cost._replace(beta=v) if base_cost else apply_axis(base_run, axis, v, seeds[0])
         except ValueError as exc:
             raise ConfigError(f"line {line}: sweep.values {v!r}: {exc}") from None
     return SweepSpec(axis, values, seeds, base_run=base_run, base_cost=base_cost)

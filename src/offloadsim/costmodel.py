@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .bounds import check_fields
+from .bounds import checked
 
 SECONDS_ACTIVE_PER_YEAR = 15 * 3600 * 365  # 15 h/day of offloading activity
 # Whether breakdown tables add the bonus to the edge per-request column, unless
@@ -35,23 +35,15 @@ _COST_FIELDS = {
 }
 
 
-class CostParams(namedtuple("CostParams", _COST_FIELDS, defaults=[default for default, _ in _COST_FIELDS.values()])):
+class CostParams(checked("CostParams", _COST_FIELDS)):
     """Inputs of the cost comparison.
 
     ``alpha`` is the active seconds per year, so requests per year are
     request_rate * users * alpha. A vehicle is paid the edge per-request cost
-    plus the bonus ``beta``. Every construction is checked, ``_replace``
-    included.
+    plus the bonus ``beta``.
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
-    KINDS = {field: kind for field, (_, kind) in _COST_FIELDS.items()}
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        check_fields(self)
-        return self
 
     @property
     def vcc_req(self) -> float:

@@ -47,7 +47,7 @@ import random
 from array import array
 from collections import Counter, namedtuple
 
-from .bounds import check_fields
+from .bounds import checked
 from .channel import Link, lena_calibrated
 from .compute import EdgeState, elaboration_time
 from .controller import (
@@ -89,7 +89,7 @@ MAX_BEACONS = 1_000_000_000
 
 
 # field -> (default, kind): the kind bounds the field (see ``bounds``); None
-# leaves it to ``RunConfig.validate``, or to its own type when built.
+# leaves the strategy to ``RunConfig._check``, the geometry and channel to their types.
 _RUN_FIELDS = {
     "strategy": (EC_FIRST, None),
     "n_users": (8, "int"),
@@ -116,17 +116,15 @@ class PositionOverflow(ValueError):
     """A VCCFirst fleet on a bounded cell would drive past the float range."""
 
 
-class RunConfig(namedtuple("RunConfig", _RUN_FIELDS, defaults=[default for default, _ in _RUN_FIELDS.values()])):
+class RunConfig(checked("RunConfig", _RUN_FIELDS)):
     """Everything one run needs. Defaults describe the reference workload:
     8 pedestrians offloading 500 MI tasks at 5 req/s for 120 s, 40 vehicles
     looping a fully covered 600 x 50 m block at 13.1 km/h."""
 
     __slots__ = ()
-    KINDS = {field: kind for field, (_, kind) in _RUN_FIELDS.items() if kind is not None}
 
-    def validate(self) -> None:
-        """Check every field's kind, the strategy, the arrival and beacon caps and the fleet's positions."""
-        check_fields(self)
+    def _check(self) -> None:
+        """Check the strategy, the arrival and beacon caps and the fleet's positions."""
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         per_user = self.duration * self.request_rate
@@ -201,7 +199,6 @@ _AT_GNB, _AT_VEHICLE, _VEHICLE_DONE, _RESULT_AT_GNB = range(4)
 
 def run(cfg: RunConfig) -> Records:
     """Simulate one run and return one record per generated arrival, by task id."""
-    cfg.validate()
     rng = random.Random(cfg.seed)
     geom = cfg.geometry
     channel = cfg.channel
@@ -452,7 +449,7 @@ AGGREGATE_FIELDS = Aggregates._fields
 def summarize_runs(cfgs: list[RunConfig]) -> list[Aggregates]:
     """``[summarize(run(c)) for c in cfgs]``, with the runs spread over processes.
 
-    Every config is validated first, so a bad one raises before any run. With
+    A config checks itself when built, so a bad one raised before this call. With
     n workers (``workers.worker_count``), worker k takes ``cfgs[k::n]``: this
     process runs share 0, and each other share runs in a child made by
     ``workers.forked``, which sends back its rows' field values through its
@@ -460,8 +457,6 @@ def summarize_runs(cfgs: list[RunConfig]) -> list[Aggregates]:
     run owns its seeded RNG, so the result never depends on n. A child that
     fails prints its traceback to stderr, and the call raises RuntimeError.
     """
-    for cfg in cfgs:
-        cfg.validate()
     n = worker_count(len(cfgs))
 
     def share(k: int, out) -> None:

@@ -12,33 +12,23 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from collections import namedtuple
 
-from .bounds import check_fields
+from .bounds import checked
 
 CLOCKWISE = 1
 COUNTERCLOCKWISE = -1
 
 
-class ScenarioGeometry(namedtuple("ScenarioGeometry", "loop_length_x loop_width_y bs_position coverage_radius"
-                                  " ue_height", defaults=(math.inf, 1.5))):
-    """Rectangular loop with one base station at a fixed 3D position. Every
-    construction is checked, ``_replace`` included."""
+class ScenarioGeometry(checked("ScenarioGeometry", {
+    "loop_length_x": (..., "positive"),
+    "loop_width_y": (..., "positive"),
+    "bs_position": (..., {0: "any", 1: "any", 2: "positive"}),  # x, y and height
+    "coverage_radius": (math.inf, ("positive", math.inf)),  # inf: the cell covers everything
+    "ue_height": (1.5, "nonnegative"),
+})):
+    """Rectangular loop with one base station at a fixed 3D position."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
-    KINDS = {
-        "loop_length_x": "positive",
-        "loop_width_y": "positive",
-        "bs_position": {0: "any", 1: "any", 2: "positive"},  # x, y and height
-        "coverage_radius": ("positive", math.inf),  # inf: the cell covers everything
-        "ue_height": "nonnegative",
-    }
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        check_fields(self)
-        return self
 
     @property
     def perimeter(self) -> float:

@@ -123,7 +123,6 @@ _ARRIVAL, _AT_GNB, _AT_VEHICLE, _VEHICLE_DONE, _RESULT_AT_GNB, _DELIVERED, _BEAC
 
 def run(cfg: RunConfig) -> list[OffloadRecord]:
     """Simulate one run and return one record per generated arrival, by task id."""
-    cfg.validate()
     rng = random.Random(cfg.seed)
     geom = cfg.geometry
     chan = cfg.channel

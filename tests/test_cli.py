@@ -389,6 +389,20 @@ def test_anova_names_the_file_line_of_a_bad_value(tmp_path, capsys, rows):
     assert capsys.readouterr().err == f"offloadsim: {data} line 4: value is not a number\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("v,g\n1,a\n3\n", "{} line 3: fewer cells than the header"),
+    ("g,v\na,1\n\na,2,9\n", "{} line 4: more cells than the header"),
+    ("g,v,g\na,1,b\nb,2,c\n", "{}: the header names 'g' more than once"),
+], ids=["short-row", "long-row", "repeated-group-column"])
+def test_anova_rejects_a_row_or_header_it_would_misread(tmp_path, capsys, text, message):
+    # a short row went into a group named None, a long row lost its extra cells,
+    # and a repeated column name read its last column
+    data = tmp_path / "groups.csv"
+    data.write_text(text)
+    assert main(["anova", str(data), "--group-col", "g", "--value-col", "v"]) == 1
+    assert capsys.readouterr().err == f"offloadsim: {message.format(data)}\n"
+
+
 _UNDECODABLE = b"\xff\xfe bad\n"
 _NOT_UTF8 = "cannot read config file {}: not UTF-8 (invalid start byte)"
 

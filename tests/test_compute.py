@@ -16,7 +16,7 @@ def test_elaboration_time_is_workload_over_capacity():
 
 
 def test_elaboration_time_validation():
-    # elaboration_time trusts its inputs; engine.run, its caller, validates them first
+    # elaboration_time trusts its inputs; RunConfig checks them when built
     for field, bad in [("workload_mi", -1.0), ("cloud_mips", 0.0), ("vehicle_capacity", 0.0)]:
         with pytest.raises(ValueError, match=f"{field} must be"):
             run(RunConfig(**{field: bad}))
@@ -101,7 +101,7 @@ def test_edge_idle_gap_resets_waiting():
 
 
 def test_edge_rejects_a_capacity_that_is_not_positive():
-    # EdgeState trusts its capacity; engine.run, its caller, validates it first
+    # EdgeState trusts its capacity; RunConfig checks it when built
     with pytest.raises(ValueError, match="edge_mips must be positive, got 0.0"):
         run(RunConfig(edge_mips=0.0))
 

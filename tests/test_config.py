@@ -25,9 +25,10 @@ from offloadsim.config import (
     parse_seed_list,
     parse_sweep_spec,
 )
+from offloadsim.controller import VCC_FIRST
 from offloadsim.costmodel import CostParams
 from offloadsim.engine import KMH, REPLICATION_SEEDS, RunConfig, run, summarize
-from offloadsim.scenario import ScenarioGeometry, total_coverage
+from offloadsim.scenario import ScenarioGeometry, partial_coverage, total_coverage
 
 DEFAULTS = Path(config.__file__).with_name("data") / "defaults.cfg"  # the shipped, commented defaults file
 
@@ -45,6 +46,10 @@ def test_minimal_run_config_uses_defaults():
         (CostParams(), "years", math.nan),
         (LinkParams(0.002), "base_latency", math.nan),
         (total_coverage(), "loop_length_x", math.nan),
+        (RunConfig(), "n_users", -1),
+        (RunConfig(), "strategy", "Nearest"),
+        (RunConfig(strategy=VCC_FIRST, n_vehicles=1, duration=1.0), "beacon_period", 1e-10),
+        (RunConfig(strategy=VCC_FIRST, geometry=partial_coverage(), duration=3.0), "vehicle_speed", 1e308),
     ],
 )
 def test_checked_parameters_reject_a_bad_value_built_or_replaced(valid, field, bad):
@@ -58,10 +63,10 @@ def _bs_position(i, value):
     return total_coverage()._replace(bs_position=tuple(value if j == i else x for j, x in enumerate((0.0, 0.0, 30.0))))
 
 
-# config target -> (the value type that owns its fields, a call that checks one field set to a value)
+# config target -> (the value type that owns its fields, a construction with one field set to a value)
 _OWNERS = {
-    "run": (RunConfig, lambda field, value: RunConfig(**{field: value}).validate()),
-    "km/h": (RunConfig, lambda field, value: RunConfig(**{field: value}).validate()),
+    "run": (RunConfig, lambda field, value: RunConfig(**{field: value})),
+    "km/h": (RunConfig, lambda field, value: RunConfig(**{field: value})),
     "geometry": (ScenarioGeometry, lambda field, value: total_coverage()._replace(**{field: value})),
     "cost": (CostParams, lambda field, value: CostParams(**{field: value})),
     "channel": (ChannelConfig, lambda field, value: lena_calibrated()._replace(**{field: value})),
@@ -179,6 +184,14 @@ def test_unbounded_still_spells_infinity():
     assert math.isinf(cfg.geometry.coverage_radius)
     with pytest.raises(ConfigError, match="line 2"):
         parse_run_config("strategy = ECFirst\nscenario.coverage_radius = inf\n")
+
+
+def test_a_run_config_is_checked_on_its_final_geometry():
+    # the preset's bounded cell would overflow the fleet's positions; the unbounded cell set over it reads none
+    text = "strategy = VCCFirst\nscenario.preset = partial_coverage\nvehicles.speed_mps = 1e308\nduration = 2\n"
+    with pytest.raises(ConfigError, match="^line 4: vehicle positions overflow"):
+        parse_run_config(text)
+    assert math.isinf(parse_run_config(text + "scenario.coverage_radius = unbounded\n").geometry.coverage_radius)
 
 
 def test_speed_keys_are_exclusive():

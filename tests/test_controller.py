@@ -14,7 +14,7 @@ def test_strategy_names():
 
 
 def test_registry_validation():
-    # Registry trusts its timeout; engine.run, its caller, validates it first
+    # Registry trusts its timeout; RunConfig checks it when built
     with pytest.raises(ValueError, match="registry_timeout must be positive, got 0.0"):
         run(RunConfig(strategy=VCC_FIRST, registry_timeout=0.0))
 

@@ -318,11 +318,11 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         run(RunConfig(beacon_period=0.0))
     with pytest.raises(ValueError, match="seed"):
-        RunConfig(seed=-1).validate()
+        RunConfig(seed=-1)
     with pytest.raises(ValueError, match="nonnegative"):
-        RunConfig(task_size_bytes=-1.0).validate()
+        RunConfig(task_size_bytes=-1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        RunConfig(result_size_bytes=-1.0).validate()
+        RunConfig(result_size_bytes=-1.0)
 
 
 @pytest.mark.parametrize(
@@ -359,15 +359,15 @@ def test_in_flight_tasks_have_no_total():
     ],
 )
 def test_run_config_bounds_the_arrival_count(kwargs):
-    # checked by validate only: these configs must never reach generate_arrivals
+    # checked when built: these configs must never reach generate_arrivals
     with pytest.raises(ValueError, match="arrivals"):
-        RunConfig(**kwargs).validate()
+        RunConfig(**kwargs)
 
 
 def test_arrival_bound_is_users_times_ceil_of_arrivals_per_user():
-    RunConfig(n_users=1, request_rate=1.0, duration=float(MAX_ARRIVALS)).validate()
-    RunConfig(n_users=2, request_rate=0.5, duration=float(MAX_ARRIVALS)).validate()
-    RunConfig(n_users=0, request_rate=1e200, duration=1e200).validate()  # no users, no arrivals
+    RunConfig(n_users=1, request_rate=1.0, duration=float(MAX_ARRIVALS))
+    RunConfig(n_users=2, request_rate=0.5, duration=float(MAX_ARRIVALS))
+    RunConfig(n_users=0, request_rate=1e200, duration=1e200)  # no users, no arrivals
 
 
 def _zero_latency_links(**radio):
@@ -448,9 +448,9 @@ def test_a_delivery_exactly_at_the_horizon_succeeds(strategy):
 
 
 def test_run_config_bounds_the_fleet():
-    RunConfig(n_vehicles=MAX_VEHICLES).validate()
+    RunConfig(n_vehicles=MAX_VEHICLES)
     with pytest.raises(ValueError, match=r"n_vehicles must be an integer in \[0, 1000000\], got 1000001"):
-        RunConfig(n_vehicles=MAX_VEHICLES + 1).validate()
+        RunConfig(n_vehicles=MAX_VEHICLES + 1)
 
 
 def test_ecfirst_runs_build_no_fleet(monkeypatch):
@@ -506,13 +506,13 @@ def test_run_config_bounds_the_beacons_of_a_vcc_fleet():
     # run: x + period == x, so the beacon replay never got past x
     for period in (1e-300, 1e-10):
         with pytest.raises(ValueError, match="beacons"):
-            RunConfig(strategy=VCC_FIRST, n_vehicles=1, duration=1.0, beacon_period=period).validate()
-    RunConfig(strategy=VCC_FIRST, n_vehicles=10, duration=1.0, beacon_period=10 / MAX_BEACONS).validate()
+            RunConfig(strategy=VCC_FIRST, n_vehicles=1, duration=1.0, beacon_period=period)
+    RunConfig(strategy=VCC_FIRST, n_vehicles=10, duration=1.0, beacon_period=10 / MAX_BEACONS)
     with pytest.raises(ValueError, match="beacons"):
-        RunConfig(strategy=VCC_FIRST, n_vehicles=11, duration=1.0, beacon_period=10 / MAX_BEACONS).validate()
+        RunConfig(strategy=VCC_FIRST, n_vehicles=11, duration=1.0, beacon_period=10 / MAX_BEACONS)
     # ECFirst runs and fleets of none replay no beacons
-    RunConfig(strategy=EC_FIRST, duration=1.0, beacon_period=1e-300).validate()
-    RunConfig(strategy=VCC_FIRST, n_vehicles=0, duration=1.0, beacon_period=1e-300).validate()
+    RunConfig(strategy=EC_FIRST, duration=1.0, beacon_period=1e-300)
+    RunConfig(strategy=VCC_FIRST, n_vehicles=0, duration=1.0, beacon_period=1e-300)
 
 
 def test_run_config_rejects_fleet_positions_that_overflow_where_coverage_reads_them():
@@ -522,12 +522,12 @@ def test_run_config_rejects_fleet_positions_that_overflow_where_coverage_reads_t
     endless = dict(strategy=VCC_FIRST, geometry=partial_coverage()._replace(loop_length_x=1e308))
     for cfg in (fast, endless):
         with pytest.raises(PositionOverflow, match="vehicle positions overflow"):
-            RunConfig(**cfg).validate()
+            RunConfig(**cfg)
         # a run that reads no position keeps running: no fleet, an unbounded cell, ECFirst
-        RunConfig(**dict(cfg, n_vehicles=0)).validate()
-        RunConfig(**dict(cfg, geometry=total_coverage()._replace(loop_length_x=cfg["geometry"].loop_length_x))).validate()
-        RunConfig(**dict(cfg, strategy=EC_FIRST)).validate()
-    RunConfig(**dict(fast, vehicle_speed=1e300)).validate()  # 3e300 m is still a float
+        RunConfig(**dict(cfg, n_vehicles=0))
+        RunConfig(**dict(cfg, geometry=total_coverage()._replace(loop_length_x=cfg["geometry"].loop_length_x)))
+        RunConfig(**dict(cfg, strategy=EC_FIRST))
+    RunConfig(**dict(fast, vehicle_speed=1e300))  # 3e300 m is still a float
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
@@ -573,15 +573,12 @@ def test_summarize_runs_on_one_cpu_forks_nothing(monkeypatch):
     assert [repr(agg) for agg in summarize_runs(cfgs)] == [repr(summarize(run(cfg))) for cfg in cfgs]
 
 
-def test_summarize_runs_validates_every_config_before_forking(monkeypatch):
-    def no_fork():
-        raise AssertionError("forked before validating")
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    cfgs = [RunConfig(duration=1.0), RunConfig(duration=1.0, n_users=-1)]
+def test_summarize_runs_gets_no_config_that_fails_its_checks():
+    # summarize_runs checks nothing before forking: a config that would fail cannot be built
     with pytest.raises(ValueError, match="n_users must be a nonnegative integer, got -1"):
-        summarize_runs(cfgs)
+        RunConfig(duration=1.0, n_users=-1)
+    with pytest.raises(ValueError, match="n_users must be a nonnegative integer, got -1"):
+        RunConfig(duration=1.0)._replace(n_users=-1)
 
 
 @needs_fork

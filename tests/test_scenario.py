@@ -125,7 +125,7 @@ def test_start_offsets_are_deterministic_and_directions_alternate():
 
 
 def test_fleet_inputs_are_validated_by_the_run():
-    # the scenario trusts its count and speed, and the engine its capacity; engine.run validates them first
+    # the scenario trusts its count and speed, and the engine its capacity; RunConfig checks them when built
     for field, bad in [("n_vehicles", -1), ("vehicle_speed", -1.0), ("vehicle_capacity", 0.0)]:
         with pytest.raises(ValueError, match=f"{field} must be"):
             run(RunConfig(**{field: bad}))
