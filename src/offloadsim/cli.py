@@ -35,14 +35,13 @@ from .config import (
     ConfigError,
     SweepSpec,
     apply_axis,
-    bonus_in_ec_requests,
     parse_cost_params,
     parse_list,
     parse_run_config,
     parse_seed_list,
     parse_sweep_spec,
 )
-from .costmodel import CostParams, cost_breakdown, savings
+from .costmodel import BONUS_IN_EC_REQUESTS, CostParams, cost_breakdown, savings
 from .engine import AGGREGATE_FIELDS, RECORD_FIELDS, Records, run, summarize, summarize_runs
 from .stats import anova_oneway, left_sum
 from .workers import forked, worker_count
@@ -289,35 +288,11 @@ def _sweep_rows(spec: SweepSpec):
     return rows
 
 
-def _cost_rows(base: CostParams, betas, years, scales, bonus_flag: bool):
-    rows = []
-    for scale in scales:
-        for year in years:
-            for beta in betas:
-                p = base._replace(years=year, beta=beta)
-                try:
-                    row = cost_breakdown(p, [beta], scale, bonus_flag)[0]
-                    saved = savings(p, scale)
-                except ValueError as exc:
-                    raise ConfigError(f"cost at scale {scale!r}, years {year!r}, beta {beta!r}: {exc}") from None
-                rows.append([scale, year, *row, saved])  # row starts with beta
-    return rows
-
-
 def _cmd_sweep(args) -> int:
-    text = _read_config(args.config)
-    spec = parse_sweep_spec(text)
+    spec = parse_sweep_spec(_read_config(args.config))
     if args.seed_list is not None:
-        if spec.axis == "beta":
-            raise ConfigError("--seed-list does not apply to a beta sweep, which runs nothing")
         spec = spec._replace(seeds=parse_seed_list(args.seed_list))
-    if spec.axis == "beta":
-        flag = bonus_in_ec_requests(text)
-        rows = _cost_rows(spec.base_cost, spec.values, [spec.base_cost.years], [1.0], flag)
-        _write_csv(args.output, COST_COLUMNS, rows)
-    else:
-        rows = _sweep_rows(spec)
-        _write_csv(args.output, ("axis", "value", "seed") + AGGREGATE_COLUMNS, rows)
+    _write_csv(args.output, ("axis", "value", "seed") + AGGREGATE_COLUMNS, _sweep_rows(spec))
     if args.output:
         with _writing(None):
             print(f"sweep over {spec.axis}: {len(spec.values)} values -> {args.output}")
@@ -325,15 +300,23 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    text = _read_config(args.config) if args.config else ""
-    base = parse_cost_params(text)
-    flag = args.bonus_in_ec_requests
-    if flag is None:
-        flag = bonus_in_ec_requests(text)
+    """One row per scale, horizon and bonus, in that nesting; the config sets
+    every other cost parameter."""
+    base = parse_cost_params(_read_config(args.config) if args.config else "")
     betas = parse_list(args.betas, "--betas", CostParams.KINDS["beta"])
-    years = (base.years,) if args.years is None else parse_list(args.years, "--years", CostParams.KINDS["years"])
+    years = parse_list(args.years, "--years", CostParams.KINDS["years"])
     scales = parse_list(args.scales, "--scales", "nonnegative")
-    rows = _cost_rows(base, betas, years, scales, flag)
+    rows = []
+    for scale in scales:
+        for year in years:
+            for beta in betas:
+                p = base._replace(years=year, beta=beta)
+                try:
+                    row = cost_breakdown(p, [beta], scale, args.bonus_in_ec_requests)[0]
+                    saved = savings(p, scale)
+                except ValueError as exc:
+                    raise ConfigError(f"cost at scale {scale!r}, years {year!r}, beta {beta!r}: {exc}") from None
+                rows.append([scale, year, *row, saved])  # row starts with beta
     _write_csv(args.output, COST_COLUMNS, rows)
     if args.output:
         with _writing(None):
@@ -423,12 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("config", nargs="?", help="cost configuration file (optional)")
     p_cost.add_argument("-o", "--output", help="CSV path (default: stdout)")
     p_cost.add_argument("--betas", default="0,1e-6,2e-6", help="per-request bonus levels")
-    p_cost.add_argument("--years", help="horizons in years (default: the config's cost.years, 1 without one)")
+    p_cost.add_argument("--years", default="1", help="horizons in years")
     p_cost.add_argument("--scales", default="1,0.01", help="request-volume scale factors")
     p_cost.add_argument(
         "--bonus-in-ec-requests",
         action=argparse.BooleanOptionalAction,
-        default=None,
+        default=BONUS_IN_EC_REQUESTS,
         help="add the bonus to the edge per-request column of breakdown tables (default: on)",
     )
     p_cost.set_defaults(fn=_cmd_cost)

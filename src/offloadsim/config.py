@@ -5,16 +5,15 @@ gives each key its field, whose owner's ``KINDS`` bounds it, so every value is
 parsed and bound-checked as its line is read, whatever subcommand reads the
 file; unknown keys, duplicates and bad values are errors naming the line. Each
 builder takes its own subset: run configs need ``strategy``, sweep specs also
-``sweep.axis`` and ``sweep.values``, cost parameters live under ``cost.``, and
-a ``beta`` sweep reads ``cost.bonus_in_ec_requests`` as ``offloadsim cost``
-does. A run config is built once, on its final geometry and channel, and
+``sweep.axis`` and ``sweep.values``, and cost parameters live under ``cost.``.
+A run config is built once, on its final geometry and channel, and
 checks itself as every value type does (``bounds.checked``); so does each
 sweep point before any runs. Numbers accept fractions like ``1/128``. Defaults
 are those of ``RunConfig`` (its channel is ``lena_calibrated()``),
 ``ScenarioGeometry`` and ``CostParams``; a scenario preset fills the geometry
 and explicit keys override it. Every key changes some output: a field that no
-output reads, such as a pedestrian leg's ``k_speed`` or the bonus ``beta``
-that each cost row sets, has no key.
+output reads, such as a pedestrian leg's ``k_speed``, has no key, and nor
+have the bonus beta and the horizon years that each cost row sets.
 """
 
 from __future__ import annotations
@@ -24,11 +23,11 @@ from collections import namedtuple
 from .bounds import check
 from .channel import SHARING_MODES, ChannelConfig, LinkParams
 from .controller import STRATEGIES
-from .costmodel import BONUS_IN_EC_REQUESTS, CostParams
+from .costmodel import CostParams
 from .engine import KMH, REPLICATION_SEEDS, PositionOverflow, RunConfig
 from .scenario import ScenarioGeometry, partial_coverage, total_coverage
 
-SWEEP_AXES = ("users", "workload", "vehicles", "vehicle_capacity_fraction", "speed", "beta")
+SWEEP_AXES = ("users", "workload", "vehicles", "vehicle_capacity_fraction", "speed")
 SCENARIO_PRESETS = {"total_coverage": total_coverage, "partial_coverage": partial_coverage}
 
 
@@ -36,23 +35,21 @@ class ConfigError(ValueError):
     """Invalid configuration text; the message names the key and line."""
 
 
-SweepSpec = namedtuple("SweepSpec", "axis values seeds base_run base_cost", defaults=(None, None))
-SweepSpec.__doc__ = "One sweep: the knob to turn, its values, the replication seeds, and the base run or cost."
+SweepSpec = namedtuple("SweepSpec", "axis values seeds base_run")
+SweepSpec.__doc__ = "One sweep: the knob to turn, its values, the replication seeds, and the base run."
 
 
 # The radio link classes, each a LinkParams; pedestrian legs run at speed 0, so their k_speed has no key.
 _RADIO = [name for name in ChannelConfig._fields if name not in ChannelConfig.KINDS]
-_BOOLS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
 
 # key -> (target, field, spelling). Targets: "run" (RunConfig), "geometry"
 # (ScenarioGeometry), "bs" (an index into its bs_position), "channel" (a wired
 # leg's latency in ChannelConfig), a radio link name (its LinkParams), "cost"
-# (CostParams), "sweep", "preset" (the geometry a preset factory fills),
-# "km/h" (a RunConfig speed in km/h) and "flag". A
-# spelling of None is a number of its field's kind (``_KINDS``), and a word
-# spells the one more value that kind accepts; else it is the words allowed
-# (mapped if a dict), bool, int (an integer its builder bounds) or list (of
-# finite numbers).
+# (CostParams), "sweep", "preset" (the geometry a preset factory fills) and
+# "km/h" (a RunConfig speed in km/h). A spelling of None is a number of its
+# field's kind (``_KINDS``), and a word spells the one more value that kind
+# accepts; else it is the words allowed (mapped if a dict), int (an integer its
+# builder bounds) or list (of finite numbers).
 _KEYS = {
     "strategy": ("run", "strategy", STRATEGIES),
     "users": ("run", "n_users", None),
@@ -72,7 +69,6 @@ _KEYS = {
     "scenario.ue_height": ("geometry", "ue_height", None),
     "vehicles.count": ("run", "n_vehicles", None),
     "vehicles.speed_kmh": ("km/h", "vehicle_speed", None),
-    "vehicles.speed_mps": ("run", "vehicle_speed", None),
     "vehicles.capacity_mips": ("run", "vehicle_capacity", None),
     "compute.cloud_mips": ("run", "cloud_mips", None),
     "compute.edge_mips": ("run", "edge_mips", None),
@@ -91,17 +87,15 @@ _KEYS = {
     "sweep.replications": ("sweep", "replications", int),
     "cost.c_ec_cpu": ("cost", "c_ec_cpu", None),
     "cost.cpu_lifetime_years": ("cost", "l_ec_cpu", None),
-    "cost.years": ("cost", "years", None),
     "cost.c_ec_main": ("cost", "c_ec_main", None),
     "cost.c_ec_req": ("cost", "c_ec_req", None),
     "cost.requests_per_user": ("cost", "request_rate", None),
     "cost.users": ("cost", "users", None),
     "cost.alpha_seconds": ("cost", "alpha", None),
     "cost.capex_overhead": ("cost", "capex_overhead", None),
-    "cost.bonus_in_ec_requests": ("flag", "bonus_in_ec_requests", bool),
 }
-_POSITION_KEYS = ("duration", "scenario.preset", "scenario.length_x", "scenario.width_y", "vehicles.speed_kmh",
-                  "vehicles.speed_mps")  # what a fleet's loop positions read
+_POSITION_KEYS = ("duration", "scenario.preset", "scenario.length_x", "scenario.width_y",
+                  "vehicles.speed_kmh")  # what a fleet's loop positions read
 _KINDS = {"run": RunConfig.KINDS, "km/h": RunConfig.KINDS, "geometry": ScenarioGeometry.KINDS, "cost": CostParams.KINDS,
           "bs": ScenarioGeometry.KINDS["bs_position"], "channel": ChannelConfig.KINDS,
           **dict.fromkeys(_RADIO, LinkParams.KINDS)}  # target -> its table
@@ -153,10 +147,6 @@ def parse_list(raw: str, what: str, kind, line: int | None = None) -> tuple:
 def _read(key: str, raw: str, line: int):
     """One line's value, parsed and bound-checked as its key's spelling and kind say."""
     target, field, spelling = _KEYS[key]
-    if spelling is bool:
-        if raw.lower() in _BOOLS:
-            return _BOOLS[raw.lower()]
-        raise ConfigError(f"line {line}: {key} expects true or false, got {raw!r}")
     if spelling is list:
         return parse_list(raw, key, "any", line)
     if spelling is int:
@@ -203,9 +193,6 @@ def _group(entries: dict[str, tuple[object, int]]) -> dict[str, dict]:
 def _build_run(entries: dict[str, tuple[object, int]]) -> RunConfig:
     if "strategy" not in entries:
         raise ConfigError("missing mandatory key 'strategy'")
-    if "vehicles.speed_kmh" in entries and "vehicles.speed_mps" in entries:
-        line = entries["vehicles.speed_mps"][1]
-        raise ConfigError(f"line {line}: set vehicles.speed_kmh or vehicles.speed_mps, not both")
     groups = _group(entries)
     kw = groups.get("run", {})
     kw.update((field, value * KMH) for field, value in groups.get("km/h", {}).items())
@@ -224,15 +211,6 @@ def _build_run(entries: dict[str, tuple[object, int]]) -> RunConfig:
         raise ConfigError(f"{_where(max(lines, default=None))}{exc}") from None
 
 
-def _build_cost(entries: dict[str, tuple[object, int]]) -> CostParams:
-    return CostParams(**_group(entries).get("cost", {}))  # the table bounds every field, and no rule spans them
-
-
-def bonus_in_ec_requests(text: str) -> bool:
-    """The breakdown-table flag, readable from any config file (default on)."""
-    return _scan(text).get("cost.bonus_in_ec_requests", (BONUS_IN_EC_REQUESTS,))[0]
-
-
 def _scan_outside_sweeps(text: str, context: str) -> dict[str, tuple[object, int]]:
     entries = _scan(text)
     for key, (_, line) in entries.items():
@@ -246,7 +224,8 @@ def parse_run_config(text: str) -> RunConfig:
 
 
 def parse_cost_params(text: str) -> CostParams:
-    return _build_cost(_scan_outside_sweeps(text, "cost"))
+    groups = _group(_scan_outside_sweeps(text, "cost"))
+    return CostParams(**groups.get("cost", {}))  # the table bounds every field, and no rule spans them
 
 
 def parse_sweep_spec(text: str) -> SweepSpec:
@@ -261,8 +240,6 @@ def parse_sweep_spec(text: str) -> SweepSpec:
             raise ConfigError(f"line {line}: sweep.values for {axis} must be integers, got {v!r}")
 
     replications, where = entries.get("sweep.replications", (len(REPLICATION_SEEDS), None))
-    if axis == "beta" and where is not None:
-        raise ConfigError(f"line {where}: sweep.replications does not apply to a beta sweep, which runs nothing")
     if replications < 1:
         raise ConfigError(f"line {where}: sweep.replications must be at least 1")
     if replications > len(REPLICATION_SEEDS):
@@ -271,14 +248,13 @@ def parse_sweep_spec(text: str) -> SweepSpec:
         )
     seeds = tuple(REPLICATION_SEEDS[:replications])
 
-    base_cost = _build_cost(entries) if axis == "beta" else None
-    base_run = _build_run(entries) if axis != "beta" else None
+    base_run = _build_run(entries)
     for v in values:  # every point must be valid before any is computed
         try:
-            base_cost._replace(beta=v) if base_cost else apply_axis(base_run, axis, v, seeds[0])
+            apply_axis(base_run, axis, v, seeds[0])
         except ValueError as exc:
             raise ConfigError(f"line {line}: sweep.values {v!r}: {exc}") from None
-    return SweepSpec(axis, values, seeds, base_run=base_run, base_cost=base_cost)
+    return SweepSpec(axis, values, seeds, base_run)
 
 
 def apply_axis(base: RunConfig, axis: str, value: float, seed: int) -> RunConfig:
@@ -293,7 +269,7 @@ def apply_axis(base: RunConfig, axis: str, value: float, seed: int) -> RunConfig
         return base._replace(vehicle_capacity=base.vehicle_capacity * value, seed=seed)
     if axis == "speed":
         return base._replace(vehicle_speed=value * KMH, seed=seed)
-    raise ValueError(f"axis {axis!r} does not drive simulation runs")
+    raise ValueError(f"unknown sweep axis {axis!r}")
 
 
 def parse_seed_list(raw: str) -> tuple[int, ...]:

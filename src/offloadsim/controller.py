@@ -87,7 +87,7 @@ class Registry:
         while i >= n:
             i = rng.getrandbits(k)
         vid = ids.pop(i)
-        self.entries[vid] = None  # listed again only by a later beacon of its
+        self.entries[vid] = None  # listed again only by a later beacon of its own
         return vid
 
     def expire_stale(self, t: float) -> None:

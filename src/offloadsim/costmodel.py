@@ -15,8 +15,8 @@ from collections import namedtuple
 from .bounds import checked
 
 SECONDS_ACTIVE_PER_YEAR = 15 * 3600 * 365  # 15 h/day of offloading activity
-# Whether breakdown tables add the bonus to the edge per-request column, unless
-# told otherwise (``cost.bonus_in_ec_requests``, ``--bonus-in-ec-requests``).
+# Whether breakdown tables add the bonus to the edge per-request column: the
+# default of ``offloadsim cost --[no-]bonus-in-ec-requests``.
 BONUS_IN_EC_REQUESTS = True
 
 
@@ -24,7 +24,7 @@ BONUS_IN_EC_REQUESTS = True
 _COST_FIELDS = {
     "c_ec_cpu": (700.0, "nonnegative"),  # $ per edge CPU
     "l_ec_cpu": (3.0, "positive"),  # years a CPU lasts before replacement
-    "years": (1.0, "positive"),  # horizon Y
+    "years": (1.0, "positive"),  # horizon Y, set per table row
     "c_ec_main": (1368.46, "nonnegative"),  # $ per year of edge maintenance
     "c_ec_req": (2e-5, "nonnegative"),  # $ per request served at the edge
     "request_rate": (5.0, "positive"),  # requests per second per user

@@ -3,6 +3,8 @@
 ``forked(n, work)`` makes n - 1 children with ``os.fork``; child k runs
 ``work(k, out)`` and writes its result to ``out``, the write end of its own
 pipe, while the calling process does share 0 and reads the children's pipes.
+A share whose fork fails, say for want of processes, runs in the calling
+process instead, into a buffer read in its pipe's place.
 Neither ``multiprocessing`` nor ``pickle`` is imported: a share is described
 by state the child copies at fork, and results travel as bytes the caller
 chooses (``marshal`` keeps every float exactly).
@@ -11,6 +13,7 @@ chooses (``marshal`` keeps every float exactly).
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import sys
 
@@ -31,7 +34,9 @@ def worker_count(n_jobs: int) -> int:
 @contextlib.contextmanager
 def forked(n: int, work):
     """Run ``work(k, out)`` for k = 1 .. n - 1, each in a forked child, and
-    yield the read ends of their pipes (binary files), in order of k.
+    yield the read ends of their pipes (binary files), in order of k. Where
+    ``os.fork`` raises OSError, ``work(k, out)`` runs here into an
+    ``io.BytesIO``, yielded rewound in the pipe's place.
 
     The caller reads each pipe while its child may still write: a pipe holds
     only about 64 KB, and a child blocks once it is full. On leaving the block
@@ -40,17 +45,23 @@ def forked(n: int, work):
     stderr and exits with status 1, and then leaving the block raises
     RuntimeError naming it.
     """
-    children = []  # (pid, read end of its pipe)
+    children = []  # (pid, read end of its pipe), or (None, buffer) for a share run here
     killed = False
     try:
         for k in range(1, n):
             r, w = os.pipe()
             try:
                 pid = os.fork()
-            except BaseException:
+            except BaseException as exc:
                 os.close(r)
                 os.close(w)
-                raise
+                if not isinstance(exc, OSError):
+                    raise
+                out = io.BytesIO()  # shares are independent: the bytes are the child's
+                work(k, out)
+                out.seek(0)
+                children.append((None, out))
+                continue
             if pid == 0:
                 os.close(r)
                 for _, pipe in children:  # an earlier child's pipe must close when the parent's end does
@@ -62,13 +73,16 @@ def forked(n: int, work):
     except BaseException:
         killed = True
         for pid, _ in children:
-            os.kill(pid, _SIGKILL)
+            if pid is not None:
+                os.kill(pid, _SIGKILL)
         raise
     finally:
         for _, pipe in children:
             pipe.close()
         failed = []
         for pid, _ in children:
+            if pid is None:
+                continue
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code > 0 or (code and not killed):
                 failed.append(f"{pid} (exit status {code})")

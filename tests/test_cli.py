@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import math
 import os
@@ -228,22 +229,31 @@ def test_a_failing_sweep_worker_fails_the_sweep(tmp_path, monkeypatch, capfd):
     assert "ArithmeticError: planted failure" in capfd.readouterr().err
 
 
-def test_beta_sweep_rejects_replications(tmp_path, capsys):
-    cfg = tmp_path / "beta.cfg"
-    cfg.write_text("sweep.axis = beta\nsweep.values = 0\nsweep.replications = 3\n")
-    out = tmp_path / "beta.csv"
-    assert main(["sweep", str(cfg), "-o", str(out)]) == 1
-    assert "line 3: sweep.replications does not apply to a beta sweep" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
+def test_a_share_whose_fork_fails_runs_in_this_process(tmp_path, monkeypatch):
+    # a failed fork used to end a sweep in a BlockingIOError traceback, and a
+    # run in "cannot write <records>: Resource temporarily unavailable"
+    sweep, run_cfg = tmp_path / "sweep.cfg", tmp_path / "run.cfg"
+    sweep.write_text("strategy = ECFirst\nusers = 2\nduration = 2\nsweep.axis = users\nsweep.values = 1, 2\n")
+    run_cfg.write_text("strategy = ECFirst\nusers = 30\nduration = 20\n")  # 3,000 records
+    forks = []
 
+    def refuse():
+        forks.append(None)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
-def test_beta_sweep_rejects_a_seed_list(tmp_path, capsys):
-    cfg = tmp_path / "beta.cfg"
-    cfg.write_text("sweep.axis = beta\nsweep.values = 0\n")
-    out = tmp_path / "beta.csv"
-    assert main(["sweep", str(cfg), "-o", str(out), "--seed-list", "5,6"]) == 1
-    assert "--seed-list does not apply to a beta sweep" in capsys.readouterr().err
-    assert not out.exists()
+    monkeypatch.setattr(os, "fork", refuse)
+    written = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out = tmp_path / f"cpus{len(cpus)}"
+        out.mkdir()
+        assert main(["sweep", str(sweep), "--seed-list", "0,1", "-o", str(out / "sweep.csv")]) == 0
+        assert main(["run", str(run_cfg), "-o", str(out / "agg.csv"), "--records", str(out / "records.csv")]) == 0
+        written.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert len(forks) == 2  # one share of each call on two CPUs
+    assert written[0]["records.csv"].count(b"\n") == 3001 >= cli._PARALLEL_ROWS
+    assert written[1] == written[0]
 
 
 def test_cost_defaults_produce_the_breakdown_grid(tmp_path):
@@ -275,19 +285,6 @@ def test_cost_with_a_free_edge_writes_nan_edge_percentages(tmp_path):
         assert (row["vcc_req_pct"], row["ec_total_usd"], row["savings_usd"]) == ("100.0", "0.0", "0.0")
 
 
-def test_cost_beta_sweep_via_config(tmp_path):
-    cfg = tmp_path / "beta.cfg"
-    cfg.write_text("sweep.axis = beta\nsweep.values = 0, 1e-6, 2e-6\n")
-    out = tmp_path / "beta.csv"
-    assert main(["sweep", str(cfg), "-o", str(out)]) == 0
-    rows = _rows(out)
-    assert list(rows[0]) == list(COST_COLUMNS)
-    assert [float(r["beta"]) for r in rows] == [0.0, 1e-6, 2e-6]
-    # savings fall as the bonus grows
-    s = [float(r["savings_usd"]) for r in rows]
-    assert s[0] > s[1] > s[2]
-
-
 def test_cost_bonus_flag_switches_interpretation(tmp_path):
     on = tmp_path / "on.csv"
     off = tmp_path / "off.csv"
@@ -298,38 +295,6 @@ def test_cost_bonus_flag_switches_interpretation(tmp_path):
     row_off = _rows(off)[0]
     assert float(row_on["ec_total_usd"]) > float(row_off["ec_total_usd"])
     assert row_on["vcc_total_usd"] == row_off["vcc_total_usd"]
-
-
-def test_cost_years_default_to_the_config(tmp_path):
-    # `--years` used to default to 1 whatever the config's cost.years said
-    cfg = tmp_path / "cost.cfg"
-    cfg.write_text("cost.years = 4\n")
-    from_config, from_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
-    assert main(["cost", str(cfg), "-o", str(from_config)]) == 0
-    assert main(["cost", str(cfg), "--years", "4", "-o", str(from_flag)]) == 0
-    assert from_config.read_bytes() == from_flag.read_bytes()
-    assert {row["years"] for row in _rows(from_config)} == {"4.0"}
-    # the flag still wins, and the beta sweep reads the key alike
-    assert main(["cost", str(cfg), "--years", "2", "-o", str(from_flag)]) == 0
-    assert {row["years"] for row in _rows(from_flag)} == {"2.0"}
-    sweep = tmp_path / "sweep.cfg"
-    sweep.write_text("cost.years = 4\nsweep.axis = beta\nsweep.values = 0, 1e-6, 2e-6\n")
-    assert main(["sweep", str(sweep), "-o", str(from_flag)]) == 0
-    assert from_flag.read_text().splitlines() == from_config.read_text().splitlines()[:4]
-
-
-def test_beta_sweep_and_cost_read_the_bonus_flag_alike(tmp_path):
-    off = "cost.bonus_in_ec_requests = false\n"
-    sweep_cfg = tmp_path / "sweep.cfg"
-    sweep_cfg.write_text("sweep.axis = beta\nsweep.values = 1e-6\n" + off)
-    cost_cfg = tmp_path / "cost.cfg"
-    cost_cfg.write_text(off)
-    swept = tmp_path / "sweep.csv"
-    costed = tmp_path / "cost.csv"
-    assert main(["sweep", str(sweep_cfg), "-o", str(swept)]) == 0
-    assert main(["cost", str(cost_cfg), "--betas", "1e-6", "--scales", "1", "-o", str(costed)]) == 0
-    assert swept.read_bytes() == costed.read_bytes()
-    assert _rows(swept)[0]["ec_total_usd"] == "199168.46000000002"
 
 
 def test_anova_table_matches_the_hand_example(tmp_path):
@@ -431,7 +396,7 @@ _SWEEP_CFG = "strategy = ECFirst\nduration = 2\nsweep.axis = users\nsweep.values
 @pytest.mark.parametrize("command, text", [
     ("run", RUN_CFG),
     ("sweep", _SWEEP_CFG),
-    ("cost", "cost.years = 3\n"),
+    ("cost", "cost.users = 50\n"),
     ("anova", "group,value\na,1\na,2\nb,4\nb,6\n"),
 ], ids=["run", "sweep", "cost", "anova"])
 def test_a_leading_byte_order_mark_is_ignored(tmp_path, command, text):
@@ -644,7 +609,7 @@ def test_an_unwritable_output_path_exits_nonzero_with_a_message(tmp_path, capsys
 
 
 @pytest.mark.parametrize("lines, named", [
-    ("vehicles.speed_mps = 1e308\nduration = 3", 4),  # offset + speed x t overflowed past t = 1.8 s
+    ("vehicles.speed_kmh = 1e308\nduration = 7", 4),  # offset + speed x t overflowed past t = 6.5 s
     ("scenario.length_x = 1e308", 3),  # the perimeter itself
 ])
 def test_a_fleet_whose_positions_overflow_exits_nonzero_naming_a_line(tmp_path, capsys, lines, named):
@@ -709,8 +674,6 @@ def _rows_of(command, argv, text):
         return {"-o": (("seed",) + AGGREGATE_COLUMNS, 1), "--records": (engine.RECORD_FIELDS, n)}
     if command == "sweep":
         spec = config.parse_sweep_spec(text)
-        if spec.axis == "beta":
-            return {"-o": (COST_COLUMNS, len(spec.values))}
         seeds = next((len(a.split("=")[1].split(",")) for a in argv if a.startswith("--seed-list=")), len(spec.seeds))
         return {"-o": (("axis", "value", "seed") + AGGREGATE_COLUMNS, len(spec.values) * (seeds + 1))}
     if command == "cost":
@@ -728,7 +691,7 @@ def _small_enough(command, text) -> bool:
             cfgs = [config.parse_run_config(text)]
         elif command == "sweep":
             spec = config.parse_sweep_spec(text)
-            cfgs = [] if spec.axis == "beta" else [config.apply_axis(spec.base_run, spec.axis, v, 0) for v in spec.values]
+            cfgs = [config.apply_axis(spec.base_run, spec.axis, v, 0) for v in spec.values]
         else:
             return True
     except config.ConfigError:

@@ -19,7 +19,6 @@ from offloadsim.config import (
     ConfigError,
     SweepSpec,
     apply_axis,
-    bonus_in_ec_requests,
     parse_cost_params,
     parse_run_config,
     parse_seed_list,
@@ -188,21 +187,10 @@ def test_unbounded_still_spells_infinity():
 
 def test_a_run_config_is_checked_on_its_final_geometry():
     # the preset's bounded cell would overflow the fleet's positions; the unbounded cell set over it reads none
-    text = "strategy = VCCFirst\nscenario.preset = partial_coverage\nvehicles.speed_mps = 1e308\nduration = 2\n"
+    text = "strategy = VCCFirst\nscenario.preset = partial_coverage\nvehicles.speed_kmh = 1e308\nduration = 7\n"
     with pytest.raises(ConfigError, match="^line 4: vehicle positions overflow"):
         parse_run_config(text)
     assert math.isinf(parse_run_config(text + "scenario.coverage_radius = unbounded\n").geometry.coverage_radius)
-
-
-def test_speed_keys_are_exclusive():
-    cfg = parse_run_config("strategy = ECFirst\nvehicles.speed_kmh = 36\n")
-    assert cfg.vehicle_speed == pytest.approx(10.0, rel=1e-15)
-    cfg = parse_run_config("strategy = ECFirst\nvehicles.speed_mps = 10\n")
-    assert cfg.vehicle_speed == 10.0
-    with pytest.raises(ConfigError, match="not both"):
-        parse_run_config(
-            "strategy = ECFirst\nvehicles.speed_kmh = 36\nvehicles.speed_mps = 10\n"
-        )
 
 
 def test_scenario_preset_and_overrides():
@@ -258,7 +246,6 @@ def test_sweep_spec_parses_axis_values_and_replications():
     assert spec.values == (1.0, 2.0, 4.0, 10.0)
     assert spec.seeds == REPLICATION_SEEDS[:3]
     assert spec.base_run.strategy == "VCCFirst"
-    assert spec.base_cost is None
 
 
 def test_sweep_spec_defaults_to_all_replication_seeds():
@@ -300,7 +287,6 @@ def test_sweep_validation():
         ("workload", "-1", "workload_mi"),
         ("vehicle_capacity_fraction", "0", "vehicle_capacity"),
         ("speed", "-1", "vehicle_speed"),
-        ("beta", "-1", "beta"),
     ]:
         with pytest.raises(ConfigError, match=f"line 3: sweep.values {float(value)!r}: {field} must be"):
             parse_sweep_spec(f"strategy = ECFirst\nsweep.axis = {axis}\nsweep.values = 1, {value}\n")
@@ -310,26 +296,26 @@ def test_duplicate_sweep_values_are_rejected_naming_the_line():
     with pytest.raises(ConfigError, match="line 3: sweep.values lists 10.0 more than once"):
         parse_sweep_spec("strategy = VCCFirst\nsweep.axis = speed\nsweep.values = 10, 10\n")
     with pytest.raises(ConfigError, match="line 2: sweep.values lists 0.5 more than once"):
-        parse_sweep_spec("sweep.axis = beta\nsweep.values = 1/2, 1, 0.5\n")
+        parse_sweep_spec("sweep.axis = workload\nsweep.values = 1/2, 1, 0.5\n")
 
 
 def test_sweep_keys_rejected_outside_sweeps():
     with pytest.raises(ConfigError, match="sweep subcommand"):
         parse_run_config("strategy = ECFirst\nsweep.axis = users\n")
     with pytest.raises(ConfigError, match="sweep subcommand"):
-        parse_cost_params("cost.years = 1\nsweep.values = 1\n")
+        parse_cost_params("cost.users = 50\nsweep.values = 1\n")
 
 
 @pytest.mark.parametrize(
     "parse, text, where",
     [
-        (parse_run_config, "strategy = ECFirst\ncost.years = banana\n", "line 2: cost.years"),
-        (parse_cost_params, "cost.years = 1\nusers = banana\n", "line 2: users"),
+        (parse_run_config, "strategy = ECFirst\ncost.users = banana\n", "line 2: cost.users"),
+        (parse_cost_params, "cost.users = 50\nusers = banana\n", "line 2: users"),
         (parse_cost_params, "scenario.bs_z = 0\n", "line 1: scenario.bs_z must be positive"),
         (
             parse_sweep_spec,
-            "sweep.axis = beta\nsweep.values = 1e-6\nstrategy = banana\ncost.bonus_in_ec_requests = maybe\n",
-            "line 3: strategy",
+            "sweep.axis = speed\nsweep.values = 50\nstrategy = ECFirst\ncost.users = banana\n",
+            "line 4: cost.users",
         ),
     ],
 )
@@ -338,22 +324,9 @@ def test_every_value_is_checked_whatever_the_subcommand(parse, text, where):
         parse(text)
 
 
-def test_beta_sweep_builds_cost_parameters():
-    spec = parse_sweep_spec(
-        "sweep.axis = beta\nsweep.values = 0, 1e-6\ncost.users = 50\n"
-    )
-    assert spec.base_run is None
-    assert spec.base_cost.users == 50.0
-
-
 def test_cost_params_parsing():
     p = parse_cost_params("cost.c_ec_cpu = 800\ncost.users = 50\n")
     assert p == CostParams(c_ec_cpu=800.0, users=50.0)
-
-
-def test_bonus_placement_flag():
-    assert bonus_in_ec_requests("cost.years = 1\n") is True
-    assert bonus_in_ec_requests("cost.bonus_in_ec_requests = false\n") is False
 
 
 def test_apply_axis_each_knob():
@@ -466,7 +439,8 @@ def test_config_text_either_fails_to_parse_or_runs_to_the_end():
     assert outcomes["ran"] >= 50 and outcomes["rejected"] >= 50, outcomes
 
 
-# Keys that no output read, each with a value it once accepted.
+# Keys that no output read, or that set a value a flag or another key sets,
+# each with a value it once accepted.
 _DELETED = {
     **{
         f"channel.{link}.{field}": value
@@ -478,6 +452,9 @@ _DELETED = {
     "cost.c_vcc_req": "auto",
     "cost.beta": "1e-6",
     "channel.preset": "lena_calibrated",
+    "vehicles.speed_mps": "3.638888888888889",
+    "cost.years": "1.0",
+    "cost.bonus_in_ec_requests": "true",
 }
 
 
@@ -491,9 +468,20 @@ def test_a_deleted_key_exits_1_naming_its_line(tmp_path, capsys, key):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_the_beta_axis_exits_1_naming_its_line(tmp_path, capsys):
+    # a table over the bonus is `offloadsim cost CONFIG --betas V1,V2 --scales 1`
+    cfg, out = tmp_path / "input.cfg", tmp_path / "out.csv"
+    cfg.write_text("strategy = ECFirst\nsweep.axis = beta\nsweep.values = 0, 1e-6\n")
+    assert main(["sweep", str(cfg), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"offloadsim: line 2: sweep.axis must be one of {', '.join(sorted(config.SWEEP_AXES))}, got 'beta'\n"
+    )
+    assert not out.exists()
+
+
 # Small calls that together reach the cloud, the edge and vehicles: a run of
 # each strategy on a partially covered loop, with payloads large enough that
-# transfers share every radio link, the cost table and two sweeps.
+# transfers share every radio link, the cost table and a sweep.
 _RUN = {"users": "6", "duration": "2", "vehicles.count": "12", "scenario.preset": "partial_coverage",
         "task.size_bytes": "400000", "task.result_bytes": "400000", "compute.edge_max_queue": "3",
         "compute.edge_mips": "5000"}
@@ -501,7 +489,6 @@ _PROBES = {
     "ECFirst": ("run", {"strategy": "ECFirst", **_RUN}),
     "VCCFirst": ("run", {"strategy": "VCCFirst", **_RUN}),
     "cost": ("cost", {}),
-    "beta sweep": ("sweep", {"sweep.axis": "beta", "sweep.values": "0, 1e-6"}),
     "speed sweep": ("sweep", {"strategy": "VCCFirst", **_RUN, "duration": "1", "sweep.axis": "speed",
                               "sweep.values": "13.1, 50", "sweep.replications": "1"}),
 }
@@ -511,7 +498,7 @@ _CHANGED = {
     "task.workload_mi": "900", "task.size_bytes": "1000", "task.result_bytes": "1000",
     "scenario.preset": "total_coverage", "scenario.length_x": "700", "scenario.width_y": "300",
     "scenario.bs_x": "100", "scenario.bs_y": "200", "scenario.bs_z": "300", "scenario.coverage_radius": "200",
-    "scenario.ue_height": "300", "vehicles.count": "3", "vehicles.speed_kmh": "90", "vehicles.speed_mps": "25",
+    "scenario.ue_height": "300", "vehicles.count": "3", "vehicles.speed_kmh": "90",
     "vehicles.capacity_mips": "5000", "compute.cloud_mips": "1000", "compute.edge_mips": "20000",
     "compute.edge_max_queue": "0", "controller.beacon_period": "0.3", "controller.timeout": "0.05",
     **{f"channel.{link}.{field}": value
@@ -520,9 +507,9 @@ _CHANGED = {
                             ("k_speed", "0.05"), ("sharing", "none"))},
     **{f"channel.{link}.base_latency": "0.1" for link in ("cn_up", "cn_down", "internet_up", "internet_down")},
     "sweep.axis": "workload", "sweep.values": "13.1, 90", "sweep.replications": "2",
-    "cost.c_ec_cpu": "900", "cost.cpu_lifetime_years": "0.5", "cost.years": "2", "cost.c_ec_main": "1000",
+    "cost.c_ec_cpu": "900", "cost.cpu_lifetime_years": "0.5", "cost.c_ec_main": "1000",
     "cost.c_ec_req": "3e-5", "cost.requests_per_user": "2", "cost.users": "50", "cost.alpha_seconds": "1e7",
-    "cost.capex_overhead": "2", "cost.bonus_in_ec_requests": "false",
+    "cost.capex_overhead": "2",
 }
 _OUTPUTS: dict = {}
 
@@ -546,7 +533,7 @@ def test_every_key_changes_an_output(tmp_path, key):
     """Each key, set to a value other than its default, changes the bytes of
     some call that reads it."""
     target = config._KEYS[key][0]
-    readers = {"cost": ("cost", "beta sweep"), "flag": ("cost",), "sweep": ("speed sweep",)}.get(
+    readers = {"cost": ("cost",), "sweep": ("speed sweep",)}.get(
         target, ("ECFirst", "VCCFirst")
     )
     base = {probe: _PROBES[probe][1] for probe in readers}
