@@ -7,34 +7,34 @@ number: the break-even bonus, the premium per request at which both options
 cost the same.
 """
 
-from offloadsim.costmodel import (
-    CostParams,
-    cost_breakdown,
-    savings,
-    total_costs,
-    vcc_bonus,
-)
+from offloadsim.costmodel import BONUS_IN_EC_REQUESTS, CostParams, cost_row, savings, vcc_bonus
 
 p = CostParams()
 volume = p.requests()
 print(f"defaults: {p.users:.0f} users at {p.request_rate:.0f} req/s for "
       f"{p.alpha:.0f} active seconds a year -> {volume:.3e} requests/year")
 
+
+def print_composition(request_scale):
+    for beta in (0.0, 1e-6, 2e-6):
+        row = cost_row(p._replace(beta=beta), request_scale, BONUS_IN_EC_REQUESTS)
+        print(f"{beta:8.0e} {row.capex_ec_pct:7.2f} {row.ec_main_pct:7.2f} "
+              f"{row.ec_req_pct:7.2f} | {row.vcc_req_pct:6.2f}")
+
+
 print("\ncost composition at full request volume (percent of each side's total)")
 print(f"{'beta':>8} {'capex':>7} {'maint':>7} {'req':>7} | {'vcc':>6}")
-for row in cost_breakdown(p, betas=[0.0, 1e-6, 2e-6]):
-    print(f"{row.beta:8.0e} {row.capex_ec_pct:7.2f} {row.ec_main_pct:7.2f} "
-          f"{row.ec_req_pct:7.2f} | {row.vcc_req_pct:6.2f}")
+print_composition(1.0)
 
 print("\nsame composition at 1% of the request volume")
-for row in cost_breakdown(p, betas=[0.0, 1e-6, 2e-6], request_scale=0.01):
-    print(f"{row.beta:8.0e} {row.capex_ec_pct:7.2f} {row.ec_main_pct:7.2f} "
-          f"{row.ec_req_pct:7.2f} | {row.vcc_req_pct:6.2f}")
+print_composition(0.01)
 
 print("\ntotals over multi-year horizons at zero bonus ($)")
 print(f"{'years':>6} {'edge':>14} {'vehicular':>14} {'savings':>12}")
-for beta, years, ec_total, vcc_total in total_costs(p, betas=[0.0], years=[1.0, 3.0, 5.0]):
-    print(f"{years:6.0f} {ec_total:14,.2f} {vcc_total:14,.2f} {ec_total - vcc_total:12,.2f}")
+for years in (1.0, 3.0, 5.0):
+    row = cost_row(p._replace(years=years), 1.0, BONUS_IN_EC_REQUESTS)
+    print(f"{years:6.0f} {row.ec_total_usd:14,.2f} {row.vcc_total_usd:14,.2f} "
+          f"{row.ec_total_usd - row.vcc_total_usd:12,.2f}")
 
 b_star = vcc_bonus(p)
 print(f"\nbreak-even bonus: {b_star:.4e} $ per request")

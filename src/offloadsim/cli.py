@@ -41,8 +41,8 @@ from .config import (
     parse_seed_list,
     parse_sweep_spec,
 )
-from .costmodel import BONUS_IN_EC_REQUESTS, CostParams, cost_breakdown, savings
-from .engine import AGGREGATE_FIELDS, RECORD_FIELDS, Records, run, summarize, summarize_runs
+from .costmodel import BONUS_IN_EC_REQUESTS, CostParams, CostRow, cost_row
+from .engine import AGGREGATE_FIELDS, RECORD_FIELDS, REPLICATION_SEEDS, Records, run, summarize, summarize_runs
 from .stats import anova_oneway, left_sum
 from .workers import forked, worker_count
 
@@ -50,18 +50,7 @@ from .workers import forked, worker_count
 _UNITS = {"mean_total": "mean_total_s", "p90": "p90_s", "p95": "p95_s", "p99": "p99_s"}
 AGGREGATE_COLUMNS = tuple(_UNITS.get(name, name) for name in AGGREGATE_FIELDS)
 
-COST_COLUMNS = (
-    "request_scale",
-    "years",
-    "beta",
-    "capex_ec_pct",
-    "ec_main_pct",
-    "ec_req_pct",
-    "vcc_req_pct",
-    "ec_total_usd",
-    "vcc_total_usd",
-    "savings_usd",
-)
+COST_COLUMNS = ("request_scale", "years", "beta", *CostRow._fields)
 
 ANOVA_COLUMNS = ("source", "sum_sq", "df", "F", "PR(>F)")
 
@@ -310,13 +299,11 @@ def _cmd_cost(args) -> int:
     for scale in scales:
         for year in years:
             for beta in betas:
-                p = base._replace(years=year, beta=beta)
                 try:
-                    row = cost_breakdown(p, [beta], scale, args.bonus_in_ec_requests)[0]
-                    saved = savings(p, scale)
+                    p = base._replace(years=year, beta=beta)
+                    rows.append([scale, year, beta, *cost_row(p, scale, args.bonus_in_ec_requests)])
                 except ValueError as exc:
                     raise ConfigError(f"cost at scale {scale!r}, years {year!r}, beta {beta!r}: {exc}") from None
-                rows.append([scale, year, *row, saved])  # row starts with beta
     _write_csv(args.output, COST_COLUMNS, rows)
     if args.output:
         with _writing(None):
@@ -398,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("-o", "--output", help="CSV path (default: stdout)")
     p_sweep.add_argument(
         "--seed-list",
-        help="comma-separated replication seeds (default: 0,1,2,3,4,6,7,8,9)",
+        help=f"comma-separated replication seeds (default: {','.join(map(str, REPLICATION_SEEDS))})",
     )
     p_sweep.set_defaults(fn=_cmd_sweep)
 

@@ -26,7 +26,7 @@ class EdgeState:
 
     __slots__ = ("capacity", "max_queue", "next_free", "_jobs")
 
-    def __init__(self, capacity: float, max_queue: int = 100) -> None:
+    def __init__(self, capacity: float, max_queue: int) -> None:
         self.capacity, self.max_queue, self.next_free = capacity, max_queue, 0.0
         self._jobs: deque = deque()  # (service_start, completion)
 

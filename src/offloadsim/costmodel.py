@@ -5,6 +5,9 @@ replacement cycle, yearly maintenance, plus a per-request operating fee) or
 pays vehicle owners per request (the edge per-request fee plus a bonus). All
 arithmetic is full-precision floats; rounding to cents or 0.01 percentage
 points happens only at presentation.
+
+``cost_row`` is the one source of a cell of the cost grid (horizon x bonus x
+request scale) that ``offloadsim cost`` writes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections import namedtuple
 from .bounds import checked
 
 SECONDS_ACTIVE_PER_YEAR = 15 * 3600 * 365  # 15 h/day of offloading activity
-# Whether breakdown tables add the bonus to the edge per-request column: the
+# Whether ``cost_row`` adds the bonus to the edge per-request column: the
 # default of ``offloadsim cost --[no-]bonus-in-ec-requests``.
 BONUS_IN_EC_REQUESTS = True
 
@@ -66,12 +69,12 @@ def capex_ec(p: CostParams) -> float:
     return p.c_ec_cpu * math.ceil(_finite("replacement cycles", p.years / p.l_ec_cpu)) * p.capex_overhead
 
 
-def opex_ec(p: CostParams, request_scale: float = 1.0, bonus_in_requests: bool = False) -> float:
+def opex_ec(p: CostParams, request_scale: float, bonus_in_requests: bool) -> float:
     """Edge operating cost: per-request fees plus yearly maintenance.
 
     With ``bonus_in_requests`` the per-request bonus beta is added to the edge
-    per-request fee; breakdown tables use that reading, the savings formula
-    never does.
+    per-request fee; ``cost_row`` reads the switch, the savings formula never
+    does.
     """
     per_request = p.c_ec_req + (p.beta if bonus_in_requests else 0.0)
     return per_request * p.requests(request_scale) + p.c_ec_main * p.years
@@ -103,50 +106,27 @@ def vcc_bonus(p: CostParams) -> float:
     return (capex_ec(p) / p.years + p.c_ec_main) / (p.request_rate * p.users * p.alpha)
 
 
-BreakdownRow = namedtuple("BreakdownRow", "beta capex_ec_pct ec_main_pct ec_req_pct vcc_req_pct ec_total vcc_total")
-BreakdownRow.__doc__ = "Cost composition for one bonus level, as percentages of each side's total."
+CostRow = namedtuple(
+    "CostRow", "capex_ec_pct ec_main_pct ec_req_pct vcc_req_pct ec_total_usd vcc_total_usd savings_usd"
+)
+CostRow.__doc__ = "One cost-grid cell: edge components in percent of the edge total, vcc_req_pct (100), then $."
 
 
-def cost_breakdown(
-    p: CostParams,
-    betas: list[float],
-    request_scale: float = 1.0,
-    bonus_in_requests: bool = BONUS_IN_EC_REQUESTS,
-) -> list[BreakdownRow]:
-    """Component percentages of the edge and vehicular totals per bonus level.
+def cost_row(p: CostParams, request_scale: float, bonus_in_requests: bool) -> CostRow:
+    """The cost grid's cell at horizon ``p.years`` and bonus ``p.beta``.
 
-    The vehicular side has a single per-request component, so its column is
-    always 100%. The edge percentages are nan when the edge total is 0.
-    Percentages are full precision; round at presentation.
+    The percentages divide each edge component by the edge total, and are nan
+    when it is 0; the vehicular side has a single per-request component, so
+    its column is always 100. Every value is full precision; round at
+    presentation.
     """
-    rows = []
-    for beta in betas:
-        q = p._replace(beta=beta)
-        capex = capex_ec(q)
-        main = q.c_ec_main * q.years
-        req = opex_ec(q, request_scale, bonus_in_requests) - main
-        ec_total = _finite("edge total", capex + main + req)
-        vcc_total = _finite("vehicular total", opex_vcc(q, request_scale))
-        if ec_total:
-            pcts = (100.0 * capex / ec_total, 100.0 * main / ec_total, 100.0 * req / ec_total)
-        else:  # an edge that costs nothing has no composition
-            pcts = (math.nan,) * 3
-        rows.append(BreakdownRow(beta, *pcts, vcc_req_pct=100.0, ec_total=ec_total, vcc_total=vcc_total))
-    return rows
-
-
-def total_costs(
-    p: CostParams,
-    betas: list[float],
-    years: list[float],
-    request_scale: float = 1.0,
-    bonus_in_requests: bool = BONUS_IN_EC_REQUESTS,
-) -> list[tuple[float, float, float, float]]:
-    """(beta, years, ec_total, vcc_total) tuples over a grid of bonus levels and horizons."""
-    out = []
-    for beta in betas:
-        for y in years:
-            q = p._replace(beta=beta, years=y)
-            ec_total = _finite("edge total", capex_ec(q) + opex_ec(q, request_scale, bonus_in_requests))
-            out.append((beta, y, ec_total, _finite("vehicular total", opex_vcc(q, request_scale))))
-    return out
+    capex = capex_ec(p)
+    main = p.c_ec_main * p.years
+    req = opex_ec(p, request_scale, bonus_in_requests) - main
+    ec_total = _finite("edge total", capex + main + req)
+    vcc_total = _finite("vehicular total", opex_vcc(p, request_scale))
+    if ec_total:
+        pcts = (100.0 * capex / ec_total, 100.0 * main / ec_total, 100.0 * req / ec_total)
+    else:  # an edge that costs nothing has no composition
+        pcts = (math.nan,) * 3
+    return CostRow(*pcts, 100.0, ec_total, vcc_total, savings(p, request_scale))

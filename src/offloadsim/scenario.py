@@ -40,9 +40,9 @@ def total_coverage() -> ScenarioGeometry:
     return ScenarioGeometry(600.0, 50.0, (300.0, 25.0, 30.0), math.inf)
 
 
-def partial_coverage(coverage_radius: float = 450.0) -> ScenarioGeometry:
-    """1200 x 50 m loop whose far ends fall outside the cell radius."""
-    return ScenarioGeometry(1200.0, 50.0, (600.0, 25.0, 30.0), coverage_radius)
+def partial_coverage() -> ScenarioGeometry:
+    """1200 x 50 m loop whose far ends fall outside the 450 m cell radius."""
+    return ScenarioGeometry(1200.0, 50.0, (600.0, 25.0, 30.0), 450.0)
 
 
 def start_offsets(geometry: ScenarioGeometry, n_vehicles: int, seed: int) -> array:

@@ -23,7 +23,7 @@ from offloadsim.controller import (
     VCC_FIRST,
     VEHICLE,
 )
-from offloadsim.costmodel import CostParams, capex_ec, savings, total_costs, vcc_bonus
+from offloadsim.costmodel import BONUS_IN_EC_REQUESTS, CostParams, capex_ec, cost_row, savings, vcc_bonus
 from offloadsim.engine import (
     FAILED,
     GNB_TO_VCC,
@@ -123,9 +123,9 @@ def test_criterion_03_savings_cancel_and_totals_order():
         p = CostParams(years=years)
         # request terms cancel exactly at zero bonus and equal fees
         assert savings(p) == capex_ec(p) + p.c_ec_main * years
-    grid = total_costs(CostParams(), betas=[0.0], years=[1.0, 3.0, 5.0])
-    for _, _, ec_total, vcc_total in grid:
-        assert ec_total > vcc_total
+    for years in (1.0, 3.0, 5.0):
+        row = cost_row(CostParams(years=years), 1.0, BONUS_IN_EC_REQUESTS)
+        assert row.ec_total_usd > row.vcc_total_usd
 
 
 # --- criterion 4: cloud latency floor ----------------------------------------

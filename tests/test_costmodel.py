@@ -6,15 +6,14 @@ from fractions import Fraction
 import pytest
 
 from offloadsim.costmodel import (
-    BreakdownRow,
     CostParams,
+    CostRow,
     SECONDS_ACTIVE_PER_YEAR,
     capex_ec,
-    cost_breakdown,
+    cost_row,
     opex_ec,
     opex_vcc,
     savings,
-    total_costs,
     vcc_bonus,
 )
 
@@ -45,14 +44,14 @@ def test_capex_buys_one_cpu_per_replacement_cycle():
 
 def test_opex_defaults():
     p = CostParams()
-    assert opex_ec(p) == pytest.approx(2e-5 * 9.855e9 + 1368.46, rel=1e-15)
+    assert opex_ec(p, 1.0, False) == pytest.approx(2e-5 * 9.855e9 + 1368.46, rel=1e-15)
     assert opex_vcc(p) == pytest.approx(2e-5 * 9.855e9, rel=1e-15)
 
 
 def test_opex_bonus_placement_flag():
     p = CostParams(beta=1e-6)
-    plain = opex_ec(p, bonus_in_requests=False)
-    loaded = opex_ec(p, bonus_in_requests=True)
+    plain = opex_ec(p, 1.0, bonus_in_requests=False)
+    loaded = opex_ec(p, 1.0, bonus_in_requests=True)
     assert plain == pytest.approx(197100.0 + 1368.46, rel=1e-12)
     assert loaded == pytest.approx(206955.0 + 1368.46, rel=1e-12)
     # the vehicular side always carries the bonus
@@ -93,35 +92,35 @@ def test_savings_vanish_at_the_break_even_bonus():
 
 
 def test_breakdown_percentages_close():
-    rows = cost_breakdown(CostParams(), betas=[0.0, 1e-6, 2e-6])
-    assert [r.beta for r in rows] == [0.0, 1e-6, 2e-6]
-    for row in rows:
-        assert isinstance(row, BreakdownRow)
-        assert row.capex_ec_pct + row.ec_main_pct + row.ec_req_pct == pytest.approx(
-            100.0, abs=1e-9
-        )
-        assert row.vcc_req_pct == 100.0
-        assert row.ec_total > 0.0 and row.vcc_total > 0.0
+    for beta in (0.0, 1e-6, 2e-6):
+        for years in (1.0, 3.0, 5.0):
+            p = CostParams(beta=beta, years=years)
+            row = cost_row(p, 1.0, True)
+            assert isinstance(row, CostRow)
+            assert row.capex_ec_pct + row.ec_main_pct + row.ec_req_pct == pytest.approx(
+                100.0, abs=1e-9
+            )
+            assert row.vcc_req_pct == 100.0
+            assert row.ec_total_usd > 0.0 and row.vcc_total_usd > 0.0
+            assert row.savings_usd == savings(p)
+            if beta == 0.0:
+                assert row.ec_total_usd > row.vcc_total_usd
 
 
 def test_breakdown_flag_moves_bonus_between_columns():
-    with_bonus = cost_breakdown(CostParams(), [2e-6], bonus_in_requests=True)[0]
-    without = cost_breakdown(CostParams(), [2e-6], bonus_in_requests=False)[0]
+    with_bonus = cost_row(CostParams(beta=2e-6), 1.0, bonus_in_requests=True)
+    without = cost_row(CostParams(beta=2e-6), 1.0, bonus_in_requests=False)
     assert with_bonus.ec_req_pct > without.ec_req_pct
-    assert with_bonus.ec_total > without.ec_total
-    # the vehicular total carries the bonus either way
-    assert with_bonus.vcc_total == without.vcc_total
+    assert with_bonus.ec_total_usd > without.ec_total_usd
+    # the vehicular total and the savings carry the bonus either way
+    assert with_bonus.vcc_total_usd == without.vcc_total_usd
+    assert with_bonus.savings_usd == without.savings_usd
 
 
-def test_total_costs_grid():
-    grid = total_costs(CostParams(), betas=[0.0, 1e-6], years=[1.0, 3.0, 5.0])
-    assert len(grid) == 6
-    assert [(b, y) for b, y, _, _ in grid] == [
-        (0.0, 1.0), (0.0, 3.0), (0.0, 5.0), (1e-6, 1.0), (1e-6, 3.0), (1e-6, 5.0),
-    ]
-    for beta, years, ec_total, vcc_total in grid:
-        if beta == 0.0:
-            assert ec_total > vcc_total
+def test_the_edge_total_sums_capex_maintenance_and_requests():
+    # capex + opex_ec would round to 8291.575: the edge total adds its three components
+    p = CostParams(years=5.0, users=1.0, c_ec_req=1e-5)
+    assert cost_row(p, 0.01, True).ec_total_usd == 8291.574999999999
 
 
 def test_cost_params_validation():
@@ -150,10 +149,8 @@ def test_cost_params_reject_non_finite_fields(field, value):
 def test_overflowing_totals_raise_instead_of_returning_nan():
     p = CostParams(years=1e308)
     with pytest.raises(ValueError, match="edge total is not finite"):
-        cost_breakdown(p, [0.0])
+        cost_row(p, 1.0, True)
     with pytest.raises(ValueError, match="savings is not finite"):
         savings(p)
-    with pytest.raises(ValueError, match="not finite"):
-        total_costs(CostParams(), [0.0], [1e308])
     with pytest.raises(ValueError, match="replacement cycles is not finite"):
         capex_ec(CostParams(years=1e308, l_ec_cpu=1e-308))

@@ -1,19 +1,31 @@
-"""Golden output digests: `offloadsim run` bytes pinned for small configs.
+"""Golden output digests: the bytes of `offloadsim run`, `offloadsim cost` and
+every demo, pinned.
 
-Each case runs through ``main`` and pins the SHA-256 of the aggregates CSV and
-of the ``--records`` CSV. The cases cover both strategies, both presets, fast,
-slow and parked vehicles, and beacon periods below, equal to and above the
-registry timeout. A change that moves any digest changes simulated behaviour
-and must say so; ``PYTHONPATH=src python tests/test_golden.py`` prints the
-new digests.
+Each `run` case runs through ``main`` and pins the SHA-256 of the aggregates
+CSV and of the ``--records`` CSV. The cases cover both strategies, both
+presets, fast, slow and parked vehicles, and beacon periods below, equal to
+and above the registry timeout. Each `cost` case pins its CSV, written to
+standard output and with ``-o``, and the summary ``-o`` prints. Each script in
+``demos/`` runs in its own interpreter and pins its standard output. A change
+that moves any digest changes behaviour and must say so;
+``PYTHONPATH=src python tests/test_golden.py`` prints the new digests.
 """
 
+import contextlib
 import hashlib
+import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from offloadsim.cli import main
+
+_ROOT = Path(__file__).resolve().parents[1]
+_DEMOS = _ROOT / "demos"
+_DEFAULTS = _ROOT / "src" / "offloadsim" / "data" / "defaults.cfg"
 
 _SMALL = "users = 4\nduration = 6\nseed = 5\n"
 # Slow vehicles in a large fleet: picked cursors hundreds of periods behind,
@@ -61,13 +73,49 @@ GOLDEN = {
     'long_lag_partial': ('53ce6d1a7636ff92d0feba42c710d1cc3690abeceb6fdab541cfb87820dc02cb', 'cc2ea5d0ff3fb09ea9fe8790c9191a1104adf3cbfefab74aca1656e592cbd589'),
 }
 
+# `offloadsim cost` calls: (config text or None, its flags).
+COST_CASES = {
+    "cost_no_config": (None, []),
+    "cost_defaults_cfg": (_DEFAULTS.read_text(encoding="utf-8"), []),
+    "cost_years_no_bonus": (None, ["--years", "1,3,5", "--no-bonus-in-ec-requests"]),
+    "cost_betas_scales": (None, ["--betas", "0,1e-6", "--scales", "1,0.01,0"]),
+    "cost_free_edge": ("cost.c_ec_cpu = 0\ncost.c_ec_main = 0\ncost.c_ec_req = 0\n", []),  # nan percentages
+    "cost_one_user": ("cost.users = 1\ncost.c_ec_req = 1e-5\n", ["--years", "5", "--scales", "0.01"]),
+}
+
+# name -> (CSV, summary printed with -o)
+COST_GOLDEN = {
+    'cost_no_config': ('a267a4ccbecf405beaa540cfb4ef95ac3e6c717f4086787a4af473e26a980e35', 'a1401906980c9a41b8cbaaa581685724ac0fbedbb1d045e07a49ccb8a30baece'),
+    'cost_defaults_cfg': ('a267a4ccbecf405beaa540cfb4ef95ac3e6c717f4086787a4af473e26a980e35', 'a1401906980c9a41b8cbaaa581685724ac0fbedbb1d045e07a49ccb8a30baece'),
+    'cost_years_no_bonus': ('1fad0292159e99836c7d6120e4da3f94517f036ff13f63cc561d139e46e37ac9', 'd12bbbeac94ed479d688938711eeda7252ce43a3ce7ae457a5f9178d27e9b98f'),
+    'cost_betas_scales': ('4a96ce06d59756938472b4ee877b6fc3b8571c9cff344ea2c26e726865a26dda', 'd022be4f6b5e68745787cc846f4ebb4c9173ee6e0c61ef2a16c08ad5e2bbde1e'),
+    'cost_free_edge': ('b1a479abbac715bd20e6809b28014e66e6d81766e137b29cb63dad4adea2b9ab', 'fb4f503b0e693c27d01df623ddc7672c34d0429ddd57caa3ca347240c90fee99'),
+    'cost_one_user': ('616ee0d97ed44494a1d880a16d5a9429a0318062932e6ecf6fc1c488ba4a75ad', '837bbf20294581349fbd73e95601c156bd750c1dc4b1f7e0dc1e60a032087b56'),
+}
+
+# script name -> its standard output
+DEMO_GOLDEN = {
+    'capacity_and_speed_sweeps.py': '160748df03473b1ce48d26604a1d6d5ecafaf48edde713b2e203a1a5865dc310',
+    'channel_model.py': '82e02002bf1f88f69e90615d53ed3ddec9bfaaa76dbd8ea154bcbda205e0b1ea',
+    'cost_analysis.py': '72e5b87410af4400c1e746ab3d3549d0ee0f08131ca846e1c746f1415df0286d',
+    'fleet_size_sweep.py': 'fec9daf4378f7f099ad1ded22ad0eb1db8c3a9e44bb0a0ef39736ff8953e8d05',
+    'loop_and_coverage.py': 'a698465d3d5bcc5dfba4c2db104c0bad4262839f35cbd8502559c2874ef9c8a5',
+    'partial_coverage_failures.py': 'f0de874bfc3b4a3d4fc4366d76d7c5e971801e5db2e5c52b83100c25a10466d0',
+    'single_run_decomposition.py': '75bd56af684928d2d214675c434de74a75a34b78348c5bf45d01ccdb79303c87',
+    'strategy_comparison.py': 'acb05027c919e71e2182c0f3e25bd99e44b4fd76a2912cb26d763ff4d44d1ed7',
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
 
 def digests(tmp_path, name):
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(CASES[name])
     agg, rec = tmp_path / f"{name}.agg.csv", tmp_path / f"{name}.rec.csv"
     assert main(["run", str(cfg), "-o", str(agg), "--records", str(rec)]) == 0
-    return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (agg, rec))
+    return tuple(_sha(p.read_bytes()) for p in (agg, rec))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -75,10 +123,55 @@ def test_golden_digest(tmp_path, name):
     assert digests(tmp_path, name) == GOLDEN[name]
 
 
+def _cost_stdout(argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue().encode()
+
+
+def cost_digests(tmp_path, name):
+    """(CSV, -o summary) digests of one cost case; the CSV is the same on stdout and in the file."""
+    text, flags = COST_CASES[name]
+    argv = ["cost", *flags]
+    if text is not None:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        argv.insert(1, str(cfg))
+    csv_out = tmp_path / f"{name}.cost.csv"
+    on_stdout = _cost_stdout(argv)
+    summary = _cost_stdout([*argv, "-o", str(csv_out)])
+    assert csv_out.read_bytes() == on_stdout
+    return _sha(on_stdout), _sha(summary)
+
+
+def demo_digest(script):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(_DEMOS / script)], env=env, capture_output=True, check=True)
+    return _sha(done.stdout)
+
+
+@pytest.mark.parametrize("name", sorted(COST_CASES))
+def test_cost_golden_digest(tmp_path, name):
+    assert cost_digests(tmp_path, name) == COST_GOLDEN[name]
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in _DEMOS.glob("*.py")) == sorted(DEMO_GOLDEN)
+
+
+@pytest.mark.parametrize("script", sorted(DEMO_GOLDEN))
+def test_demo_stdout_digest(script):
+    assert demo_digest(script) == DEMO_GOLDEN[script]
+
+
 if __name__ == "__main__":
-    import pathlib
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
-            print(f"    {name!r}: {digests(pathlib.Path(tmp), name)!r},", file=sys.stderr)
+            print(f"    {name!r}: {digests(Path(tmp), name)!r},", file=sys.stderr)
+        for name in COST_CASES:
+            print(f"    {name!r}: {cost_digests(Path(tmp), name)!r},", file=sys.stderr)
+    for script in sorted(p.name for p in _DEMOS.glob("*.py")):
+        print(f"    {script!r}: {demo_digest(script)!r},", file=sys.stderr)
