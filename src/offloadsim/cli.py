@@ -1,22 +1,21 @@
 """Command-line front end: run, sweep, cost, anova.
 
-Every subcommand emits RFC-4180-style CSV, to --output or to standard output,
-in the bytes ``csv.writer(lineterminator="\\n")`` would write: floats with repr,
-ints with str, None as an empty cell and strings quoted by the csv module, so
-identical runs produce byte-identical files. Every table but one is written by
-``csv.writer`` itself. The exception is ``run --records``, whose rows are the
-run's ``engine.Records``: its columns are formatted in blocks of
-``_BLOCK_ROWS`` rows, slice by slice, with a value repeated within a block
-column formatted once, so no row is built. Records of ``_PARALLEL_ROWS`` rows
-or more are split into contiguous shares formatted at once on the usable CPUs,
-in worker processes forked by ``workers.forked``; this process writes the
-shares out in order, so the bytes never depend on the worker count. Under
-``taskset -c 0``, while another thread runs, or for fewer records, one process
-writes them all. A file is written whole or not at all, and a call that
-fails changes no file, so ``run``'s two files are written both or neither; a
-path or a standard output that cannot be written is reported like an
-unreadable config. When writing to a file, a short human-readable summary
-goes to stdout instead.
+Each subcommand returns its tables as (path, header, rows), in write order,
+and its summary lines; ``main`` alone writes them, a path of None to standard
+output, and prints the summary when ``--output`` names a file. Every table is
+RFC-4180-style CSV in the bytes ``csv.writer(lineterminator="\\n")`` would
+write: floats with repr, ints with str, None as an empty cell and strings
+quoted by the csv module, so identical runs produce byte-identical files.
+Every table but ``run --records`` is written by ``csv.writer`` itself. The
+records, an ``engine.Records``, are formatted ``_BLOCK_ROWS`` rows at a time
+from row ranges of their columns, with a value repeated within a block column
+formatted once, so no row is built. From ``_PARALLEL_ROWS`` rows on they are
+cut into contiguous row ranges formatted at once on the usable CPUs, in
+worker processes forked by ``workers.forked``; this process writes the ranges
+out in order, so the bytes never depend on the worker count. A file is
+written whole or not at all, and a call that fails changes no file, so
+``run``'s two files are written both or neither; an empty path, or a path or
+standard output that cannot be written, is reported like an unreadable config.
 """
 
 from __future__ import annotations
@@ -115,7 +114,8 @@ def _writing(path: str | None):
                 null = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(null, sys.stdout.fileno())
                 os.close(null)
-        raise ConfigError(f"cannot write {path or 'standard output'}: {exc.strerror or exc}") from None
+        where = "standard output" if path is None else path
+        raise ConfigError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
 _replaced: list | None = None  # in ``_all_or_nothing``: (path, link to its previous file or None)
@@ -146,27 +146,30 @@ def _all_or_nothing():
 
 
 def _write_csv(path: str | None, header, rows) -> None:
-    """Write the header and rows to the path, all or nothing, or to stdout.
+    """Write the header and rows to the path, all or nothing, or to standard
+    output when the path is None. ``rows`` is an ``engine.Records`` or any
+    iterable of rows (see ``_write_table``).
 
-    ``rows`` is an ``engine.Records``, written by ``_block_texts`` and, at
-    ``_PARALLEL_ROWS`` rows or more, by ``_write_forked`` on the usable CPUs in
-    the same bytes, or any other iterable of rows, written by ``csv.writer``. A
-    regular file is written under a temporary name in its directory and
+    A regular file is written under a temporary name in its directory and
     renamed over the path once complete, so on any failure the path keeps what
     it held before; inside ``_all_or_nothing`` its previous file is kept as a
     hard link until the block ends. A path that cannot be opened or replaced is
-    reported as a ConfigError, and so is standard output that cannot be
-    written.
+    reported as a ConfigError, and so is standard output that cannot be written.
     """
-    if path and (not os.path.exists(path) or os.path.isfile(path)):
+    if path is None:
+        with _writing(None):
+            _write_table(sys.stdout, header, rows)
+    elif not os.path.exists(path) or os.path.isfile(path):
         path = os.path.realpath(path) if os.path.islink(path) else path  # through a link, as open would
         temporary = f"{path}.{os.getpid()}.tmp"
         try:
-            with _writing(path), open(temporary, "w", newline="") as out:
-                _write_table(out, header, rows)
             with _writing(path):
+                with open(temporary, "w", newline="") as out:
+                    _write_table(out, header, rows)
                 if _replaced is not None:
                     previous = f"{path}.{os.getpid()}.old"
+                    with contextlib.suppress(FileNotFoundError):
+                        os.remove(previous)  # left by a killed process of this pid: no call backs a path up twice
                     try:
                         os.link(path, previous)
                         _replaced.append((path, previous))
@@ -178,56 +181,48 @@ def _write_csv(path: str | None, header, rows) -> None:
         finally:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temporary)  # left only by a failure
-    elif path:  # a device or pipe such as /dev/null, written in place
+    else:  # a device or pipe such as /dev/null, written in place
         with _writing(path), open(path, "w", newline="") as out:
             _write_table(out, header, rows)
-    else:
-        with _writing(None):
-            _write_table(sys.stdout, header, rows)
 
 
 def _write_table(out, header, rows) -> None:
+    """Write the header and rows to ``out``. A ``Records`` is cut into one
+    contiguous row range per worker: one per usable CPU from ``_PARALLEL_ROWS``
+    rows on, else 1, which forks nothing. This process formats and writes range
+    0. Each forked worker formats its whole range first, as a pipe holds less
+    than a block and a worker writing as it goes would wait on this process,
+    then sends it block by block as ``marshal`` strings, then None."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     if not isinstance(rows, Records):
         writer.writerows(rows)
-    elif len(rows) >= _PARALLEL_ROWS and (n := worker_count(len(rows) // _BLOCK_ROWS)) > 1:
-        _write_forked(out, rows, n)
-    else:
-        out.writelines(_block_texts(rows))
-
-
-def _block_texts(records: Records):
-    """The CSV text of each ``_BLOCK_ROWS`` records, in order, each line
-    ending in \\n; the blocks are slices of the columns, so no row is built."""
-    for start in range(0, len(records), _BLOCK_ROWS):
-        cells = [_column_cells(values[start : start + _BLOCK_ROWS]) for values in records.columns]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
-def _write_forked(out, rows, n: int) -> None:
-    """Write ``rows`` with n workers, each formatting one contiguous share.
-
-    This process formats share 0 and writes it. Each forked worker formats its
-    whole share first, since a pipe holds less than one block and a worker
-    writing as it goes would wait on this process's share, and then sends the
-    text block by block as ``marshal`` strings, then None. This process copies
-    the shares out in order, one block at a time.
-    """
+        return
+    n = worker_count(len(rows) // _BLOCK_ROWS) if len(rows) >= _PARALLEL_ROWS else 1
     size = -(-len(rows) // n)
 
     def share(k: int, pipe) -> None:
-        texts = list(_block_texts(rows[k * size : (k + 1) * size]))
+        texts = list(_block_texts(rows, k * size, min((k + 1) * size, len(rows))))
         for text in texts:
             marshal.dump(text, pipe)
         marshal.dump(None, pipe)
 
     with forked(n, share) as pipes:
-        out.writelines(_block_texts(rows[:size]))
+        out.writelines(_block_texts(rows, 0, size))
         for pipe in pipes:
             # EOFError here means the worker died; leaving the block reports it
             while (text := marshal.load(pipe)) is not None:
                 out.write(text)
+
+
+def _block_texts(records: Records, start: int, stop: int):
+    """The CSV text of records [start, stop), ``_BLOCK_ROWS`` rows at a time,
+    in order, each line ending in \\n; the blocks are slices of the columns,
+    so no row is built."""
+    for at in range(start, stop, _BLOCK_ROWS):
+        end = min(at + _BLOCK_ROWS, stop)
+        cells = [_column_cells(values[at:end]) for values in records.columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _read_config(path: str) -> str:
@@ -239,24 +234,19 @@ def _read_config(path: str) -> str:
         raise ConfigError(f"cannot read config file {path}: not UTF-8 ({exc.reason})") from None
 
 
-def _cmd_run(args) -> int:
-    if args.output and args.records and os.path.realpath(args.output) == os.path.realpath(args.records):
-        raise ConfigError(f"-o and --records name the same file: {args.records}")
+def _cmd_run(args):
     cfg = parse_run_config(_read_config(args.config))
     records = run(cfg)
     agg = summarize(records)
-    _write_csv(args.output, ("seed",) + AGGREGATE_COLUMNS, [[cfg.seed, *agg]])
-    if args.records:
-        _write_csv(args.records, RECORD_FIELDS, records)
-    if args.output:
-        ms = agg.mean_total * 1e3
-        with _writing(None):
-            print(
-                f"{cfg.strategy} seed {cfg.seed}: {agg.n_requests} requests, "
-                f"{agg.n_success} ok, {agg.n_failed} failed, {agg.n_in_flight} in flight; "
-                f"mean {ms:.3f} ms, cloud share {agg.cc_share_pct:.2f}%"
-            )
-    return 0
+    tables = [(args.output, ("seed",) + AGGREGATE_COLUMNS, [[cfg.seed, *agg]])]
+    if args.records is not None:
+        tables.append((args.records, RECORD_FIELDS, records))
+    summary = [
+        f"{cfg.strategy} seed {cfg.seed}: {agg.n_requests} requests, "
+        f"{agg.n_success} ok, {agg.n_failed} failed, {agg.n_in_flight} in flight; "
+        f"mean {agg.mean_total * 1e3:.3f} ms, cloud share {agg.cc_share_pct:.2f}%"
+    ]
+    return tables, summary
 
 
 def _sweep_rows(spec: SweepSpec):
@@ -277,18 +267,15 @@ def _sweep_rows(spec: SweepSpec):
     return rows
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     spec = parse_sweep_spec(_read_config(args.config))
     if args.seed_list is not None:
         spec = spec._replace(seeds=parse_seed_list(args.seed_list))
-    _write_csv(args.output, ("axis", "value", "seed") + AGGREGATE_COLUMNS, _sweep_rows(spec))
-    if args.output:
-        with _writing(None):
-            print(f"sweep over {spec.axis}: {len(spec.values)} values -> {args.output}")
-    return 0
+    tables = [(args.output, ("axis", "value", "seed") + AGGREGATE_COLUMNS, _sweep_rows(spec))]
+    return tables, [f"sweep over {spec.axis}: {len(spec.values)} values -> {args.output}"]
 
 
-def _cmd_cost(args) -> int:
+def _cmd_cost(args):
     """One row per scale, horizon and bonus, in that nesting; the config sets
     every other cost parameter."""
     base = parse_cost_params(_read_config(args.config) if args.config else "")
@@ -304,19 +291,14 @@ def _cmd_cost(args) -> int:
                     rows.append([scale, year, beta, *cost_row(p, scale, args.bonus_in_ec_requests)])
                 except ValueError as exc:
                     raise ConfigError(f"cost at scale {scale!r}, years {year!r}, beta {beta!r}: {exc}") from None
-    _write_csv(args.output, COST_COLUMNS, rows)
-    if args.output:
-        with _writing(None):
-            print(f"{'scale':>8} {'years':>6} {'beta':>10} {'capex%':>8} {'main%':>8} {'req%':>8} {'vcc%':>8}")
-            for r in rows:
-                print(
-                    f"{r[0]:>8g} {r[1]:>6g} {r[2]:>10.2e} "
-                    f"{r[3]:>8.2f} {r[4]:>8.2f} {r[5]:>8.2f} {r[6]:>8.2f}"
-                )
-    return 0
+    summary = [f"{'scale':>8} {'years':>6} {'beta':>10} {'capex%':>8} {'main%':>8} {'req%':>8} {'vcc%':>8}"]
+    summary += (
+        f"{r[0]:>8g} {r[1]:>6g} {r[2]:>10.2e} {r[3]:>8.2f} {r[4]:>8.2f} {r[5]:>8.2f} {r[6]:>8.2f}" for r in rows
+    )
+    return [(args.output, COST_COLUMNS, rows)], summary
 
 
-def _cmd_anova(args) -> int:
+def _cmd_anova(args):
     groups: dict[str, list[float]] = {}
     try:
         with open(args.csv, newline="", encoding="utf-8-sig") as fh:
@@ -355,16 +337,13 @@ def _cmd_anova(args) -> int:
         [f"C({args.group_col})", result.sum_sq_factor, result.df_factor, result.f_stat, result.p_value],
         ["Residual", result.sum_sq_resid, result.df_resid, None, None],
     ]
-    _write_csv(args.output, ANOVA_COLUMNS, rows)
-    if args.output:
-        with _writing(None):
-            print(f"{'source':<16} {'sum_sq':>14} {'df':>6} {'F':>12} {'PR(>F)':>12}")
-            print(
-                f"{rows[0][0]:<16} {result.sum_sq_factor:>14.6g} {result.df_factor:>6} "
-                f"{result.f_stat:>12.6g} {result.p_value:>12.6g}"
-            )
-            print(f"{'Residual':<16} {result.sum_sq_resid:>14.6g} {result.df_resid:>6}")
-    return 0
+    summary = [
+        f"{'source':<16} {'sum_sq':>14} {'df':>6} {'F':>12} {'PR(>F)':>12}",
+        f"{rows[0][0]:<16} {result.sum_sq_factor:>14.6g} {result.df_factor:>6} "
+        f"{result.f_stat:>12.6g} {result.p_value:>12.6g}",
+        f"{'Residual':<16} {result.sum_sq_resid:>14.6g} {result.df_resid:>6}",
+    ]
+    return [(args.output, ANOVA_COLUMNS, rows)], summary
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,12 +393,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    records = getattr(args, "records", None)  # only run has --records
     try:
+        for flag, path in (("-o", args.output), ("--records", records)):
+            if path == "":
+                raise ConfigError(f"{flag} names no file: the path is empty")
+        if None not in (args.output, records) and os.path.realpath(args.output) == os.path.realpath(records):
+            raise ConfigError(f"-o and --records name the same file: {records}")
         with _all_or_nothing():  # a call that fails, its summary included, leaves every file as it was
-            return args.fn(args)
+            tables, summary = args.fn(args)
+            for path, header, rows in tables:
+                _write_csv(path, header, rows)
+            if args.output is not None:
+                with _writing(None):
+                    print("\n".join(summary))
     except ConfigError as exc:
         print(f"offloadsim: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -154,8 +154,8 @@ RECORD_FIELDS = OffloadRecord._fields
 class Records:
     """One run's records as one column per ``RECORD_FIELDS`` entry, indexed by
     task id: ``array('d')`` for the floats, a ``range`` for ``task_id`` and
-    lists for the rest. An item is built as an ``OffloadRecord`` when read, and
-    a slice is the ``Records`` of those tasks."""
+    lists for the rest. An item is built as an ``OffloadRecord`` when read;
+    there are no slices, as the CSV writer reads row ranges of the columns."""
 
     __slots__ = ("columns",)
 
@@ -165,9 +165,9 @@ class Records:
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def __getitem__(self, i):
-        items = [column[i] for column in self.columns]
-        return Records(items) if isinstance(i, slice) else OffloadRecord._make(items)
+    def __getitem__(self, i: int) -> OffloadRecord:
+        i = operator.index(i)  # a slice raises TypeError
+        return OffloadRecord._make([column[i] for column in self.columns])
 
     def __iter__(self):
         return map(OffloadRecord._make, zip(*self.columns))

@@ -608,6 +608,41 @@ def test_an_unwritable_output_path_exits_nonzero_with_a_message(tmp_path, capsys
     assert sorted(os.listdir(tmp_path)) == ["agg.csv", "run.cfg"]
 
 
+def test_a_stale_backup_link_does_not_turn_off_the_restore(tmp_path, capsys):
+    """A backup name left by a killed process of this pid is replaced, not
+    taken for a file system without hard links: the failed call puts the old
+    bytes back and leaves no backup behind."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier output\n")
+    Path(f"{out}.{os.getpid()}.old").write_bytes(b"stale backup\n")
+    assert main(["run", str(cfg), "-o", str(out), "--records", str(tmp_path / "missing" / "r.csv")]) == 1
+    assert capsys.readouterr().err.startswith("offloadsim: cannot write ")
+    assert out.read_bytes() == b"earlier output\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "run.cfg"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "run.cfg", "-o", ""], "-o"),
+    (["run", "run.cfg", "-o", "agg.csv", "--records", ""], "--records"),
+    (["run", "run.cfg", "--records", ""], "--records"),
+    (["sweep", "run.cfg", "-o", ""], "-o"),
+    (["cost", "-o", ""], "-o"),
+    (["anova", "run.cfg", "-o", ""], "-o"),
+])
+def test_an_empty_path_exits_nonzero_before_the_subcommand_runs(tmp_path, capsys, monkeypatch, argv, flag):
+    # -o "" used to send the table to standard output and --records "" to write no records, both exiting 0
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(RUN_CFG)
+    for name in ("_cmd_run", "_cmd_sweep", "_cmd_cost", "_cmd_anova"):
+        monkeypatch.setattr(cli, name, lambda args: pytest.fail("the subcommand ran"))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"offloadsim: {flag} names no file: the path is empty\n"
+    assert os.listdir() == ["run.cfg"]
+
+
 @pytest.mark.parametrize("lines, named", [
     ("vehicles.speed_kmh = 1e308\nduration = 7", 4),  # offset + speed x t overflowed past t = 6.5 s
     ("scenario.length_x = 1e308", 3),  # the perimeter itself
@@ -659,9 +694,9 @@ _EDGE = st.sampled_from(("0", "-0", "1e-300", "1e308", "1/3", "3/2", "1/128"))
 _VALUE = st.one_of(_EDGE, st.sampled_from(("1", "2", "90", "VCCFirst", "partial_coverage")))
 _NUMBERS = st.lists(st.one_of(_EDGE, st.sampled_from(("1", "0.5"))), min_size=1, max_size=2).map(",".join)
 # Where an output goes: stdout, a new file, a file that holds earlier bytes, a
-# missing directory's file, a directory, or a device.
+# missing directory's file, a directory, an empty path, or a device.
 _DEVICES = (os.devnull, "/dev/full") if os.path.exists("/dev/full") else (os.devnull,)
-_WHERE = st.sampled_from((None, "new", "old", "missing", "dir") + _DEVICES)
+_WHERE = st.sampled_from((None, "new", "old", "missing", "dir", "") + _DEVICES)
 _EARLIER = b"earlier output\n"
 
 
@@ -771,8 +806,13 @@ def _call(command, text, entries, flags, bonus, outputs, prefix=b"") -> int:
 
         before = files()
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
+        cwd = os.getcwd()
+        os.chdir(tmp)  # the working directory is checked too: an empty path must create nothing there
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
         after, message = files(), err.getvalue()
         assert "Traceback" not in message
         assert code == 1 or not prefix or source not in argv, argv  # an input that is not UTF-8 fails

@@ -119,6 +119,7 @@ def test_records_read_as_the_oracle_records(strategy, seed):
     assert len(records) == len(want) > 0
     assert records[0] == want[0] and records[-1] == want[-1] and records[len(want) // 2] == want[len(want) // 2]
     assert [records[i] for i in range(len(want))] == list(records) == want
-    assert list(records[1:-1]) == want[1:-1]
+    with pytest.raises(TypeError):  # no slices: the CSV writer reads row ranges of the columns
+        records[1:-1]
     with pytest.raises(IndexError):
         records[len(want)]
