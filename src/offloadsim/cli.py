@@ -12,10 +12,15 @@ from row ranges of their columns, with a value repeated within a block column
 formatted once, so no row is built. From ``_PARALLEL_ROWS`` rows on they are
 cut into contiguous row ranges formatted at once on the usable CPUs, in
 worker processes forked by ``workers.forked``; this process writes the ranges
-out in order, so the bytes never depend on the worker count. A file is
-written whole or not at all, and a call that fails changes no file, so
-``run``'s two files are written both or neither; an empty path, or a path or
-standard output that cannot be written, is reported like an unreadable config.
+out in order, so the bytes never depend on the worker count. ``main`` writes
+every table before it renames any: a regular or new file goes to a temporary
+``<path>.<pid>.tmp`` beside it, a device or standard output is written in
+place; then the summary is printed, then each temporary is renamed over its
+path, in order. So a call that fails while writing or printing changes no file,
+and ``run``'s two files are written both or neither. A rename that fails after
+an earlier one succeeded puts the earlier path's previous file back from a hard
+link, where the file system has them. An empty path, or a path or standard
+output that cannot be written, is reported like an unreadable config.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import marshal
 import math
 import os
 import sys
@@ -110,25 +114,49 @@ def _writing(path: str | None):
             sys.stdout.flush()
     except OSError as exc:
         if path is None:  # the interpreter flushes it again at exit: what is left goes nowhere
-            with contextlib.suppress(OSError):
+            with contextlib.suppress(OSError):  # a stdout with no descriptor (io.UnsupportedOperation) opens nothing
+                fd = sys.stdout.fileno()
                 null = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(null, sys.stdout.fileno())
+                os.dup2(null, fd)
                 os.close(null)
         where = "standard output" if path is None else path
         raise ConfigError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
-_replaced: list | None = None  # in ``_all_or_nothing``: (path, link to its previous file or None)
+def _write_csv(path: str | None, header, rows) -> None:
+    """Write the header and rows to the path, or to standard output when the
+    path is None. ``rows`` is an ``engine.Records`` or any iterable of rows
+    (see ``_write_table``)."""
+    if path is None:
+        _write_table(sys.stdout, header, rows)
+    else:
+        with open(path, "w", newline="") as out:
+            _write_table(out, header, rows)
 
 
-@contextlib.contextmanager
-def _all_or_nothing():
-    """If the block raises, each file ``_write_csv`` replaced inside it gets
-    its previous bytes back, or is removed if it is new."""
-    global _replaced
-    _replaced = replaced = []
+def _replace_in_order(renames) -> None:
+    """Rename each (temporary, path) over its path, in order: the one step where
+    a call can fail after replacing a file, for example with EBUSY on a
+    bind-mounted file or EPERM in a sticky directory. Before its rename, each
+    path gets a hard link ``<path>.<pid>.old`` to its previous file; if a
+    rename fails, each path renamed before it gets that file back, or is
+    removed if it is new. Where hard links are missing, a failure leaves it
+    replaced. The caller removes the links."""
+    replaced = []  # (path, link to its previous file, or None if it had none)
     try:
-        yield
+        for temporary, path in renames:
+            previous = f"{path}.{os.getpid()}.old"
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(previous)  # left by a killed process of this pid: no call backs a path up twice
+            try:
+                os.link(path, previous)
+                replaced.append((path, previous))
+            except FileNotFoundError:  # a new file: a failure removes it
+                replaced.append((path, None))
+            except OSError:  # no hard links here
+                pass
+            with _writing(path):
+                os.replace(temporary, path)
     except BaseException:
         for path, previous in reversed(replaced):
             with contextlib.suppress(OSError):
@@ -137,62 +165,13 @@ def _all_or_nothing():
                 else:
                     os.remove(path)
         raise
-    finally:
-        _replaced = None
-        for _, previous in replaced:
-            if previous:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(previous)  # left only by a success
-
-
-def _write_csv(path: str | None, header, rows) -> None:
-    """Write the header and rows to the path, all or nothing, or to standard
-    output when the path is None. ``rows`` is an ``engine.Records`` or any
-    iterable of rows (see ``_write_table``).
-
-    A regular file is written under a temporary name in its directory and
-    renamed over the path once complete, so on any failure the path keeps what
-    it held before; inside ``_all_or_nothing`` its previous file is kept as a
-    hard link until the block ends. A path that cannot be opened or replaced is
-    reported as a ConfigError, and so is standard output that cannot be written.
-    """
-    if path is None:
-        with _writing(None):
-            _write_table(sys.stdout, header, rows)
-    elif not os.path.exists(path) or os.path.isfile(path):
-        path = os.path.realpath(path) if os.path.islink(path) else path  # through a link, as open would
-        temporary = f"{path}.{os.getpid()}.tmp"
-        try:
-            with _writing(path):
-                with open(temporary, "w", newline="") as out:
-                    _write_table(out, header, rows)
-                if _replaced is not None:
-                    previous = f"{path}.{os.getpid()}.old"
-                    with contextlib.suppress(FileNotFoundError):
-                        os.remove(previous)  # left by a killed process of this pid: no call backs a path up twice
-                    try:
-                        os.link(path, previous)
-                        _replaced.append((path, previous))
-                    except FileNotFoundError:  # a new file: a failure removes it
-                        _replaced.append((path, None))
-                    except OSError:  # no hard links here: a failure leaves it replaced
-                        pass
-                os.replace(temporary, path)
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(temporary)  # left only by a failure
-    else:  # a device or pipe such as /dev/null, written in place
-        with _writing(path), open(path, "w", newline="") as out:
-            _write_table(out, header, rows)
 
 
 def _write_table(out, header, rows) -> None:
     """Write the header and rows to ``out``. A ``Records`` is cut into one
     contiguous row range per worker: one per usable CPU from ``_PARALLEL_ROWS``
     rows on, else 1, which forks nothing. This process formats and writes range
-    0. Each forked worker formats its whole range first, as a pipe holds less
-    than a block and a worker writing as it goes would wait on this process,
-    then sends it block by block as ``marshal`` strings, then None."""
+    0, then the texts ``workers.forked`` brings back from the others."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     if not isinstance(rows, Records):
@@ -200,18 +179,9 @@ def _write_table(out, header, rows) -> None:
         return
     n = worker_count(len(rows) // _BLOCK_ROWS) if len(rows) >= _PARALLEL_ROWS else 1
     size = -(-len(rows) // n)
-
-    def share(k: int, pipe) -> None:
-        texts = list(_block_texts(rows, k * size, min((k + 1) * size, len(rows))))
-        for text in texts:
-            marshal.dump(text, pipe)
-        marshal.dump(None, pipe)
-
-    with forked(n, share) as pipes:
-        out.writelines(_block_texts(rows, 0, size))
-        for pipe in pipes:
-            # EOFError here means the worker died; leaving the block reports it
-            while (text := marshal.load(pipe)) is not None:
+    with forked(n, lambda k: _block_texts(rows, k * size, min((k + 1) * size, len(rows)))) as shares:
+        for texts in shares:
+            for text in texts:
                 out.write(text)
 
 
@@ -262,7 +232,7 @@ def _sweep_rows(spec: SweepSpec):
         for seed in spec.seeds:
             per_seed.append(next(aggs))
             rows.append([spec.axis, value, seed, *per_seed[-1]])
-        means = [math.nan if any(map(math.isnan, cells)) else left_sum(cells) / len(cells) for cells in zip(*per_seed)]
+        means = [left_sum(cells) / len(cells) for cells in zip(*per_seed)]
         rows.append([spec.axis, value, "mean", *means])
     return rows
 
@@ -394,22 +364,34 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     records = getattr(args, "records", None)  # only run has --records
+    renames = []  # (temporary, path) of each table written to a regular or new file
     try:
         for flag, path in (("-o", args.output), ("--records", records)):
             if path == "":
                 raise ConfigError(f"{flag} names no file: the path is empty")
         if None not in (args.output, records) and os.path.realpath(args.output) == os.path.realpath(records):
             raise ConfigError(f"-o and --records name the same file: {records}")
-        with _all_or_nothing():  # a call that fails, its summary included, leaves every file as it was
-            tables, summary = args.fn(args)
-            for path, header, rows in tables:
-                _write_csv(path, header, rows)
-            if args.output is not None:
-                with _writing(None):
-                    print("\n".join(summary))
+        tables, summary = args.fn(args)
+        for path, header, rows in tables:
+            target = path
+            if path is not None and (not os.path.exists(path) or os.path.isfile(path)):
+                path = os.path.realpath(path) if os.path.islink(path) else path  # through a link, as open would
+                target = f"{path}.{os.getpid()}.tmp"
+                renames.append((target, path))
+            with _writing(path):
+                _write_csv(target, header, rows)
+        if args.output is not None:
+            with _writing(None):
+                print("\n".join(summary))
+        _replace_in_order(renames)
     except ConfigError as exc:
         print(f"offloadsim: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for temporary, path in renames:
+            for name in (temporary, f"{path}.{os.getpid()}.old"):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(name)  # a temporary left by a failure, or the backup link
     return 0
 
 

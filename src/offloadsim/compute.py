@@ -17,29 +17,28 @@ def elaboration_time(workload_mi: float, capacity_mips: float) -> float:
 
 
 class EdgeState:
-    """One FIFO server of ``capacity`` MIPS with a bounded waiting line.
+    """One FIFO server with a bounded waiting line.
 
     Admissions are in dispatch order and the core-network delay is the same for
     every task, so service starts are nondecreasing and the waiting line can be
     tracked as a deque of (service_start, completion) pairs pruned lazily.
     """
 
-    __slots__ = ("capacity", "max_queue", "next_free", "_jobs")
+    __slots__ = ("max_queue", "next_free", "_jobs")
 
-    def __init__(self, capacity: float, max_queue: int) -> None:
-        self.capacity, self.max_queue, self.next_free = capacity, max_queue, 0.0
+    def __init__(self, max_queue: int) -> None:
+        self.max_queue, self.next_free = max_queue, 0.0
         self._jobs: deque = deque()  # (service_start, completion)
 
-    def offer(
-        self, workload_mi: float, now: float, data_at: float | None = None
-    ) -> tuple[int, float | None, float | None]:
-        """Admit a task at ``now`` unless ``max_queue`` tasks already wait.
+    def offer(self, service_s: float, now: float, data_at: float) -> tuple[int, float | None, float | None]:
+        """Admit a task of ``service_s`` seconds at ``now`` unless ``max_queue``
+        tasks already wait.
 
         Returns (waiting, completion, queue_wait): the tasks admitted but not
         yet in service at ``now`` before this one, then the admitted task's
         completion time and its wait from ``data_at`` to its service start,
         both None on overflow. ``data_at`` is when the payload reaches the
-        server (defaults to ``now``); service cannot start before it.
+        server; service cannot start before it.
         """
         jobs = self._jobs
         while jobs and jobs[0][1] <= now:
@@ -49,12 +48,9 @@ class EdgeState:
             waiting -= 1
         if waiting >= self.max_queue:
             return waiting, None, None
-        if data_at is None:
-            data_at = now
         start = self.next_free
         if start < data_at:
             start = data_at
-        completion = self.next_free = start + workload_mi / self.capacity
+        completion = self.next_free = start + service_s
         jobs.append((start, completion))
         return waiting, completion, start - data_at
-

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import marshal
 import math
 import operator
 import random
@@ -252,7 +251,7 @@ def run(cfg: RunConfig) -> Records:
         del phases
         edge = None
     else:
-        edge = EdgeState(capacity=cfg.edge_mips, max_queue=cfg.edge_max_queue)
+        edge = EdgeState(cfg.edge_max_queue)
 
     def fail(a: int, leg: str) -> None:
         outcome[a] = FAILED
@@ -291,7 +290,7 @@ def run(cfg: RunConfig) -> Records:
 
         if kind == _AT_GNB:
             if edge is not None:
-                waiting, completion, queue_wait = edge.offer(workload, t, t + cn_up)
+                waiting, completion, queue_wait = edge.offer(edge_elab, t, t + cn_up)
                 edge_queue_at_decision[a] = waiting
                 if completion is None:
                     to_cloud(t, a, b)
@@ -451,24 +450,15 @@ def summarize_runs(cfgs: list[RunConfig]) -> list[Aggregates]:
 
     A config checks itself when built, so a bad one raised before this call. With
     n workers (``workers.worker_count``), worker k takes ``cfgs[k::n]``: this
-    process runs share 0, and each other share runs in a child made by
-    ``workers.forked``, which sends back its rows' field values through its
-    pipe with ``marshal`` (exact for every float, nan and -0.0 included). Each
-    run owns its seeded RNG, so the result never depends on n. A child that
-    fails prints its traceback to stderr, and the call raises RuntimeError.
+    process runs share 0, and ``workers.forked`` runs each other share in a
+    child that sends back its rows' field values. Each run owns its seeded RNG,
+    so the result never depends on n. A child that fails prints its traceback
+    to stderr, and the call raises RuntimeError.
     """
     n = worker_count(len(cfgs))
-
-    def share(k: int, out) -> None:
-        aggs = [summarize(run(cfg)) for cfg in cfgs[k::n]]
-        marshal.dump([tuple(agg) for agg in aggs], out)
-
-    with forked(n, share) as pipes:
-        own = [summarize(run(cfg)) for cfg in cfgs[::n]]
-        # A pipe holds about 300 rows, so read each to EOF before waiting on its writer.
-        payloads = [pipe.read() for pipe in pipes]
+    with forked(n, lambda k: (tuple(summarize(run(cfg))) for cfg in cfgs[k::n])) as shares:
+        shares = [list(values) for values in shares]  # a failed child raises on leaving the block
     out: list = [None] * len(cfgs)
-    out[::n] = own
-    for k, payload in enumerate(payloads, 1):
-        out[k::n] = map(Aggregates._make, marshal.loads(payload))
+    for k, values in enumerate(shares):
+        out[k::n] = map(Aggregates._make, values)
     return out

@@ -1,19 +1,19 @@
 """Forked worker processes for work that splits into independent shares.
 
-``forked(n, work)`` makes n - 1 children with ``os.fork``; child k runs
-``work(k, out)`` and writes its result to ``out``, the write end of its own
-pipe, while the calling process does share 0 and reads the children's pipes.
-A share whose fork fails, say for want of processes, runs in the calling
-process instead, into a buffer read in its pipe's place.
-Neither ``multiprocessing`` nor ``pickle`` is imported: a share is described
-by state the child copies at fork, and results travel as bytes the caller
-chooses (``marshal`` keeps every float exactly).
+``forked(n, work)`` yields the values of ``work(k)`` for k = 0 .. n - 1, one
+iterable per share. Share 0 runs in the calling process as it is read; each
+other share runs in a child made with ``os.fork``, which computes
+``list(work(k))`` and sends the values through its own pipe with ``marshal``
+(exact for every float, nan and -0.0 included). A share whose fork fails, say
+for want of processes, runs in the calling process instead. Neither
+``multiprocessing`` nor ``pickle`` is imported: a share is described by state
+the child copies at fork.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
+import marshal
 import os
 import sys
 
@@ -33,19 +33,20 @@ def worker_count(n_jobs: int) -> int:
 
 @contextlib.contextmanager
 def forked(n: int, work):
-    """Run ``work(k, out)`` for k = 1 .. n - 1, each in a forked child, and
-    yield the read ends of their pipes (binary files), in order of k. Where
-    ``os.fork`` raises OSError, ``work(k, out)`` runs here into an
-    ``io.BytesIO``, yielded rewound in the pipe's place.
+    """Yield one iterable of values per share, in order of k: ``work(0)``
+    itself, then for each k >= 1 the values its child sends, read from the
+    pipe as the caller iterates (where ``os.fork`` raises OSError, the list is
+    computed here instead). A child sends nothing before its share is complete,
+    so the caller reads the shares in order while the children compute.
 
-    The caller reads each pipe while its child may still write: a pipe holds
-    only about 64 KB, and a child blocks once it is full. On leaving the block
-    every child is reaped. If the block raised, the children are killed first
-    and its exception propagates. A child that fails prints its traceback to
-    stderr and exits with status 1, and then leaving the block raises
-    RuntimeError naming it.
+    On leaving the block every child is reaped. If the block raised, the
+    children are killed first and its exception propagates. A child that fails
+    prints its traceback to stderr and exits with status 1, and then leaving
+    the block raises RuntimeError naming it: a share cut short by its child's
+    failure reads as ended.
     """
-    children = []  # (pid, read end of its pipe), or (None, buffer) for a share run here
+    children = []  # (pid, read end of its pipe)
+    shares = []  # the values of shares 1 .. n - 1
     killed = False
     try:
         for k in range(1, n):
@@ -57,10 +58,7 @@ def forked(n: int, work):
                 os.close(w)
                 if not isinstance(exc, OSError):
                     raise
-                out = io.BytesIO()  # shares are independent: the bytes are the child's
-                work(k, out)
-                out.seek(0)
-                children.append((None, out))
+                shares.append(list(work(k)))  # shares are independent: the values are the child's
                 continue
             if pid == 0:
                 os.close(r)
@@ -68,21 +66,20 @@ def forked(n: int, work):
                     pipe.close()
                 _child(w, work, k)  # never returns
             os.close(w)
-            children.append((pid, open(r, "rb")))
-        yield [pipe for _, pipe in children]
+            pipe = open(r, "rb")
+            children.append((pid, pipe))
+            shares.append(_received(pipe))
+        yield [work(0), *shares]
     except BaseException:
         killed = True
         for pid, _ in children:
-            if pid is not None:
-                os.kill(pid, _SIGKILL)
+            os.kill(pid, _SIGKILL)
         raise
     finally:
         for _, pipe in children:
             pipe.close()
         failed = []
         for pid, _ in children:
-            if pid is None:
-                continue
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code > 0 or (code and not killed):
                 failed.append(f"{pid} (exit status {code})")
@@ -90,8 +87,15 @@ def forked(n: int, work):
             raise RuntimeError(f"worker process {', '.join(failed)} failed; see its traceback on stderr")
 
 
+def _received(pipe):
+    """The values a child sent through ``pipe``, one ``marshal`` record each, up to its end."""
+    with contextlib.suppress(EOFError):
+        while True:
+            yield marshal.load(pipe)
+
+
 def _child(fd: int, work, k: int):
-    """A forked worker: run share k with its pipe as ``out``, then exit.
+    """A forked worker: send the values of share k through its pipe, then exit.
 
     The pipe closes only when the process ends, after any traceback is out,
     so a parent that reads end-of-file before a complete result finds the
@@ -99,7 +103,8 @@ def _child(fd: int, work, k: int):
     status = 1
     try:
         out = open(fd, "wb")
-        work(k, out)
+        for value in list(work(k)):
+            marshal.dump(value, out)
         out.flush()
         status = 0
     except BaseException:  # the worker ends here whatever went wrong, so report it

@@ -137,7 +137,7 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
         return coverage(v.id, t)[0]
 
     registry = Registry(cfg.registry_timeout, cfg.n_vehicles)
-    edge = EdgeState(capacity=cfg.edge_mips, max_queue=cfg.edge_max_queue)
+    edge = EdgeState(cfg.edge_max_queue)
 
     cn_up, cn_down = chan.cn_up, chan.cn_down
     inet_up, inet_down = chan.internet_up, chan.internet_down
@@ -237,10 +237,10 @@ def run(cfg: RunConfig) -> list[OffloadRecord]:
                     to_cloud(t, rec, task)
                 else:
                     rec.destination = EDGE
-                    _, completion, queue_wait = edge.offer(task.workload_mi, now=t, data_at=t + cn_up)
+                    rec.t_elab = elaboration_time(task.workload_mi, cfg.edge_mips)
+                    _, completion, queue_wait = edge.offer(rec.t_elab, now=t, data_at=t + cn_up)
                     rec.t_up_cn = cn_up
                     rec.t_queue = queue_wait
-                    rec.t_elab = elaboration_time(task.workload_mi, cfg.edge_mips)
                     rec.t_down_cn = cn_down
                     push(completion + cn_down, _RESULT_AT_GNB, a)
 

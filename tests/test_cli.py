@@ -175,6 +175,23 @@ def test_a_sweep_mean_row_sums_left_to_right(monkeypatch):
     assert rows[-1][3:] == [0.09999999999999999] * len(engine.AGGREGATE_FIELDS)
 
 
+def test_a_sweep_mean_of_a_nan_cell_is_nan(tmp_path, monkeypatch):
+    # ECFirst has no vehicular success: its leg shares are nan in every row, the mean row too
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+    cfg.write_text("strategy = ECFirst\nusers = 2\nduration = 2\nsweep.axis = users\nsweep.values = 1\n")
+    assert main(["sweep", str(cfg), "-o", str(out), "--seed-list", "0,1"]) == 0
+    rows = _rows(out)
+    assert [row["seed"] for row in rows] == ["0", "1", "mean"]
+    shares = ("uplink_share_pct", "elab_share_pct", "downlink_share_pct")
+    assert all(row[name] == "nan" for row in rows for name in shares)
+    assert rows[2]["mean_total_s"] == rows[0]["mean_total_s"] != "nan"
+    # one seed's nan makes its column's mean nan, beside a number
+    spec = config.parse_sweep_spec(cfg.read_text())._replace(seeds=(0, 1))
+    aggs = [engine.Aggregates._make([value] * len(engine.AGGREGATE_FIELDS)) for value in (math.nan, 1.0)]
+    monkeypatch.setattr(cli, "summarize_runs", lambda cfgs: aggs)
+    assert [repr(cell) for cell in cli._sweep_rows(spec)[-1][3:]] == ["nan"] * len(engine.AGGREGATE_FIELDS)
+
+
 def test_sweep_seed_list_override(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -608,19 +625,90 @@ def test_an_unwritable_output_path_exits_nonzero_with_a_message(tmp_path, capsys
     assert sorted(os.listdir(tmp_path)) == ["agg.csv", "run.cfg"]
 
 
-def test_a_stale_backup_link_does_not_turn_off_the_restore(tmp_path, capsys):
+def _no_hard_links(src, dst):
+    raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+
+class _FullStdout(io.StringIO):
+    """A standard output whose every write fails, as on a full disk. It has no
+    file descriptor, so the failure redirects none."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _lowest_free_descriptor() -> int:
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
+@pytest.mark.parametrize("records, message", [
+    ("missing/r.csv", "cannot write missing/r.csv: No such file or directory"),
+    (None, "cannot write standard output: No space left on device"),
+], ids=["records", "summary"])
+def test_a_failed_call_without_hard_links_changes_no_file(tmp_path, capsys, monkeypatch, records, message):
+    # each used to leave agg.csv holding the new aggregates: its restore needed a hard link
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(RUN_CFG)
+    Path("agg.csv").write_bytes(_EARLIER)
+    monkeypatch.setattr(os, "link", _no_hard_links)
+    argv = ["run", "run.cfg", "-o", "agg.csv"] + (["--records", records] if records else [])
+    lowest = _lowest_free_descriptor()
+    with contextlib.redirect_stdout(io.StringIO() if records else _FullStdout()):
+        assert main(argv) == 1
+    assert capsys.readouterr().err == f"offloadsim: {message}\n"
+    assert _lowest_free_descriptor() == lowest  # the failed standard output left no descriptor open
+    assert Path("agg.csv").read_bytes() == _EARLIER
+    assert sorted(os.listdir()) == ["agg.csv", "run.cfg"]  # no temporary or backup left
+
+
+def _refusing_to_replace(monkeypatch, refused):
+    """Make ``os.replace`` fail with EBUSY, as on a bind-mounted file, when it
+    renames onto ``refused``; return the list of the paths it was asked to replace."""
+    real_replace, calls = os.replace, []
+
+    def replace(src, dst):
+        calls.append(os.fspath(dst))
+        if os.fspath(dst) == refused:
+            raise OSError(errno.EBUSY, os.strerror(errno.EBUSY))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return calls
+
+
+@pytest.mark.parametrize("earlier", [None, b"earlier output\n"])
+def test_a_failed_second_rename_puts_the_first_file_back(tmp_path, capsys, monkeypatch, earlier):
+    """A rename is the one step that can fail after another replaced a file:
+    the aggregates get their previous bytes back from the hard link, or are
+    removed if they are new, and no temporary or backup is left."""
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(RUN_CFG)
+    if earlier is not None:
+        Path("agg.csv").write_bytes(earlier)
+        Path("r.csv").write_bytes(earlier)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    calls = _refusing_to_replace(monkeypatch, "r.csv")
+    assert main(["run", "run.cfg", "-o", "agg.csv", "--records", "r.csv"]) == 1
+    assert capsys.readouterr().err == "offloadsim: cannot write r.csv: Device or resource busy\n"
+    assert calls[:2] == ["agg.csv", "r.csv"]  # the aggregates were renamed first
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_stale_backup_link_does_not_turn_off_the_restore(tmp_path, capsys, monkeypatch):
     """A backup name left by a killed process of this pid is replaced, not
-    taken for a file system without hard links: the failed call puts the old
-    bytes back and leaves no backup behind."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(RUN_CFG)
-    out = tmp_path / "out.csv"
-    out.write_bytes(b"earlier output\n")
-    Path(f"{out}.{os.getpid()}.old").write_bytes(b"stale backup\n")
-    assert main(["run", str(cfg), "-o", str(out), "--records", str(tmp_path / "missing" / "r.csv")]) == 1
-    assert capsys.readouterr().err.startswith("offloadsim: cannot write ")
-    assert out.read_bytes() == b"earlier output\n"
-    assert sorted(os.listdir(tmp_path)) == ["out.csv", "run.cfg"]
+    taken for a file system without hard links: a call whose second rename
+    fails puts the old bytes back and leaves no backup behind."""
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(RUN_CFG)
+    Path("out.csv").write_bytes(_EARLIER)
+    Path(f"out.csv.{os.getpid()}.old").write_bytes(b"stale backup\n")
+    _refusing_to_replace(monkeypatch, "r.csv")
+    assert main(["run", "run.cfg", "-o", "out.csv", "--records", "r.csv"]) == 1
+    assert capsys.readouterr().err == "offloadsim: cannot write r.csv: Device or resource busy\n"
+    assert Path("out.csv").read_bytes() == _EARLIER
+    assert sorted(os.listdir()) == ["out.csv", "run.cfg"]
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -740,9 +828,9 @@ def _small_enough(command, text) -> bool:
 
 def test_every_cli_call_ends_in_complete_files_or_one_message():
     """All four subcommands on edge values from the config keys and the cost
-    flags, writing to every kind of output path: each call exits 0 with every
-    requested file complete, or exits 1 with one ``offloadsim:`` line on
-    stderr, no traceback and no file changed."""
+    flags, writing to every kind of output path, with hard links or without:
+    each call exits 0 with every requested file complete, or exits 1 with one
+    ``offloadsim:`` line on stderr, no traceback and no file changed."""
     outcomes = Counter()
 
     @settings(max_examples=examples(40), deadline=None, derandomize=True)
@@ -755,8 +843,9 @@ def test_every_cli_call_ends_in_complete_files_or_one_message():
         bonus=st.sampled_from(((), ("--bonus-in-ec-requests",), ("--no-bonus-in-ec-requests",))),
         outputs=st.tuples(_WHERE, _WHERE),
         prefix=st.sampled_from((b"", b"", b"", _UNDECODABLE)),
+        links=st.booleans(),
     )
-    def check(strategy, entries, axis, values, flags, bonus, outputs, prefix):
+    def check(strategy, entries, axis, values, flags, bonus, outputs, prefix, links):
         for command in ("run", "sweep", "cost", "anova"):
             lines = {"strategy": strategy, "users": "2", "duration": "1", "vehicles.count": "10"}
             if command == "sweep":
@@ -769,15 +858,16 @@ def test_every_cli_call_ends_in_complete_files_or_one_message():
                 rows = zip(("a", "a", "b", "b"), (values + ",1,2,3").split(","))
                 text = "group,value\n" + "".join(f"{g},{v}\n" for g, v in rows)
             if _small_enough(command, text):
-                outcomes[command, _call(command, text, entries, flags, bonus, outputs, prefix)] += 1
+                outcomes[command, _call(command, text, entries, flags, bonus, outputs, prefix, links)] += 1
 
     check()
     assert all(outcomes[command, code] >= 5 for command in ("run", "sweep", "cost", "anova") for code in (0, 1)), outcomes
 
 
-def _call(command, text, entries, flags, bonus, outputs, prefix=b"") -> int:
+def _call(command, text, entries, flags, bonus, outputs, prefix=b"", links=True) -> int:
     """Call ``main`` once in a fresh directory on ``prefix`` and the UTF-8 of
-    ``text``, check the contract, and return the exit code."""
+    ``text``, on a file system with hard links or without, check the contract,
+    and return the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         source = os.path.join(tmp, "input.cfg")
         with open(source, "wb") as fh:
@@ -806,13 +896,12 @@ def _call(command, text, entries, flags, bonus, outputs, prefix=b"") -> int:
 
         before = files()
         err = io.StringIO()
-        cwd = os.getcwd()
-        os.chdir(tmp)  # the working directory is checked too: an empty path must create nothing there
-        try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(tmp)  # the working directory is checked too: an empty path must create nothing there
+            if not links:
+                mp.setattr(os, "link", _no_hard_links)
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
-        finally:
-            os.chdir(cwd)
         after, message = files(), err.getvalue()
         assert "Traceback" not in message
         assert code == 1 or not prefix or source not in argv, argv  # an input that is not UTF-8 fails

@@ -29,79 +29,81 @@ def test_cloud_wired_roundtrip():
     assert roundtrip == pytest.approx(0.074, rel=1e-12)
 
 
-def _edge(capacity=1000.0, max_queue=100):
-    return EdgeState(capacity=capacity, max_queue=max_queue)
+_S = 100.0 / 1000.0  # 100 MI on 1000 MIPS: 0.1 s of service
+
+
+def _edge(max_queue=100):
+    return EdgeState(max_queue)
 
 
 def test_edge_serves_fifo_with_cumulative_waits():
-    edge = _edge(capacity=1000.0)  # 100 MI -> 0.1 s service
-    e = 100.0 / 1000.0
-    _, first, first_wait = edge.offer(100.0, now=0.0)
-    _, second, second_wait = edge.offer(100.0, now=0.0)
-    _, third, third_wait = edge.offer(100.0, now=0.0)
-    assert (first_wait, second_wait, third_wait) == (0.0, e, 2 * e)
-    assert first == e
-    assert second == 2 * e
-    assert third == 3 * e
+    edge = _edge()
+    _, first, first_wait = edge.offer(_S, 0.0, 0.0)
+    _, second, second_wait = edge.offer(_S, 0.0, 0.0)
+    _, third, third_wait = edge.offer(_S, 0.0, 0.0)
+    assert (first_wait, second_wait, third_wait) == (0.0, _S, 2 * _S)
+    assert first == _S
+    assert second == 2 * _S
+    assert third == 3 * _S
 
 
 def test_edge_occupancy_transitions():
     """One task in service and one waiting, then the second in service, then none."""
-    edge = _edge(capacity=1000.0)
-    edge.offer(100.0, now=0.0)
-    edge.offer(100.0, now=0.0)
+    edge = _edge()
+    edge.offer(_S, 0.0, 0.0)
+    edge.offer(_S, 0.0, 0.0)
     assert waiting_count(edge, 0.0) == 1
     assert waiting_count(edge, 0.05) == 1
     assert waiting_count(edge, 0.15) == 0
     assert waiting_count(edge, 0.25) == 0
-    assert edge.offer(100.0, now=0.25) == (0, 0.35, 0.0)  # the line is empty again
+    assert edge.offer(_S, 0.25, 0.25) == (0, 0.35, 0.0)  # the line is empty again
 
 
 def test_edge_overflow_rejects_beyond_queue_bound():
-    edge = _edge(capacity=1000.0, max_queue=2)
-    assert edge.offer(100.0, now=0.0)[1] is not None  # in service
-    assert edge.offer(100.0, now=0.0)[1] is not None  # waiting 1
-    assert edge.offer(100.0, now=0.0)[1] is not None  # waiting 2
+    edge = _edge(max_queue=2)
+    assert edge.offer(_S, 0.0, 0.0)[1] is not None  # in service
+    assert edge.offer(_S, 0.0, 0.0)[1] is not None  # waiting 1
+    assert edge.offer(_S, 0.0, 0.0)[1] is not None  # waiting 2
     assert waiting_count(edge, 0.0) == 2
-    assert edge.offer(100.0, now=0.0) == (2, None, None)
+    assert edge.offer(_S, 0.0, 0.0) == (2, None, None)
     # once the head finishes there is room again
-    assert edge.offer(100.0, now=0.1)[1] is not None
+    assert edge.offer(_S, 0.1, 0.1)[1] is not None
 
 
 def test_edge_offer_reports_the_waiting_count_it_decided_on():
     """The ECFirst rule: the edge until its waiting line is full, then the cloud."""
-    edge = _edge(capacity=1000.0, max_queue=2)
-    assert edge.offer(100.0, now=0.0)[0] == 0  # straight into service
-    assert edge.offer(100.0, now=0.0)[0] == 0
-    assert edge.offer(100.0, now=0.0)[0] == 1  # 1 in service + 2 waiting: full
-    assert edge.offer(100.0, now=0.0) == (2, None, None)
+    edge = _edge(max_queue=2)
+    assert edge.offer(_S, 0.0, 0.0)[0] == 0  # straight into service
+    assert edge.offer(_S, 0.0, 0.0)[0] == 0
+    assert edge.offer(_S, 0.0, 0.0)[0] == 1  # 1 in service + 2 waiting: full
+    assert edge.offer(_S, 0.0, 0.0) == (2, None, None)
     # service drains one slot and the edge is attractive again; it starts at 0.3
-    waiting, completion, queue_wait = edge.offer(100.0, now=0.1)
+    waiting, completion, queue_wait = edge.offer(_S, 0.1, 0.1)
     assert waiting == 1 and queue_wait == pytest.approx(0.3 - 0.1)
     assert completion == pytest.approx(0.3 + 0.1)
 
 
 def test_edge_respects_payload_arrival_time():
-    edge = _edge(capacity=1000.0)
-    _, a, a_wait = edge.offer(100.0, now=0.0, data_at=0.002)
+    edge = _edge()
+    _, a, a_wait = edge.offer(_S, 0.0, 0.002)
     assert a_wait == 0.0  # service starts when the payload arrives
     assert a == 0.002 + 0.1
     # a back-to-back offer waits for the first to finish, so it starts at a
-    _, b, b_wait = edge.offer(100.0, now=0.0, data_at=0.002)
+    _, b, b_wait = edge.offer(_S, 0.0, 0.002)
     assert b == a + 0.1
     assert b_wait == a - 0.002
 
 
 def test_edge_idle_gap_resets_waiting():
-    edge = _edge(capacity=1000.0)
-    edge.offer(100.0, now=0.0)
-    _, a, a_wait = edge.offer(100.0, now=5.0)
+    edge = _edge()
+    edge.offer(_S, 0.0, 0.0)
+    _, a, a_wait = edge.offer(_S, 5.0, 5.0)
     assert a == 5.0 + 0.1  # service starts at the offer
     assert a_wait == 0.0
 
 
 def test_edge_rejects_a_capacity_that_is_not_positive():
-    # EdgeState trusts its capacity; RunConfig checks it when built
+    # EdgeState takes a service time; RunConfig checks the capacity it comes from when built
     with pytest.raises(ValueError, match="edge_mips must be positive, got 0.0"):
         run(RunConfig(edge_mips=0.0))
 

@@ -15,13 +15,15 @@ import io
 import os
 import random
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offloadsim.cli import _BLOCK_ROWS, _PARALLEL_ROWS, _write_csv
-from offloadsim.engine import RECORD_FIELDS, Records, RunConfig, run
+from offloadsim import cli
+from offloadsim.cli import _BLOCK_ROWS, _PARALLEL_ROWS, _write_csv, main
+from offloadsim.engine import RECORD_FIELDS, Records, RunConfig, run, summarize
 
 _FLOATS = st.one_of(
     st.floats(),
@@ -162,35 +164,41 @@ def _unhashable_at(i):
 
 
 @needs_fork
-def test_a_failing_writer_worker_raises_and_leaves_no_child(capfd, tmp_path):
+def test_a_failing_writer_worker_raises_and_leaves_no_child(capfd, tmp_path, monkeypatch):
     records = _unhashable_at(-3)  # in the last share: worker 2 fails
     with _usable_cpus(3), pytest.raises(RuntimeError, match="worker process"):
         _written(_HEADER, records)
     with pytest.raises(ChildProcessError):  # every worker was reaped: no zombie
         os.waitpid(-1, os.WNOHANG)
     assert "TypeError: unhashable type: 'list'" in capfd.readouterr().err
-    # to a file: all or nothing, so the file there before keeps its bytes
-    path = tmp_path / "out.csv"
-    path.write_bytes(b"earlier output\n")
+    # through main, to files: all or nothing, so both files there before keep their bytes
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("strategy = ECFirst\nusers = 1\nduration = 1\n")
+    monkeypatch.setattr(cli, "run", lambda cfg: records)
+    monkeypatch.setattr(cli, "summarize", lambda rows: summarize(run(RunConfig(n_users=1, duration=1.0))))
+    for name in ("agg.csv", "records.csv"):
+        Path(name).write_bytes(b"earlier output\n")
     with _usable_cpus(3), pytest.raises(RuntimeError, match="worker process"):
-        _write_csv(str(path), _HEADER, records)
-    assert path.read_bytes() == b"earlier output\n"
-    assert os.listdir(tmp_path) == ["out.csv"]  # no temporary file left
+        main(["run", "run.cfg", "-o", "agg.csv", "--records", "records.csv"])
+    assert [Path(name).read_bytes() for name in ("agg.csv", "records.csv")] == [b"earlier output\n"] * 2
+    assert sorted(os.listdir()) == ["agg.csv", "records.csv", "run.cfg"]  # no temporary file left
 
 
-def test_a_complete_file_replaces_the_old_one(tmp_path):
+def test_a_complete_file_replaces_the_old_one(tmp_path, capsys):
+    assert main(["cost"]) == 0
+    table = capsys.readouterr().out
     path = tmp_path / "out.csv"
     path.write_bytes(b"x" * 100_000)
-    rows = [(1, 0.5, None)] * 3
-    _write_csv(str(path), ("a", "b", "c"), rows)
-    assert path.read_text() == _reference(("a", "b", "c"), rows)
+    assert main(["cost", "-o", str(path)]) == 0
+    assert path.read_text() == table
     assert os.listdir(tmp_path) == ["out.csv"]
     link = tmp_path / "link.csv"
     link.symlink_to(path)
-    _write_csv(str(link), ("b",), [(2,)])  # through the link, which stays a link
-    assert link.is_symlink() and path.read_text() == "b\n2\n"
+    path.write_bytes(b"earlier output\n")
+    assert main(["cost", "-o", str(link)]) == 0  # through the link, which stays a link
+    assert link.is_symlink() and path.read_text() == table
     assert sorted(os.listdir(tmp_path)) == ["link.csv", "out.csv"]
-    _write_csv(os.devnull, ("a",), [(1,)])  # a device is written in place, never replaced
+    assert main(["cost", "-o", os.devnull]) == 0  # a device is written in place, never replaced
     assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
 
 

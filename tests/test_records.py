@@ -72,8 +72,8 @@ def test_edge_service_starts_never_decrease(text):
     starts = []
 
     class RecordingEdge(EdgeState):
-        def offer(self, workload_mi, now, data_at=None):
-            waiting, completion, queue_wait = super().offer(workload_mi, now, data_at)
+        def offer(self, service_s, now, data_at):
+            waiting, completion, queue_wait = super().offer(service_s, now, data_at)
             if completion is not None:
                 starts.append(self._jobs[-1][0])  # the admitted task's (service_start, completion)
             return waiting, completion, queue_wait
