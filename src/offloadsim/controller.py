@@ -9,15 +9,15 @@ immediately on finishing a task); entries not refreshed within ``timeout``
 expire. The registry is a snapshot, not ground truth: a listed vehicle may
 already be busy or out of coverage, and dispatching to it simply fails.
 
-``Beacons`` replays a vehicle's beacons only when its membership could change,
-and no heap holds an infinite time; one batch walk, ``Beacons._replay``, makes
-every replay. With a beacon period clearly below the timeout, a VCCFirst run
-costs one replay per vehicle at its first beacon, and work per task and per
-coverage crossing; otherwise every beacon of a listed vehicle is replayed, to
-keep its age exact. Booking a pick finds its vehicle's next beacon by closed
-form, and walks the beacons since its last replay only if that beacon may act
-before the task arrives or the forward leg is lost. A vehicular task pushes at
-most the wake-ups that can act before it stops its vehicle.
+``Beacons`` replays a vehicle's beacons only when its membership could change;
+``Beacons._replay`` walks every replay but a steady restart in coverage. With a
+beacon period clearly below the timeout, a VCCFirst run costs one replay per
+vehicle at its first beacon, and work per task and per coverage crossing;
+otherwise every beacon of a listed vehicle is replayed, to keep its age exact.
+Booking a pick finds its vehicle's next beacon by closed form, and walks the
+beacons since its last replay only if that beacon may act before the task
+arrives or the forward leg is lost. A vehicular task pushes at most the
+wake-ups that can act before it stops its vehicle.
 """
 
 from __future__ import annotations
@@ -106,16 +106,16 @@ class Beacons:
     Vehicle ids index flat per-vehicle columns. An idle vehicle beacons from
     its seeded phase, or at once on finishing a task, then at ``x = x +
     period`` as an event per beacon would. It is replayed only when its
-    membership could change, and always by ``_replay``: at its first beacon
-    (``_first_due``), at a finite wake-up from a heap, as it stops and as it
-    restarts. ``coverage(vid, t)`` gives its coverage at t and a time before
-    which that cannot change; None covers every vehicle for good. In a steady
-    run, a vehicle heard in coverage is listed as ``math.inf`` and woken only
-    when its window ends, or at its next beacon if that falls past the window.
-    Beacons at time <= t act before engine events at t."""
+    membership could change: at its first beacon, at a wake-up, as it stops and
+    as it restarts (see ``restart``). ``coverage(vid, t)`` gives its coverage
+    at t and a time before which that cannot change; None covers every vehicle
+    for good. In a steady run, a vehicle heard in coverage is listed as
+    ``math.inf`` and woken only when its window ends, or at its next beacon if
+    that falls past the window. No wake-up is past ``horizon``. Beacons at time
+    <= t act before engine events at t."""
 
     def __init__(self, registry: Registry, period: float, phases: list[float], coverage, horizon: float):
-        self.registry, self.period, self.coverage = registry, period, coverage
+        self.registry, self.period, self.coverage, self.horizon = registry, period, coverage, horizon
         self.steady = registry.timeout - period > 1e-12 * max(1.0, horizon)
         self.next = list(phases)  # next beacon time; math.inf while serving
         n = len(self.next)
@@ -161,7 +161,22 @@ class Beacons:
 
     def restart(self, vid: int, t: float) -> bool:
         """vid finished a task at t: it beacons at once, then every period;
-        replay that beacon and return its coverage at t."""
+        return its coverage at t. A steady run relists a covered vid in place
+        as ``_replay`` would: next beacon ``t + period`` (> t by the run's
+        caps), heard at t, entry ``math.inf``, ``_replay``'s wake-up. Other
+        restarts go through ``_replay``."""
+        if t > self.until[vid]:
+            self.inside[vid], self.until[vid] = self.coverage(vid, t)
+        if self.steady and self.inside[vid]:
+            x = self.next[vid] = t + self.period
+            self.heard[vid], until, entries = t, self.until[vid], self.registry.entries
+            if entries[vid] is None:
+                bisect.insort(self.registry.ids, vid)
+            entries[vid] = math.inf
+            w = x if x > until else until
+            if w <= self.horizon:
+                heapq.heappush(self.wakes, (w, vid))
+            return True
         self.next[vid] = t
         self._replay((vid,), t)
         return self.inside[vid]
@@ -189,7 +204,7 @@ class Beacons:
         period`` chain with its coverage tests, list or age its entry, and book
         its wake-up as ``book`` would. A vehicle whose next beacon is after t
         is skipped: one dispatch can wake it twice."""
-        registry, coverage, period = self.registry, self.coverage, self.period
+        registry, coverage, period, horizon = self.registry, self.coverage, self.period, self.horizon
         steady, nxt, heard = self.steady, self.next, self.heard
         inside, until_at, entries = self.inside, self.until, registry.entries
         listed, booked = [], []
@@ -217,7 +232,7 @@ class Beacons:
                 else:
                     registry.on_beacon(vid, math.inf)
             w = x if x > until or (covered and not steady) else until
-            if w < math.inf:
+            if w <= horizon:
                 booked.append((w, vid))
         if listed:
             registry.list_steady(listed)
@@ -270,5 +285,5 @@ class Beacons:
         # _replay's rule, but the pick took vid's entry: a covered vid is woken
         # at its next beacon even when steady, where _replay lists it as inf.
         w = x if x > until or self.inside[vid] else until
-        if w <= before and w < math.inf:
+        if w <= before and w <= self.horizon:
             heapq.heappush(self.wakes, (w, vid))

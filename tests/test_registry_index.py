@@ -7,6 +7,7 @@ registry exactly as one event per beacon would, at every dispatch, and no
 whole run may dispatch from a stale entry.
 """
 
+import copy
 import heapq
 import math
 import random
@@ -278,6 +279,70 @@ def test_a_restart_lists_its_time_when_the_period_is_not_below_the_timeout():
     assert listed(beacons.registry) == {0: 1.0}
 
 
+class _Coverage:
+    """A coverage function that answers every test with one (covered, window
+    end) and counts its tests."""
+
+    def __init__(self, answer):
+        self.answer, self.calls = answer, 0
+
+    def __call__(self, vid, t):
+        self.calls += 1
+        return self.answer
+
+
+@st.composite
+def _restarts(draw):
+    """A ``Beacons`` of up to 12 vehicles and a restart (vid, t) on it: steady
+    or not; vid's coverage at t cached or tested once, or an unbounded cell;
+    covered or not, in a window that ends before, at or after ``t + period``;
+    its entry absent, ``math.inf`` or finite; a small or large wake-up heap;
+    and a horizon at t, at a window end, or past both."""
+    n = draw(st.integers(1, 12))
+    vid = draw(st.integers(0, n - 1))
+    t = draw(st.floats(0.0, 100.0))
+    period = draw(st.sampled_from((0.1, 0.25)) | st.floats(0.01, 1.0))
+    timeout = period * draw(st.sampled_from((0.5, 1.0, 1.5, 2.0)))
+    ends = st.sampled_from((0.0, 0.5, 1.0, 1.5, 40.0)).map(lambda c: t + c * period) | st.just(math.inf)
+    covered, until = draw(st.booleans()), draw(ends)
+    horizon = draw(st.sampled_from((t, t + period, until, t + 40 * period)).filter(math.isfinite))
+    cell = draw(st.sampled_from(("cached", "tested", "unbounded")))
+    coverage = None if cell == "unbounded" else _Coverage((covered, until))
+    beacons = Beacons(Registry(timeout, n), period, [math.inf] * n, coverage, horizon)
+    if cell == "tested":  # vid's last window ended before t
+        beacons.inside[vid], beacons.until[vid] = draw(st.booleans()), t - draw(st.floats(1e-3, 5.0))
+    elif cell == "cached":
+        beacons.inside[vid], beacons.until[vid] = covered, until
+    beacons.next[vid] = draw(st.just(math.inf) | st.floats(0.0, t))
+    beacons.heard[vid] = draw(st.just(-math.inf) | st.floats(0.0, t))
+    entries = st.dictionaries(st.integers(0, n - 1), st.just(math.inf) | st.floats(0.0, t))  # the others absent
+    for other, last in draw(entries).items():
+        beacons.registry.on_beacon(other, last)
+    size = draw(st.integers(0, 7) | st.integers(8, 40))
+    beacons.wakes = [(t + draw(st.floats(0.0, 1.0)) * (horizon - t), draw(st.integers(0, n - 1))) for _ in range(size)]
+    heapq.heapify(beacons.wakes)
+    return beacons, vid, t
+
+
+@settings(max_examples=examples(300), deadline=None, derandomize=True)
+@given(case=_restarts())
+def test_a_restart_leaves_the_state_a_replay_of_its_beacon_leaves(case):
+    """``restart(vid, t)`` and ``next[vid] = t; _replay((vid,), t)`` on a copy
+    leave equal columns, registry and wake-ups, with the same coverage tests."""
+    beacons, vid, t = case
+    twin = copy.deepcopy(beacons)
+    covered = beacons.restart(vid, t)
+    twin.next[vid] = t
+    twin._replay((vid,), t)
+    assert covered == twin.inside[vid] and beacons.next[vid] > t
+    assert (beacons.next, beacons.inside, beacons.until, beacons.heard) == (twin.next, twin.inside, twin.until, twin.heard)
+    reg, twin_reg = beacons.registry, twin.registry
+    assert (reg.entries, reg.ids, sorted(reg._ages)) == (twin_reg.entries, twin_reg.ids, sorted(twin_reg._ages))
+    assert sorted(beacons.wakes) == sorted(twin.wakes)
+    if beacons.coverage is not None:
+        assert beacons.coverage.calls == twin.coverage.calls <= 1
+
+
 @settings(max_examples=examples(150), deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 10_000),
@@ -404,14 +469,41 @@ def test_no_replay_finds_the_next_beacon_still_ahead():
     assert calls > 1000 and ahead == 0, (calls, ahead)
 
 
+def test_no_wake_up_is_booked_past_the_horizon():
+    """Nothing dispatches after the horizon, so no wake-up past it could act:
+    at every dispatch of a partial-coverage VCCFirst run, and at its end, the
+    wake-up heap holds none."""
+    cfg = RunConfig(strategy="VCCFirst", n_users=40, n_vehicles=400, duration=5.0,
+                    geometry=partial_coverage(), vehicle_speed=90.0 * KMH)
+    made, sizes = [], []
+
+    class Recording(Beacons):
+        """The run's ``Beacons``, with its wake-ups checked at each dispatch."""
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def dispatch(self, rng, t):
+            assert all(w <= cfg.duration for w, _ in self.wakes), t
+            sizes.append(len(self.wakes))
+            return super().dispatch(rng, t)
+
+    with mock.patch.object(engine, "Beacons", Recording):
+        engine.run(cfg)
+    (beacons,) = made
+    assert all(w <= cfg.duration for w, _ in beacons.wakes)
+    assert max(sizes) > 100  # the heap is in use
+
+
 @st.composite
 def _catch_ups(draw):
-    """(x, period, t, before, window): a cursor x in [0, t] at most a few
-    thousand periods behind t, or one already past t; ``before``, when the
+    """(x, period, t, before, window, horizon): a cursor x in [0, t] at most a
+    few thousand periods behind t, or one already past t; ``before``, when the
     picked vehicle's task reaches it, a few ulps either side of the chain's
     first beacon past t, up to four periods after t, or never (a lost leg);
-    and the vehicle's coverage flag and window end, a few ulps either side of
-    that beacon too."""
+    the vehicle's coverage flag and window end, and the run's horizon, a few
+    ulps either side of that beacon too, or the horizon far past it."""
     t = draw(st.floats(1e-6, 1e7) | st.sampled_from((0.1, 1.0, 120.0, 2.0**20)))
     period = draw(
         st.sampled_from((0.1, 1 / 3)) | st.integers(-30, 4).map(lambda k: 2.0**k) | st.floats(1e-4, 10.0)
@@ -435,26 +527,28 @@ def _catch_ups(draw):
         st.integers(-8, 8).map(near_first) | st.floats(0.0, 4.0).map(lambda c: t + c * period) | st.just(math.inf)
     )
     window = draw(st.just((True, math.inf)) | st.tuples(st.booleans(), st.integers(-8, 8).map(near_first)))
-    return x, period, t, before, window
+    horizon = max(t, draw(st.integers(-8, 8).map(near_first) | st.just(first + 8 * period)))
+    return x, period, t, before, window, horizon
 
 
 @settings(max_examples=examples(300), deadline=None, derandomize=True)
 @given(case=_catch_ups())
 def test_a_pick_moves_its_cursor_as_one_addition_per_test_would(case):
     """``dispatch`` then ``book`` push exactly the wake-up that the cursor
-    caught up by ``while x <= t: x += period`` gives, and a cursor ends where
-    that chain ends, or is ``math.inf`` when its next beacon is after ``before``."""
-    x, period, t, before, (covered, until) = case
+    caught up by ``while x <= t: x += period`` gives, unless it is past the
+    horizon, and a cursor ends where that chain ends, or is ``math.inf`` when
+    its next beacon is after ``before``."""
+    x, period, t, before, (covered, until), horizon = case
     reference = x
     while reference <= t:
         reference += period
-    beacons = Beacons(Registry(timeout=1.0, n_vehicles=1), period, [math.inf], None, horizon=t)
+    beacons = Beacons(Registry(timeout=1.0, n_vehicles=1), period, [math.inf], None, horizon=horizon)
     beacons.next[0], beacons.inside[0], beacons.until[0] = x, covered, until
     beacons.registry.list_steady([0])
     assert beacons.dispatch(random.Random(0), t) == 0
     beacons.book(0, t, before)
     w = reference if reference > until or covered else until
-    assert beacons.wakes == ([(w, 0)] if w <= before and w < math.inf else []), case
+    assert beacons.wakes == ([(w, 0)] if w <= before and w <= horizon else []), case
     assert beacons.next[0] == reference or beacons.next[0] == math.inf and reference > before, case
 
 
