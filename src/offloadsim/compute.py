@@ -38,7 +38,9 @@ class EdgeState:
         yet in service at ``now`` before this one, then the admitted task's
         completion time and its wait from ``data_at`` to its service start,
         both None on overflow. ``data_at`` is when the payload reaches the
-        server; service cannot start before it.
+        server; service cannot start before it. A task starts no earlier than
+        the previous admission's completion, so admitted completions are
+        nondecreasing in call order, which ``engine.run`` relies on.
         """
         jobs = self._jobs
         while jobs and jobs[0][1] <= now:

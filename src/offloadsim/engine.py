@@ -7,10 +7,15 @@ interleaving and produce identical records. On a bounded cell,
 ``scenario.start_offsets`` places the VCCFirst fleet from a second
 ``random.Random(seed)``, so vehicle i's start offset over the perimeter equals
 user i's phase over the request interval; an unbounded cell draws none.
+Events come from three sources and go in (time, sequence number) order.
 Arrivals are generated sorted by (time, task id) and stay in that list, read
-by a cursor beside a heap of the in-flight events: arrival i counts as
-sequence number i and every pushed event numbers on from the arrival count,
-so at equal times an arrival goes first.
+by a cursor: arrival i counts as sequence number i, and every other event
+numbers on from the arrival count, so at equal times an arrival goes first.
+An edge task's result goes on a FIFO lane, every other in-flight event on a
+heap, and the smaller (time, sequence number) of the two heads goes first.
+The lane needs no sort: the edge's completions are nondecreasing in
+admission order (``EdgeState.offer``), the core-network delay added to each
+is a run constant, and sequence numbers rise in push order.
 
 Each radio leg goes through the run's ``channel.Link`` for its link class,
 which holds the link's parameters and the airtime still in use. A leg returns
@@ -44,7 +49,7 @@ import math
 import operator
 import random
 from array import array
-from collections import Counter, namedtuple
+from collections import Counter, deque, namedtuple
 
 from .bounds import checked
 from .channel import Link, lena_calibrated
@@ -192,7 +197,7 @@ def generate_arrivals(cfg: RunConfig, rng: random.Random) -> list[tuple[float, i
     return arrivals
 
 
-# Kinds of the in-flight events on the heap; arrivals are not heap events.
+# Kinds of the in-flight events on the heap and the lane; arrivals are neither.
 _AT_GNB, _AT_VEHICLE, _VEHICLE_DONE, _RESULT_AT_GNB = range(4)
 
 
@@ -220,8 +225,8 @@ def run(cfg: RunConfig) -> Records:
     # Records are columns in RECORD_FIELDS order, indexed by task id. Arrival
     # i carries sequence number i, so it precedes every pushed event at its
     # time; pushed events number on from n. The arrivals end by count: the inf
-    # after them only keeps the heap's events first, and an event at inf, from
-    # a leg or an elaboration that overflowed, lies past the horizon.
+    # after them only keeps the heap's and the lane's events first, and an event
+    # at inf, from a leg or an elaboration that overflowed, lies past the horizon.
     arrivals = generate_arrivals(cfg, rng)
     n = len(arrivals)
     arrival_times = [t for t, _ in arrivals]
@@ -236,6 +241,7 @@ def run(cfg: RunConfig) -> Records:
     # (t, seq, kind, task, b): b is the vehicle at _AT_VEHICLE and _VEHICLE_DONE,
     # else the sum of the task's legs so far (see _RESULT_AT_GNB).
     heap: list[tuple[float, int, int, int, float]] = []
+    lane: deque = deque()  # the edge's results, already in heap order (EdgeState.offer)
 
     if cfg.strategy == VCC_FIRST:
         # ECFirst never reads the fleet, so it has none. An unbounded cell
@@ -272,9 +278,9 @@ def run(cfg: RunConfig) -> Records:
     next_arrival = arrival_times[0]
     while True:
         if heap and heap[0][0] < next_arrival:
-            t, _, kind, a, b = heappop(heap)
-            if t > horizon:
-                break
+            t, _, kind, a, b = lane.popleft() if lane and lane[0] < heap[0] else heappop(heap)
+        elif lane and lane[0][0] < next_arrival:
+            t, _, kind, a, b = lane.popleft()
         else:  # arrivals all lie inside the horizon
             if i == n:  # and every event left, if any, at inf
                 break
@@ -287,6 +293,8 @@ def run(cfg: RunConfig) -> Records:
             i += 1
             next_arrival = arrival_times[i]
             continue
+        if t > horizon:
+            break
 
         if kind == _AT_GNB:
             if edge is not None:
@@ -301,7 +309,7 @@ def run(cfg: RunConfig) -> Records:
                     t_elab[a] = edge_elab
                     t_down_cn[a] = cn_down
                     legs = b + cn_up + queue_wait + edge_elab + cn_down
-                    heappush(heap, (completion + cn_down, next_seq(), _RESULT_AT_GNB, a, legs))
+                    lane.append((completion + cn_down, next_seq(), _RESULT_AT_GNB, a, legs))
                 continue
             vid = beacons.dispatch(rng, t)
             if vid is None:

@@ -1,7 +1,10 @@
 """Elaboration times and tier admission: cloud, bounded-FIFO edge, vehicles."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import examples
 from oracle_engine import Vehicle, vehicle_offer, waiting_count
 from offloadsim.channel import ChannelConfig, lena_calibrated
 from offloadsim.compute import EdgeState, elaboration_time
@@ -100,6 +103,33 @@ def test_edge_idle_gap_resets_waiting():
     _, a, a_wait = edge.offer(_S, 5.0, 5.0)
     assert a == 5.0 + 0.1  # service starts at the offer
     assert a_wait == 0.0
+
+
+_STEPS = st.sampled_from((0.0, 0.0625)) | st.floats(0.0, 1.0)
+# 0, dyadic, any, or so long that the second queued completion overflows to inf
+_SERVICES = st.sampled_from((0.0, 1e308)) | st.integers(1, 64).map(lambda k: k / 16) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=examples(200), deadline=None, derandomize=True)
+@given(
+    max_queue=st.integers(0, 4),
+    c=st.sampled_from((0.0, 0.002, 0.125)) | st.floats(0.0, 1.0),
+    offers=st.lists(st.tuples(_STEPS, _SERVICES), max_size=40),
+)
+def test_admitted_completions_are_nondecreasing_in_admission_order(max_queue, c, offers):
+    """The order ``engine.run`` takes edge results in without sorting them:
+    offers at nondecreasing times whose payloads arrive a constant ``c`` later
+    complete in admission order, and so do their results ``c`` after that."""
+    edge = _edge(max_queue)
+    now = 0.0
+    done = []
+    for step, service in offers:
+        now += step
+        completion = edge.offer(service, now, now + c)[1]
+        if completion is not None:
+            done.append(completion)
+    assert done == sorted(done)
+    assert [x + c for x in done] == sorted(x + c for x in done)
 
 
 def test_edge_rejects_a_capacity_that_is_not_positive():

@@ -111,6 +111,37 @@ def test_a_beacon_counts_before_a_dispatch_pushed_earlier_at_its_time():
     assert _rows(run(cfg)) == _rows(oracle_engine.run(cfg))
 
 
+_LOSSY_INSTANT = ChannelConfig(*[LinkParams(0.0, p_base=0.5)] * 4, *[0.0] * 4)  # 0 s legs, half of them lost
+
+
+@pytest.mark.parametrize("edge_mips, cloud_mips", [(4000.0, 2000.0), (2000.0, 4000.0)])
+@pytest.mark.parametrize("internet", (0.125, 0.25))
+@pytest.mark.parametrize("users", (1, 2, 3))
+def test_arrivals_edge_results_and_cloud_results_at_one_instant_keep_their_order(
+    edge_mips, cloud_mips, internet, users,
+):
+    """Dyadic service, Internet and request intervals put a user's arrival, an
+    edge result and a cloud result on one instant. Each radio leg draws, so a
+    tie taken in another order than the oracle's (time, then push order, an
+    arrival first) shows in which tasks are lost."""
+    channel = _LOSSY_INSTANT._replace(internet_up=internet, internet_down=internet)
+    for edge_max_queue in (0, 1, 2):
+        for seed in range(6):
+            cfg = RunConfig(
+                strategy="ECFirst",
+                n_users=users,
+                request_rate=4.0,
+                duration=3.0,
+                seed=seed,
+                workload_mi=1000.0,
+                channel=channel,
+                cloud_mips=cloud_mips,
+                edge_mips=edge_mips,
+                edge_max_queue=edge_max_queue,
+            )
+            assert _rows(run(cfg)) == _rows(oracle_engine.run(cfg)), (edge_max_queue, seed)
+
+
 @pytest.mark.parametrize("strategy, seed", [("ECFirst", 0), ("ECFirst", 3), ("VCCFirst", 0), ("VCCFirst", 5)])
 def test_records_read_as_the_oracle_records(strategy, seed):
     """The column store reads back, item by item, as the oracle's objects."""
