@@ -7,12 +7,16 @@ RFC-4180-style CSV in the bytes ``csv.writer(lineterminator="\\n")`` would
 write: floats with repr, ints with str, None as an empty cell and strings
 quoted by the csv module, so identical runs produce byte-identical files.
 Every table but ``run --records`` is written by ``csv.writer`` itself. The
-records, an ``engine.Records``, are formatted ``_BLOCK_ROWS`` rows at a time
-from row ranges of their columns, with a value repeated within a block column
-formatted once, so no row is built. From ``_PARALLEL_ROWS`` rows on they are
-cut into contiguous row ranges formatted at once on the usable CPUs, in
-worker processes forked by ``workers.forked``; this process writes the ranges
-out in order, so the bytes never depend on the worker count. ``main`` writes
+records, an ``engine.Records``, are cut into shares, contiguous row ranges: one
+per usable CPU from ``_PARALLEL_ROWS`` rows on, formatted at once in worker
+processes forked by ``workers.forked``, else one. This process writes the shares
+out in order, so the bytes never depend on the worker count. A share is
+formatted ``_BLOCK_ROWS`` rows at a time from slices of its columns, so no row
+is built, and each column keeps the mode its first block picks: task ids (a
+``range``) and mostly distinct floats print with repr; any other column formats
+each value once per share through one memo, floats keyed by their bits (0.0 and
+-0.0 differ), and a memo that would pass ``_BLOCK_ROWS`` entries hands the rest
+of its share to ``_column_cells``. ``main`` writes
 every table before it renames any: a regular or new file goes to a temporary
 ``<path>.<pid>.tmp`` beside it, a device or standard output is written in
 place; then the summary is printed, then each temporary is renamed over its
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import math
 import os
 import sys
@@ -58,11 +63,11 @@ COST_COLUMNS = ("request_scale", "years", "beta", *CostRow._fields)
 ANOVA_COLUMNS = ("source", "sum_sq", "df", "F", "PR(>F)")
 
 
-# Records formatted per write: enough to share each repeated cell's text, few
+# Records formatted per write, and the most cells a column's memo holds: few
 # enough that a long table never sits in memory whole.
 _BLOCK_ROWS = 512
-# Records this long or longer are formatted on the usable CPUs: below it the
-# fork costs about what a second worker saves.
+# Records this long or longer are formatted on the usable CPUs: on 2 vCPUs, two
+# workers broke even with one at 1,500-2,000 edge_rush-like rows and won from 2,500.
 _PARALLEL_ROWS = 4 * _BLOCK_ROWS
 
 
@@ -85,16 +90,13 @@ def _cell(value) -> str:
 
 
 def _column_cells(values):
-    """The cells of one block of a ``Records`` column, formatting each value
-    repeated in it once.
+    """The cells of one block of a ``Records`` column that left its share's
+    memo, formatting each value repeated in the block once.
 
-    A ``range`` (task ids) prints with str. An ``array('d')`` holds floats only
-    and is memoized by their bits: equal bits print alike, and 0.0 and -0.0
-    differ. A list holds one type beside None, ints or a few constant strings,
-    so it is memoized by value.
+    An ``array('d')`` holds floats only and is memoized by their bits: equal
+    bits print alike, and 0.0 and -0.0 differ. A list holds one type beside
+    None, ints or a few constant strings, so it is memoized by value.
     """
-    if isinstance(values, range):
-        return map(str, values)
     if isinstance(values, array):
         bits = array("q", values.tobytes())
         distinct = array("q", set(bits))
@@ -168,10 +170,9 @@ def _replace_in_order(renames) -> None:
 
 
 def _write_table(out, header, rows) -> None:
-    """Write the header and rows to ``out``. A ``Records`` is cut into one
-    contiguous row range per worker: one per usable CPU from ``_PARALLEL_ROWS``
-    rows on, else 1, which forks nothing. This process formats and writes range
-    0, then the texts ``workers.forked`` brings back from the others."""
+    """Write the header and rows to ``out``, a ``Records`` in shares (see the
+    module docstring): this process formats and writes share 0, then the texts
+    ``workers.forked`` brings back from the others; one share forks nothing."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     if not isinstance(rows, Records):
@@ -186,13 +187,32 @@ def _write_table(out, header, rows) -> None:
 
 
 def _block_texts(records: Records, start: int, stop: int):
-    """The CSV text of records [start, stop), ``_BLOCK_ROWS`` rows at a time,
-    in order, each line ending in \\n; the blocks are slices of the columns,
-    so no row is built."""
-    for at in range(start, stop, _BLOCK_ROWS):
-        end = min(at + _BLOCK_ROWS, stop)
-        cells = [_column_cells(values[at:end]) for values in records.columns]
+    """The CSV text of the share of records [start, stop), ``_BLOCK_ROWS`` rows
+    at a time, in order, each line ending in \\n."""
+    for cells in zip(*(_share_cells(values, start, stop) for values in records.columns)):
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _share_cells(values, start: int, stop: int):
+    """The cells of rows [start, stop) of a ``Records`` column, one iterable per block."""
+    blocks = (values[at : min(at + _BLOCK_ROWS, stop)] for at in range(start, stop, _BLOCK_ROWS))
+    floats = isinstance(values, array)
+    memo = {}  # a float's bits, or a list value, to its cell
+    for block in blocks:
+        keys = array("q", block.tobytes()) if floats else block
+        try:
+            cells = list(map(memo.__getitem__, keys))
+        except KeyError:
+            new = set(keys).difference(memo)
+            if isinstance(keys, range) or floats and not memo and 2 * len(new) > len(keys):
+                yield from (map(repr, block) for block in itertools.chain((block,), blocks))  # an int's repr is its str
+                return
+            if len(memo) + len(new) > _BLOCK_ROWS:
+                yield from map(_column_cells, itertools.chain((block,), blocks))
+                return
+            memo.update(zip(new, map(repr, array("d", array("q", new).tobytes())) if floats else map(_cell, new)))
+            cells = map(memo.__getitem__, keys)
+        yield cells
 
 
 def _read_config(path: str) -> str:

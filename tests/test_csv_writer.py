@@ -1,9 +1,11 @@
 """The CSV writer writes exactly the bytes of ``csv.writer``.
 
 Every subcommand goes through ``cli._write_csv``. A run's ``engine.Records``
-is formatted a block at a time, column by column, sharing the text of values
-repeated in a block column, and a long one is split among forked workers; any
-other table is written by ``csv.writer`` itself. The output must match
+is cut into shares (row ranges), a long one among forked workers, and each
+share is formatted a block at a time, column by column, each column in the mode
+its first block picks: a memo for the share that formats each repeated value
+once, or repr for task ids and mostly distinct floats. Any other table is
+written by ``csv.writer`` itself. The output must match
 ``csv.writer(lineterminator="\\n")`` byte for byte, whatever the worker count:
 floats (nan, inf and signed zeros too) with repr, ints with str, None as an
 empty cell and strings with the csv module's quoting.
@@ -12,6 +14,7 @@ empty cell and strings with the csv module's quoting.
 import contextlib
 import csv
 import io
+import itertools
 import os
 import random
 from array import array
@@ -21,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from offloadsim import cli
 from offloadsim.cli import _BLOCK_ROWS, _PARALLEL_ROWS, _write_csv, main
 from offloadsim.engine import RECORD_FIELDS, Records, RunConfig, run, summarize
@@ -93,9 +97,12 @@ def _reference(header, rows):
 
 
 def _assert_same_text(header, rows, given=None):
-    """Equal texts, or a failure showing the lengths and where they first differ.
-    The writer gets ``given`` (the rows by default), the csv module the rows."""
-    got, want = _written(header, rows if given is None else given), _reference(header, rows)
+    """The writer gets ``given`` (the rows by default), the csv module the rows."""
+    _assert_equal_texts(_written(header, rows if given is None else given), _reference(header, rows))
+
+
+def _assert_equal_texts(got, want):
+    """Equal texts, or a failure showing the lengths and where they first differ."""
     if got != want:
         at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
         lo = max(at - 60, 0)
@@ -130,6 +137,92 @@ def test_column_stored_records_print_like_their_rows(values, data):
     strings = data.draw(_list_columns(st.one_of(st.none(), _STRINGS), n))
     columns = [range(n), column, column[::-1], ints, strings]
     _assert_same_text(_HEADER, list(zip(*columns)), Records(columns))
+
+
+# Distinct values in a share column: on both sides of what one memo may hold.
+_CARDINALITIES = (1, 2, 7, _BLOCK_ROWS // 2, _BLOCK_ROWS // 2 + 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS)
+_SPECIALS = (0.0, -0.0, float("nan"), float("inf"), float("-inf"))
+
+
+@st.composite
+def _share_columns(draw, lead, n, tail):
+    """A records column whose share is rows [lead, lead + n), of k distinct
+    values of one kind (floats, ints beside None, or strings beside None), in
+    one of three orders: any value anywhere; new values spread over the share,
+    so that a memo grows from block to block and may outgrow its bound
+    mid-share; or one value first seen in the share's last block."""
+    kind = draw(st.sampled_from(("float", "int", "str")))
+    k = draw(st.sampled_from(_CARDINALITIES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "float":
+        specials = draw(st.permutations(_SPECIALS)) if draw(st.booleans()) else []
+        pool = [*specials, *(rng.uniform(-1e3, 1e3) for _ in range(k))][:k]
+    elif kind == "int":
+        pool = [None, *rng.sample(range(-(2**40), 2**40), k - 1)]
+    else:
+        pool = [None, 'a "b"', "c,d", "e\nf", "", *(f"s{i}" for i in range(k))][:k]
+    order = draw(st.sampled_from(("any", "spread", "late")))
+    if order == "spread":
+        share = [pool[rng.randrange(1 + i * k // n)] for i in range(n)]
+    else:
+        share = [rng.choice(pool[:-1] if order == "late" and k > 1 else pool) for _ in range(n)]
+    if order == "late":
+        share[draw(st.integers((n - 1) // _BLOCK_ROWS * _BLOCK_ROWS, n - 1))] = pool[-1]
+    values = [rng.choice(pool) for _ in range(lead)] + share + [rng.choice(pool) for _ in range(tail)]
+    return array("d", values) if kind == "float" else values
+
+
+def _memo_sizes(values, start, stop):
+    """The size of the column's memo after each block of the share [start, stop)."""
+    share = cli._share_cells(values, start, stop)
+    for cells in share:
+        list(cells)
+        if share.gi_frame is not None:  # None once the share is done
+            yield len(share.gi_frame.f_locals["memo"])
+
+
+def _assert_share_text(records, start, stop):
+    """The share's text is the csv module's text of its rows, and no column's
+    memo holds more than a block's worth of entries."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(itertools.islice(zip(*records.columns), start, stop))
+    _assert_equal_texts("".join(cli._block_texts(records, start, stop)), out.getvalue())
+    for values in records.columns:
+        assert max(_memo_sizes(values, start, stop), default=0) <= _BLOCK_ROWS
+
+
+@settings(max_examples=examples(100), deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_share_prints_like_its_rows_whatever_its_columns_repeat(data):
+    # a share of 2 to 5 blocks, maybe with rows before and after it: task ids,
+    # an all-distinct and a constant float column, and 1 to 4 drawn columns
+    n = data.draw(st.integers(_BLOCK_ROWS + 1, 5 * _BLOCK_ROWS))
+    lead, tail = data.draw(st.sampled_from((0, 1, _BLOCK_ROWS - 3))), data.draw(st.sampled_from((0, 5)))
+    total = lead + n + tail
+    drawn = [data.draw(_share_columns(lead, n, tail)) for _ in range(data.draw(st.integers(1, 4)))]
+    distinct = array("d", (random.Random(n).random() for _ in range(total)))
+    _assert_share_text(Records([range(total), distinct, array("d", [2.5]) * total, *drawn]), lead, lead + n)
+
+
+@pytest.mark.parametrize("specials", list(itertools.permutations(_SPECIALS[:4])))
+def test_specials_first_seen_in_different_blocks_keep_their_text(specials):
+    # 0.0, -0.0, nan and inf each first seen in a block of its own beside a
+    # constant, the last of them in the share's last block, where all recur
+    column = array("d", [1.0]) * (5 * _BLOCK_ROWS)
+    for b, value in enumerate(specials):
+        column[(b + 1) * _BLOCK_ROWS + 7 * b + 3] = column[4 * _BLOCK_ROWS + 7 * b + 100] = value
+    _assert_share_text(Records([range(len(column)), column, column[::-1]]), 0, len(column))
+    assert list(_memo_sizes(column, 0, len(column))) == [1, 2, 3, 4, 5]  # one memo for the share
+
+
+@pytest.mark.parametrize("k, sizes", [(_BLOCK_ROWS, [256, 512, 512]), (_BLOCK_ROWS + 1, [256, 256, 256])])
+def test_a_memo_that_would_pass_a_block_of_entries_stops_growing(k, sizes):
+    # k distinct ints, half of them in the first block and the rest first seen
+    # in the second: at k = _BLOCK_ROWS + 1 the column leaves its memo there
+    first, rest = list(range(256)), list(range(256, k))
+    column = first * 2 + (rest * 2)[:_BLOCK_ROWS] + (first + rest)[:_BLOCK_ROWS]
+    _assert_share_text(Records([range(len(column)), column]), 0, len(column))
+    assert list(_memo_sizes(column, 0, len(column))) == sizes
 
 
 @needs_fork
