@@ -9,22 +9,24 @@ quoted by the csv module, so identical runs produce byte-identical files.
 Every table but ``run --records`` is written by ``csv.writer`` itself. The
 records, an ``engine.Records``, are cut into shares, contiguous row ranges: one
 per usable CPU from ``_PARALLEL_ROWS`` rows on, formatted at once in worker
-processes forked by ``workers.forked``, else one. This process writes the shares
-out in order, so the bytes never depend on the worker count. A share is
+processes forked by ``workers.forked``, else one. This process writes the
+shares out in order, so the bytes never depend on the worker count. A share is
 formatted ``_BLOCK_ROWS`` rows at a time from slices of its columns, so no row
-is built, and each column keeps the mode its first block picks: task ids (a
-``range``) and mostly distinct floats print with repr; any other column formats
-each value once per share through one memo, floats keyed by their bits (0.0 and
--0.0 differ), and a memo that would pass ``_BLOCK_ROWS`` entries hands the rest
-of its share to ``_column_cells``. ``main`` writes
-every table before it renames any: a regular or new file goes to a temporary
-``<path>.<pid>.tmp`` beside it, a device or standard output is written in
-place; then the summary is printed, then each temporary is renamed over its
-path, in order. So a call that fails while writing or printing changes no file,
-and ``run``'s two files are written both or neither. A rename that fails after
-an earlier one succeeded puts the earlier path's previous file back from a hard
-link, where the file system has them. An empty path, or a path or standard
-output that cannot be written, is reported like an unreadable config.
+is built. A column formats each value once per share through one memo, floats
+keyed by their bits (0.0 and -0.0 differ) and lists by value, and adds a
+block's values only when one is missing. A block whose distinct values would
+take the memo past ``_BLOCK_ROWS`` entries starts it over from that block. Task
+ids (a ``range``), and floats more than half distinct in a block that finds the
+memo empty (first, or just started over), print with repr for the rest of the
+share instead. ``main`` writes every table before it renames any: a regular or
+new file goes to a temporary ``<path>.<pid>.tmp`` beside it, a device or
+standard output is written in place; then the summary is printed, then each
+temporary is renamed over its path, in order. So a call that fails while
+writing or printing changes no file, and ``run``'s two files are written both
+or neither. A rename that fails after an earlier one succeeded puts the earlier
+path's previous file back from a hard link, where the file system has them. An
+empty path, or a path or standard output that cannot be written, is reported
+like an unreadable config.
 """
 
 from __future__ import annotations
@@ -89,23 +91,6 @@ def _cell(value) -> str:
     return _QUOTED.writerow((value, None))[:-2]
 
 
-def _column_cells(values):
-    """The cells of one block of a ``Records`` column that left its share's
-    memo, formatting each value repeated in the block once.
-
-    An ``array('d')`` holds floats only and is memoized by their bits: equal
-    bits print alike, and 0.0 and -0.0 differ. A list holds one type beside
-    None, ints or a few constant strings, so it is memoized by value.
-    """
-    if isinstance(values, array):
-        bits = array("q", values.tobytes())
-        distinct = array("q", set(bits))
-        if 2 * len(distinct) > len(values):
-            return map(repr, values)
-        return map(dict(zip(distinct, map(repr, array("d", distinct.tobytes())))).__getitem__, bits)
-    return map({value: _cell(value) for value in set(values)}.__getitem__, values)
-
-
 @contextlib.contextmanager
 def _writing(path: str | None):
     """Report an OSError raised inside as the path not being writable. A path
@@ -127,13 +112,20 @@ def _writing(path: str | None):
 
 def _write_csv(path: str | None, header, rows) -> None:
     """Write the header and rows to the path, or to standard output when the
-    path is None. ``rows`` is an ``engine.Records`` or any iterable of rows
-    (see ``_write_table``)."""
-    if path is None:
-        _write_table(sys.stdout, header, rows)
-    else:
-        with open(path, "w", newline="") as out:
-            _write_table(out, header, rows)
+    path is None: an ``engine.Records`` in shares (see the module docstring),
+    any other iterable of rows through ``csv.writer``."""
+    with open(path, "w", newline="") if path is not None else contextlib.nullcontext(sys.stdout) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        if not isinstance(rows, Records):
+            writer.writerows(rows)
+            return
+        n = worker_count(len(rows) // _BLOCK_ROWS) if len(rows) >= _PARALLEL_ROWS else 1
+        size = -(-len(rows) // n)
+        with forked(n, lambda k: _block_texts(rows, k * size, min((k + 1) * size, len(rows)))) as shares:
+            for texts in shares:
+                for text in texts:
+                    out.write(text)
 
 
 def _replace_in_order(renames) -> None:
@@ -169,23 +161,6 @@ def _replace_in_order(renames) -> None:
         raise
 
 
-def _write_table(out, header, rows) -> None:
-    """Write the header and rows to ``out``, a ``Records`` in shares (see the
-    module docstring): this process formats and writes share 0, then the texts
-    ``workers.forked`` brings back from the others; one share forks nothing."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    if not isinstance(rows, Records):
-        writer.writerows(rows)
-        return
-    n = worker_count(len(rows) // _BLOCK_ROWS) if len(rows) >= _PARALLEL_ROWS else 1
-    size = -(-len(rows) // n)
-    with forked(n, lambda k: _block_texts(rows, k * size, min((k + 1) * size, len(rows)))) as shares:
-        for texts in shares:
-            for text in texts:
-                out.write(text)
-
-
 def _block_texts(records: Records, start: int, stop: int):
     """The CSV text of the share of records [start, stop), ``_BLOCK_ROWS`` rows
     at a time, in order, each line ending in \\n."""
@@ -203,12 +178,13 @@ def _share_cells(values, start: int, stop: int):
         try:
             cells = list(map(memo.__getitem__, keys))
         except KeyError:
-            new = set(keys).difference(memo)
+            new = set(keys)
+            if len(memo) + len(new) > _BLOCK_ROWS:
+                memo = {}
+            else:
+                new.difference_update(memo)
             if isinstance(keys, range) or floats and not memo and 2 * len(new) > len(keys):
                 yield from (map(repr, block) for block in itertools.chain((block,), blocks))  # an int's repr is its str
-                return
-            if len(memo) + len(new) > _BLOCK_ROWS:
-                yield from map(_column_cells, itertools.chain((block,), blocks))
                 return
             memo.update(zip(new, map(repr, array("d", array("q", new).tobytes())) if floats else map(_cell, new)))
             cells = map(memo.__getitem__, keys)

@@ -169,10 +169,8 @@ class Beacons:
             self.inside[vid], self.until[vid] = self.coverage(vid, t)
         if self.steady and self.inside[vid]:
             x = self.next[vid] = t + self.period
-            self.heard[vid], until, entries = t, self.until[vid], self.registry.entries
-            if entries[vid] is None:
-                bisect.insort(self.registry.ids, vid)
-            entries[vid] = math.inf
+            self.heard[vid], until = t, self.until[vid]
+            self.registry.on_beacon(vid, math.inf)
             w = x if x > until else until
             if w <= self.horizon:
                 heapq.heappush(self.wakes, (w, vid))

@@ -2,9 +2,10 @@
 
 Every subcommand goes through ``cli._write_csv``. A run's ``engine.Records``
 is cut into shares (row ranges), a long one among forked workers, and each
-share is formatted a block at a time, column by column, each column in the mode
-its first block picks: a memo for the share that formats each repeated value
-once, or repr for task ids and mostly distinct floats. Any other table is
+share is formatted a block at a time, column by column: each column through a
+memo that formats each repeated value once and starts over rather than pass
+``_BLOCK_ROWS`` entries, or with repr for task ids and mostly distinct floats
+(the rule is stated once, in the ``cli`` module docstring). Any other table is
 written by ``csv.writer`` itself. The output must match
 ``csv.writer(lineterminator="\\n")`` byte for byte, whatever the worker count:
 floats (nan, inf and signed zeros too) with repr, ints with str, None as an
@@ -215,10 +216,11 @@ def test_specials_first_seen_in_different_blocks_keep_their_text(specials):
     assert list(_memo_sizes(column, 0, len(column))) == [1, 2, 3, 4, 5]  # one memo for the share
 
 
-@pytest.mark.parametrize("k, sizes", [(_BLOCK_ROWS, [256, 512, 512]), (_BLOCK_ROWS + 1, [256, 256, 256])])
+@pytest.mark.parametrize("k, sizes", [(_BLOCK_ROWS, [256, 512, 512]), (_BLOCK_ROWS + 1, [256, 257, 512])])
 def test_a_memo_that_would_pass_a_block_of_entries_stops_growing(k, sizes):
     # k distinct ints, half of them in the first block and the rest first seen
-    # in the second: at k = _BLOCK_ROWS + 1 the column leaves its memo there
+    # in the second: at k = _BLOCK_ROWS + 1 the memo starts over there with the
+    # 257 values of that block, and again in the third, which holds 512
     first, rest = list(range(256)), list(range(256, k))
     column = first * 2 + (rest * 2)[:_BLOCK_ROWS] + (first + rest)[:_BLOCK_ROWS]
     _assert_share_text(Records([range(len(column)), column]), 0, len(column))

@@ -4,9 +4,10 @@ every demo, pinned.
 Each `run` case runs through ``main`` and pins the SHA-256 of the aggregates
 CSV and of the ``--records`` CSV. The cases cover both strategies, both
 presets, fast, slow and parked vehicles, and beacon periods below, equal to
-and above the registry timeout. Each `cost` case pins its CSV, written to
-standard output and with ``-o``, and the summary ``-o`` prints. Each script in
-``demos/`` runs in its own interpreter and pins its standard output. A change
+and above the registry timeout, and records whose id columns outgrow the
+writer's memo. Each `cost` case pins its CSV, written to standard output and
+with ``-o``, and the summary ``-o`` prints. Each script in ``demos/`` runs in
+its own interpreter and pins its standard output. A change
 that moves any digest changes behaviour and must say so;
 ``PYTHONPATH=src python tests/test_golden.py`` prints the new digests.
 """
@@ -58,6 +59,9 @@ CASES = {
     "slow_vehicles": "strategy = VCCFirst\nvehicles.capacity_mips = 500\n" + _SMALL,
     "long_lag": _LONG_LAG,
     "long_lag_partial": "scenario.preset = partial_coverage\n" + _LONG_LAG,
+    # 3,000 records from 600 users on 964 vehicles: the user and vehicle id
+    # columns outgrow a share's memo, which starts over (see the cli docstring).
+    "memo_restart": "strategy = VCCFirst\nusers = 600\nduration = 1\nvehicles.count = 1000\n",
 }
 
 GOLDEN = {
@@ -71,6 +75,7 @@ GOLDEN = {
     'slow_vehicles': ('0992aeec9531dd8ed63e773c2611dacf84caa5406045144ca988045b1923a26c', 'bd6b91ce39632fdd0c075d7d43c08fd9ee3f359cf53a79025a613df18f95aee5'),
     'long_lag': ('304296f5e1bf797a65e5695f4eac4c0bd433a71fa124dc70f7fc988312f4bf45', '9bb9587349cafb2d1612ca528d3d7b5a8d5c3519339a0641158ccb46c96375ad'),
     'long_lag_partial': ('53ce6d1a7636ff92d0feba42c710d1cc3690abeceb6fdab541cfb87820dc02cb', 'cc2ea5d0ff3fb09ea9fe8790c9191a1104adf3cbfefab74aca1656e592cbd589'),
+    'memo_restart': ('e7992e3136b3fb758e431cd9818fa011e7580d01418a0fc7e3021890ff29b69f', '77ac6b932327828041690f4c8c92ba24554929b164b72d785be2349b8dc895e9'),
 }
 
 # `offloadsim cost` calls: (config text or None, its flags).
