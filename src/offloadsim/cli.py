@@ -7,18 +7,15 @@ RFC-4180-style CSV in the bytes ``csv.writer(lineterminator="\\n")`` would
 write: floats with repr, ints with str, None as an empty cell and strings
 quoted by the csv module, so identical runs produce byte-identical files.
 Every table but ``run --records`` is written by ``csv.writer`` itself. The
-records, an ``engine.Records``, are cut into shares, contiguous row ranges: one
-per usable CPU from ``_PARALLEL_ROWS`` rows on, formatted at once in worker
-processes forked by ``workers.forked``, else one. This process writes the
-shares out in order, so the bytes never depend on the worker count. A share is
-formatted ``_BLOCK_ROWS`` rows at a time from slices of its columns, so no row
-is built. A column formats each value once per share through one memo, floats
-keyed by their bits (0.0 and -0.0 differ) and lists by value, and adds a
-block's values only when one is missing. A block whose distinct values would
-take the memo past ``_BLOCK_ROWS`` entries starts it over from that block. Task
-ids (a ``range``), and floats more than half distinct in a block that finds the
-memo empty (first, or just started over), print with repr for the rest of the
-share instead. ``main`` writes every table before it renames any: a regular or
+records, an ``engine.Records``, are formatted in this process ``_BLOCK_ROWS``
+rows at a time from slices of their columns, so no row is built. A column
+formats each value once per table through one memo, floats keyed by their bits
+(0.0 and -0.0 differ) and lists by value, and adds a block's values only when
+one is missing. A block whose distinct values would take the memo past
+``_BLOCK_ROWS`` entries starts it over from that block. Task ids (a ``range``),
+and floats more than half distinct in a block that finds the memo empty (first,
+or just started over), print with repr for the rest of the column instead.
+``main`` writes every table before it renames any: a regular or
 new file goes to a temporary ``<path>.<pid>.tmp`` beside it, a device or
 standard output is written in place; then the summary is printed, then each
 temporary is renamed over its path, in order. So a call that fails while
@@ -54,7 +51,6 @@ from .config import (
 from .costmodel import BONUS_IN_EC_REQUESTS, CostParams, CostRow, cost_row
 from .engine import AGGREGATE_FIELDS, RECORD_FIELDS, REPLICATION_SEEDS, Records, run, summarize, summarize_runs
 from .stats import anova_oneway, left_sum
-from .workers import forked, worker_count
 
 # Aggregates fields in order, as CSV columns: latencies carry their unit.
 _UNITS = {"mean_total": "mean_total_s", "p90": "p90_s", "p95": "p95_s", "p99": "p99_s"}
@@ -68,9 +64,6 @@ ANOVA_COLUMNS = ("source", "sum_sq", "df", "F", "PR(>F)")
 # Records formatted per write, and the most cells a column's memo holds: few
 # enough that a long table never sits in memory whole.
 _BLOCK_ROWS = 512
-# Records this long or longer are formatted on the usable CPUs: on 2 vCPUs, two
-# workers broke even with one at 1,500-2,000 edge_rush-like rows and won from 2,500.
-_PARALLEL_ROWS = 4 * _BLOCK_ROWS
 
 
 class _Echo:
@@ -112,20 +105,16 @@ def _writing(path: str | None):
 
 def _write_csv(path: str | None, header, rows) -> None:
     """Write the header and rows to the path, or to standard output when the
-    path is None: an ``engine.Records`` in shares (see the module docstring),
+    path is None: an ``engine.Records`` by blocks (see the module docstring),
     any other iterable of rows through ``csv.writer``."""
     with open(path, "w", newline="") if path is not None else contextlib.nullcontext(sys.stdout) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        if not isinstance(rows, Records):
+        if isinstance(rows, Records):
+            for text in _block_texts(rows):
+                out.write(text)
+        else:
             writer.writerows(rows)
-            return
-        n = worker_count(len(rows) // _BLOCK_ROWS) if len(rows) >= _PARALLEL_ROWS else 1
-        size = -(-len(rows) // n)
-        with forked(n, lambda k: _block_texts(rows, k * size, min((k + 1) * size, len(rows)))) as shares:
-            for texts in shares:
-                for text in texts:
-                    out.write(text)
 
 
 def _replace_in_order(renames) -> None:
@@ -161,16 +150,16 @@ def _replace_in_order(renames) -> None:
         raise
 
 
-def _block_texts(records: Records, start: int, stop: int):
-    """The CSV text of the share of records [start, stop), ``_BLOCK_ROWS`` rows
-    at a time, in order, each line ending in \\n."""
-    for cells in zip(*(_share_cells(values, start, stop) for values in records.columns)):
+def _block_texts(records: Records):
+    """The CSV text of the records, ``_BLOCK_ROWS`` rows at a time, in order,
+    each line ending in \\n."""
+    for cells in zip(*map(_column_cells, records.columns)):
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _share_cells(values, start: int, stop: int):
-    """The cells of rows [start, stop) of a ``Records`` column, one iterable per block."""
-    blocks = (values[at : min(at + _BLOCK_ROWS, stop)] for at in range(start, stop, _BLOCK_ROWS))
+def _column_cells(values):
+    """The cells of a ``Records`` column, one iterable per block."""
+    blocks = (values[at : at + _BLOCK_ROWS] for at in range(0, len(values), _BLOCK_ROWS))
     floats = isinstance(values, array)
     memo = {}  # a float's bits, or a list value, to its cell
     for block in blocks:

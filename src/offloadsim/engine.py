@@ -159,7 +159,7 @@ class Records:
     """One run's records as one column per ``RECORD_FIELDS`` entry, indexed by
     task id: ``array('d')`` for the floats, a ``range`` for ``task_id`` and
     lists for the rest. An item is built as an ``OffloadRecord`` when read;
-    there are no slices, as the CSV writer reads row ranges of the columns."""
+    there are no slices, as the CSV writer reads blocks of the columns."""
 
     __slots__ = ("columns",)
 
@@ -464,8 +464,7 @@ def summarize_runs(cfgs: list[RunConfig]) -> list[Aggregates]:
     to stderr, and the call raises RuntimeError.
     """
     n = worker_count(len(cfgs))
-    with forked(n, lambda k: (tuple(summarize(run(cfg))) for cfg in cfgs[k::n])) as shares:
-        shares = [list(values) for values in shares]  # a failed child raises on leaving the block
+    shares = forked(n, lambda k: (tuple(summarize(run(cfg))) for cfg in cfgs[k::n]))
     out: list = [None] * len(cfgs)
     for k, values in enumerate(shares):
         out[k::n] = map(Aggregates._make, values)

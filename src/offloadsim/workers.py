@@ -1,18 +1,16 @@
 """Forked worker processes for work that splits into independent shares.
 
-``forked(n, work)`` yields the values of ``work(k)`` for k = 0 .. n - 1, one
-iterable per share. Share 0 runs in the calling process as it is read; each
-other share runs in a child made with ``os.fork``, which computes
-``list(work(k))`` and sends the values through its own pipe with ``marshal``
-(exact for every float, nan and -0.0 included). A share whose fork fails, say
-for want of processes, runs in the calling process instead. Neither
-``multiprocessing`` nor ``pickle`` is imported: a share is described by state
-the child copies at fork.
+``forked(n, work)`` returns ``[list(work(k)) for k in range(n)]``. Share 0 runs
+in the calling process; each other share runs in a child made with
+``os.fork``, which computes ``list(work(k))`` and sends it through its own pipe
+as one ``marshal`` record (exact for every float, nan and -0.0 included). A
+share whose fork fails, say for want of processes, runs in the calling process
+instead. Neither ``multiprocessing`` nor ``pickle`` is imported: a share is
+described by state the child copies at fork.
 """
 
 from __future__ import annotations
 
-import contextlib
 import marshal
 import os
 import sys
@@ -31,22 +29,17 @@ def worker_count(n_jobs: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_jobs))
 
 
-@contextlib.contextmanager
-def forked(n: int, work):
-    """Yield one iterable of values per share, in order of k: ``work(0)``
-    itself, then for each k >= 1 the values its child sends, read from the
-    pipe as the caller iterates (where ``os.fork`` raises OSError, the list is
-    computed here instead). A child sends nothing before its share is complete,
-    so the caller reads the shares in order while the children compute.
+def forked(n: int, work) -> list[list]:
+    """``[list(work(k)) for k in range(n)]``, each share k >= 1 computed in a
+    child while this process computes share 0 (where ``os.fork`` raises
+    OSError, share k is computed here instead).
 
-    On leaving the block every child is reaped. If the block raised, the
-    children are killed first and its exception propagates. A child that fails
-    prints its traceback to stderr and exits with status 1, and then leaving
-    the block raises RuntimeError naming it: a share cut short by its child's
-    failure reads as ended.
+    Every child is reaped before the call returns or raises. If a share raises
+    here, the children are killed first and its exception propagates. A child
+    that fails prints its traceback to stderr, sends nothing and exits with
+    status 1, and the call raises RuntimeError naming it.
     """
-    children = []  # (pid, read end of its pipe)
-    shares = []  # the values of shares 1 .. n - 1
+    children = {}  # share k -> (pid, read end of its pipe)
     killed = False
     try:
         for k in range(1, n):
@@ -58,28 +51,31 @@ def forked(n: int, work):
                 os.close(w)
                 if not isinstance(exc, OSError):
                     raise
-                shares.append(list(work(k)))  # shares are independent: the values are the child's
-                continue
+                continue  # shares are independent: computed here, the values are the child's
             if pid == 0:
                 os.close(r)
-                for _, pipe in children:  # an earlier child's pipe must close when the parent's end does
+                for _, pipe in children.values():  # an earlier child's pipe must close when the parent's end does
                     pipe.close()
                 _child(w, work, k)  # never returns
             os.close(w)
-            pipe = open(r, "rb")
-            children.append((pid, pipe))
-            shares.append(_received(pipe))
-        yield [work(0), *shares]
+            children[k] = (pid, open(r, "rb"))
+        shares = []
+        for k in range(n):
+            if k in children:
+                sent = children[k][1].read()
+                shares.append(marshal.loads(sent) if sent else None)  # nothing sent: the child failed, reaped below
+            else:
+                shares.append(list(work(k)))
+        return shares
     except BaseException:
         killed = True
-        for pid, _ in children:
+        for pid, _ in children.values():
             os.kill(pid, _SIGKILL)
         raise
     finally:
-        for _, pipe in children:
-            pipe.close()
         failed = []
-        for pid, _ in children:
+        for pid, pipe in children.values():
+            pipe.close()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code > 0 or (code and not killed):
                 failed.append(f"{pid} (exit status {code})")
@@ -87,25 +83,15 @@ def forked(n: int, work):
             raise RuntimeError(f"worker process {', '.join(failed)} failed; see its traceback on stderr")
 
 
-def _received(pipe):
-    """The values a child sent through ``pipe``, one ``marshal`` record each, up to its end."""
-    with contextlib.suppress(EOFError):
-        while True:
-            yield marshal.load(pipe)
-
-
 def _child(fd: int, work, k: int):
-    """A forked worker: send the values of share k through its pipe, then exit.
-
-    The pipe closes only when the process ends, after any traceback is out,
-    so a parent that reads end-of-file before a complete result finds the
-    child's exit status already set."""
+    """A forked worker: send share k through its pipe as one ``marshal``
+    record, then exit. ``marshal.dump`` writes nothing before the record is
+    complete, so a share that fails sends nothing: its traceback goes to stderr
+    and the exit status is 1."""
     status = 1
     try:
-        out = open(fd, "wb")
-        for value in list(work(k)):
-            marshal.dump(value, out)
-        out.flush()
+        with open(fd, "wb") as out:
+            marshal.dump(list(work(k)), out)
         status = 0
     except BaseException:  # the worker ends here whatever went wrong, so report it
         sys.excepthook(*sys.exc_info())

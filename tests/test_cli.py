@@ -92,28 +92,32 @@ def test_run_rejects_one_file_for_aggregates_and_records(tmp_path, capsys, monke
         assert Path("same.csv").read_bytes() == earlier
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
 def test_long_records_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    # a run forks nothing, whatever the usable CPUs: its records are written in this process
     cfg = tmp_path / "run.cfg"
     cfg.write_text("strategy = ECFirst\nusers = 30\nduration = 20\n")  # 3,000 records
+
+    def no_fork():
+        raise AssertionError("a run forked")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
     written = []
-    for cpus in ({0}, {0, 1}, {0, 1, 2}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+    for cpus in ({0}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
         rec = tmp_path / f"r{len(cpus)}.csv"
         assert main(["run", str(cfg), "-o", str(tmp_path / "a.csv"), "--records", str(rec)]) == 0
         written.append(rec.read_bytes())
     assert written[0].count(b"\n") == 3001
-    assert written[1] == written[0] and written[2] == written[0]
+    assert written[1] == written[0]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_records_as_a_row_generator_write_the_bytes_of_the_column_path(tmp_path, monkeypatch, cpus):
-    # a row generator, as a wrapper around the writer passes, has no length
-    # and goes through the one-process path; the columns may be split
+    # a row generator, as a wrapper around the writer passes, goes to
+    # csv.writer and the columns to the block writer, whatever the usable CPUs
     cfg = tmp_path / "run.cfg"
     cfg.write_text("strategy = VCCFirst\nusers = 30\nduration = 20\nscenario.preset = partial_coverage\n")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     real_write = cli._write_csv
     monkeypatch.setattr(
         cli, "_write_csv", lambda path, header, rows: real_write(path, header, (row for row in rows))
@@ -248,8 +252,8 @@ def test_a_failing_sweep_worker_fails_the_sweep(tmp_path, monkeypatch, capfd):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
 def test_a_share_whose_fork_fails_runs_in_this_process(tmp_path, monkeypatch):
-    # a failed fork used to end a sweep in a BlockingIOError traceback, and a
-    # run in "cannot write <records>: Resource temporarily unavailable"
+    # a failed fork used to end a sweep in a BlockingIOError traceback; a run
+    # forks nothing
     sweep, run_cfg = tmp_path / "sweep.cfg", tmp_path / "run.cfg"
     sweep.write_text("strategy = ECFirst\nusers = 2\nduration = 2\nsweep.axis = users\nsweep.values = 1, 2\n")
     run_cfg.write_text("strategy = ECFirst\nusers = 30\nduration = 20\n")  # 3,000 records
@@ -268,8 +272,8 @@ def test_a_share_whose_fork_fails_runs_in_this_process(tmp_path, monkeypatch):
         assert main(["sweep", str(sweep), "--seed-list", "0,1", "-o", str(out / "sweep.csv")]) == 0
         assert main(["run", str(run_cfg), "-o", str(out / "agg.csv"), "--records", str(out / "records.csv")]) == 0
         written.append({path.name: path.read_bytes() for path in out.iterdir()})
-    assert len(forks) == 2  # one share of each call on two CPUs
-    assert written[0]["records.csv"].count(b"\n") == 3001 >= cli._PARALLEL_ROWS
+    assert len(forks) == 1  # the sweep's second share, on two CPUs
+    assert written[0]["records.csv"].count(b"\n") == 3001
     assert written[1] == written[0]
 
 

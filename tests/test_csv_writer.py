@@ -1,15 +1,14 @@
 """The CSV writer writes exactly the bytes of ``csv.writer``.
 
 Every subcommand goes through ``cli._write_csv``. A run's ``engine.Records``
-is cut into shares (row ranges), a long one among forked workers, and each
-share is formatted a block at a time, column by column: each column through a
-memo that formats each repeated value once and starts over rather than pass
-``_BLOCK_ROWS`` entries, or with repr for task ids and mostly distinct floats
-(the rule is stated once, in the ``cli`` module docstring). Any other table is
-written by ``csv.writer`` itself. The output must match
-``csv.writer(lineterminator="\\n")`` byte for byte, whatever the worker count:
-floats (nan, inf and signed zeros too) with repr, ints with str, None as an
-empty cell and strings with the csv module's quoting.
+is formatted in this process a block at a time, column by column: each column
+through a memo that formats each repeated value once and starts over rather
+than pass ``_BLOCK_ROWS`` entries, or with repr for task ids and mostly
+distinct floats (the rule is stated once, in the ``cli`` module docstring).
+Any other table is written by ``csv.writer`` itself. The output must match
+``csv.writer(lineterminator="\\n")`` byte for byte: floats (nan, inf and signed
+zeros too) with repr, ints with str, None as an empty cell and strings with
+the csv module's quoting.
 """
 
 import contextlib
@@ -27,8 +26,8 @@ from hypothesis import strategies as st
 
 from conftest import examples
 from offloadsim import cli
-from offloadsim.cli import _BLOCK_ROWS, _PARALLEL_ROWS, _write_csv, main
-from offloadsim.engine import RECORD_FIELDS, Records, RunConfig, run, summarize
+from offloadsim.cli import _BLOCK_ROWS, _write_csv, main
+from offloadsim.engine import Records, RunConfig, run, summarize
 
 _FLOATS = st.one_of(
     st.floats(),
@@ -36,10 +35,9 @@ _FLOATS = st.one_of(
 )
 # Strings as a records list column holds them, and strings the csv module quotes.
 _STRINGS = st.one_of(st.sampled_from(("success", "VEHICLE", "USER_TO_GNB")), st.text(alphabet=',"\n\r a-', max_size=5))
-# Both sides of the cutoff for forked workers, and shares that end inside a block.
-_LONG_ROW_COUNTS = (_PARALLEL_ROWS - 1, _PARALLEL_ROWS, _PARALLEL_ROWS + 1, 2 * _PARALLEL_ROWS + _BLOCK_ROWS + 2)
+# Tables of many blocks: on both sides of a block's end, and ending two rows into a block.
+_LONG_ROW_COUNTS = (4 * _BLOCK_ROWS - 1, 4 * _BLOCK_ROWS, 4 * _BLOCK_ROWS + 1, 9 * _BLOCK_ROWS + 2)
 _HEADER = ("id", "x", "y", "k", "s")
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
 
 
 @st.composite
@@ -71,22 +69,6 @@ def _written(header, rows):
     with contextlib.redirect_stdout(out):
         _write_csv(None, header, rows)
     return out.getvalue()
-
-
-@contextlib.contextmanager
-def _usable_cpus(n):
-    """Make n CPUs usable and yield the list that counts forks."""
-    forks = []
-    real_fork = getattr(os, "fork", None)
-
-    def counting_fork():
-        forks.append(1)
-        return real_fork()
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        mp.setattr(os, "fork", counting_fork, raising=False)
-        yield forks
 
 
 def _reference(header, rows):
@@ -140,18 +122,18 @@ def test_column_stored_records_print_like_their_rows(values, data):
     _assert_same_text(_HEADER, list(zip(*columns)), Records(columns))
 
 
-# Distinct values in a share column: on both sides of what one memo may hold.
+# Distinct values in a records column: on both sides of what one memo may hold.
 _CARDINALITIES = (1, 2, 7, _BLOCK_ROWS // 2, _BLOCK_ROWS // 2 + 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS)
 _SPECIALS = (0.0, -0.0, float("nan"), float("inf"), float("-inf"))
 
 
 @st.composite
-def _share_columns(draw, lead, n, tail):
-    """A records column whose share is rows [lead, lead + n), of k distinct
-    values of one kind (floats, ints beside None, or strings beside None), in
-    one of three orders: any value anywhere; new values spread over the share,
-    so that a memo grows from block to block and may outgrow its bound
-    mid-share; or one value first seen in the share's last block."""
+def _drawn_column(draw, n):
+    """A records column of n rows of k distinct values of one kind (floats,
+    ints beside None, or strings beside None), in one of three orders: any
+    value anywhere; new values spread over the column, so that a memo grows
+    from block to block and may outgrow its bound mid-column; or one value
+    first seen in the last block."""
     kind = draw(st.sampled_from(("float", "int", "str")))
     k = draw(st.sampled_from(_CARDINALITIES))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -164,56 +146,53 @@ def _share_columns(draw, lead, n, tail):
         pool = [None, 'a "b"', "c,d", "e\nf", "", *(f"s{i}" for i in range(k))][:k]
     order = draw(st.sampled_from(("any", "spread", "late")))
     if order == "spread":
-        share = [pool[rng.randrange(1 + i * k // n)] for i in range(n)]
+        values = [pool[rng.randrange(1 + i * k // n)] for i in range(n)]
     else:
-        share = [rng.choice(pool[:-1] if order == "late" and k > 1 else pool) for _ in range(n)]
+        values = [rng.choice(pool[:-1] if order == "late" and k > 1 else pool) for _ in range(n)]
     if order == "late":
-        share[draw(st.integers((n - 1) // _BLOCK_ROWS * _BLOCK_ROWS, n - 1))] = pool[-1]
-    values = [rng.choice(pool) for _ in range(lead)] + share + [rng.choice(pool) for _ in range(tail)]
+        values[draw(st.integers((n - 1) // _BLOCK_ROWS * _BLOCK_ROWS, n - 1))] = pool[-1]
     return array("d", values) if kind == "float" else values
 
 
-def _memo_sizes(values, start, stop):
-    """The size of the column's memo after each block of the share [start, stop)."""
-    share = cli._share_cells(values, start, stop)
-    for cells in share:
+def _memo_sizes(values):
+    """The size of the column's memo after each block."""
+    column = cli._column_cells(values)
+    for cells in column:
         list(cells)
-        if share.gi_frame is not None:  # None once the share is done
-            yield len(share.gi_frame.f_locals["memo"])
+        if column.gi_frame is not None:  # None once the column is done
+            yield len(column.gi_frame.f_locals["memo"])
 
 
-def _assert_share_text(records, start, stop):
-    """The share's text is the csv module's text of its rows, and no column's
-    memo holds more than a block's worth of entries."""
+def _assert_table_text(records):
+    """The records' text is the csv module's text of their rows, and no
+    column's memo holds more than a block's worth of entries."""
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(itertools.islice(zip(*records.columns), start, stop))
-    _assert_equal_texts("".join(cli._block_texts(records, start, stop)), out.getvalue())
+    csv.writer(out, lineterminator="\n").writerows(zip(*records.columns))
+    _assert_equal_texts("".join(cli._block_texts(records)), out.getvalue())
     for values in records.columns:
-        assert max(_memo_sizes(values, start, stop), default=0) <= _BLOCK_ROWS
+        assert max(_memo_sizes(values), default=0) <= _BLOCK_ROWS
 
 
 @settings(max_examples=examples(100), deadline=None, derandomize=True)
 @given(data=st.data())
 def test_a_share_prints_like_its_rows_whatever_its_columns_repeat(data):
-    # a share of 2 to 5 blocks, maybe with rows before and after it: task ids,
-    # an all-distinct and a constant float column, and 1 to 4 drawn columns
-    n = data.draw(st.integers(_BLOCK_ROWS + 1, 5 * _BLOCK_ROWS))
-    lead, tail = data.draw(st.sampled_from((0, 1, _BLOCK_ROWS - 3))), data.draw(st.sampled_from((0, 5)))
-    total = lead + n + tail
-    drawn = [data.draw(_share_columns(lead, n, tail)) for _ in range(data.draw(st.integers(1, 4)))]
-    distinct = array("d", (random.Random(n).random() for _ in range(total)))
-    _assert_share_text(Records([range(total), distinct, array("d", [2.5]) * total, *drawn]), lead, lead + n)
+    # a table of 2 to 6 blocks, the last one full or not: task ids, an
+    # all-distinct and a constant float column, and 1 to 4 drawn columns
+    n = data.draw(st.integers(_BLOCK_ROWS + 1, 6 * _BLOCK_ROWS))
+    drawn = [data.draw(_drawn_column(n)) for _ in range(data.draw(st.integers(1, 4)))]
+    distinct = array("d", (random.Random(n).random() for _ in range(n)))
+    _assert_table_text(Records([range(n), distinct, array("d", [2.5]) * n, *drawn]))
 
 
 @pytest.mark.parametrize("specials", list(itertools.permutations(_SPECIALS[:4])))
 def test_specials_first_seen_in_different_blocks_keep_their_text(specials):
     # 0.0, -0.0, nan and inf each first seen in a block of its own beside a
-    # constant, the last of them in the share's last block, where all recur
+    # constant, the last of them in the last block, where all recur
     column = array("d", [1.0]) * (5 * _BLOCK_ROWS)
     for b, value in enumerate(specials):
         column[(b + 1) * _BLOCK_ROWS + 7 * b + 3] = column[4 * _BLOCK_ROWS + 7 * b + 100] = value
-    _assert_share_text(Records([range(len(column)), column, column[::-1]]), 0, len(column))
-    assert list(_memo_sizes(column, 0, len(column))) == [1, 2, 3, 4, 5]  # one memo for the share
+    _assert_table_text(Records([range(len(column)), column, column[::-1]]))
+    assert list(_memo_sizes(column)) == [1, 2, 3, 4, 5]  # one memo for the column
 
 
 @pytest.mark.parametrize("k, sizes", [(_BLOCK_ROWS, [256, 512, 512]), (_BLOCK_ROWS + 1, [256, 257, 512])])
@@ -223,57 +202,29 @@ def test_a_memo_that_would_pass_a_block_of_entries_stops_growing(k, sizes):
     # 257 values of that block, and again in the third, which holds 512
     first, rest = list(range(256)), list(range(256, k))
     column = first * 2 + (rest * 2)[:_BLOCK_ROWS] + (first + rest)[:_BLOCK_ROWS]
-    _assert_share_text(Records([range(len(column)), column]), 0, len(column))
-    assert list(_memo_sizes(column, 0, len(column))) == sizes
+    _assert_table_text(Records([range(len(column)), column]))
+    assert list(_memo_sizes(column)) == sizes
 
 
-@needs_fork
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_forked_writer_matches_the_csv_module(n):
+def test_long_records_match_the_csv_module():
     for n_rows in _LONG_ROW_COUNTS:
         records = _records(n_rows, seed=n_rows)
-        with _usable_cpus(n) as forks:
-            _assert_same_text(_HEADER, list(zip(*records.columns)), records)
-        assert len(forks) == (n - 1 if n_rows >= _PARALLEL_ROWS else 0)
+        _assert_same_text(_HEADER, list(zip(*records.columns)), records)
 
 
-@needs_fork
-def test_only_records_are_split():
-    records = run(RunConfig(n_users=4, duration=_PARALLEL_ROWS / 20 + 1))
-    assert len(records) >= _PARALLEL_ROWS
-    rows = list(records)
-    with _usable_cpus(2) as forks:
-        for given in (rows, tuple(rows), iter(rows)):  # to csv.writer, in this process
-            _assert_same_text(RECORD_FIELDS, rows, given)
-        assert forks == []
-        _assert_same_text(RECORD_FIELDS, rows, records)
-        assert len(forks) == 1
-
-
-def _unhashable_at(i):
-    """Records of three shares of _PARALLEL_ROWS rows whose row i holds a list
-    in a list column, which its share's writer cannot memoize."""
-    records = _records(3 * _PARALLEL_ROWS, seed=0)
-    records.columns[3][i] = [1]
-    return records
-
-
-@needs_fork
-def test_a_failing_writer_worker_raises_and_leaves_no_child(capfd, tmp_path, monkeypatch):
-    records = _unhashable_at(-3)  # in the last share: worker 2 fails
-    with _usable_cpus(3), pytest.raises(RuntimeError, match="worker process"):
-        _written(_HEADER, records)
-    with pytest.raises(ChildProcessError):  # every worker was reaped: no zombie
-        os.waitpid(-1, os.WNOHANG)
-    assert "TypeError: unhashable type: 'list'" in capfd.readouterr().err
-    # through main, to files: all or nothing, so both files there before keep their bytes
+def test_a_failing_writer_worker_raises_and_leaves_no_child(tmp_path, monkeypatch):
+    # the records are written in this process, which raises on a list cell it
+    # cannot memoize; through main, to files: all or nothing, so both files
+    # there before keep their bytes
+    records = _records(4 * _BLOCK_ROWS, seed=0)
+    records.columns[3][-3] = [1]
     monkeypatch.chdir(tmp_path)
     Path("run.cfg").write_text("strategy = ECFirst\nusers = 1\nduration = 1\n")
     monkeypatch.setattr(cli, "run", lambda cfg: records)
     monkeypatch.setattr(cli, "summarize", lambda rows: summarize(run(RunConfig(n_users=1, duration=1.0))))
     for name in ("agg.csv", "records.csv"):
         Path(name).write_bytes(b"earlier output\n")
-    with _usable_cpus(3), pytest.raises(RuntimeError, match="worker process"):
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
         main(["run", "run.cfg", "-o", "agg.csv", "--records", "records.csv"])
     assert [Path(name).read_bytes() for name in ("agg.csv", "records.csv")] == [b"earlier output\n"] * 2
     assert sorted(os.listdir()) == ["agg.csv", "records.csv", "run.cfg"]  # no temporary file left
@@ -295,17 +246,6 @@ def test_a_complete_file_replaces_the_old_one(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["link.csv", "out.csv"]
     assert main(["cost", "-o", os.devnull]) == 0  # a device is written in place, never replaced
     assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
-
-
-@needs_fork
-def test_the_writer_reaps_its_workers_when_its_own_share_fails(capfd):
-    records = _unhashable_at(3)  # share 0 is formatted in the calling process
-    with _usable_cpus(3) as forks, pytest.raises(TypeError, match="unhashable"):
-        _written(_HEADER, records)
-    assert len(forks) == 2
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert "Traceback" not in capfd.readouterr().err  # the killed workers report nothing
 
 
 @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
