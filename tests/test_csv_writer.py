@@ -206,10 +206,16 @@ def test_a_memo_that_would_pass_a_block_of_entries_stops_growing(k, sizes):
     assert list(_memo_sizes(column)) == sizes
 
 
-def test_long_records_match_the_csv_module():
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_forked_writer_matches_the_csv_module(n, monkeypatch):
+    # long records, with n usable CPUs: written in this process, forking nothing
+    forks = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or 1 / 0, raising=False)
     for n_rows in _LONG_ROW_COUNTS:
         records = _records(n_rows, seed=n_rows)
         _assert_same_text(_HEADER, list(zip(*records.columns)), records)
+    assert forks == []
 
 
 def test_a_failing_writer_worker_raises_and_leaves_no_child(tmp_path, monkeypatch):
