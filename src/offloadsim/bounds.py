@@ -4,8 +4,9 @@ Each value type is a ``checked`` base over one table, field -> (default,
 kind), the only place a field's default and bound are stated. A kind is
 "positive", "nonnegative", "probability" (in [0, 1]) or "any", each a finite
 float, or "int", a nonnegative integer; a pair (kind, extra) gives "int" a
-maximum and a float kind one more value it accepts (None or inf), a dict gives
-each component of a tuple field its kind, and None checks nothing.
+maximum and a float kind one more value it accepts (None or inf), ("word",
+words) accepts a string in ``words``, a dict gives each component of a tuple
+field its kind, and None marks a field that is itself a checked type.
 """
 
 import math
@@ -28,6 +29,10 @@ def check(name: str, value, kind, text: str | None = None):
         if isinstance(value, int) and 0 <= value <= (extra[0] if extra else value):
             return value
         words = f"an integer in [0, {extra[0]}]" if extra else "a nonnegative integer"
+    elif kind == "word":
+        if value in extra[0]:
+            return value
+        words = f"one of {', '.join(sorted(extra[0]))}"
     elif extra and value == extra[0] or math.isfinite(value) and _FLOAT_KINDS[kind][1](value):
         return value
     else:

@@ -28,15 +28,11 @@ class LinkParams(checked("LinkParams", {
     "rate": (None, ("positive", None)),  # bits/s shared by concurrent transfers; None: unbounded
     "p_base": (0.0, "probability"),  # loss probability at speed 0
     "k_speed": (0.0, "nonnegative"),  # added loss probability per m/s
-    "sharing": (PROCESSOR_SHARING, None),  # one of SHARING_MODES
+    "sharing": (PROCESSOR_SHARING, ("word", SHARING_MODES)),
 })):
     """One radio link class."""
 
     __slots__ = ()
-
-    def _check(self) -> None:
-        if self.sharing not in SHARING_MODES:
-            raise ValueError(f"unknown sharing mode {self.sharing!r}")
 
 
 class ChannelConfig(checked("ChannelConfig", {

@@ -1,11 +1,12 @@
 """Line-oriented configuration files: ``key = value`` with ``#`` comments.
 
 Keys are dotted into sections (``scenario.length_x``). The table ``_KEYS``
-gives each key its field, whose owner's ``KINDS`` bounds it, so every value is
-parsed and bound-checked as its line is read, whatever subcommand reads the
-file; unknown keys, duplicates and bad values are errors naming the line. Each
-builder takes its own subset: run configs need ``strategy``, sweep specs also
-``sweep.axis`` and ``sweep.values``, and cost parameters live under ``cost.``.
+gives each key its field, and each value is read as that field's kind (a word,
+an integer, a number or a list, see ``bounds``), so every value is parsed and
+bound-checked as its line is read, whatever subcommand reads the file; unknown
+keys, duplicates and bad values are errors naming the line. Each builder takes
+its own subset: run configs need ``strategy``, sweep specs also ``sweep.axis``
+and ``sweep.values``, and cost parameters live under ``cost.``.
 A run config is built once, on its final geometry and channel, and
 checks itself as every value type does (``bounds.checked``); so does each
 sweep point before any runs. Numbers accept fractions like ``1/128``. Defaults
@@ -21,13 +22,20 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bounds import check
-from .channel import SHARING_MODES, ChannelConfig, LinkParams
-from .controller import STRATEGIES
+from .channel import ChannelConfig, LinkParams
 from .costmodel import CostParams
 from .engine import KMH, REPLICATION_SEEDS, PositionOverflow, RunConfig
 from .scenario import ScenarioGeometry, partial_coverage, total_coverage
 
-SWEEP_AXES = ("users", "workload", "vehicles", "vehicle_capacity_fraction", "speed")
+# sweep axis -> the fields of the base run that one value sets
+_AXES = {
+    "users": lambda base, v: {"n_users": int(v)},
+    "workload": lambda base, v: {"workload_mi": v},
+    "vehicles": lambda base, v: {"n_vehicles": int(v)},
+    "vehicle_capacity_fraction": lambda base, v: {"vehicle_capacity": base.vehicle_capacity * v},
+    "speed": lambda base, v: {"vehicle_speed": v * KMH},
+}
+SWEEP_AXES = tuple(_AXES)
 SCENARIO_PRESETS = {"total_coverage": total_coverage, "partial_coverage": partial_coverage}
 
 
@@ -42,90 +50,89 @@ SweepSpec.__doc__ = "One sweep: the knob to turn, its values, the replication se
 # The radio link classes, each a LinkParams; pedestrian legs run at speed 0, so their k_speed has no key.
 _RADIO = [name for name in ChannelConfig._fields if name not in ChannelConfig.KINDS]
 
-# key -> (target, field, spelling). Targets: "run" (RunConfig), "geometry"
-# (ScenarioGeometry), "bs" (an index into its bs_position), "channel" (a wired
-# leg's latency in ChannelConfig), a radio link name (its LinkParams), "cost"
-# (CostParams), "sweep", "preset" (the geometry a preset factory fills) and
-# "km/h" (a RunConfig speed in km/h). A spelling of None is a number of its
-# field's kind (``_KINDS``), and a word spells the one more value that kind
-# accepts; else it is the words allowed (mapped if a dict), int (an integer its
-# builder bounds) or list (of finite numbers).
+# key -> (target, field), read as the field's kind in the target's table in
+# ``_KINDS``. Targets: "run" (RunConfig), "geometry" (ScenarioGeometry), "bs"
+# (an index into its bs_position), "channel" (a wired leg's latency in
+# ChannelConfig), a radio link name (its LinkParams), "cost" (CostParams),
+# "sweep", "preset" (the name of the preset factory that fills the geometry)
+# and "km/h" (a RunConfig speed in km/h).
 _KEYS = {
-    "strategy": ("run", "strategy", STRATEGIES),
-    "users": ("run", "n_users", None),
-    "request_rate": ("run", "request_rate", None),
-    "duration": ("run", "duration", None),
-    "seed": ("run", "seed", None),
-    "task.workload_mi": ("run", "workload_mi", None),
-    "task.size_bytes": ("run", "task_size_bytes", None),
-    "task.result_bytes": ("run", "result_size_bytes", None),
-    "scenario.preset": ("preset", "geometry", SCENARIO_PRESETS),
-    "scenario.length_x": ("geometry", "loop_length_x", None),
-    "scenario.width_y": ("geometry", "loop_width_y", None),
-    "scenario.bs_x": ("bs", 0, None),
-    "scenario.bs_y": ("bs", 1, None),
-    "scenario.bs_z": ("bs", 2, None),
-    "scenario.coverage_radius": ("geometry", "coverage_radius", "unbounded"),
-    "scenario.ue_height": ("geometry", "ue_height", None),
-    "vehicles.count": ("run", "n_vehicles", None),
-    "vehicles.speed_kmh": ("km/h", "vehicle_speed", None),
-    "vehicles.capacity_mips": ("run", "vehicle_capacity", None),
-    "compute.cloud_mips": ("run", "cloud_mips", None),
-    "compute.edge_mips": ("run", "edge_mips", None),
-    "compute.edge_max_queue": ("run", "edge_max_queue", None),
-    "controller.beacon_period": ("run", "beacon_period", None),
-    "controller.timeout": ("run", "registry_timeout", None),
+    "strategy": ("run", "strategy"),
+    "users": ("run", "n_users"),
+    "request_rate": ("run", "request_rate"),
+    "duration": ("run", "duration"),
+    "seed": ("run", "seed"),
+    "task.workload_mi": ("run", "workload_mi"),
+    "task.size_bytes": ("run", "task_size_bytes"),
+    "task.result_bytes": ("run", "result_size_bytes"),
+    "scenario.preset": ("preset", "geometry"),
+    "scenario.length_x": ("geometry", "loop_length_x"),
+    "scenario.width_y": ("geometry", "loop_width_y"),
+    "scenario.bs_x": ("bs", 0),
+    "scenario.bs_y": ("bs", 1),
+    "scenario.bs_z": ("bs", 2),
+    "scenario.coverage_radius": ("geometry", "coverage_radius"),
+    "scenario.ue_height": ("geometry", "ue_height"),
+    "vehicles.count": ("run", "n_vehicles"),
+    "vehicles.speed_kmh": ("km/h", "vehicle_speed"),
+    "vehicles.capacity_mips": ("run", "vehicle_capacity"),
+    "compute.cloud_mips": ("run", "cloud_mips"),
+    "compute.edge_mips": ("run", "edge_mips"),
+    "compute.edge_max_queue": ("run", "edge_max_queue"),
+    "controller.beacon_period": ("run", "beacon_period"),
+    "controller.timeout": ("run", "registry_timeout"),
     **{
-        f"channel.{name}.{field}": (name, field, {"rate": "unbounded", "sharing": SHARING_MODES}.get(field))
+        f"channel.{name}.{field}": (name, field)
         for name in _RADIO
         for field in LinkParams._fields
         if field != "k_speed" or name.startswith("vue")
     },
-    **{f"channel.{name}.base_latency": ("channel", name, None) for name in ChannelConfig.KINDS},
-    "sweep.axis": ("sweep", "axis", SWEEP_AXES),
-    "sweep.values": ("sweep", "values", list),
-    "sweep.replications": ("sweep", "replications", int),
-    "cost.c_ec_cpu": ("cost", "c_ec_cpu", None),
-    "cost.cpu_lifetime_years": ("cost", "l_ec_cpu", None),
-    "cost.c_ec_main": ("cost", "c_ec_main", None),
-    "cost.c_ec_req": ("cost", "c_ec_req", None),
-    "cost.requests_per_user": ("cost", "request_rate", None),
-    "cost.users": ("cost", "users", None),
-    "cost.alpha_seconds": ("cost", "alpha", None),
-    "cost.capex_overhead": ("cost", "capex_overhead", None),
+    **{f"channel.{name}.base_latency": ("channel", name) for name in ChannelConfig.KINDS},
+    "sweep.axis": ("sweep", "axis"),
+    "sweep.values": ("sweep", "values"),
+    "sweep.replications": ("sweep", "replications"),
+    "cost.c_ec_cpu": ("cost", "c_ec_cpu"),
+    "cost.cpu_lifetime_years": ("cost", "l_ec_cpu"),
+    "cost.c_ec_main": ("cost", "c_ec_main"),
+    "cost.c_ec_req": ("cost", "c_ec_req"),
+    "cost.requests_per_user": ("cost", "request_rate"),
+    "cost.users": ("cost", "users"),
+    "cost.alpha_seconds": ("cost", "alpha"),
+    "cost.capex_overhead": ("cost", "capex_overhead"),
 }
 _POSITION_KEYS = ("duration", "scenario.preset", "scenario.length_x", "scenario.width_y",
                   "vehicles.speed_kmh")  # what a fleet's loop positions read
 _KINDS = {"run": RunConfig.KINDS, "km/h": RunConfig.KINDS, "geometry": ScenarioGeometry.KINDS, "cost": CostParams.KINDS,
           "bs": ScenarioGeometry.KINDS["bs_position"], "channel": ChannelConfig.KINDS,
-          **dict.fromkeys(_RADIO, LinkParams.KINDS)}  # target -> its table
+          **dict.fromkeys(_RADIO, LinkParams.KINDS), "preset": {"geometry": ("word", tuple(SCENARIO_PRESETS))},
+          "sweep": {"axis": ("word", SWEEP_AXES), "values": "list", "replications": "int"}}  # target -> its table
 
 
 def _where(line: int | None) -> str:
     return f"line {line}: " if line is not None else ""
 
 
-def _float(key: str, raw: str, line: int | None = None) -> float:
-    """A number or fraction ``a/b``; ``line`` is omitted for flags."""
-    try:
-        num, _, den = raw.partition("/")
-        value = float(num) / float(den) if den else float(raw)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigError(f"{_where(line)}{key} expects a number, got {raw!r}") from None
-    return value + 0.0  # "-0" reads as 0.0, not -0.0
-
-
-def _int(key: str, raw: str, line: int | None = None) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{_where(line)}{key} expects an integer, got {raw!r}") from None
-
-
 def _number(what: str, raw: str, kind, line: int | None = None):
-    """``raw`` read as an integer or a number, as ``kind`` asks, and checked against it."""
-    integral = (kind if isinstance(kind, str) else kind[0]) == "int"
-    value = (_int if integral else _float)(what, raw, line)
+    """``raw`` read as ``kind`` asks and checked against it: a word as it is, an
+    integer, or a number or fraction ``a/b``, where only the word ``unbounded``
+    spells the one more value a float kind accepts; ``line`` is omitted for flags."""
+    bare = kind if isinstance(kind, str) else kind[0]
+    if bare == "int":
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ConfigError(f"{_where(line)}{what} expects an integer, got {raw!r}") from None
+    elif bare == "word":
+        value = raw
+    elif isinstance(kind, tuple) and raw == "unbounded":  # a float kind with one more value
+        return kind[1]
+    else:
+        try:
+            num, _, den = raw.partition("/")
+            value = (float(num) / float(den) if den else float(raw)) + 0.0  # "-0" reads as 0.0, not -0.0
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ConfigError(f"{_where(line)}{what} expects a number, got {raw!r}") from None
+        kind = bare  # only the word spells the one more value, so inf fails
     try:
         return check(what, value, kind, raw)
     except ValueError as exc:
@@ -145,20 +152,10 @@ def parse_list(raw: str, what: str, kind, line: int | None = None) -> tuple:
 
 
 def _read(key: str, raw: str, line: int):
-    """One line's value, parsed and bound-checked as its key's spelling and kind say."""
-    target, field, spelling = _KEYS[key]
-    if spelling is list:
-        return parse_list(raw, key, "any", line)
-    if spelling is int:
-        return _int(key, raw, line)
-    if spelling is None:
-        return _number(key, raw, _KINDS[target][field], line)
-    if isinstance(spelling, str):  # the word for the one more value the kind accepts
-        kind, value = _KINDS[target][field]
-        return value if raw == spelling else _number(key, raw, kind, line)
-    if raw not in spelling:
-        raise ConfigError(f"line {line}: {key} must be one of {', '.join(sorted(spelling))}, got {raw!r}")
-    return spelling[raw] if isinstance(spelling, dict) else raw
+    """One line's value, parsed and bound-checked as its field's kind says."""
+    target, field = _KEYS[key]
+    kind = _KINDS[target][field]
+    return parse_list(raw, key, "any", line) if kind == "list" else _number(key, raw, kind, line)
 
 
 def _scan(text: str) -> dict[str, tuple[object, int]]:
@@ -185,7 +182,7 @@ def _group(entries: dict[str, tuple[object, int]]) -> dict[str, dict]:
     """Target -> {field: value} over the scanned entries."""
     groups: dict[str, dict] = {}
     for key, (value, _) in entries.items():
-        target, field = _KEYS[key][:2]
+        target, field = _KEYS[key]
         groups.setdefault(target, {})[field] = value
     return groups
 
@@ -197,7 +194,7 @@ def _build_run(entries: dict[str, tuple[object, int]]) -> RunConfig:
     kw = groups.get("run", {})
     kw.update((field, value * KMH) for field, value in groups.get("km/h", {}).items())
     preset = groups.get("preset", {}).get("geometry")
-    geometry = preset() if preset else RunConfig._field_defaults["geometry"]
+    geometry = SCENARIO_PRESETS[preset]() if preset else RunConfig._field_defaults["geometry"]
     fields = groups.get("geometry", {})
     if "bs" in groups:
         fields["bs_position"] = tuple(groups["bs"].get(i, v) for i, v in enumerate(geometry.bs_position))
@@ -259,17 +256,9 @@ def parse_sweep_spec(text: str) -> SweepSpec:
 
 def apply_axis(base: RunConfig, axis: str, value: float, seed: int) -> RunConfig:
     """One sweep point: the base run with one knob turned and the seed set."""
-    if axis == "users":
-        return base._replace(n_users=int(value), seed=seed)
-    if axis == "workload":
-        return base._replace(workload_mi=value, seed=seed)
-    if axis == "vehicles":
-        return base._replace(n_vehicles=int(value), seed=seed)
-    if axis == "vehicle_capacity_fraction":
-        return base._replace(vehicle_capacity=base.vehicle_capacity * value, seed=seed)
-    if axis == "speed":
-        return base._replace(vehicle_speed=value * KMH, seed=seed)
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    if axis not in _AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    return base._replace(**_AXES[axis](base, value), seed=seed)
 
 
 def parse_seed_list(raw: str) -> tuple[int, ...]:

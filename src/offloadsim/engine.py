@@ -93,9 +93,9 @@ MAX_BEACONS = 1_000_000_000
 
 
 # field -> (default, kind): the kind bounds the field (see ``bounds``); None
-# leaves the strategy to ``RunConfig._check``, the geometry and channel to their types.
+# leaves the geometry and channel to their types.
 _RUN_FIELDS = {
-    "strategy": (EC_FIRST, None),
+    "strategy": (EC_FIRST, ("word", STRATEGIES)),
     "n_users": (8, "int"),
     "request_rate": (5.0, "positive"),  # per user, Hz
     "duration": (120.0, "positive"),  # s
@@ -128,9 +128,7 @@ class RunConfig(checked("RunConfig", _RUN_FIELDS)):
     __slots__ = ()
 
     def _check(self) -> None:
-        """Check the strategy, the arrival and beacon caps and the fleet's positions."""
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+        """Check the arrival and beacon caps and the fleet's positions."""
         per_user = self.duration * self.request_rate
         if self.n_users and (per_user > MAX_ARRIVALS or self.n_users * math.ceil(per_user) > MAX_ARRIVALS):
             raise ValueError(f"users x ceil(duration x request_rate) must not exceed {MAX_ARRIVALS} arrivals")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from offloadsim import config
 from offloadsim.cli import main
 from offloadsim.channel import ChannelConfig, LinkParams, lena_calibrated
@@ -74,6 +75,8 @@ _OWNERS = {
 
 
 def _just_outside(kind, extra) -> list:
+    if kind == "word":
+        return ["bogus"]
     if kind == "int":
         return [-1, extra[0] + 1] if extra else [-1]
     tiny = -5e-324  # the negative number nearest zero
@@ -81,25 +84,27 @@ def _just_outside(kind, extra) -> list:
     return outside.get(kind, [])
 
 
-_NUMERIC_KEYS = [key for key, (_, _, spelling) in config._KEYS.items() if spelling is None or isinstance(spelling, str)]
+_OWNED_KEYS = [key for key, (target, _) in config._KEYS.items() if target not in ("preset", "sweep")]
 
 
-@pytest.mark.parametrize("key", _NUMERIC_KEYS)
+@pytest.mark.parametrize("key", _OWNED_KEYS)
 def test_every_numeric_key_has_the_bound_of_its_field(key):
-    """Each key's bound is its owner's kind: a value just outside it, or nan,
+    """Each key of a value type's field, a number or a word, is bound by its
+    owner's kind: a value just outside it (a word not in a word kind), or nan,
     fails in a config naming the line and key, and in the owner naming the field."""
-    target, field, _ = config._KEYS[key]
+    target, field = config._KEYS[key]
     if target == "bs":
         kind, name, build = ScenarioGeometry.KINDS["bs_position"][field], rf"bs_position\[{field}\]", _bs_position
     else:
         owner, build = _OWNERS[target]
         kind, name = owner.KINDS[field], field
     kind, *extra = (kind,) if isinstance(kind, str) else kind
+    must = "must be one of" if kind == "word" else "must be"
     for value in _just_outside(kind, extra) + [math.nan]:
-        said = "expects an integer" if kind == "int" and math.isnan(value) else "must be"
+        said = "expects an integer" if kind == "int" and math.isnan(value) else must
         with pytest.raises(ConfigError, match=rf"^line 1: {re.escape(key)} {said}"):
-            parse_run_config(f"{key} = {value!r}\nstrategy = ECFirst\n")
-        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            parse_run_config(f"{key} = {value}\nstrategy = ECFirst\n")
+        with pytest.raises(ValueError, match=rf"^{name} {must}"):
             build(field, value)
 
 
@@ -178,11 +183,22 @@ def test_beacon_periods_too_short_for_the_horizon_are_rejected_at_parse_time():
         parse_run_config("strategy = VCCFirst\ncontroller.beacon_period = 1e-300\n")
 
 
+# key whose kind accepts one more value -> (that value, where a run config holds it)
+_UNBOUNDED = {
+    "scenario.coverage_radius": (math.inf, lambda cfg: cfg.geometry.coverage_radius),
+    **{f"channel.{link}.rate": (None, lambda cfg, link=link: getattr(cfg.channel, link).rate)
+       for link in ("pue_up", "pue_down", "vue_up", "vue_down")},
+}
+
+
 def test_unbounded_still_spells_infinity():
-    cfg = parse_run_config("strategy = ECFirst\nscenario.coverage_radius = unbounded\n")
-    assert math.isinf(cfg.geometry.coverage_radius)
-    with pytest.raises(ConfigError, match="line 2"):
-        parse_run_config("strategy = ECFirst\nscenario.coverage_radius = inf\n")
+    """Only the word ``unbounded`` spells the one more value: ``inf`` and
+    numbers that overflow to it fail, naming the line."""
+    for key, (value, held) in _UNBOUNDED.items():
+        assert held(parse_run_config(f"strategy = ECFirst\n{key} = unbounded\n")) == value, key
+        for raw in ("inf", "-inf", "1e309"):
+            with pytest.raises(ConfigError, match=rf"^line 2: {re.escape(key)} must be finite, got '{raw}'$"):
+                parse_run_config(f"strategy = ECFirst\n{key} = {raw}\n")
 
 
 def test_a_run_config_is_checked_on_its_final_geometry():
@@ -389,14 +405,14 @@ def test_negative_seeds_are_rejected():
 
 
 _KEYS = tuple(config._KEYS)
-_SMALL = st.sampled_from(("0", "1", "2", "3", "0.5", "1/4", "7", "40", "1e-3", "90", "-1"))
-# Small numbers three times over, so that most values are ones their key accepts.
+_SMALL = ("0", "1", "2", "3", "0.5", "1/4", "7", "40", "1e-3", "90", "-1")
+# Small numbers three times over, so that most values are ones their key accepts
+# (three strategies: ``one_of`` draws a strategy it is given more than once as one).
 _VALUES = st.one_of(
-    _SMALL,
-    _SMALL,
-    _SMALL,
+    *(st.sampled_from(_SMALL) for _ in range(3)),
     st.sampled_from(
-        ("ECFirst", "VCCFirst", "partial_coverage", "total_coverage", "lena_calibrated", "unbounded", "none", "true")
+        ("ECFirst", "VCCFirst", "partial_coverage", "total_coverage", "lena_calibrated", "unbounded", "none",
+         "processor_sharing", "true")
     ),
     st.integers(-(2**40), 2**40).map(str),
     st.floats().map(repr),
@@ -419,7 +435,7 @@ def test_config_text_either_fails_to_parse_or_runs_to_the_end():
     small (at most 2,000 arrivals, 200 vehicles and 10^5 beacons)."""
     outcomes = Counter()
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @settings(max_examples=examples(400), deadline=None, derandomize=True)
     @given(text=_TEXTS)
     def check(text):
         try:
